@@ -9,25 +9,11 @@ let now t = (Unix.gettimeofday () -. t.epoch) *. 1000.0
 let wheel t = t.wheel
 
 let clock t =
-  let add ?timer ~delay fn = Timer_wheel.add t.wheel ~now:(now t) ~delay ?timer fn in
   {
     Clock.now = (fun () -> now t);
-    defer = (fun ~delay fn -> add ~delay fn);
-    schedule_impl =
-      (fun ~delay fn ->
-        let tm = Clock.make_timer ~cancel:ignore in
-        add ~timer:tm ~delay fn;
-        tm);
-    every_impl =
-      (fun ~period fn ->
-        let tm = Clock.make_timer ~cancel:ignore in
-        let rec arm () =
-          add ~timer:tm ~delay:period (fun () ->
-              fn ();
-              if not (Clock.is_cancelled tm) then arm ())
-        in
-        arm ();
-        tm);
+    defer = (fun ~delay fn -> Timer_wheel.add t.wheel ~now:(now t) ~delay fn);
+    schedule_impl = (fun ~delay fn -> Timer_wheel.schedule t.wheel ~now:(now t) ~delay fn);
+    every_impl = (fun ~period fn -> Timer_wheel.every t.wheel ~now:(now t) ~period fn);
   }
 
 let advance t = Timer_wheel.advance t.wheel ~now:(now t)

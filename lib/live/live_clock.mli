@@ -16,7 +16,10 @@ val now : t -> float
 
 val clock : t -> Dpu_runtime.Clock.t
 (** The {!Dpu_runtime.Clock} view: [defer]/[schedule]/[every] arm
-    wheel entries; cancellation is checked at fire time. *)
+    {!Timer_wheel} entries at exact deadlines. [every] keeps its phase
+    (each period counts from the previous nominal deadline, as in the
+    simulator), and cancelling a timer takes its entry out of
+    {!Timer_wheel.pending} at once. *)
 
 val advance : t -> unit
 (** Fire all timers due at the current wall-clock instant. *)

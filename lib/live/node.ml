@@ -49,7 +49,7 @@ let max_trace_events = 20_000
 let tid_kernel = 1
 
 let run ~config ~fd ~peers () =
-  let wheel = Timer_wheel.create ~granularity_ms:0.5 () in
+  let wheel = Timer_wheel.create () in
   let lclock = Live_clock.create ~epoch:config.epoch wheel in
   let metrics = Dpu_obs.Metrics.create () in
   let mlabels = [ ("node", string_of_int config.me) ] in
@@ -139,16 +139,19 @@ let run ~config ~fd ~peers () =
   let mw = Middleware.of_system ~config:mw_config system in
   let clock = System.clock system in
   (* Open-loop load, staggered so the n processes do not send in
-     phase: this node sends every [n / load] seconds. *)
+     phase: this node sends every [n / load] seconds until
+     [duration_ms], then stops ticking so the drain sleeps undisturbed. *)
   let interval = 1000.0 *. float_of_int config.n /. config.load in
+  let generator = ref None in
   Clock.defer clock
     ~delay:(interval *. float_of_int config.me /. float_of_int config.n)
     (fun () ->
-      ignore
-        (Clock.every clock ~period:interval (fun () ->
-             if Live_clock.now lclock < config.duration_ms then
-               ignore (Middleware.broadcast mw ~node:config.me "live" : Msg.t))
-          : Clock.timer));
+      generator :=
+        Some
+          (Clock.every clock ~period:interval (fun () ->
+               if Live_clock.now lclock < config.duration_ms then
+                 ignore (Middleware.broadcast mw ~node:config.me "live" : Msg.t)
+               else Option.iter Clock.cancel !generator)));
   List.iter
     (fun (at, node, protocol) ->
       if node = config.me then

@@ -1,47 +1,27 @@
 module Clock = Dpu_runtime.Clock
+module Heap = Dpu_engine.Heap
 
 type entry = {
   e_deadline : float;
-  e_tick : int;  (* 0 for ready-queue entries; the filing tick otherwise *)
-  e_seq : int;
   e_timer : Clock.timer option;
   e_fn : unit -> unit;
   mutable e_counted : bool;
-      (* still counted in [pending]; cleared the first time the entry is
-         fired or observed cancelled, wherever that happens first *)
+      (* still counted in [pending]; cleared exactly once, when the
+         entry fires or its timer is cancelled *)
 }
 
 type t = {
-  granularity : float;
-  slots : entry list ref array;
-  mutable tick : int;  (* next tick to process; entries never file below it *)
-  mutable floor : int;
-      (* lowest tick a new entry may file at: one past the target of the
-         pass in progress, so a callback re-arming its own timer never
-         fires again within the pass however far [now] jumped *)
-  mutable seq : int;
-  mutable pending : int;
+  heap : entry Heap.t;  (* positive-delay entries, by (deadline, insertion) *)
   ready : entry Queue.t;  (* zero-delay entries, fired FIFO next advance *)
+  mutable pending : int;
   (* Event-loop profile: lifetime totals, sampled by observability
      callbacks at snapshot time. *)
   mutable fired : int;
   mutable cascades : int;
 }
 
-let create ?(granularity_ms = 1.0) ?(slots = 512) () =
-  if granularity_ms <= 0.0 then invalid_arg "Timer_wheel.create: granularity";
-  if slots < 1 then invalid_arg "Timer_wheel.create: slots";
-  {
-    granularity = granularity_ms;
-    slots = Array.init slots (fun _ -> ref []);
-    tick = 0;
-    floor = 0;
-    seq = 0;
-    pending = 0;
-    ready = Queue.create ();
-    fired = 0;
-    cascades = 0;
-  }
+let create ?granularity_ms:_ ?slots:_ () =
+  { heap = Heap.create (); ready = Queue.create (); pending = 0; fired = 0; cascades = 0 }
 
 let pending t = t.pending
 
@@ -49,100 +29,94 @@ let fired t = t.fired
 
 let cascades t = t.cascades
 
-let add t ~now ~delay ?timer fn =
-  let delay = Float.max delay 0.0 in
-  let deadline = now +. delay in
-  let e =
-    {
-      e_deadline = deadline;
-      e_tick = 0;
-      e_seq = t.seq;
-      e_timer = timer;
-      e_fn = fn;
-      e_counted = true;
-    }
-  in
-  t.seq <- t.seq + 1;
+let entry t ~deadline ?timer fn =
   t.pending <- t.pending + 1;
-  if delay = 0.0 then Queue.push e t.ready
+  { e_deadline = deadline; e_timer = timer; e_fn = fn; e_counted = true }
+
+(* File on the heap at an absolute deadline, even one already past: it
+   then fires on the next [advance], never within the current pass. *)
+let push t ~deadline ?timer fn =
+  let e = entry t ~deadline ?timer fn in
+  Heap.add t.heap ~priority:deadline e;
+  e
+
+let insert t ~now ~delay ?timer fn =
+  if delay > 0.0 then push t ~deadline:(now +. delay) ?timer fn
   else begin
-    (* Clamp to [t.floor]/[t.tick]: an entry due in a tick the current
-       pass covers fires on the next advance, never in a slot the
-       cursor already passed or is about to pass. *)
-    let tick =
-      max (max t.tick t.floor)
-        (int_of_float (Float.ceil (deadline /. t.granularity)))
-    in
-    let e = { e with e_tick = tick } in
-    let bucket = t.slots.(tick mod Array.length t.slots) in
-    bucket := e :: !bucket
+    let e = entry t ~deadline:now ?timer fn in
+    Queue.push e t.ready;
+    e
   end
+
+let add t ~now ~delay fn = ignore (insert t ~now ~delay fn : entry)
 
 let live e =
   match e.e_timer with Some tm -> not (Clock.is_cancelled tm) | None -> true
 
-(* Take the entry out of the pending count, exactly once. Called when
-   the entry fires, and from any scan that observes it cancelled — so
-   [pending] never reports phantom work from cancelled entries waiting
-   in far slots for their sweep. *)
+(* Take the entry out of the pending count, exactly once. *)
 let discount t e =
   if e.e_counted then begin
     e.e_counted <- false;
     t.pending <- t.pending - 1
   end
 
-(* When the entry will actually fire: ready-queue entries run on the
-   next advance, slotted entries when the cursor reaches [e_tick] —
-   which, after floor/tick clamping, can be later than the nominal
-   [e_deadline]. *)
-let effective_deadline t e =
-  if e.e_tick = 0 then e.e_deadline
-  else Float.max e.e_deadline (float_of_int e.e_tick *. t.granularity)
+(* Placeholder for a timer with no entry filed yet: never counted, so
+   discounting it is a no-op. *)
+let unfiled = { e_deadline = 0.0; e_timer = None; e_fn = ignore; e_counted = false }
 
-let next_deadline t =
-  if t.pending = 0 then None
-  else
-    let consider acc e =
-      if not (live e) then begin
-        discount t e;
-        acc
-      end
-      else
-        let d = effective_deadline t e in
-        match acc with None -> Some d | Some d' -> Some (Float.min d d')
-    in
-    let acc = Queue.fold consider None t.ready in
-    Array.fold_left
-      (fun acc bucket -> List.fold_left consider acc !bucket)
-      acc t.slots
+(* A timer whose cancellation discounts its filed entry on the spot,
+   wherever that entry sits in the heap — so [pending] stays exact with
+   no scan. The caller keeps [current] pointing at the entry it filed
+   last; once that entry fired, discounting it again is a no-op. *)
+let counted_timer t =
+  let current = ref unfiled in
+  let tm = Clock.make_timer ~cancel:(fun () -> discount t !current) in
+  (tm, current)
 
-let cmp_due a b =
-  match Float.compare a.e_deadline b.e_deadline with
-  | 0 -> Int.compare a.e_seq b.e_seq
-  | c -> c
+let schedule t ~now ~delay fn =
+  let tm, current = counted_timer t in
+  current := insert t ~now ~delay ~timer:tm fn;
+  tm
+
+let every t ~now ~period fn =
+  let tm, current = counted_timer t in
+  let rec arm deadline =
+    current :=
+      push t ~deadline ~timer:tm (fun () ->
+          fn ();
+          if not (Clock.is_cancelled tm) then arm (deadline +. period))
+  in
+  arm (now +. period);
+  tm
+
+let rec next_deadline t =
+  match Heap.peek t.heap with
+  | Some (_, e) when not (live e) ->
+    ignore (Heap.pop_exn t.heap : entry);
+    next_deadline t
+  | top -> (
+    let top = Option.map fst top in
+    match Queue.peek_opt t.ready with
+    | None -> top
+    | Some e -> Some (Option.fold ~none:e.e_deadline ~some:(Float.min e.e_deadline) top))
 
 let fire t e =
-  discount t e;
   if live e then begin
+    discount t e;
     t.fired <- t.fired + 1;
     e.e_fn ()
   end
 
 let advance t ~now =
-  let target = int_of_float (now /. t.granularity) in
-  t.floor <- max t.floor (target + 1);
-  if Array.exists (fun b -> !b <> []) t.slots then
-    while t.tick <= target do
-      let tk = t.tick in
-      let bucket = t.slots.(tk mod Array.length t.slots) in
-      let due, future = List.partition (fun e -> e.e_tick <= tk) !bucket in
-      bucket := future;
-      (* Bump the cursor before firing: callbacks may re-arm timers and
-         their entries must file at [tk + 1] or later (see [add]). *)
-      t.tick <- tk + 1;
-      List.iter (fire t) (List.sort cmp_due due)
-    done
-  else if target >= t.tick then t.tick <- target + 1;
+  (* Pop everything due before firing anything: entries the callbacks
+     file, even at a deadline already past, wait for the next pass. *)
+  let rec due acc =
+    match Heap.min_priority_exn t.heap with
+    | d when d <= now -> due (Heap.pop_exn t.heap :: acc)
+    | _ -> acc
+    | exception Heap.Empty -> acc
+  in
+  List.iter (fire t) (List.rev (due []));
   (* Zero-delay entries run to quiescence within the pass: deferred
      work enqueued by a firing entry (one stack hop scheduling the
      next) happens now, exactly like same-instant events in the

@@ -1,43 +1,52 @@
-(** Hashed timer wheel backing the live clock.
+(** Timer queue backing the live clock.
 
     Deadlines are absolute times in milliseconds on whatever clock the
-    caller feeds to {!add} and {!advance}; the wheel itself never reads
+    caller feeds to {!add} and {!advance}; the queue itself never reads
     a clock, which keeps it unit-testable with synthetic time. Entries
-    hash into [slots] buckets of [granularity_ms] ticks; {!advance}
-    walks the cursor up to [now] and fires every due entry in
-    (deadline, insertion) order. An entry whose {!Dpu_runtime.Clock}
-    timer was cancelled is dropped when its tick is reached. *)
+    sit in a binary heap keyed on their exact deadline; {!advance}
+    fires every due entry in (deadline, insertion) order. *)
 
 type t
 
 val create : ?granularity_ms:float -> ?slots:int -> unit -> t
-(** Default granularity 1 ms, 512 slots. *)
+(** An empty queue. [granularity_ms] and [slots] are accepted for
+    compatibility and ignored: deadlines are exact. *)
 
-val add :
-  t -> now:float -> delay:float -> ?timer:Dpu_runtime.Clock.timer ->
-  (unit -> unit) -> unit
+val add : t -> now:float -> delay:float -> (unit -> unit) -> unit
 (** Arm a callback [delay] ms after [now] (clamped to be non-negative).
-    When [timer] is given, cancelling it prevents the callback from
-    firing. Positive-delay entries armed from inside a firing callback
-    never fire in the same {!advance} pass. *)
+    Positive-delay entries armed from inside a firing callback never
+    fire in the same {!advance} pass. *)
+
+val schedule :
+  t -> now:float -> delay:float -> (unit -> unit) -> Dpu_runtime.Clock.timer
+(** {!add}, cancellable: cancelling the timer before the callback ran
+    stops it and takes the entry out of {!pending} at once. *)
+
+val every :
+  t -> now:float -> period:float -> (unit -> unit) -> Dpu_runtime.Clock.timer
+(** Periodic callback due at [now + k * period] for k = 1, 2, ...: each
+    re-arm counts from the previous nominal deadline, not from when the
+    callback ran, so firing late never shifts the phase. A loop running
+    behind catches up one period per {!advance} pass, never in a burst.
+    Cancellation stops the chain and discounts its pending entry. *)
 
 val advance : t -> now:float -> unit
-(** Fire everything due at or before [now]. Zero-delay entries run to
-    quiescence within the pass (in FIFO order, including ones enqueued
-    by firing entries) — the live counterpart of the simulator's
-    same-instant event cascades. *)
+(** Fire everything due at or before [now]. Due entries are taken off
+    the heap before any fires, so entries armed by the callbacks wait
+    for the next pass. Zero-delay entries run to quiescence within the
+    pass (in FIFO order, including ones enqueued by firing entries) —
+    the live counterpart of the simulator's same-instant event
+    cascades. *)
 
 val next_deadline : t -> float option
-(** Earliest {e effective} fire time among live entries — the instant
-    {!advance} would actually run one, accounting for floor/tick
-    clamping — for sizing a poll timeout. Cancelled entries are
-    invisible and are discounted from {!pending} as the scan observes
-    them. O(slots + pending entries). *)
+(** Earliest deadline among live entries, for sizing a poll timeout:
+    {!advance} at that instant fires the entry. Cancelled entries at
+    the top of the heap are dropped on the way. *)
 
 val pending : t -> int
-(** Entries still expected to fire. Cancelled entries leave the count
-    as soon as any scan observes them ({!next_deadline}, {!advance}),
-    so idle detection never sees phantom work. *)
+(** Entries still expected to fire: cancelled ones leave the count the
+    moment their timer is cancelled, so idle detection never sees
+    phantom work. *)
 
 (** {1 Event-loop profile} — lifetime totals, for observability
     callbacks sampled at metrics-snapshot time. Reading them costs

@@ -41,15 +41,15 @@ let test_wheel_same_deadline_fifo () =
 let test_wheel_cancellation () =
   let w = Wheel.create () in
   let fired = ref 0 in
-  let tm = Clock.make_timer ~cancel:ignore in
-  Wheel.add w ~now:0.0 ~delay:10.0 ~timer:tm (fun () -> incr fired);
+  let tm = Wheel.schedule w ~now:0.0 ~delay:10.0 (fun () -> incr fired) in
   Wheel.add w ~now:0.0 ~delay:10.0 (fun () -> incr fired);
   Clock.cancel tm;
   Wheel.advance w ~now:50.0;
   check Alcotest.int "cancelled entry skipped" 1 !fired
 
 let test_wheel_far_slots () =
-  (* Deadlines beyond slots * granularity must survive cursor wraps. *)
+  (* A deadline far past every other one still fires on time; the
+     slot-count and granularity arguments are accepted and ignored. *)
   let w = Wheel.create ~granularity_ms:1.0 ~slots:8 () in
   let fired = ref false in
   Wheel.add w ~now:0.0 ~delay:100.0 (fun () -> fired := true);
@@ -59,7 +59,7 @@ let test_wheel_far_slots () =
   check Alcotest.bool "fires after wraps" true !fired
 
 let test_wheel_rearm_not_same_pass () =
-  let w = Wheel.create ~granularity_ms:1.0 () in
+  let w = Wheel.create () in
   let fired = ref 0 in
   let rec arm () =
     Wheel.add w ~now:10.0 ~delay:1.0 (fun () ->
@@ -91,45 +91,76 @@ let test_wheel_next_deadline () =
   Wheel.add w ~now:0.0 ~delay:30.0 ignore;
   Wheel.add w ~now:0.0 ~delay:10.0 ignore;
   check Alcotest.(option (float 0.001)) "earliest" (Some 10.0) (Wheel.next_deadline w);
-  let tm = Clock.make_timer ~cancel:ignore in
-  Wheel.add w ~now:0.0 ~delay:5.0 ~timer:tm ignore;
-  Clock.cancel tm;
+  Clock.cancel (Wheel.schedule w ~now:0.0 ~delay:5.0 ignore);
   check
     Alcotest.(option (float 0.001))
     "cancelled entries invisible" (Some 10.0) (Wheel.next_deadline w)
 
 let test_wheel_cancel_discounts_pending () =
   let w = Wheel.create () in
-  let tm = Clock.make_timer ~cancel:ignore in
-  Wheel.add w ~now:0.0 ~delay:10.0 ~timer:tm ignore;
-  Wheel.add w ~now:0.0 ~delay:20.0 ignore;
-  check Alcotest.int "both counted" 2 (Wheel.pending w);
-  Clock.cancel tm;
-  (* The scan observes the cancellation and takes the entry out of the
-     count — no phantom work reported while the dead entry waits in a
-     far slot for its sweep. *)
+  let fired = ref 0 in
+  let tms =
+    List.map
+      (fun delay -> Wheel.schedule w ~now:0.0 ~delay (fun () -> incr fired))
+      [ 10.0; 20.0; 30.0 ]
+  in
+  check Alcotest.int "all counted" 3 (Wheel.pending w);
+  (* The cancelled entry sits below the heap top, where no scan reaches
+     it: the timer's cancel hook takes it out of the count — no phantom
+     work reported while the dead entry waits for its turn. *)
+  Clock.cancel (List.nth tms 1);
+  check Alcotest.int "cancelled entry discounted" 2 (Wheel.pending w);
   ignore (Wheel.next_deadline w);
-  check Alcotest.int "cancelled entry discounted" 1 (Wheel.pending w);
-  ignore (Wheel.next_deadline w);
-  check Alcotest.int "discounted exactly once" 1 (Wheel.pending w);
+  Clock.cancel (List.nth tms 1);
+  check Alcotest.int "discounted exactly once" 2 (Wheel.pending w);
   Wheel.advance w ~now:50.0;
-  check Alcotest.int "drained" 0 (Wheel.pending w)
+  check Alcotest.int "the others fire" 2 !fired;
+  check Alcotest.int "drained" 0 (Wheel.pending w);
+  Clock.cancel (List.hd tms);
+  check Alcotest.int "cancelling a fired timer is a no-op" 0 (Wheel.pending w)
 
-let test_wheel_next_deadline_is_effective_fire_time () =
-  (* Floor/tick clamping can push an entry past its nominal deadline;
-     next_deadline must report when the entry will actually fire, or the
-     node loop would wake early, see nothing due, and spin. *)
-  let w = Wheel.create ~granularity_ms:1.0 () in
+let test_wheel_exact_deadline () =
+  (* Entries fire at their own deadline, not at the end of some tick;
+     next_deadline reports that same instant, so the node loop wakes
+     exactly when there is work. *)
+  let w = Wheel.create () in
   Wheel.advance w ~now:5.0;
   let fired = ref false in
   Wheel.add w ~now:5.2 ~delay:0.3 (fun () -> fired := true);
   check
     Alcotest.(option (float 1e-9))
-    "clamped to the filing tick" (Some 6.0) (Wheel.next_deadline w);
-  Wheel.advance w ~now:5.6;
-  check Alcotest.bool "nominal deadline passes without firing" false !fired;
-  Wheel.advance w ~now:6.0;
-  check Alcotest.bool "fires at the reported deadline" true !fired
+    "the exact deadline" (Some 5.5) (Wheel.next_deadline w);
+  Wheel.advance w ~now:5.4;
+  check Alcotest.bool "not before its deadline" false !fired;
+  Wheel.advance w ~now:5.5;
+  check Alcotest.bool "fires at its deadline" true !fired
+
+let test_wheel_every_keeps_phase () =
+  let w = Wheel.create () in
+  let fired = ref 0 in
+  let tm = Wheel.every w ~now:0.0 ~period:3.0 (fun () -> incr fired) in
+  Wheel.advance w ~now:3.2;
+  check Alcotest.int "first period" 1 !fired;
+  check
+    Alcotest.(option (float 1e-9))
+    "re-armed from the nominal deadline, not from 3.2" (Some 6.0)
+    (Wheel.next_deadline w);
+  (* A loop that wakes late catches up one period per pass: the re-arm
+     at 9.0 is already due but waits for the next pass. *)
+  Wheel.advance w ~now:10.0;
+  check Alcotest.int "one firing per late pass" 2 !fired;
+  check
+    Alcotest.(option (float 1e-9))
+    "the overdue period is next" (Some 9.0) (Wheel.next_deadline w);
+  Wheel.advance w ~now:10.0;
+  check Alcotest.int "caught up on the next pass" 3 !fired;
+  Wheel.advance w ~now:10.0;
+  check Alcotest.int "and no further" 3 !fired;
+  check Alcotest.int "one entry pending" 1 (Wheel.pending w);
+  Clock.cancel tm;
+  check Alcotest.int "cancel discounts it" 0 (Wheel.pending w);
+  Wheel.advance w ~now:100.0;
+  check Alcotest.int "cancelled chain stays silent" 3 !fired
 
 (* ------------------------------------------------------------------ *)
 (* UDP transport loopback                                             *)
@@ -485,12 +516,10 @@ let test_wheel_profile_counters () =
   check Alcotest.int "cascades start at 0" 0 (Wheel.cascades w);
   Wheel.add w ~now:0.0 ~delay:10.0 ignore;
   Wheel.add w ~now:0.0 ~delay:20.0 ignore;
-  let tm = Clock.make_timer ~cancel:ignore in
-  Wheel.add w ~now:0.0 ~delay:15.0 ~timer:tm ignore;
-  Clock.cancel tm;
+  Clock.cancel (Wheel.schedule w ~now:0.0 ~delay:15.0 ignore);
   Wheel.advance w ~now:50.0;
   (* Cancelled entries are skipped, not fired. *)
-  check Alcotest.int "slotted firings counted" 2 (Wheel.fired w);
+  check Alcotest.int "timed firings counted" 2 (Wheel.fired w);
   check Alcotest.int "no cascades yet" 0 (Wheel.cascades w);
   (* Zero-delay entries drained within a pass count as cascades. *)
   Wheel.add w ~now:50.0 ~delay:0.0 (fun () ->
@@ -498,6 +527,43 @@ let test_wheel_profile_counters () =
   Wheel.advance w ~now:50.0;
   check Alcotest.int "cascade firings counted" 4 (Wheel.fired w);
   check Alcotest.int "both zero-delay entries cascaded" 2 (Wheel.cascades w)
+
+(* ------------------------------------------------------------------ *)
+(* The live clock on the wall clock                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A 3 ms ticker driven by a sleep loop for 300 ms, the way a node's
+   event loop drives it: firing late must not stretch the period, so
+   the count is 100 and no firing precedes its nominal deadline. *)
+let test_live_clock_every_keeps_phase () =
+  let lc = Dpu_live.Live_clock.create ~epoch:(Unix.gettimeofday ()) (Wheel.create ()) in
+  let now () = Dpu_live.Live_clock.now lc in
+  let t0 = now () in
+  let fires = ref [] in
+  let tm =
+    Clock.every (Dpu_live.Live_clock.clock lc) ~period:3.0 (fun () ->
+        fires := now () :: !fires)
+  in
+  let stop = t0 +. 300.0 in
+  while now () < stop do
+    Dpu_live.Live_clock.advance lc;
+    match Dpu_live.Live_clock.next_deadline lc with
+    | Some d -> Unix.sleepf (Float.max 0.0 (Float.min d stop -. now ()) /. 1000.0)
+    | None -> ()
+  done;
+  Clock.cancel tm;
+  let fires = List.rev !fires in
+  let count = List.length fires in
+  check Alcotest.bool
+    (Printf.sprintf "100 +- 1 firings in 300 ms (got %d)" count)
+    true
+    (abs (count - 100) <= 1);
+  List.iteri
+    (fun k t ->
+      let nominal = t0 +. (3.0 *. float_of_int (k + 1)) in
+      if t < nominal then
+        Alcotest.failf "firing %d at %.3f ms, before its nominal %.3f ms" (k + 1) t nominal)
+    fires
 
 (* ------------------------------------------------------------------ *)
 (* Report compatibility and the merged live trace                     *)
@@ -628,6 +694,30 @@ let test_serve_merged_trace_matches_collector () =
                    (List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node start") entries
                    && List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node stop") entries)))
 
+(* The load generators run on the live clock: at 600 msg/s for 1 s the
+   three nodes must actually send (nearly) the 600 messages scheduled,
+   not lose a period to every late wakeup. *)
+let test_serve_carries_offered_load () =
+  let params =
+    {
+      Serve.default with
+      load = 600.0;
+      duration_ms = 1_000.0;
+      drain_ms = 300.0;
+      switch_to = None;
+      batching = Some 16;
+    }
+  in
+  match Serve.run params with
+  | Error e -> Alcotest.fail ("live deployment failed: " ^ e)
+  | Ok outcome ->
+    let scheduled = params.Serve.load *. params.Serve.duration_ms /. 1000.0 in
+    let sent = Dpu_core.Collector.send_count outcome.Serve.collector in
+    check Alcotest.bool
+      (Printf.sprintf "sent %d of %.0f scheduled (>= 97%%)" sent scheduled)
+      true
+      (float_of_int sent >= 0.97 *. scheduled)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "live"
@@ -642,10 +732,11 @@ let () =
           tc "zero-delay cascade" test_wheel_zero_delay_cascade;
           tc "next deadline" test_wheel_next_deadline;
           tc "cancel discounts pending" test_wheel_cancel_discounts_pending;
-          tc "next deadline is the effective fire time"
-            test_wheel_next_deadline_is_effective_fire_time;
+          tc "fires at the exact deadline" test_wheel_exact_deadline;
+          tc "every keeps its phase" test_wheel_every_keeps_phase;
           tc "profile counters" test_wheel_profile_counters;
         ] );
+      ("live-clock", [ tc "every keeps its phase" test_live_clock_every_keeps_phase ]);
       ( "udp-transport",
         [
           tc "loopback delivery" test_udp_loopback;
@@ -667,5 +758,8 @@ let () =
           tc "traced report roundtrips" test_report_trace_roundtrip;
         ] );
       ( "deployment",
-        [ tc "merged trace matches the collector" test_serve_merged_trace_matches_collector ] );
+        [
+          tc "merged trace matches the collector" test_serve_merged_trace_matches_collector;
+          tc "carries the offered load" test_serve_carries_offered_load;
+        ] );
     ]
