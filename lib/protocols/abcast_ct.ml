@@ -63,7 +63,8 @@ let install ?(batch_size = 1) ?batching stack =
     (fun stack _self ->
       let next_seq = ref 0 in
       let unordered : (Msg.id, item) Hashtbl.t = Hashtbl.create 64 in
-      let delivered : (Msg.id, unit) Hashtbl.t = Hashtbl.create 256 in
+      let delivered = Seq_set.create () in
+      let is_delivered (id : Msg.id) = Seq_set.mem delivered ~src:id.origin id.seq in
       let decisions : (int, item list) Hashtbl.t = Hashtbl.create 16 in
       let next_k = ref 0 in
       let proposed = ref false in
@@ -111,8 +112,8 @@ let install ?(batch_size = 1) ?batching stack =
           Hashtbl.remove decisions !next_k;
           List.iter
             (fun item ->
-              if not (Hashtbl.mem delivered item.id) then begin
-                Hashtbl.replace delivered item.id ();
+              if not (is_delivered item.id) then begin
+                Seq_set.add delivered ~src:item.id.origin item.id.seq;
                 Hashtbl.remove unordered item.id;
                 Stack.indicate stack Service.abcast
                   (Abcast_iface.Deliver { origin = item.id.Msg.origin; payload = item.payload })
@@ -136,7 +137,7 @@ let install ?(batch_size = 1) ?batching stack =
         end
       in
       let on_disseminated item =
-        if (not (Hashtbl.mem delivered item.id)) && not (Hashtbl.mem unordered item.id)
+        if (not (is_delivered item.id)) && not (Hashtbl.mem unordered item.id)
         then begin
           Hashtbl.replace unordered item.id item;
           maybe_propose ()

@@ -148,7 +148,11 @@ let install ?(service = Service.consensus) ~n stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ service ]
     ~requires:[ Service.rp2p; Service.fd ]
     (fun stack _self ->
+      (* Running instances only. A decided instance moves to [decided],
+         which keeps just what late participants need: the value and
+         its weight (the declared size of every W_decide it answers). *)
       let insts : (iid, inst) Hashtbl.t = Hashtbl.create 64 in
+      let decided : (iid, Payload.t * int) Hashtbl.t = Hashtbl.create 64 in
       (* Rotating coordinator, staggered by instance number so that
          concurrent instances do not all funnel their round 0 through
          process 0 (whose interface would otherwise bottleneck the whole
@@ -196,6 +200,8 @@ let install ?(service = Service.consensus) ~n stack =
         if not inst.decided then begin
           inst.decided <- true;
           inst.estimate <- value;
+          Hashtbl.remove insts inst.iid;
+          Hashtbl.replace decided inst.iid (value, inst.weight);
           Stack.set_env stack k_decided (Stack.get_env stack k_decided ~default:0 + 1);
           (* Reliable dissemination: relay on first receipt. *)
           send_all ~size:(header_size + max inst.weight 0)
@@ -251,12 +257,12 @@ let install ?(service = Service.consensus) ~n stack =
             : Dpu_runtime.Clock.timer)
       in
       let on_estimate iid round from value ts weight =
-        let inst = get_inst iid in
-        if inst.decided then
+        match Hashtbl.find_opt decided iid with
+        | Some (v, w) ->
           (* Late participant: short-circuit it straight to the decision. *)
-          send ~dst:from ~size:(header_size + max inst.weight 0)
-            (W_decide { iid; value = inst.estimate })
-        else if coordinator iid round = me then begin
+          send ~dst:from ~size:(header_size + max w 0) (W_decide { iid; value = v })
+        | None when coordinator iid round = me ->
+          let inst = get_inst iid in
           let cr = coord_round inst round in
           if Option.is_none cr.proposal then begin
             (* One estimate per participant: a later message from the
@@ -291,11 +297,11 @@ let install ?(service = Service.consensus) ~n stack =
                   Hashtbl.replace inst.pending_proposals round (v, w)
             end
           end
-        end
+        | None -> ()
       in
       let on_proposal iid round value weight =
-        let inst = get_inst iid in
-        if not inst.decided then begin
+        if not (Hashtbl.mem decided iid) then begin
+          let inst = get_inst iid in
           if round = inst.round && inst.awaiting_propose then
             accept_proposal inst round value weight
           else if round > inst.round || not inst.entered then
@@ -304,8 +310,8 @@ let install ?(service = Service.consensus) ~n stack =
         end
       in
       let on_ack iid round from =
-        let inst = get_inst iid in
-        if (not inst.decided) && coordinator iid round = me then begin
+        if (not (Hashtbl.mem decided iid)) && coordinator iid round = me then begin
+          let inst = get_inst iid in
           let cr = coord_round inst round in
           if (not cr.decided_sent) && not (List.mem from cr.acks) then begin
             cr.acks <- from :: cr.acks;
@@ -319,11 +325,7 @@ let install ?(service = Service.consensus) ~n stack =
         end
       in
       let on_decide iid value =
-        let inst = get_inst iid in
-        if not inst.decided then begin
-          inst.estimate <- value;
-          decide inst value
-        end
+        if not (Hashtbl.mem decided iid) then decide (get_inst iid) value
       in
       let on_suspect p =
         suspected.(p) <- true;
@@ -331,23 +333,23 @@ let install ?(service = Service.consensus) ~n stack =
         Hashtbl.fold (fun _ inst acc -> inst :: acc) insts []
         |> List.sort (fun a b -> iid_compare a.iid b.iid)
         |> List.iter (fun inst ->
-               if
-                 (not inst.decided) && inst.awaiting_propose
-                 && coordinator inst.iid inst.round = p
-               then
+               if inst.awaiting_propose && coordinator inst.iid inst.round = p then
                  nack_and_advance inst)
       in
       let on_wakeup iid =
-        let inst = get_inst iid in
-        if (not inst.decided) && not inst.entered then enter_round inst 0
+        if not (Hashtbl.mem decided iid) then begin
+          let inst = get_inst iid in
+          if not inst.entered then enter_round inst 0
+        end
       in
       let on_propose_call iid value weight =
-        let inst = get_inst iid in
-        if inst.decided then
+        match Hashtbl.find_opt decided iid with
+        | Some (v, _) ->
           (* The caller may have missed the indication (e.g. it was just
              created); repeat it. *)
-          Stack.indicate stack service (Decide { iid; value = inst.estimate })
-        else begin
+          Stack.indicate stack service (Decide { iid; value = v })
+        | None ->
+          let inst = get_inst iid in
           let refined = inst.weight < 0 && inst.ts = 0 in
           if refined then begin
             inst.estimate <- value;
@@ -383,7 +385,6 @@ let install ?(service = Service.consensus) ~n stack =
               (W_estimate
                  { iid = inst.iid; round = inst.round; from = me; value = inst.estimate;
                    ts = inst.ts; weight = inst.weight })
-        end
       in
       {
         Stack.default_handlers with

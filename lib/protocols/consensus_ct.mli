@@ -20,7 +20,10 @@
     rebroadcast until decision (late-created participants still join);
     suspicion-driven round retries are paced; a participant may refine
     its initial (timestamp-0) estimate, so batched proposals are not
-    starved by fast empty ones.
+    starved by fast empty ones. A decided instance keeps only its value
+    and weight, in a log every entry point consults first: late
+    participants get the decision, and stray traffic for a decided
+    instance never restarts it.
 
     Safety holds with any failure-detector output; termination needs a
     majority of correct processes and ◇S-quality detection, which

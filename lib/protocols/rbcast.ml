@@ -66,7 +66,7 @@ let install ?(relay = true) ~n stack =
     ~requires:[ Service.rp2p ]
     (fun stack _self ->
       let next_seq = ref 0 in
-      let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+      let seen = Seq_set.create () in
       let send_to_others ~size wire =
         for dst = 0 to n - 1 do
           if dst <> me then
@@ -77,8 +77,8 @@ let install ?(relay = true) ~n stack =
         Stack.indicate stack service (Deliver { origin; payload })
       in
       let on_wire ~origin ~seq ~size payload =
-        if not (Hashtbl.mem seen (origin, seq)) then begin
-          Hashtbl.replace seen (origin, seq) ();
+        if not (Seq_set.mem seen ~src:origin seq) then begin
+          Seq_set.add seen ~src:origin seq;
           if relay then send_to_others ~size (Wire { origin; seq; size; payload });
           deliver origin payload
         end
@@ -91,7 +91,7 @@ let install ?(relay = true) ~n stack =
             | Bcast { size; payload } ->
               let seq = !next_seq in
               incr next_seq;
-              Hashtbl.replace seen (me, seq) ();
+              Seq_set.add seen ~src:me seq;
               send_to_others ~size (Wire { origin = me; seq; size; payload });
               deliver me payload
             | _ -> ());

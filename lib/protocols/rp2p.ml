@@ -146,11 +146,15 @@ let install ?(config = default_config) stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.rp2p ]
     ~requires:[ Service.net ]
     (fun stack _self ->
-      let next_seq = ref 0 in
+      (* dst -> next sequence number. Frames are numbered per
+         destination so each receiver sees a contiguous sequence from
+         each sender, and its [seen] window stays as small as the
+         frames still out of order. *)
+      let next_seq : (int, int) Hashtbl.t = Hashtbl.create 8 in
       (* (dst, seq) -> retransmission state *)
       let pending : (int * int, pending) Hashtbl.t = Hashtbl.create 64 in
-      (* src -> set of already-delivered sequence numbers *)
-      let seen : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+      (* src -> already-delivered sequence numbers *)
+      let seen = Seq_set.create () in
       let rtts : (int, rtt) Hashtbl.t = Hashtbl.create 8 in
       let rto_keys : (int, string) Hashtbl.t = Hashtbl.create 8 in
       let rto_key dst =
@@ -162,14 +166,6 @@ let install ?(config = default_config) stack =
           k
       in
       let now () = Stack.now stack in
-      let seen_of src =
-        match Hashtbl.find_opt seen src with
-        | Some s -> s
-        | None ->
-          let s = Hashtbl.create 128 in
-          Hashtbl.replace seen src s;
-          s
-      in
       let rtt_of dst =
         match Hashtbl.find_opt rtts dst with
         | Some r -> r
@@ -238,8 +234,8 @@ let install ?(config = default_config) stack =
       in
       let send ~dst ~size payload =
         bump stack k_accepted;
-        let seq = !next_seq in
-        incr next_seq;
+        let seq = Option.value (Hashtbl.find_opt next_seq dst) ~default:0 in
+        Hashtbl.replace next_seq dst (seq + 1);
         udp_send ~dst ~size (Wire_data { src = me; seq; attempt = 0; size; payload });
         let p = { tries = 0; timer = None; sent_at = [ (0, now ()) ] } in
         Hashtbl.replace pending (dst, seq) p;
@@ -250,9 +246,8 @@ let install ?(config = default_config) stack =
         | Wire_data { src = origin; seq; attempt; size = _; payload } ->
           (* Always re-ack: the previous ack may have been lost. *)
           udp_send ~dst:src ~size:ack_size (Wire_ack { src = me; seq; attempt });
-          let s = seen_of origin in
-          if not (Hashtbl.mem s seq) then begin
-            Hashtbl.replace s seq ();
+          if not (Seq_set.mem seen ~src:origin seq) then begin
+            Seq_set.add seen ~src:origin seq;
             bump stack k_delivered;
             Stack.indicate stack Service.rp2p (Recv { src = origin; payload })
           end

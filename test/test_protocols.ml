@@ -66,6 +66,47 @@ let test_udp_crashed_stack_silent () =
   check Alcotest.int "nothing" 0 !got
 
 (* ------------------------------------------------------------------ *)
+(* Seq_set                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Random interleavings of add and mem over a few sources, with
+   duplicates and out-of-order numbers, against a Hashtbl of every
+   (src, seq) pair ever added. *)
+let prop_seq_set_matches_hashtbl =
+  QCheck.Test.make ~name:"seq_set: agrees with a hashtbl set" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 300) (triple bool (int_range 0 3) (int_range 0 40)))
+    (fun ops ->
+      let set = P.Seq_set.create () in
+      let reference : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let agree src seq = P.Seq_set.mem set ~src seq = Hashtbl.mem reference (src, seq) in
+      List.for_all
+        (fun (is_add, src, seq) ->
+          if is_add then begin
+            P.Seq_set.add set ~src seq;
+            Hashtbl.replace reference (src, seq) ()
+          end;
+          agree src seq)
+        ops
+      && List.for_all
+           (fun src -> List.for_all (fun seq -> agree src seq) (List.init 42 Fun.id))
+           [ 0; 1; 2; 3; 4 ])
+
+let test_seq_set_gap_fills () =
+  let set = P.Seq_set.create () in
+  List.iter (P.Seq_set.add set ~src:7) [ 0; 2; 3; 5; 3 ];
+  check Alcotest.int "floor stops at the gap" 1 (P.Seq_set.floor set ~src:7);
+  check Alcotest.int "held above the floor" 3 (P.Seq_set.above set ~src:7);
+  check Alcotest.bool "gap not seen" false (P.Seq_set.mem set ~src:7 1);
+  P.Seq_set.add set ~src:7 1;
+  check Alcotest.int "floor jumps the contiguous run" 4 (P.Seq_set.floor set ~src:7);
+  P.Seq_set.add set ~src:7 4;
+  check Alcotest.int "floor past every number" 6 (P.Seq_set.floor set ~src:7);
+  check Alcotest.int "nothing left above the floor" 0 (P.Seq_set.above set ~src:7);
+  check Alcotest.bool "below the floor is seen" true (P.Seq_set.mem set ~src:7 2);
+  check Alcotest.bool "other sources untouched" false (P.Seq_set.mem set ~src:8 0);
+  check Alcotest.bool "negative counts as seen" true (P.Seq_set.mem set ~src:8 (-1))
+
+(* ------------------------------------------------------------------ *)
 (* RP2P                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -92,16 +133,31 @@ let test_rp2p_reliable_under_loss () =
   let stats = P.Rp2p.stats (System.stack system 0) in
   check Alcotest.bool "retransmissions happened" true (stats.P.Rp2p.retransmissions > 0)
 
+(* Sends to two destinations interleave, so a sender numbering frames
+   from one shared counter would give each receiver a sequence with
+   gaps, and numbers colliding across destinations would be acked for
+   the wrong frame. Each destination must still get all 30, once. *)
 let test_rp2p_dedup_under_duplication () =
-  let system = make_system ~dup:0.5 ~seed:6 () in
+  let system = make_system ~dup:0.5 ~loss:0.1 ~seed:6 () in
   ensure_all system Service.rp2p;
-  let got = rp2p_recv_log system 1 in
-  for i = 1 to 30 do
+  let got1 = rp2p_recv_log system 1 in
+  let got2 = rp2p_recv_log system 2 in
+  for i = 1 to 60 do
     Stack.call (System.stack system 0) Service.rp2p
-      (P.Rp2p.Send { dst = 1; size = 64; payload = Blob (string_of_int i) })
+      (P.Rp2p.Send { dst = 1 + (i mod 2); size = 64; payload = Blob (string_of_int i) })
   done;
   System.run_until_quiescent ~limit:30_000.0 system;
-  check Alcotest.int "exactly once despite dups" 30 (List.length !got)
+  let expect dst =
+    List.filter (fun i -> 1 + (i mod 2) = dst) (List.init 60 succ)
+    |> List.map (fun i -> (0, string_of_int i))
+    |> List.sort compare
+  in
+  check
+    Alcotest.(list (pair int string))
+    "node 1 exactly once despite dups" (expect 1) (List.sort compare !got1);
+  check
+    Alcotest.(list (pair int string))
+    "node 2 exactly once despite dups" (expect 2) (List.sort compare !got2)
 
 let test_rp2p_gives_up_on_crashed_dst () =
   let system = make_system () in
@@ -380,6 +436,8 @@ let propose system ~node ~iid value =
   Stack.call (System.stack system node) Service.consensus
     (P.Consensus_iface.Propose { iid; value = Blob value; weight = String.length value })
 
+let iid0 = { P.Consensus_iface.epoch = 0; k = 0 }
+
 let test_consensus_basic_agreement () =
   let system = make_system ~n:3 () in
   ensure_all system Service.consensus;
@@ -539,6 +597,86 @@ let test_consensus_propose_after_decided_reindicates () =
   let node0 = List.filter (fun (i, _) -> i = iid) !(List.nth logs 0) in
   check Alcotest.bool "re-indicated" true (List.length node0 >= 2);
   List.iter (fun (_, v) -> check Alcotest.string "same decision" "first" v) node0
+
+(* Every consensus frame that reaches any node, newest first, as
+   (sender, receiver, payload). *)
+let consensus_frames system =
+  let log = ref [] in
+  for node = 0 to System.n system - 1 do
+    listen system ~node ~svc:Service.net (fun p ->
+        match p with
+        | P.Udp.Recv { src; payload = P.Rp2p.Wire_data { payload; _ } } -> (
+          match payload with
+          | P.Consensus_ct.W_estimate _ | P.Consensus_ct.W_propose _ | P.Consensus_ct.W_ack _
+          | P.Consensus_ct.W_nack _ | P.Consensus_ct.W_decide _ | P.Consensus_ct.W_wakeup _ ->
+            log := (src, node, payload) :: !log
+          | _ -> ())
+        | _ -> ())
+  done;
+  log
+
+let test_consensus_decided_log () =
+  let system = make_system ~n:3 ~seed:3 () in
+  ensure_all system Service.consensus;
+  let logs = decisions_log system in
+  let frames = consensus_frames system in
+  let decision node = List.assoc_opt iid0 !(List.nth logs node) in
+  let stack = System.stack system in
+  (* Node 2 is cut off while instance 0 is decided, and for long enough
+     that every rp2p frame addressed to it (wake-ups, the decide relay)
+     gives up. *)
+  Dpu_net.Datagram.partition (System.net system) [ [ 0; 1 ]; [ 2 ] ];
+  propose system ~node:0 ~iid:iid0 "v";
+  System.run_for system 90_000.0;
+  check Alcotest.(option string) "node 0 decided" (Some "v") (decision 0);
+  check Alcotest.(option string) "node 1 decided" (Some "v") (decision 1);
+  check Alcotest.(option string) "node 2 cut off" None (decision 2);
+  List.iter
+    (fun node ->
+      check Alcotest.bool "rp2p gave up on node 2" true
+        ((P.Rp2p.stats (stack node)).P.Rp2p.gave_up > 0))
+    [ 0; 1 ];
+  (* Back in, node 2 proposes: its estimate reaches a decided node, and
+     the only way to the decision left is the W_decide short-circuit.
+     Its wake-ups must not restart the instance at nodes 0 and 1, so
+     they send nothing but that answer. *)
+  Dpu_net.Datagram.heal (System.net system);
+  frames := [];
+  propose system ~node:2 ~iid:iid0 "late";
+  System.run_for system 5_000.0;
+  check Alcotest.(option string) "node 2 decides the same value" (Some "v") (decision 2);
+  let answers = List.filter (fun (src, _, _) -> src <> 2) !frames in
+  check Alcotest.bool "node 2 heard a W_decide" true (answers <> []);
+  List.iter
+    (fun (_, dst, p) ->
+      match (dst, p) with
+      | 2, P.Consensus_ct.W_decide { value = Blob "v"; _ } -> ()
+      | _ -> fail "a decided node sent a consensus frame other than the decision")
+    answers;
+  (* Late traffic for the decided instance at node 1: none of it may
+     restart the instance, so nothing but the W_decide answer to the
+     late estimate goes out, and no W_wakeup announce is re-armed. *)
+  let decided_before = P.Consensus_ct.decided_count (stack 1) in
+  let late payload = Stack.indicate (stack 1) Service.rp2p (P.Rp2p.Recv { src = 2; payload }) in
+  frames := [];
+  late (P.Consensus_ct.W_wakeup { iid = iid0 });
+  late (P.Consensus_ct.W_propose { iid = iid0; round = 4; value = Blob "stray"; weight = 5 });
+  late (P.Consensus_ct.W_ack { iid = iid0; round = 1; from = 2 });
+  late
+    (P.Consensus_ct.W_estimate
+       { iid = iid0; round = 7; from = 2; value = Blob "stray"; ts = 0; weight = 5 });
+  propose system ~node:1 ~iid:iid0 "again";
+  System.run_for system 2_000.0;
+  (match !frames with
+  | [ (1, 2, P.Consensus_ct.W_decide { value = Blob "v"; _ }) ] -> ()
+  | fs ->
+    fail
+      (Printf.sprintf "%d consensus frames after late traffic, want one W_decide"
+         (List.length fs)));
+  check Alcotest.int "no new decision" decided_before (P.Consensus_ct.decided_count (stack 1));
+  let node1 = List.filter (fun (i, _) -> i = iid0) !(List.nth logs 1) in
+  check Alcotest.(list string) "re-proposal re-indicates the decision" [ "v"; "v" ]
+    (List.map snd node1)
 
 (* ------------------------------------------------------------------ *)
 (* ABcast variants                                                    *)
@@ -785,6 +923,11 @@ let () =
           tc "adaptive RTO converges" test_rp2p_adaptive_rto_converges;
           tc "storm backoff resets" test_rp2p_storm_backoff_resets_on_sample;
         ] );
+      ( "seq_set",
+        [
+          tc "gap fills" test_seq_set_gap_fills;
+          QCheck_alcotest.to_alcotest ~long:false prop_seq_set_matches_hashtbl;
+        ] );
       ( "fd",
         [
           tc "no false suspicion" test_fd_no_false_suspicion_when_alive;
@@ -809,6 +952,7 @@ let () =
           tc "coordinator crash" test_consensus_coordinator_crash;
           tc "crash seeds agree" test_consensus_crash_seeds_agree;
           tc "re-indication" test_consensus_propose_after_decided_reindicates;
+          tc "decided log answers late traffic" test_consensus_decided_log;
           tc "partition + heal" test_consensus_partition_heal;
           tc "minority cannot decide" test_consensus_minority_side_cannot_decide;
         ] );

@@ -75,6 +75,47 @@ let test_load_spread_across_nodes () =
     per_node
 
 (* ------------------------------------------------------------------ *)
+(* Protocol state                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Protocol state must scale with in-flight work, not with history. The
+   same n=3 CT cluster runs Poisson 100 msg/s for 5 s and for 20 s of
+   virtual time (trace off, 512 B messages, 1 s to settle); the extra
+   words reachable from the middleware, less its Collector (the
+   measurement log the checkers read), are charged to the extra
+   messages sent. What remains per message is the consensus decided log
+   and the Collector-shared payloads it points at. With one dedup-table
+   entry per message ever seen (rp2p, rbcast, abcast.ct) and every
+   decided consensus instance kept whole, this read 520 words per
+   message unbatched and 449 batched; with sequence windows and a
+   compact decided log it reads 56 and 51. *)
+let words_per_extra_msg ~batching =
+  let run until =
+    let config =
+      {
+        MW.default_config with
+        trace_enabled = false;
+        msg_size = 512;
+        profile = { MW.default_config.profile with batching };
+      }
+    in
+    let mw = MW.create ~config ~n:3 () in
+    W.Load_gen.start mw ~rate_per_s:100.0 ~pattern:W.Load_gen.Poisson ~size:512 ~until ();
+    MW.run_for mw (until +. 1_000.0);
+    let collector = MW.collector mw in
+    ( Obj.reachable_words (Obj.repr mw) - Obj.reachable_words (Obj.repr collector),
+      Dpu_core.Collector.send_count collector )
+  in
+  let w5, s5 = run 5_000.0 in
+  let w20, s20 = run 20_000.0 in
+  float_of_int (w20 - w5) /. float_of_int (s20 - s5)
+
+let test_state_bounded_by_in_flight_work ~batching () =
+  let per_msg = words_per_extra_msg ~batching in
+  if per_msg >= 150.0 then
+    fail (Printf.sprintf "%.0f words of protocol state per extra message" per_msg)
+
+(* ------------------------------------------------------------------ *)
 (* Ascii                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -441,6 +482,14 @@ let () =
           tc "send_n" test_send_n;
           tc "send_n warmup boundary" test_send_n_warmup_boundary;
           tc "spread across nodes" test_load_spread_across_nodes;
+        ] );
+      ( "state",
+        [
+          tc "bounded by in-flight work, unbatched"
+            (test_state_bounded_by_in_flight_work ~batching:None);
+          tc "bounded by in-flight work, batched"
+            (test_state_bounded_by_in_flight_work
+               ~batching:(Some Dpu_protocols.Batcher.default));
         ] );
       ( "ascii",
         [
