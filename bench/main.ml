@@ -1,17 +1,19 @@
 (* Benchmark harness: regenerates every figure and headline number of
-   the paper's evaluation (§6), runs the ablation studies called out in
-   DESIGN.md, and measures the kernel's primitive costs with Bechamel.
+   the paper's evaluation (§6) and runs the ablation studies called out
+   in DESIGN.md. Per-primitive wall-clock costs live in bench/perf.
 
    Usage:
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig5    # one section
-     sections: fig5 fig6 headline compare throughput shard ablation micro *)
+     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe -- fig5         # one section
+     dune exec bench/main.exe -- -j 2 compare # sweeps on two workers
+     sections: fig5 fig6 headline compare throughput shard ablation
+               consensus model *)
 
 module W = Dpu_workload
 module E = W.Experiment
 module F = W.Figures
 module Stats = Dpu_engine.Stats
-module Sim = Dpu_engine.Sim
+module Series = Dpu_engine.Series
 module Clock = Dpu_runtime.Clock
 module Json = Dpu_obs.Json
 
@@ -26,8 +28,8 @@ let results : (string * Json.t) list ref = ref []
 let record key v = results := (key, v) :: !results
 
 (* Worker count for the sweep-backed sections (fig6, headline, compare,
-   ablations); set by -j/--jobs, default DPU_JOBS or 1. *)
-let jobs = ref (W.Sweep.default_jobs ())
+   ablations); set by -j/--jobs. *)
+let jobs = ref 1
 
 (* Per-sweep wall-clock and realised speedup, keyed by section. These
    live under a separate top-level "sweeps" key — never inside
@@ -109,11 +111,112 @@ let run_fig6 () =
 (* Throughput / saturation                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One saturation point. Throughput is deliveries inside the
+   [warmup, duration) window, not deliveries ever: the run drains to
+   quiescence afterwards, so under overload every message IS eventually
+   delivered — what saturates is the rate at which they come out during
+   the window. Counted at node 0 (total order: every correct node
+   delivers the same sequence). Latency percentiles come from the same
+   window, keyed by send time; messages sent in-window but delivered
+   after it still contribute their (large) latency, which is exactly the
+   queueing signal. *)
+type point = {
+  offered : float;
+  delivered_per_s : float;
+  p50_ms : float;
+  p99_ms : float;
+  measured : int;
+}
+
+let measure_window (p : E.params) =
+  let r = E.run p in
+  let lo = p.E.warmup_ms and hi = p.E.duration_ms in
+  let delivered =
+    List.length
+      (List.filter
+         (fun (_, t) -> t >= lo && t < hi)
+         (Dpu_core.Collector.delivers_of r.E.collector ~node:0))
+  in
+  let lat = Series.stats_between r.E.latency ~lo ~hi in
+  let pct q = if Stats.count lat = 0 then 0.0 else Stats.percentile lat q in
+  {
+    offered = p.E.load;
+    delivered_per_s = float_of_int delivered /. ((hi -. lo) /. 1000.0);
+    p50_ms = pct 50.0;
+    p99_ms = pct 99.0;
+    measured = Stats.count lat;
+  }
+
+type curve = {
+  batching : Dpu_protocols.Batcher.config option;
+  points : point list;
+  knee : float;
+  saturated_per_s : float;
+}
+
+(* The knee is the last offered load the stack still kept up with
+   (delivered within 10% of offered); past it the delivered rate
+   plateaus at the service capacity, which [saturated_per_s] reports
+   as the best rate seen anywhere on the curve. *)
+let curve_of ~batching points =
+  let knee =
+    List.fold_left
+      (fun acc pt ->
+        if pt.delivered_per_s >= 0.9 *. pt.offered then Float.max acc pt.offered
+        else acc)
+      0.0 points
+  in
+  let saturated_per_s =
+    List.fold_left (fun acc pt -> Float.max acc pt.delivered_per_s) 0.0 points
+  in
+  { batching; points; knee; saturated_per_s }
+
+let batching_label = function
+  | None -> "off"
+  | Some c ->
+    Printf.sprintf "on(max=%d,delay=%.1fms)" c.Dpu_protocols.Batcher.max_batch
+      c.Dpu_protocols.Batcher.max_delay_ms
+
+let write_throughput_csv path curves =
+  Dpu_obs.Csv.to_file path
+    ~header:
+      [ "batching"; "offered_msg_s"; "delivered_msg_s"; "p50_ms"; "p99_ms"; "measured" ]
+    (List.concat_map
+       (fun c ->
+         List.map
+           (fun pt ->
+             [
+               batching_label c.batching;
+               Printf.sprintf "%.1f" pt.offered;
+               Printf.sprintf "%.1f" pt.delivered_per_s;
+               Printf.sprintf "%.3f" pt.p50_ms;
+               Printf.sprintf "%.3f" pt.p99_ms;
+               string_of_int pt.measured;
+             ])
+           c.points)
+       curves)
+
 let run_throughput () =
   section "Throughput: saturation knee with and without ordering-path batching";
-  let module T = W.Throughput in
   let batched =
     Some { Dpu_protocols.Batcher.max_batch = 16; max_delay_ms = 5.0 }
+  in
+  (* The full default stack (CT ABcast under the Repl layer) at n=3,
+     512-byte payloads, 3 s of load after a 500 ms warmup, no swap. *)
+  let params batching offered =
+    {
+      E.default with
+      n = 3;
+      seed = 1;
+      msg_size = 512;
+      duration_ms = 3_000.0;
+      warmup_ms = 500.0;
+      hop_cost = 0.05;
+      pattern = W.Load_gen.Constant;
+      switch_to = None;
+      load = offered;
+      batching;
+    }
   in
   (* One sweep cell per (batching, offered) step. The unbatched curve
      stops at 800 msg/s — it saturates near 580, and overload points
@@ -127,7 +230,7 @@ let run_throughput () =
   let outcome =
     W.Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun _ i ->
         let batching, offered = grid.(i) in
-        T.measure { T.default with T.batching } ~offered)
+        measure_window (params batching offered))
   in
   record_sweep "throughput" outcome.W.Sweep.stats;
   let curve batching =
@@ -135,84 +238,78 @@ let run_throughput () =
     Array.iteri
       (fun i pt -> if fst grid.(i) == batching then pts := pt :: !pts)
       outcome.W.Sweep.results;
-    T.curve_of ~batching (List.rev !pts)
+    curve_of ~batching (List.rev !pts)
   in
   let off = curve None and on = curve batched in
   (* Closed loop: enough outstanding messages per node to keep batches
      full; settles at the sustainable rate with no offered-load guess. *)
   let closed batching =
-    T.saturate ~params:{ T.default with T.batching } ~clients_per_node:16 ()
+    (measure_window { (params batching 0.0) with closed_loop = Some 16 }).delivered_per_s
   in
   let closed_off = closed None and closed_on = closed batched in
-  let pt_rows (c : T.curve) =
+  let pt_rows c =
     List.map
-      (fun (p : T.point) ->
+      (fun p ->
         [
-          T.batching_label c.T.batching;
-          Printf.sprintf "%.0f" p.T.offered;
-          Printf.sprintf "%.1f" p.T.delivered_per_s;
-          Printf.sprintf "%.2f" p.T.p50_ms;
-          Printf.sprintf "%.2f" p.T.p99_ms;
+          batching_label c.batching;
+          Printf.sprintf "%.0f" p.offered;
+          Printf.sprintf "%.1f" p.delivered_per_s;
+          Printf.sprintf "%.2f" p.p50_ms;
+          Printf.sprintf "%.2f" p.p99_ms;
         ])
-      c.T.points
+      c.points
   in
   print_string
     (W.Ascii.table
        ~header:[ "batching"; "offered [msg/s]"; "delivered [msg/s]"; "p50 [ms]"; "p99 [ms]" ]
        (pt_rows off @ pt_rows on));
+  let xy c = List.map (fun p -> (p.offered, p.delivered_per_s)) c.points in
   print_string
     (W.Ascii.chart ~title:"saturation: delivered vs offered"
        ~x_unit:"offered msg/s" ~y_unit:"delivered msg/s"
-       [
-         ("batching off", List.map (fun (p : T.point) -> (p.T.offered, p.T.delivered_per_s)) off.T.points);
-         ("batching on", List.map (fun (p : T.point) -> (p.T.offered, p.T.delivered_per_s)) on.T.points);
-       ]);
+       [ ("batching off", xy off); ("batching on", xy on) ]);
   Printf.printf
     "knee: %.0f -> %.0f msg/s; saturated: %.1f -> %.1f msg/s (%.1fx)\n\
      closed loop (16 clients/node): %.1f -> %.1f msg/s (%.1fx)\n"
-    off.T.knee on.T.knee off.T.saturated_per_s on.T.saturated_per_s
-    (on.T.saturated_per_s /. off.T.saturated_per_s)
-    closed_off.T.delivered_per_s closed_on.T.delivered_per_s
-    (closed_on.T.delivered_per_s /. closed_off.T.delivered_per_s);
-  T.write_csv "BENCH_throughput.csv" [ off; on ];
+    off.knee on.knee off.saturated_per_s on.saturated_per_s
+    (on.saturated_per_s /. off.saturated_per_s)
+    closed_off closed_on (closed_on /. closed_off);
+  write_throughput_csv "BENCH_throughput.csv" [ off; on ];
   Printf.printf "saturation curves written to BENCH_throughput.csv\n";
-  let curve_json (c : T.curve) =
+  let curve_json c =
     Json.Obj
       [
-        ("batching", Json.Str (T.batching_label c.T.batching));
-        ("knee_msg_s", Json.Float c.T.knee);
-        ("saturated_msg_s", Json.Float c.T.saturated_per_s);
+        ("batching", Json.Str (batching_label c.batching));
+        ("knee_msg_s", Json.Float c.knee);
+        ("saturated_msg_s", Json.Float c.saturated_per_s);
         ( "points",
           Json.List
             (List.map
-               (fun (p : T.point) ->
+               (fun p ->
                  Json.Obj
                    [
-                     ("offered_msg_s", Json.Float p.T.offered);
-                     ("delivered_msg_s", Json.Float p.T.delivered_per_s);
-                     ("p50_ms", Json.Float p.T.p50_ms);
-                     ("p99_ms", Json.Float p.T.p99_ms);
-                     ("measured", Json.Int p.T.measured);
+                     ("offered_msg_s", Json.Float p.offered);
+                     ("delivered_msg_s", Json.Float p.delivered_per_s);
+                     ("p50_ms", Json.Float p.p50_ms);
+                     ("p99_ms", Json.Float p.p99_ms);
+                     ("measured", Json.Int p.measured);
                    ])
-               c.T.points) );
+               c.points) );
       ]
   in
   record "throughput"
     (Json.Obj
        [
-         ("seed", Json.Int T.default.T.seed);
-         ("n", Json.Int T.default.T.n);
+         ("seed", Json.Int 1);
+         ("n", Json.Int 3);
          ("max_batch", Json.Int 16);
          ("max_delay_ms", Json.Float 5.0);
          ("curves", Json.List [ curve_json off; curve_json on ]);
          ( "closed_loop",
            Json.Obj
-             [
-               ("off_msg_s", Json.Float closed_off.T.delivered_per_s);
-               ("on_msg_s", Json.Float closed_on.T.delivered_per_s);
-             ] );
+             [ ("off_msg_s", Json.Float closed_off); ("on_msg_s", Json.Float closed_on) ] );
          ( "saturation_speedup",
-           Json.Float (on.T.saturated_per_s /. off.T.saturated_per_s) );
+           Json.Float (on.saturated_per_s /. off.saturated_per_s) );
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -424,13 +521,6 @@ let run_ablation () =
     (W.Ascii.table ~header:[ "batch"; "load"; "mean [ms]"; "p95 [ms]" ] rows);
 
   section "Ablation: per-hop dispatch cost (stack depth sensitivity)";
-  let hops_per_message r =
-    (* Total executed dispatches across all stacks, per sent message. *)
-    let collector_sent = r.E.sent in
-    ignore collector_sent;
-    0.0
-  in
-  ignore hops_per_message;
   let dispatches_per_msg approach hop_cost =
     let profile =
       {
@@ -861,93 +951,6 @@ let run_model () =
   | C.Verified _ | C.Bound_exceeded _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let heap_churn =
-    Test.make ~name:"heap: 64x add+pop"
-      (Staged.stage (fun () ->
-           let h = Dpu_engine.Heap.create () in
-           for i = 0 to 63 do
-             Dpu_engine.Heap.add h ~priority:(float_of_int (i * 7 mod 64)) i
-           done;
-           let rec drain () =
-             match Dpu_engine.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()))
-  in
-  let rng_floats =
-    let rng = Dpu_engine.Rng.create ~seed:1 in
-    Test.make ~name:"rng: 64x float"
-      (Staged.stage (fun () ->
-           for _ = 1 to 64 do
-             ignore (Dpu_engine.Rng.float rng : float)
-           done))
-  in
-  let sim_cycle =
-    Test.make ~name:"sim: schedule+run 64 events"
-      (Staged.stage (fun () ->
-           let sim = Sim.create () in
-           for i = 1 to 64 do
-             ignore (Sim.schedule sim ~delay:(float_of_int i) (fun () -> ()))
-           done;
-           Sim.run sim))
-  in
-  let stack_dispatch =
-    Test.make ~name:"kernel: 64 call dispatches"
-      (Staged.stage (fun () ->
-           let sim = Sim.create () in
-           let trace = Dpu_kernel.Trace.create ~enabled:false () in
-           let stack = Dpu_kernel.Stack.create ~clock:(Dpu_runtime.Sim_backend.clock sim) ~node:0 ~trace () in
-           let svc = Dpu_kernel.Service.make "s" in
-           let m =
-             Dpu_kernel.Stack.add_module stack ~name:"sink" ~provides:[ svc ] ~requires:[]
-               (fun _ _ -> Dpu_kernel.Stack.default_handlers)
-           in
-           Dpu_kernel.Stack.bind stack svc m;
-           for _ = 1 to 64 do
-             Dpu_kernel.Stack.call stack svc Dpu_kernel.Payload.Unit
-           done;
-           Sim.run sim))
-  in
-  let abcast_message =
-    Test.make ~name:"system: one CT-ABcast message (n=3)"
-      (Staged.stage (fun () ->
-           let mw = Dpu_core.Middleware.create ~n:3 () in
-           ignore (Dpu_core.Middleware.broadcast mw ~node:0 "x" : Dpu_kernel.Msg.t);
-           Dpu_core.Middleware.run_until_quiescent ~limit:5_000.0 mw))
-  in
-  [ heap_churn; rng_floats; sim_cycle; stack_dispatch; abcast_message ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (wall-clock cost of the primitives)";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"dpu" [] ~fmt:"%s %s" in
-  ignore grouped;
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns_per_run ] ->
-            Printf.printf "  %-40s %12.1f ns/run\n%!" name ns_per_run
-          | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
-        analyzed)
-    (micro_tests ())
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -960,48 +963,13 @@ let all_sections =
     ("ablation", run_ablation);
     ("consensus", run_consensus);
     ("model", run_model);
-    ("micro", run_micro);
   ]
 
-let usage () =
-  Printf.eprintf
-    "usage: bench/main.exe [-j N | --jobs N] [SECTION...]\nsections: %s\n"
-    (String.concat " " (List.map fst all_sections));
-  exit 2
-
-let () =
-  (* Minimal hand parsing: [-j N] / [--jobs N] / [--jobs=N] anywhere,
-     remaining arguments name sections (default: all). *)
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | ("-j" | "--jobs") :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse acc rest
-      | Some _ | None -> usage ())
-    | [ "-j" ] | [ "--jobs" ] -> usage ()
-    | arg :: rest
-      when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" -> (
-      match int_of_string_opt (String.sub arg 7 (String.length arg - 7)) with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse acc rest
-      | Some _ | None -> usage ())
-    | name :: rest -> parse (name :: acc) rest
-  in
+let main jobs_arg requested =
+  jobs := jobs_arg;
   let requested =
-    match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> List.map fst all_sections
-    | names -> names
+    match requested with [] -> List.map fst all_sections | names -> names
   in
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name all_sections) then begin
-        Printf.eprintf "unknown section %s\n" name;
-        usage ()
-      end)
-    requested;
   let t0 = Unix.gettimeofday () in
   (* Per-section wall-clock, in run order; machine-readable alongside
      the sweep speedups so the perf trajectory is diffable PR over PR. *)
@@ -1030,3 +998,30 @@ let () =
   Json.to_file "BENCH_results.json" out;
   Printf.printf "\nmachine-readable results written to BENCH_results.json\n";
   Printf.printf "(total bench wall time: %.1f s, jobs: %d)\n" wall_s !jobs
+
+let () =
+  let open Cmdliner in
+  let jobs =
+    Arg.(
+      value
+      & opt int (W.Sweep.default_jobs ())
+      & info [ "j"; "jobs" ] ~docv:"JOBS"
+          ~doc:
+            "Fan the sweep-backed sections out to $(docv) worker processes. \
+             Results are bit-identical for every $(docv). Defaults to \\$DPU_JOBS \
+             or 1.")
+  in
+  let sections =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (name, _) -> (name, name)) all_sections)) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            (Printf.sprintf "Sections to run, in order (default: all). One of %s."
+               (String.concat ", " (List.map fst all_sections))))
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "main" ~doc:"Regenerate the paper's figures, tables and ablations.")
+          Term.(const main $ jobs $ sections)))

@@ -59,7 +59,7 @@ let approach_conv =
 (* ------------------------------------------------------------------ *)
 
 let scenario n load seed duration switch_at initial switch_to approach loss batch check
-    crashes consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
+    consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
     nemesis_faults metrics_out spans_out csv_out log_out =
   let consensus_layer =
     if consensus_layer || switch_consensus_to <> None then
@@ -107,7 +107,7 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
       log_out;
     }
   in
-  let r = E.run ~crash_at:crashes params in
+  let r = E.run params in
   Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" r.E.sent
     r.E.delivered_everywhere
     (String.concat "," (List.map string_of_int r.E.correct));
@@ -166,16 +166,6 @@ let fault_conv =
   in
   Arg.conv (parse, Dpu_faults.Schedule.pp_event)
 
-let crash_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ t; node ] -> (
-      try Ok (float_of_string t, int_of_string node)
-      with Failure _ -> Error (`Msg "expected TIME_MS:NODE"))
-    | _ -> Error (`Msg "expected TIME_MS:NODE")
-  in
-  Arg.conv (parse, fun ppf (t, node) -> Format.fprintf ppf "%.0f:%d" t node)
-
 let scenario_cmd =
   let duration =
     Arg.(
@@ -213,11 +203,6 @@ let scenario_cmd =
   in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Verify all correctness properties afterwards.")
-  in
-  let crashes =
-    Arg.(
-      value & opt_all crash_conv []
-      & info [ "crash" ] ~docv:"MS:NODE" ~doc:"Fail-stop NODE at time MS (repeatable).")
   in
   let consensus_layer =
     Arg.(
@@ -297,7 +282,7 @@ let scenario_cmd =
   let term =
     Term.(
       const scenario $ n_arg $ load_arg $ seed_arg $ duration $ switch_at $ initial
-      $ switch_to $ approach $ loss $ batch $ check $ crashes $ consensus_layer
+      $ switch_to $ approach $ loss $ batch $ check $ consensus_layer
       $ switch_consensus_to $ switch_consensus_at $ faults $ nemesis_seed
       $ nemesis_faults $ metrics_out $ spans_out $ csv_out $ log_out)
   in

@@ -35,6 +35,7 @@ type params = {
   trace_enabled : bool;
   metrics_enabled : bool;
   pattern : Load_gen.pattern;
+  closed_loop : int option;
   during_margin_ms : float;
   consensus_layer : string option;
   switch_consensus : (float * string) option;
@@ -62,6 +63,7 @@ let default =
     trace_enabled = false;
     metrics_enabled = false;
     pattern = Load_gen.Poisson;
+    closed_loop = None;
     during_margin_ms = 50.0;
     consensus_layer = None;
     switch_consensus = None;
@@ -135,7 +137,13 @@ let preflight params =
     ~registry:(Dpu_kernel.System.registry system)
     ~updates ~consensus_updates profile
 
-let run ?(crash_at = []) params =
+let blocked_ms mw =
+  Array.fold_left
+    (fun acc stack -> Float.max acc (Dpu_baselines.Maestro.blocked_ms stack))
+    0.0
+    (Dpu_kernel.System.stacks (MW.system mw))
+
+let run params =
   (let reports = preflight params in
    if not (Dpu_props.Report.all_ok reports) then raise (Preflight_failure reports));
   let profile = profile_of params in
@@ -178,14 +186,20 @@ let run ?(crash_at = []) params =
      is ignored — the process model has no rejoin — so it only applies
      to network-level silences. *)
   Dpu_faults.Schedule.arm
+    ~on_event:(fun _ what -> Dpu_obs.Log.warn log what)
     ~crash_node:(fun node -> MW.crash mw node)
     ~recover_node:(fun node ->
       if not (Dpu_kernel.Stack.is_crashed (Dpu_kernel.System.stack system node)) then
         Dpu_net.Datagram.recover (Dpu_kernel.System.net system) node)
     (Dpu_kernel.System.net system)
     params.faults;
-  Load_gen.start mw ~rate_per_s:params.load ~pattern:params.pattern
-    ~size:params.msg_size ~until:params.duration_ms ();
+  (match params.closed_loop with
+  | Some k ->
+    Load_gen.closed_loop mw ~clients_per_node:k ~size:params.msg_size
+      ~until:params.duration_ms ()
+  | None ->
+    Load_gen.start mw ~rate_per_s:params.load ~pattern:params.pattern
+      ~size:params.msg_size ~until:params.duration_ms ());
   let switch_requested =
     match (params.switch_to, layer_of params.approach) with
     | Some protocol, Some _ ->
@@ -193,10 +207,7 @@ let run ?(crash_at = []) params =
          is still alive at the switch time. *)
       let trigger_node =
         let crashed_by_then =
-          List.filter_map
-            (fun (t, node) -> if t <= params.switch_at_ms then Some node else None)
-            crash_at
-          @ Dpu_faults.Schedule.crashed_before params.faults ~time:params.switch_at_ms
+          Dpu_faults.Schedule.crashed_before params.faults ~time:params.switch_at_ms
         in
         let rec pick node =
           if node < 0 then 0
@@ -223,14 +234,6 @@ let run ?(crash_at = []) params =
           "consensus switch trigger";
         MW.change_consensus mw ~node:0 protocol)
   | None -> ());
-  List.iter
-    (fun (time, node) ->
-      Clock.defer clock ~delay:time (fun () ->
-          Dpu_obs.Log.warn log
-            ~fields:[ ("node", Dpu_obs.Json.Int node) ]
-            "crash";
-          MW.crash mw node))
-    crash_at;
   MW.run_until_quiescent ~limit:(params.duration_ms +. 120_000.0) mw;
   let collector = MW.collector mw in
   let latency = Collector.latency_series collector in
@@ -260,12 +263,6 @@ let run ?(crash_at = []) params =
         | Some _ | None -> Stats.add normal p.value)
     (Series.points latency);
   let correct = Dpu_kernel.System.correct_nodes (MW.system mw) in
-  let blocked_ms =
-    Array.fold_left
-      (fun acc stack -> Float.max acc (Dpu_baselines.Maestro.blocked_ms stack))
-      0.0
-      (Dpu_kernel.System.stacks (MW.system mw))
-  in
   let sent = Collector.send_count collector in
   let undelivered =
     Collector.undelivered_ids collector ~expected_copies:(List.length correct)
@@ -291,7 +288,7 @@ let run ?(crash_at = []) params =
     switch_window;
     switch_duration_ms =
       (match switch_window with Some (lo, hi) -> hi -. lo | None -> 0.0);
-    blocked_ms;
+    blocked_ms = blocked_ms mw;
     sent;
     delivered_everywhere = sent - List.length undelivered;
     collector;

@@ -42,6 +42,9 @@ type params = {
           instrumentation is no-op and results are bit-identical to a
           run without observability) *)
   pattern : Load_gen.pattern;  (** arrival process (default Poisson) *)
+  closed_loop : int option;
+      (** [Some k]: replace the open loop ([load], [pattern]) with [k]
+          {!Load_gen.closed_loop} clients per node (default [None]) *)
   during_margin_ms : float;
       (** messages sent this long after the last stack switched still
           count as "during the replacement" (cold-start tail) *)
@@ -57,7 +60,7 @@ type params = {
           fail-stopped node is ignored. Default: no faults. *)
   log_out : string option;
       (** write structured JSONL milestone logs (start, switch
-          triggers, crashes, completion) to this path, stamped on the
+          triggers, fault events, completion) to this path, stamped on the
           {e virtual} clock — identical params produce byte-identical
           files; [None] (the default) is the noop logger *)
   epoch_buffer : bool;
@@ -102,10 +105,12 @@ val preflight : params -> Dpu_props.Report.t list
     acyclicity, unique bindings and update-plan safety for the planned
     [switch_to] / [switch_consensus] swaps. No simulation happens. *)
 
-val run : ?crash_at:(float * int) list -> params -> result
-(** [crash_at] is a list of (virtual time, node) fail-stop injections
-    (the pre-DSL interface; equivalent to [Crash] events in [faults]).
-    Raises [Invalid_argument] if [params.faults] fails
+val blocked_ms : Dpu_core.Middleware.t -> float
+(** Worst application-blocked time over the stacks
+    ({!Dpu_baselines.Maestro.blocked_ms}; 0 for every other approach). *)
+
+val run : params -> result
+(** Raises [Invalid_argument] if [params.faults] fails
     {!Dpu_faults.Schedule.validate}, and {!Preflight_failure} if the
     static composition verifier rejects the configuration. *)
 

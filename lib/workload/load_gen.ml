@@ -40,6 +40,29 @@ let start mw ~rate_per_s ?(pattern = Constant) ?size ?(body = "payload") ~until 
       Clock.defer clock ~delay:phase (loop node))
     (Dpu_kernel.System.local_nodes system)
 
+let closed_loop mw ~clients_per_node ?size ~until () =
+  let clock = Dpu_kernel.System.clock (MW.system mw) in
+  let think_ms = 0.05 in
+  for node = 0 to MW.n mw - 1 do
+    (* Re-broadcast the moment our own previous message comes back
+       delivered. The re-send is deferred by a tiny think time rather
+       than issued inside the delivery indication, so the stack never
+       re-enters itself mid-dispatch. *)
+    let send () =
+      if Clock.now clock < until then
+        ignore (MW.broadcast mw ~node ?size "closed-loop" : Dpu_kernel.Msg.t)
+    in
+    MW.subscribe mw ~node (fun m ->
+        if m.Dpu_kernel.Msg.id.Dpu_kernel.Msg.origin = node then
+          Clock.defer clock ~delay:think_ms send);
+    for c = 0 to clients_per_node - 1 do
+      (* Staggered starts: one in-flight message per client slot. *)
+      Clock.defer clock
+        ~delay:(think_ms *. float_of_int ((node * clients_per_node) + c + 1))
+        send
+    done
+  done
+
 let send_n mw ~count ?(gap_ms = 10.0) ?size ?(warmup = 0) () =
   let n = MW.n mw in
   let clock = Dpu_kernel.System.clock (MW.system mw) in

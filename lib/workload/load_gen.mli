@@ -24,6 +24,19 @@ val start :
 (** Schedule broadcasts on every node from now until virtual time
     [until] (ms). Total system rate is [rate_per_s]. *)
 
+val closed_loop :
+  Dpu_core.Middleware.t ->
+  clients_per_node:int ->
+  ?size:int ->
+  until:float ->
+  unit ->
+  unit
+(** Closed-loop clients: [clients_per_node] outstanding messages on
+    every node, each re-broadcast 0.05 ms after the node delivers its
+    own previous one, until virtual time [until]. Starts are staggered
+    by the same think time. There is no offered-rate parameter: the
+    loop settles at the rate the stack sustains. *)
+
 val send_n :
   Dpu_core.Middleware.t ->
   count:int ->

@@ -77,36 +77,15 @@ let make_fabric p =
   in
   Fabric.create ~config ~shards:p.shards ~n:p.n ()
 
-(* One closed-loop client slot on [node]: re-broadcast (after a tiny
-   think time, never from inside the delivery indication) each time our
-   own previous message comes back. Same shape as
-   {!Throughput.saturate}, per group. *)
-let start_closed_loop p mw ~clients_per_node =
-  let n = MW.n mw in
-  let clock = System.clock (MW.system mw) in
-  let think_ms = 0.05 in
-  for node = 0 to n - 1 do
-    let send () =
-      if Clock.now clock < p.duration_ms then
-        ignore (MW.broadcast mw ~node ~size:p.msg_size "closed-loop" : Dpu_kernel.Msg.t)
-    in
-    MW.subscribe mw ~node (fun m ->
-        if m.Dpu_kernel.Msg.id.Dpu_kernel.Msg.origin = node then
-          Clock.defer clock ~delay:think_ms send);
-    for c = 0 to clients_per_node - 1 do
-      Clock.defer clock
-        ~delay:(think_ms *. float_of_int ((node * clients_per_node) + c + 1))
-        send
-    done
-  done
-
 (* Offered load splits by shard size, so every node system-wide carries
    the same per-node rate regardless of how the ring rounded the
    partition. *)
 let start_load p fabric =
   Fabric.iter_groups fabric (fun g mw ->
       match p.closed_loop with
-      | Some k -> start_closed_loop p mw ~clients_per_node:k
+      | Some k ->
+        Load_gen.closed_loop mw ~clients_per_node:k ~size:p.msg_size
+          ~until:p.duration_ms ()
       | None ->
         let rate =
           p.load_per_s *. float_of_int (Fabric.group_size fabric g) /. float_of_int p.n
@@ -124,50 +103,26 @@ let start_rolling fabric (r : rolling) =
       Clock.defer clock ~delay:at (fun () ->
           MW.change_protocol mw ~node:0 r.to_protocol))
 
-let quantile_estimates values =
-  match values with
-  | [] -> (0.0, 0.0, 0.0, 0.0)
-  | _ ->
-    let bounds = Metrics.default_bounds in
-    let counts = Array.make (Array.length bounds + 1) 0 in
-    let lo = ref infinity and hi = ref neg_infinity and sum = ref 0.0 in
-    List.iter
-      (fun v ->
-        if v < !lo then lo := v;
-        if v > !hi then hi := v;
-        sum := !sum +. v;
-        let i = ref 0 in
-        while !i < Array.length bounds && v > bounds.(!i) do
-          incr i
-        done;
-        counts.(!i) <- counts.(!i) + 1)
-      values;
-    let q p =
-      match Metrics.quantile_of_buckets ~bounds ~counts ~lo:!lo ~hi:!hi p with
-      | Some v -> v
-      | None -> 0.0
-    in
-    (q 0.5, q 0.99, q 0.999, !sum /. float_of_int (List.length values))
-
 let shard_result_of p fabric g =
   let mw = Fabric.group fabric g in
   let nodes = Fabric.group_size fabric g in
   let collector = MW.collector mw in
-  let values =
-    List.map (fun (pt : Series.point) -> pt.value)
-      (Series.between (MW.latency_series mw) ~lo:p.warmup_ms ~hi:infinity)
+  (* Bucket estimates from a private histogram: the same bucket rule and
+     min/max clamps as every quantile in a metrics snapshot. *)
+  let latency = Metrics.histogram (Metrics.create ()) "latency_ms" in
+  List.iter
+    (fun (pt : Series.point) -> Metrics.observe latency pt.value)
+    (Series.between (MW.latency_series mw) ~lo:p.warmup_ms ~hi:infinity);
+  let measured = Metrics.histogram_count latency in
+  let q x = Option.value ~default:0.0 (Metrics.histogram_quantile latency x) in
+  let mean_ms =
+    if measured = 0 then 0.0
+    else Metrics.histogram_sum latency /. float_of_int measured
   in
-  let p50_ms, p99_ms, p999_ms, mean_ms = quantile_estimates values in
   let generation = Fabric.generation fabric ~shard:g in
   let window =
     if generation = 0 then None
     else Fabric.switch_window fabric ~shard:g ~generation
-  in
-  let blocked_ms =
-    Array.fold_left
-      (fun acc stack -> Float.max acc (Dpu_baselines.Maestro.blocked_ms stack))
-      0.0
-      (System.stacks (MW.system mw))
   in
   let undelivered =
     List.length (Collector.undelivered_ids collector ~expected_copies:nodes)
@@ -183,14 +138,14 @@ let shard_result_of p fabric g =
     nodes;
     sent = Collector.send_count collector;
     delivered = List.length (Collector.delivers_of collector ~node:0);
-    measured = List.length values;
-    p50_ms;
-    p99_ms;
-    p999_ms;
+    measured;
+    p50_ms = q 0.5;
+    p99_ms = q 0.99;
+    p999_ms = q 0.999;
     mean_ms;
     generation;
     window;
-    blocked_ms;
+    blocked_ms = Experiment.blocked_ms mw;
     undelivered;
     props_ok = Dpu_props.Report.all_ok reports;
     violations;

@@ -34,8 +34,8 @@ type params = {
           failure-detector timers never stop, so the simulator is
           never literally idle *)
   closed_loop : int option;
-      (** [Some k]: replace the open loop with [k] closed-loop clients
-          per node, each re-sending on its own delivery *)
+      (** [Some k]: replace the open loop with [k]
+          {!Load_gen.closed_loop} clients per node *)
   rolling : rolling option;
   loss : float;
 }
@@ -51,7 +51,7 @@ type shard_result = {
   measured : int;  (** latency samples after warmup *)
   p50_ms : float;
   p99_ms : float;
-  p999_ms : float;  (** bucket estimates ({!Dpu_obs.Metrics.quantile_of_buckets}) *)
+  p999_ms : float;  (** bucket estimates ({!Dpu_obs.Metrics.histogram_quantile}) *)
   mean_ms : float;
   generation : int;
   window : (float * float) option;  (** switch window of [generation] *)

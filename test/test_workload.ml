@@ -196,8 +196,12 @@ let test_experiment_check_clean () =
 let test_experiment_crash_injection () =
   let r =
     W.Experiment.run
-      ~crash_at:[ (500.0, 2) ]
-      { small with n = 5; switch_at_ms = 1_200.0 }
+      {
+        small with
+        n = 5;
+        switch_at_ms = 1_200.0;
+        faults = [ Dpu_faults.Schedule.crash ~at:500.0 2 ];
+      }
   in
   check (Alcotest.list Alcotest.int) "correct nodes" [ 0; 1; 3; 4 ] r.W.Experiment.correct;
   let reports = Dpu_props.Abcast_props.check_all r.W.Experiment.collector
@@ -258,24 +262,60 @@ let test_switch_mid_batch_seq_to_ct () =
 let test_switch_mid_batch_ct_to_seq () =
   run_switch_mid_batch ~initial:Dpu_core.Variants.ct ~target:Dpu_core.Variants.sequencer
 
+(* The saturation bench's run shape: n=3, 512-byte payloads, 3 s of
+   constant load after a 500 ms warmup, no swap. Returns the delivered
+   rate at node 0 and the latency statistics inside [warmup, duration). *)
+let saturation_window ?closed_loop ?batching offered =
+  let p =
+    {
+      W.Experiment.default with
+      n = 3;
+      seed = 1;
+      msg_size = 512;
+      duration_ms = 3_000.0;
+      warmup_ms = 500.0;
+      hop_cost = 0.05;
+      pattern = W.Load_gen.Constant;
+      switch_to = None;
+      load = offered;
+      batching;
+      closed_loop;
+    }
+  in
+  let r = W.Experiment.run p in
+  let lo = p.warmup_ms and hi = p.duration_ms in
+  let delivered =
+    List.length
+      (List.filter
+         (fun (_, t) -> t >= lo && t < hi)
+         (Dpu_core.Collector.delivers_of r.W.Experiment.collector ~node:0))
+  in
+  ( float_of_int delivered /. ((hi -. lo) /. 1000.0),
+    Dpu_engine.Series.stats_between r.W.Experiment.latency ~lo ~hi )
+
+let check_window name (rate, lat) ~rate_per_s ~p50 ~p99 ~samples =
+  check (Alcotest.float 1e-9) (name ^ " delivered msg/s") rate_per_s rate;
+  check (Alcotest.float 5e-7) (name ^ " p50 ms") p50 (Stats.percentile lat 50.0);
+  check (Alcotest.float 5e-7) (name ^ " p99 ms") p99 (Stats.percentile lat 99.0);
+  check Alcotest.int (name ^ " samples") samples (Stats.count lat)
+
 let test_throughput_open_loop_tracks_offered () =
-  (* Well under the knee, delivered must track offered. *)
-  let module T = W.Throughput in
-  let pt = T.measure T.default ~offered:100.0 in
-  check Alcotest.bool "delivered within 10% of offered" true
-    (Float.abs (pt.T.delivered_per_s -. 100.0) <= 10.0)
+  (* Well under the knee, delivered tracks offered exactly. *)
+  check_window "open loop" (saturation_window 100.0) ~rate_per_s:100.0 ~p50:2.600203
+    ~p99:2.858022 ~samples:250
 
 let test_throughput_batching_at_least_doubles () =
   (* The headline claim of throughput mode: with the consensus path
      ordering one batch per round instead of one message, the closed
      loop sustains at least twice the unbatched rate. *)
-  let module T = W.Throughput in
-  let sustained batching =
-    (T.saturate ~params:{ T.default with T.batching } ~clients_per_node:16 ())
-      .T.delivered_per_s
+  let ((off, _) as unbatched) = saturation_window ~closed_loop:16 0.0 in
+  check_window "closed loop" unbatched ~rate_per_s:588.4 ~p50:27.162051 ~p99:28.124114
+    ~samples:1471;
+  let on, _ =
+    saturation_window ~closed_loop:16
+      ~batching:{ Dpu_protocols.Batcher.max_batch = 16; max_delay_ms = 5.0 }
+      0.0
   in
-  let off = sustained None in
-  let on = sustained (Some { Dpu_protocols.Batcher.max_batch = 16; max_delay_ms = 5.0 }) in
   check Alcotest.bool
     (Printf.sprintf "batched %.0f msg/s >= 2x unbatched %.0f msg/s" on off)
     true
