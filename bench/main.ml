@@ -16,6 +16,7 @@ module Stats = Dpu_engine.Stats
 module Series = Dpu_engine.Series
 module Clock = Dpu_runtime.Clock
 module Json = Dpu_obs.Json
+module Sweep = Dpu_runtime.Sweep
 
 let section name = Printf.printf "\n============ %s ============\n%!" name
 
@@ -36,16 +37,16 @@ let jobs = ref 1
    "results" — so the results sections stay bit-identical across -j. *)
 let sweeps : (string * Json.t) list ref = ref []
 
-let record_sweep key (st : W.Sweep.stats) =
+let record_sweep key (st : Sweep.stats) =
   sweeps :=
     ( key,
       Json.Obj
         [
-          ("jobs", Json.Int st.W.Sweep.jobs);
-          ("cells", Json.Int st.W.Sweep.cells);
-          ("wall_s", Json.Float st.W.Sweep.wall_s);
-          ("cells_wall_s", Json.Float st.W.Sweep.cells_wall_s);
-          ("speedup", Json.Float st.W.Sweep.speedup);
+          ("jobs", Json.Int st.Sweep.jobs);
+          ("cells", Json.Int st.Sweep.cells);
+          ("wall_s", Json.Float st.Sweep.wall_s);
+          ("cells_wall_s", Json.Float st.Sweep.cells_wall_s);
+          ("speedup", Json.Float st.Sweep.speedup);
         ] )
     :: !sweeps
 
@@ -84,9 +85,8 @@ let run_fig5 () =
 
 let run_fig6 () =
   section "Figure 6: latency vs load (n=3 and n=7; layer overhead; during switch)";
-  let outcome = F.figure6_sweep ~jobs:!jobs () in
-  record_sweep "fig6" outcome.W.Sweep.stats;
-  let points = Array.to_list outcome.W.Sweep.results in
+  let points, sweep_stats = F.figure6 ~jobs:!jobs () in
+  record_sweep "fig6" sweep_stats;
   record "fig6"
     (Json.Obj
        [
@@ -228,16 +228,16 @@ let run_throughput () =
       @ List.map (fun l -> (batched, l)) [ 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 ])
   in
   let outcome =
-    W.Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun _ i ->
+    Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun i ->
         let batching, offered = grid.(i) in
         measure_window (params batching offered))
   in
-  record_sweep "throughput" outcome.W.Sweep.stats;
+  record_sweep "throughput" outcome.Sweep.stats;
   let curve batching =
     let pts = ref [] in
     Array.iteri
       (fun i pt -> if fst grid.(i) == batching then pts := pt :: !pts)
-      outcome.W.Sweep.results;
+      outcome.Sweep.results;
     curve_of ~batching (List.rev !pts)
   in
   let off = curve None and on = curve batched in
@@ -334,7 +334,7 @@ let run_shard () =
   in
   let grid = Array.of_list grid in
   let outcome =
-    W.Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun _ i ->
+    Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun i ->
         let n, shards = grid.(i) in
         let params =
           {
@@ -360,8 +360,8 @@ let run_shard () =
           r.Sh.max_concurrent_switches,
           r.Sh.all_ok ))
   in
-  record_sweep "shard" outcome.W.Sweep.stats;
-  let cells = Array.to_list (Array.mapi (fun i r -> (grid.(i), r)) outcome.W.Sweep.results) in
+  record_sweep "shard" outcome.Sweep.stats;
+  let cells = Array.to_list (Array.mapi (fun i r -> (grid.(i), r)) outcome.Sweep.results) in
   print_string
     (W.Ascii.table
        ~header:
@@ -412,7 +412,7 @@ let run_shard () =
 
 let run_headline () =
   section "Headline numbers (paper §6 vs this reproduction)";
-  let h, sweep_stats = F.headline_sweep ~jobs:!jobs () in
+  let h, sweep_stats = F.headline ~jobs:!jobs () in
   record_sweep "headline" sweep_stats;
   record "headline"
     (Json.Obj
@@ -431,7 +431,7 @@ let run_headline () =
 
 let run_compare () =
   section "DPU approach comparison: Repl vs Graceful Adaptation vs Maestro";
-  let rows, sweep_stats = F.compare_approaches_sweep ~jobs:!jobs () in
+  let rows, sweep_stats = F.compare_approaches ~jobs:!jobs () in
   record_sweep "compare" sweep_stats;
   record "compare"
     (Json.Obj
@@ -493,10 +493,10 @@ let run_compare () =
 let sweep_rows name grid cell =
   let grid = Array.of_list grid in
   let outcome =
-    W.Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun _ idx -> cell grid.(idx))
+    Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun idx -> cell grid.(idx))
   in
-  record_sweep name outcome.W.Sweep.stats;
-  Array.to_list outcome.W.Sweep.results
+  record_sweep name outcome.Sweep.stats;
+  Array.to_list outcome.Sweep.results
 
 let run_ablation () =
   section "Ablation: consensus batching (paper ran consensus per message)";
@@ -1004,7 +1004,7 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt int (W.Sweep.default_jobs ())
+      & opt int (Sweep.default_jobs ())
       & info [ "j"; "jobs" ] ~docv:"JOBS"
           ~doc:
             "Fan the sweep-backed sections out to $(docv) worker processes. \

@@ -36,7 +36,7 @@ let seed_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Dpu_workload.Sweep.default_jobs ())
+    & opt int (Dpu_runtime.Sweep.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Fan independent experiment cells out to $(docv) worker processes. \
@@ -311,21 +311,21 @@ let fig6_cmd =
     Arg.(value & opt (list int) [ 3; 7 ] & info [ "ns" ] ~docv:"N1,N2" ~doc:"Group sizes.")
   in
   let run ns loads seed jobs =
-    print_string (F.render_figure6 (F.figure6 ~ns ~loads ~seed ~jobs ()))
+    print_string (F.render_figure6 (fst (F.figure6 ~ns ~loads ~seed ~jobs ())))
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Regenerate Figure 6 (latency vs load).")
     Term.(const run $ ns $ loads $ seed_arg $ jobs_arg)
 
 let headline_cmd =
-  let run n load jobs = print_string (F.render_headline (F.headline ~n ~load ~jobs ())) in
+  let run n load jobs = print_string (F.render_headline (fst (F.headline ~n ~load ~jobs ()))) in
   Cmd.v
     (Cmd.info "headline" ~doc:"Regenerate the headline numbers of §6.")
     Term.(const run $ n_arg $ load_arg $ jobs_arg)
 
 let compare_cmd =
   let run n load seed jobs =
-    print_string (F.render_comparison (F.compare_approaches ~n ~load ~seed ~jobs ()))
+    print_string (F.render_comparison (fst (F.compare_approaches ~n ~load ~seed ~jobs ())))
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Quantify Repl vs Graceful Adaptation vs Maestro.")

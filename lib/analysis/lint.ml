@@ -74,7 +74,7 @@ let rules =
       r_message =
         "Marshal is layout-sensitive and unsafe on closures; confine \
          it to the Sweep worker wire protocol";
-      r_exempt = [ "workload/sweep.ml" ];
+      r_exempt = [ "runtime/sweep.ml" ];
       r_exempt_dirs = [];
     };
     {

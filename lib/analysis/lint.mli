@@ -15,7 +15,7 @@
       the seeded {!Dpu_engine.Rng});
     - [wall-clock]: [Unix.gettimeofday]/[Unix.time]/[Sys.time] in
       simulation code (virtual time comes from [Sim.now]);
-    - [marshal]: [Marshal] outside the {!Dpu_workload.Sweep} worker
+    - [marshal]: [Marshal] outside the {!Dpu_runtime.Sweep} worker
       protocol;
     - [unix-io]: real socket calls ([Unix.socket]/[bind]/[sendto]/
       [recvfrom]/[select]/[connect]) outside the live runtime backend;
@@ -66,7 +66,7 @@ type rule = {
   r_exempt : string list;
       (** path suffixes where the rule is off by design (e.g. [random]
           inside [engine/rng.ml], [marshal] inside
-          [workload/sweep.ml]) *)
+          [runtime/sweep.ml]) *)
   r_exempt_dirs : string list;
       (** path segments (e.g. ["lib/live/"]) under which the rule is
           off for every file *)

@@ -43,6 +43,9 @@ type config = {
           everywhere) is the frozen noop logger *)
 }
 
+(** What one node observed. Plain data with no closures, so it crosses
+    the {!Dpu_runtime.Sweep} result pipe from a node's process to the
+    parent as is. *)
 type report = {
   node : int;
   sends : (Msg.id * float) list;
@@ -58,8 +61,7 @@ type report = {
   metrics : Dpu_obs.Json.t;
   trace : Dpu_obs.Trace_event.t list;
       (** this process's trace events, pid = node, timestamps in ms
-          since the shared epoch; [[]] when tracing was off (and in
-          reports written by pre-observability builds) *)
+          since the shared epoch; [[]] when tracing was off *)
 }
 
 val run :
@@ -67,7 +69,3 @@ val run :
   report
 (** Run the node to completion ([duration_ms + drain_ms] of wall
     time). [fd] must already be bound to [peers.(config.me)]. *)
-
-val report_to_json : report -> Dpu_obs.Json.t
-
-val report_of_json : Dpu_obs.Json.t -> (report, string) result

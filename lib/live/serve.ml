@@ -1,4 +1,5 @@
 module Collector = Dpu_core.Collector
+module Sweep = Dpu_runtime.Sweep
 module J = Dpu_obs.Json
 
 type params = {
@@ -72,125 +73,88 @@ let counters_json (c : Dpu_runtime.Transport.counters) =
       ("bytes", J.Int c.Dpu_runtime.Transport.bytes);
     ]
 
+let validate params switches =
+  let out_of_range node = node < 0 || node >= params.n in
+  if params.n < 1 then Error "need at least one node"
+  else if params.load <= 0.0 then Error "load must be positive"
+  else
+    match Dpu_faults.Schedule.validate ~n:params.n params.nemesis with
+    | Error msg -> Error ("nemesis: " ^ msg)
+    | Ok () -> (
+      match List.find_opt (fun (_, node, _) -> out_of_range node) switches with
+      | Some (_, node, _) -> Error (Printf.sprintf "switch node %d out of range" node)
+      | None -> Ok ())
+
 let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
-  if params.n < 1 then invalid_arg "Serve.run: need at least one node";
-  if params.load <= 0.0 then invalid_arg "Serve.run: load must be positive";
-  (match Dpu_faults.Schedule.validate ~n:params.n params.nemesis with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "Serve.run: nemesis: %s" msg));
   let switches =
     (match params.switch_to with
     | Some p -> [ (params.switch_at_ms, 0, p) ]
     | None -> [])
     @ params.switches
   in
-  List.iter
-    (fun (_, node, _) ->
-      if node < 0 || node >= params.n then
-        invalid_arg (Printf.sprintf "Serve.run: switch node %d out of range" node))
-    switches;
-  let fds =
-    Array.init params.n (fun _ -> Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0)
-  in
-  Array.iter
-    (fun fd -> Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
-    fds;
-  let peers = Array.map Unix.getsockname fds in
-  let report_paths =
-    Array.init params.n (fun i ->
-        Filename.temp_file (Printf.sprintf "dpu-live-node%d-" i) ".json")
-  in
-  let epoch = Unix.gettimeofday () in
-  (* Stamped into every envelope: frames from an earlier deployment
-     that bound the same ports are shed at the transport. *)
-  let generation = Unix.getpid () land 0xffff in
-  (match logs_dir with
-  | None -> ()
-  | Some dir -> (
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
-  let log_path_of me =
-    Option.map
-      (fun dir -> Filename.concat dir (Printf.sprintf "node-%d.jsonl" me))
-      logs_dir
-  in
-  flush stdout;
-  flush stderr;
-  let pids =
-    Array.init params.n (fun me ->
-        match Unix.fork () with
-        | 0 ->
-          let status =
-            try
-              Array.iteri (fun i fd -> if i <> me then Unix.close fd) fds;
-              let config =
-                {
-                  Node.me;
-                  n = params.n;
-                  epoch;
-                  service = "dpu";
-                  generation;
-                  initial = params.initial;
-                  switches;
-                  nemesis = params.nemesis;
-                  load = params.load;
-                  msg_size = params.msg_size;
-                  batching = params.batching;
-                  duration_ms = params.duration_ms;
-                  drain_ms = params.drain_ms;
-                  seed = params.seed;
-                  trace_enabled = trace_out <> None;
-                  log_path = log_path_of me;
-                }
-              in
-              let report = Node.run ~config ~fd:fds.(me) ~peers () in
-              J.to_file report_paths.(me) (Node.report_to_json report);
-              0
-            with e ->
-              Printf.eprintf "dpu live node %d: %s\n%!" me (Printexc.to_string e);
-              3
-          in
-          (* Never return into the caller: no [at_exit], no replaying
-             of buffers inherited from the parent (cf. Sweep). *)
-          Unix._exit status
-        | pid -> pid)
-  in
-  Array.iter Unix.close fds;
-  let failed = ref [] in
-  Array.iteri
-    (fun me pid ->
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED c -> failed := Printf.sprintf "node %d exited %d" me c :: !failed
-      | Unix.WSIGNALED s -> failed := Printf.sprintf "node %d killed by signal %d" me s :: !failed
-      | Unix.WSTOPPED s -> failed := Printf.sprintf "node %d stopped by signal %d" me s :: !failed)
-    pids;
-  let cleanup () =
-    Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) report_paths
-  in
-  if !failed <> [] then begin
-    cleanup ();
-    Error (String.concat "; " (List.rev !failed))
-  end
-  else begin
-    let parsed =
-      List.init params.n (fun me ->
-          let path = report_paths.(me) in
-          let content = In_channel.with_open_text path In_channel.input_all in
-          match J.of_string content with
-          | Error e -> Error (Printf.sprintf "node %d report: %s" me e)
-          | Ok j -> (
-            match Node.report_of_json j with
-            | Error e -> Error (Printf.sprintf "node %d report: %s" me e)
-            | Ok r -> Ok r))
+  match validate params switches with
+  | Error _ as e -> e
+  | Ok () -> (
+    let fds =
+      Array.init params.n (fun _ -> Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0)
     in
-    cleanup ();
-    match
-      List.partition_map
-        (function Ok r -> Either.Left r | Error e -> Either.Right e)
-        parsed
-    with
-    | _, (_ :: _ as errors) -> Error (String.concat "; " errors)
-    | node_reports, [] ->
+    Array.iter
+      (fun fd -> Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
+      fds;
+    let peers = Array.map Unix.getsockname fds in
+    let epoch = Unix.gettimeofday () in
+    (* Stamped into every envelope: frames from an earlier deployment
+       that bound the same ports are shed at the transport. *)
+    let generation = Unix.getpid () land 0xffff in
+    (match logs_dir with
+    | None -> ()
+    | Some dir -> (
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
+    (* One sweep cell per node, one worker per cell: every node runs in
+       its own process at once and hands its report back over the
+       sweep's pipe. *)
+    let node me =
+      Array.iteri (fun i fd -> if i <> me then Unix.close fd) fds;
+      let config =
+        {
+          Node.me;
+          n = params.n;
+          epoch;
+          service = "dpu";
+          generation;
+          initial = params.initial;
+          switches;
+          nemesis = params.nemesis;
+          load = params.load;
+          msg_size = params.msg_size;
+          batching = params.batching;
+          duration_ms = params.duration_ms;
+          drain_ms = params.drain_ms;
+          seed = params.seed;
+          trace_enabled = trace_out <> None;
+          log_path =
+            Option.map
+              (fun dir -> Filename.concat dir (Printf.sprintf "node-%d.jsonl" me))
+              logs_dir;
+        }
+      in
+      Node.run ~config ~fd:fds.(me) ~peers ()
+    in
+    let reports =
+      Fun.protect
+        ~finally:(fun () -> Array.iter Unix.close fds)
+        (fun () ->
+          match Sweep.run ~jobs:params.n ~cells:params.n node with
+          | o -> Ok (Array.to_list o.Sweep.results)
+          | exception Sweep.Worker_failed { worker; reason } ->
+            Error (Printf.sprintf "node %d: %s" worker reason)
+          (* A lone node runs in this process, so it raises as itself. *)
+          | exception e when params.n = 1 ->
+            Error ("node 0: raised: " ^ Printexc.to_string e))
+    in
+    match reports with
+    | Error _ as e -> e
+    | Ok node_reports ->
       let collector = merge_reports node_reports in
       (* Nodes the nemesis silences for good make no promises — the
          properties quantify over the nodes that stay correct. *)
@@ -236,5 +200,4 @@ let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
         in
         J.to_file path (Dpu_obs.Trace_event.to_json events)
       | None -> ());
-      Ok { node_reports; collector; checks }
-  end
+      Ok { node_reports; collector; checks })

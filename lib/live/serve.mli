@@ -1,11 +1,13 @@
 (** Multi-process live deployment on localhost.
 
-    [run] binds [n] UDP sockets on 127.0.0.1 (ephemeral ports), forks
-    one OS process per node — each inheriting its socket and the full
-    peer address table — and lets them run the complete DPU stack
-    under open-loop load for [duration_ms], with node 0 triggering an
-    ABcast replacement (Algorithm 1 of the paper) at [switch_at_ms].
-    Children report what their local collectors saw; the parent merges
+    [run] binds [n] UDP sockets on 127.0.0.1 (ephemeral ports) and fans
+    the nodes out through {!Dpu_runtime.Sweep}, one cell and one OS
+    process per node (a single node runs in the calling process). Each
+    node inherits its socket and the full peer address table and runs
+    the complete DPU stack under open-loop load for [duration_ms], with
+    node 0 triggering an ABcast replacement (Algorithm 1 of the paper)
+    at [switch_at_ms]. Each node returns its {!Node.report} of what its
+    local collector saw over the sweep's pipe; the parent merges
     everything onto the shared time axis and checks the four atomic
     broadcast properties of §5.1 across the replacement — the live
     counterpart of the simulator's {!Dpu_workload.Experiment.check}.
@@ -69,6 +71,8 @@ val run :
   ?logs_dir:string ->
   params ->
   (outcome, string) result
-(** [Error] on child crash or unreadable report; property violations
-    are not an error — inspect [checks]. Raises [Invalid_argument] if
-    the nemesis schedule or a switch targets a node out of range. *)
+(** [Error] on bad parameters — [n < 1], [load <= 0], or a nemesis
+    schedule or switch naming a node out of range — before any socket
+    is bound; and [Error "node i: ..."] when node [i] raises or dies,
+    in which case the nodes still running are killed. Property
+    violations are not an error — inspect [checks]. *)

@@ -273,107 +273,6 @@ let to_json t =
       ("metrics", Json.List (List.map instrument_json (instruments t)));
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Snapshots: pure-data copies that survive Marshal                   *)
-(* ------------------------------------------------------------------ *)
-
-type sample_value =
-  | S_counter of int
-  | S_gauge of float
-  | S_hist of hist
-
-type sample = {
-  s_name : string;
-  s_labels : (string * string) list;
-  s_value : sample_value;
-}
-
-type snapshot = sample list
-
-let copy_hist h =
-  {
-    bounds = Array.copy h.bounds;
-    bucket_counts = Array.copy h.bucket_counts;
-    h_count = h.h_count;
-    h_sum = h.h_sum;
-    h_min = h.h_min;
-    h_max = h.h_max;
-  }
-
-let snapshot t =
-  List.map
-    (fun i ->
-      let v =
-        match i.i_value with
-        | Counter c -> S_counter !c
-        | Int_fn f -> S_counter (f ())
-        | Gauge g -> S_gauge !g
-        | Float_fn f -> S_gauge (f ())
-        | Hist h -> S_hist (copy_hist h)
-      in
-      { s_name = i.i_name; s_labels = i.i_labels; s_value = v })
-    (instruments t)
-
-let merge_hist_into dst src =
-  if Array.length dst.bounds = Array.length src.bounds then begin
-    Array.iteri
-      (fun i c -> dst.bucket_counts.(i) <- dst.bucket_counts.(i) + c)
-      src.bucket_counts;
-    dst.h_count <- dst.h_count + src.h_count;
-    dst.h_sum <- dst.h_sum +. src.h_sum;
-    if src.h_min < dst.h_min then dst.h_min <- src.h_min;
-    if src.h_max > dst.h_max then dst.h_max <- src.h_max
-  end
-
-let merge t snap =
-  if not t.sink then
-    List.iter
-      (fun s ->
-        match Hashtbl.find_opt t.tbl (key s.s_name s.s_labels) with
-        | None ->
-          let value =
-            match s.s_value with
-            | S_counter v -> Counter (ref v)
-            | S_gauge v -> Gauge (ref v)
-            | S_hist h -> Hist (copy_hist h)
-          in
-          ignore (register t ~name:s.s_name ~labels:s.s_labels value : instrument)
-        | Some i -> (
-          match (i.i_value, s.s_value) with
-          | Counter c, S_counter v -> c := !c + v
-          | Gauge g, S_gauge v -> if v > !g then g := v
-          | Hist dst, S_hist src -> merge_hist_into dst src
-          (* Callback registrations sample this process and cannot
-             absorb foreign values; mismatched kinds are skipped. *)
-          | (Counter _ | Gauge _ | Int_fn _ | Float_fn _ | Hist _), _ -> ()))
-      snap
-
-let snapshot_value snap ?(labels = []) name =
-  let labels = sort_labels labels in
-  List.find_map
-    (fun s ->
-      if String.equal s.s_name name && s.s_labels = labels then
-        Some
-          (match s.s_value with
-          | S_counter v -> float_of_int v
-          | S_gauge v -> v
-          | S_hist h -> float_of_int h.h_count)
-      else None)
-    snap
-
-let snapshot_sum snap name =
-  List.fold_left
-    (fun acc s ->
-      if String.equal s.s_name name then
-        acc
-        +.
-        match s.s_value with
-        | S_counter v -> float_of_int v
-        | S_gauge v -> v
-        | S_hist h -> float_of_int h.h_count
-      else acc)
-    0.0 snap
-
 let pp_summary ppf t =
   let sorted =
     List.sort

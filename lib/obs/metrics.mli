@@ -95,33 +95,6 @@ val quantile_of_buckets :
     more entry than [bounds] (the final +inf bucket); [lo]/[hi] are the
     observed extremes when known. *)
 
-(** {1 Snapshots}
-
-    A {!snapshot} is a pure-data copy of every instrument — callbacks
-    sampled, histograms deep-copied, no closures — so it survives
-    [Marshal] across process boundaries. {!merge} folds a snapshot into
-    another registry: counters (including sampled callbacks) add,
-    gauges keep the maximum, histograms with identical bounds add
-    bucket-wise. Merging is commutative for counters and histograms, so
-    per-worker snapshots merged in any order produce the same totals. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** Sample every instrument of [t] into detached pure data. *)
-
-val merge : t -> snapshot -> unit
-(** Fold a snapshot into [t], creating plain instruments for series [t]
-    does not have yet. Series whose existing counterpart in [t] is a
-    callback registration (they sample {e this} process) or has a
-    mismatched kind are skipped. No-op on {!noop}. *)
-
-val snapshot_value : snapshot -> ?labels:(string * string) list -> string -> float option
-(** Like {!value}, over a snapshot. *)
-
-val snapshot_sum : snapshot -> string -> float
-(** Like {!sum}, over a snapshot. *)
-
 (** {1 Snapshot and query} *)
 
 val value : t -> ?labels:(string * string) list -> string -> float option

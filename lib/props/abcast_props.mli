@@ -10,8 +10,6 @@
     that switch protocols mid-stream is the mechanised counterpart of
     that proof. *)
 
-open Dpu_kernel
-
 val validity : Dpu_core.Collector.t -> correct:int list -> Report.t
 (** If a correct process ABcasts [m], it eventually Adelivers [m]. *)
 
@@ -30,6 +28,3 @@ val uniform_total_order : Dpu_core.Collector.t -> Report.t
     processes). *)
 
 val check_all : Dpu_core.Collector.t -> correct:int list -> Report.t list
-
-val id_of_string_exn : string -> Msg.id
-(** Parse ["origin.seq"] (inverse of [Msg.id_to_string]); for tools. *)

@@ -1,5 +1,3 @@
-module Metrics = Dpu_obs.Metrics
-
 exception Worker_failed of { worker : int; reason : string }
 
 type stats = {
@@ -10,19 +8,15 @@ type stats = {
   speedup : float;
 }
 
-type 'r outcome = {
-  results : 'r array;
-  snapshots : Metrics.snapshot list;
-  stats : stats;
-}
+type 'r outcome = { results : 'r array; stats : stats }
 
 (* Worker -> parent messages. One [Cell] per finished cell (with its
-   wall-clock), then one [Done] carrying the worker's metrics snapshot.
-   A worker that catches an exception reports [Failed] instead of
-   [Done]. All three are closure-free, so plain [Marshal] works. *)
+   wall-clock), then [Done]. A worker that catches an exception reports
+   [Failed] instead of [Done]. All three are closure-free, so plain
+   [Marshal] works. *)
 type 'r msg =
   | Cell of int * float * 'r
-  | Done of Metrics.snapshot
+  | Done
   | Failed of string
 
 let default_jobs () =
@@ -30,12 +24,11 @@ let default_jobs () =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with Failure _ -> 1)
   | None -> 1
 
-let finish ~jobs ~cells ~t0 ~cells_wall results snapshots =
+let finish ~jobs ~cells ~t0 ~cells_wall results =
   (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
   let wall_s = Unix.gettimeofday () -. t0 in
   {
     results;
-    snapshots;
     stats =
       {
         jobs;
@@ -46,14 +39,14 @@ let finish ~jobs ~cells ~t0 ~cells_wall results snapshots =
       };
   }
 
-let run_sequential ~reg ~cells f =
+let run_sequential ~cells f =
   (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
   let t0 = Unix.gettimeofday () in
   let cells_wall = ref 0.0 in
   let cell i =
     (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
     let c0 = Unix.gettimeofday () in
-    let r = f reg i in
+    let r = f i in
     (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
     cells_wall := !cells_wall +. (Unix.gettimeofday () -. c0);
     r
@@ -70,30 +63,29 @@ let run_sequential ~reg ~cells f =
       arr
     end
   in
-  finish ~jobs:1 ~cells ~t0 ~cells_wall:!cells_wall results []
+  finish ~jobs:1 ~cells ~t0 ~cells_wall:!cells_wall results
 
 (* ------------------------------------------------------------------ *)
 (* Forked workers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let worker_body ~want_metrics ~jobs ~cells ~index wfd f =
+let worker_body ~jobs ~cells ~index wfd f =
   (* In the child. Never return into the caller: always [Unix._exit]
      (no [at_exit], no double-flushing of inherited buffers). *)
   let oc = Unix.out_channel_of_descr wfd in
-  let reg = if want_metrics then Metrics.create () else Metrics.noop in
   (try
      let i = ref index in
      while !i < cells do
        (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
        let c0 = Unix.gettimeofday () in
-       let r = f reg !i in
+       let r = f !i in
        (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
        let wall = Unix.gettimeofday () -. c0 in
        Marshal.to_channel oc (Cell (!i, wall, r)) [];
        flush oc;
        i := !i + jobs
      done;
-     Marshal.to_channel oc (Done (Metrics.snapshot reg)) [];
+     Marshal.to_channel oc Done [];
      flush oc
    with e -> (
      try
@@ -108,10 +100,9 @@ let describe_status = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
-let run_forked ~jobs ~metrics ~cells f =
+let run_forked ~jobs ~cells f =
   (* dpu-lint: allow wall-clock — host-side telemetry only; never feeds simulation state *)
   let t0 = Unix.gettimeofday () in
-  let want_metrics = metrics != Metrics.noop in
   (* Anything buffered before the fork would be replayed by every
      worker that happens to flush; start the children clean. *)
   flush stdout;
@@ -122,7 +113,7 @@ let run_forked ~jobs ~metrics ~cells f =
         match Unix.fork () with
         | 0 ->
           Unix.close rfd;
-          worker_body ~want_metrics ~jobs ~cells ~index:w wfd f
+          worker_body ~jobs ~cells ~index:w wfd f
         | pid ->
           (* Closing our copy of the write end right away means a dead
              worker yields EOF instead of a hang, and later forks do
@@ -150,7 +141,6 @@ let run_forked ~jobs ~metrics ~cells f =
   in
   let results : 'r option array = Array.make cells None in
   let cells_wall = ref 0.0 in
-  let snapshots = ref [] in
   (try
      (* Drain workers in index order. Each worker computes
         independently, so a full pipe only ever waits on this loop —
@@ -168,7 +158,7 @@ let run_forked ~jobs ~metrics ~cells f =
              results.(i) <- Some r;
              cells_wall := !cells_wall +. wall;
              drain ()
-           | Done snap -> snapshots := snap :: !snapshots
+           | Done -> ()
            | Failed msg -> fail ("worker raised: " ^ msg)
            | exception End_of_file ->
              fail ("result stream cut short (" ^ describe_status (reap w) ^ ")")
@@ -183,10 +173,6 @@ let run_forked ~jobs ~metrics ~cells f =
    with e ->
      kill_all ();
      raise e);
-  let snapshots = List.rev !snapshots in
-  (* Merge per-worker accounting in worker order (counter and histogram
-     merges commute; the order only pins gauge ties deterministically). *)
-  List.iter (fun snap -> Metrics.merge metrics snap) snapshots;
   let results =
     Array.mapi
       (fun i r ->
@@ -201,15 +187,9 @@ let run_forked ~jobs ~metrics ~cells f =
                }))
       results
   in
-  finish ~jobs ~cells ~t0 ~cells_wall:!cells_wall results snapshots
+  finish ~jobs ~cells ~t0 ~cells_wall:!cells_wall results
 
-let run ?jobs ?(metrics = Metrics.noop) ~cells f =
+let run ?jobs ~cells f =
   if cells < 0 then invalid_arg "Sweep.run: negative cell count";
-  let jobs =
-    match jobs with Some j -> max 1 (min j (max cells 1)) | None -> default_jobs ()
-  in
-  let jobs = max 1 (min jobs (max cells 1)) in
-  if jobs <= 1 || cells <= 1 then run_sequential ~reg:metrics ~cells f
-  else run_forked ~jobs ~metrics ~cells f
-
-let map ?jobs ~cells f = (run ?jobs ~cells (fun _ i -> f i)).results
+  let jobs = max 1 (min (Option.value jobs ~default:(default_jobs ())) (max cells 1)) in
+  if jobs <= 1 then run_sequential ~cells f else run_forked ~jobs ~cells f

@@ -1,5 +1,6 @@
 module Series = Dpu_engine.Series
 module Stats = Dpu_engine.Stats
+module Sweep = Dpu_runtime.Sweep
 
 let figure5 ?(n = 7) ?(load = 40.0) ?(seed = 1) () =
   Experiment.run { Experiment.default with n; load; seed }
@@ -44,32 +45,21 @@ type fig6_point = {
   during_ms : float;
 }
 
-(* Run one experiment for a sweep cell: when the sweep carries a
-   metrics registry, enable collection and fold this run's snapshot
-   into the worker's registry so the merged parent registry accounts
-   for every cell. *)
-let run_counted reg params =
-  let with_metrics = reg != Dpu_obs.Metrics.noop in
-  let r = Experiment.run { params with Experiment.metrics_enabled = with_metrics } in
-  if with_metrics then
-    Dpu_obs.Metrics.merge reg (Dpu_obs.Metrics.snapshot r.Experiment.metrics);
-  r
-
-let figure6_sweep ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ])
-    ?(seed = 1) ?jobs ?metrics () =
+let figure6 ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ]) ?(seed = 1)
+    ?jobs () =
   let grid =
     Array.of_list (List.concat_map (fun n -> List.map (fun load -> (n, load)) loads) ns)
   in
-  let point reg idx =
+  let point idx =
     let n, load = grid.(idx) in
     let base =
       { Experiment.default with n; load; seed; duration_ms = 8_000.0; switch_at_ms = 4_000.0 }
     in
     let no_layer =
-      run_counted reg { base with approach = Experiment.No_layer; switch_to = None }
+      Experiment.run { base with approach = Experiment.No_layer; switch_to = None }
     in
-    let with_layer = run_counted reg { base with switch_to = None } in
-    let switching = run_counted reg base in
+    let with_layer = Experiment.run { base with switch_to = None } in
+    let switching = Experiment.run base in
     {
       n;
       load;
@@ -78,10 +68,8 @@ let figure6_sweep ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ])
       during_ms = Stats.mean switching.during;
     }
   in
-  Sweep.run ?jobs ?metrics ~cells:(Array.length grid) point
-
-let figure6 ?ns ?loads ?seed ?jobs ?metrics () =
-  Array.to_list (figure6_sweep ?ns ?loads ?seed ?jobs ?metrics ()).Sweep.results
+  let outcome = Sweep.run ?jobs ~cells:(Array.length grid) point in
+  (Array.to_list outcome.Sweep.results, outcome.Sweep.stats)
 
 let render_figure6 points =
   let buf = Buffer.create 4096 in
@@ -139,19 +127,18 @@ type headline_cell = {
   hc_blocked_ms : float;
 }
 
-let headline_sweep ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs
-    ?metrics () =
+let headline ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs () =
   (* One switch yields only a handful of during-window messages (the
      window is about one ABcast latency), so the headline aggregates
      several seeds for statistical weight. Each seed is one sweep cell. *)
   let seeds = Array.of_list seeds in
-  let cell reg idx =
+  let cell idx =
     let base = { Experiment.default with n; load; seed = seeds.(idx) } in
     let no_layer =
-      run_counted reg { base with approach = Experiment.No_layer; switch_to = None }
+      Experiment.run { base with approach = Experiment.No_layer; switch_to = None }
     in
-    let with_layer = run_counted reg { base with switch_to = None } in
-    let switching = run_counted reg base in
+    let with_layer = Experiment.run { base with switch_to = None } in
+    let switching = Experiment.run base in
     {
       hc_no_layer = Stats.samples no_layer.normal;
       hc_with_layer = Stats.samples with_layer.normal;
@@ -161,7 +148,7 @@ let headline_sweep ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs
       hc_blocked_ms = switching.blocked_ms;
     }
   in
-  let outcome = Sweep.run ?jobs ?metrics ~cells:(Array.length seeds) cell in
+  let outcome = Sweep.run ?jobs ~cells:(Array.length seeds) cell in
   let no_layer_all = Stats.create () in
   let with_layer_all = Stats.create () in
   let normal_all = Stats.create () in
@@ -192,9 +179,6 @@ let headline_sweep ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs
     },
     outcome.Sweep.stats )
 
-let headline ?n ?load ?seeds ?jobs ?metrics () =
-  fst (headline_sweep ?n ?load ?seeds ?jobs ?metrics ())
-
 let render_headline h =
   Ascii.table
     ~header:[ "metric"; "paper"; "measured" ]
@@ -217,11 +201,11 @@ type comparison_row = {
   all_delivered : bool;
 }
 
-let compare_approaches_sweep ?(n = 5) ?(load = 40.0) ?(seed = 1) ?jobs ?metrics () =
+let compare_approaches ?(n = 5) ?(load = 40.0) ?(seed = 1) ?jobs () =
   let approaches = [| Experiment.Repl; Experiment.Graceful; Experiment.Maestro |] in
-  let cell reg idx =
+  let cell idx =
     let approach = approaches.(idx) in
-    let r = run_counted reg { Experiment.default with n; load; seed; approach } in
+    let r = Experiment.run { Experiment.default with n; load; seed; approach } in
     {
       approach;
       normal_ms = Stats.mean r.normal;
@@ -231,11 +215,8 @@ let compare_approaches_sweep ?(n = 5) ?(load = 40.0) ?(seed = 1) ?jobs ?metrics 
       all_delivered = r.delivered_everywhere = r.sent;
     }
   in
-  let outcome = Sweep.run ?jobs ?metrics ~cells:(Array.length approaches) cell in
+  let outcome = Sweep.run ?jobs ~cells:(Array.length approaches) cell in
   (Array.to_list outcome.Sweep.results, outcome.Sweep.stats)
-
-let compare_approaches ?n ?load ?seed ?jobs ?metrics () =
-  fst (compare_approaches_sweep ?n ?load ?seed ?jobs ?metrics ())
 
 let render_comparison rows =
   Ascii.table

@@ -32,25 +32,12 @@ val figure6 :
   ?loads:float list ->
   ?seed:int ->
   ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
   unit ->
-  fig6_point list
-(** Each (n, load) pair is one {!Sweep} cell, fanned out to [jobs]
-    worker processes (default {!Sweep.default_jobs}); results are
-    bit-identical for every [jobs]. When [metrics] is given, every
-    cell's experiment runs with metrics collection on and the
-    per-worker snapshots are merged into [metrics]. *)
-
-val figure6_sweep :
-  ?ns:int list ->
-  ?loads:float list ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  unit ->
-  fig6_point Sweep.outcome
-(** Like {!figure6} but exposing the sweep's timing stats and
-    per-worker metrics snapshots. *)
+  fig6_point list * Dpu_runtime.Sweep.stats
+(** Each (n, load) pair is one {!Dpu_runtime.Sweep} cell, fanned out to
+    [jobs] worker processes (default {!Dpu_runtime.Sweep.default_jobs});
+    the points are bit-identical for every [jobs]. The stats report the
+    sweep's wall-clock and realised parallelism. *)
 
 val render_figure6 : fig6_point list -> string
 
@@ -68,23 +55,13 @@ val headline :
   ?load:float ->
   ?seeds:int list ->
   ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
   unit ->
-  headline
+  headline * Dpu_runtime.Sweep.stats
 (** Aggregated over [seeds] (default 1–5): one switch produces only a
     few during-window messages, so several runs give the statistic
-    weight. Each seed is one {!Sweep} cell; the per-seed sample arrays
-    are re-folded in seed order, so the aggregate is bit-identical for
-    every [jobs]. *)
-
-val headline_sweep :
-  ?n:int ->
-  ?load:float ->
-  ?seeds:int list ->
-  ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  unit ->
-  headline * Sweep.stats
+    weight. Each seed is one {!Dpu_runtime.Sweep} cell; the per-seed
+    sample arrays are re-folded in seed order, so the aggregate is
+    bit-identical for every [jobs]. *)
 
 val render_headline : headline -> string
 
@@ -104,18 +81,8 @@ val compare_approaches :
   ?load:float ->
   ?seed:int ->
   ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
   unit ->
-  comparison_row list
-(** One {!Sweep} cell per approach. *)
-
-val compare_approaches_sweep :
-  ?n:int ->
-  ?load:float ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  unit ->
-  comparison_row list * Sweep.stats
+  comparison_row list * Dpu_runtime.Sweep.stats
+(** One {!Dpu_runtime.Sweep} cell per approach. *)
 
 val render_comparison : comparison_row list -> string

@@ -566,63 +566,12 @@ let test_live_clock_every_keeps_phase () =
     fires
 
 (* ------------------------------------------------------------------ *)
-(* Report compatibility and the merged live trace                     *)
+(* Live deployments                                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Node = Dpu_live.Node
 module Serve = Dpu_live.Serve
 module Json = Dpu_obs.Json
 module Spans = Dpu_core.Spans
-
-(* A report exactly as a pre-observability build wrote it: no "trace"
-   field (and no "faults" — a clean run). Newer parsers must accept it
-   and default the trace empty; dropping this shape would break mixed
-   parent/child version rollouts and archived artifacts. *)
-let pre_observability_report =
-  {|{"node":1,
-     "sends":[{"id":"1.1","t":12.5}],
-     "delivers":[{"id":"1.1","t":14.0},{"id":"0.3","t":15.25}],
-     "switches":[{"generation":1,"t":30.0}],
-     "transport":{"sent":4,"delivered":3,"dropped":1,"bytes":4096,"rx_errors":0},
-     "metrics":{"schema":"dpu.metrics/1","metrics":[]}}|}
-
-let test_report_pre_observability_parses () =
-  match Json.of_string pre_observability_report with
-  | Error e -> Alcotest.fail ("fixture does not parse as JSON: " ^ e)
-  | Ok j -> (
-    match Node.report_of_json j with
-    | Error e -> Alcotest.fail ("pre-observability report rejected: " ^ e)
-    | Ok r ->
-      check Alcotest.int "node" 1 r.Node.node;
-      check Alcotest.int "sends" 1 (List.length r.Node.sends);
-      check Alcotest.int "delivers" 2 (List.length r.Node.delivers);
-      check Alcotest.bool "faults default None" true (r.Node.faults = None);
-      check Alcotest.bool "trace defaults empty" true (r.Node.trace = []);
-      (* And a trace-off report written by THIS build keeps that shape:
-         re-serialising must not introduce the field. *)
-      let j' = Node.report_to_json r in
-      check Alcotest.bool "trace field stays absent" true
-        (Json.member j' "trace" = None))
-
-let test_report_trace_roundtrip () =
-  match Json.of_string pre_observability_report with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-    match Node.report_of_json j with
-    | Error e -> Alcotest.fail e
-    | Ok r ->
-      let trace =
-        [
-          Dpu_obs.Trace_event.instant ~name:"node start" ~cat:"node" ~pid:1 ~tid:1
-            ~ts_ms:0.5 ();
-          Dpu_obs.Trace_event.instant ~name:"injected_loss src=1 dst=0" ~cat:"fault"
-            ~pid:1 ~tid:1 ~ts_ms:20.0 ();
-        ]
-      in
-      let r = { r with Node.trace } in
-      match Node.report_of_json (Node.report_to_json r) with
-      | Error e -> Alcotest.fail ("traced report did not parse back: " ^ e)
-      | Ok r' -> check Alcotest.bool "trace roundtrips" true (r'.Node.trace = trace))
 
 (* A short real deployment with [trace_out]: the windows recoverable
    from the merged Chrome trace must be exactly the windows the parent
@@ -718,6 +667,85 @@ let test_serve_carries_offered_load () =
       true
       (float_of_int sent >= 0.97 *. scheduled)
 
+(* Bad parameters come back as [Error] before any socket is bound or
+   any node process started: with a minute-long [duration_ms], a run
+   that got as far as forking would hold the call for that minute. *)
+let test_serve_rejects_bad_params () =
+  let base = { Serve.default with duration_ms = 60_000.0 } in
+  let next_fd () =
+    let fd = Unix.dup Unix.stdout in
+    Unix.close fd;
+    fd
+  in
+  let before = next_fd () in
+  List.iter
+    (fun (what, params) ->
+      let t0 = Unix.gettimeofday () in
+      (match Serve.run params with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error e ->
+        check Alcotest.bool (Printf.sprintf "%s: says why (%s)" what e) true (e <> ""));
+      check Alcotest.bool (what ^ ": returned at once") true
+        (Unix.gettimeofday () -. t0 < 1.0))
+    [
+      ("no nodes", { base with n = 0 });
+      ("zero load", { base with load = 0.0 });
+      ( "nemesis node out of range",
+        { base with nemesis = [ Dpu_faults.Schedule.crash ~at:100.0 9 ] } );
+      ( "switch node out of range",
+        { base with switches = [ (100.0, 3, Dpu_core.Variants.sequencer) ] } );
+    ];
+  check Alcotest.bool "no socket left open" true (next_fd () = before)
+
+(* Every node raises at start-up (no such protocol): the deployment is
+   an [Error] naming the first node and the exception — not a hang,
+   and not an exception out of [Serve.run] — whether the nodes run in
+   forked processes or, alone, in this one. *)
+let test_serve_node_failure_is_error () =
+  List.iter
+    (fun n ->
+      let params =
+        {
+          Serve.default with
+          n;
+          initial = "abcast.nope";
+          duration_ms = 200.0;
+          drain_ms = 100.0;
+        }
+      in
+      match Serve.run params with
+      | Ok _ -> Alcotest.failf "n=%d: a deployment of an unknown protocol succeeded" n
+      | Error e ->
+        let contains sub =
+          let len = String.length e and k = String.length sub in
+          let rec go i = i + k <= len && (String.sub e i k = sub || go (i + 1)) in
+          go 0
+        in
+        check Alcotest.bool (Printf.sprintf "n=%d names node 0: %s" n e) true
+          (String.starts_with ~prefix:"node 0: " e);
+        check Alcotest.bool (Printf.sprintf "n=%d carries the exception: %s" n e) true
+          (contains "abcast.nope"))
+    [ 3; 1 ]
+
+(* One node runs in the calling process rather than a forked one; it
+   must still deliver everything it sent, switch, and pass the checks. *)
+let test_serve_single_node () =
+  let params =
+    { Serve.default with n = 1; duration_ms = 600.0; drain_ms = 300.0; switch_at_ms = 300.0 }
+  in
+  match Serve.run params with
+  | Error e -> Alcotest.fail ("single-node deployment failed: " ^ e)
+  | Ok outcome ->
+    check Alcotest.int "one report" 1 (List.length outcome.Serve.node_reports);
+    let sent = Dpu_core.Collector.send_count outcome.Serve.collector in
+    check Alcotest.bool (Printf.sprintf "sent %d" sent) true (sent > 0);
+    check Alcotest.int "delivered all it sent" sent
+      (List.length (Dpu_core.Collector.delivers_of outcome.Serve.collector ~node:0));
+    check Alcotest.bool "the switch completed" true
+      (Spans.replacement_timeline outcome.Serve.collector <> []);
+    check Alcotest.bool "all properties hold" true
+      (Dpu_props.Report.all_ok outcome.Serve.checks)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "live"
@@ -752,14 +780,12 @@ let () =
         ] );
       ( "fault-shim",
         [ tc "loss window restores over real UDP" test_live_shim_loss_window_restores ] );
-      ( "reports",
-        [
-          tc "pre-observability report parses" test_report_pre_observability_parses;
-          tc "traced report roundtrips" test_report_trace_roundtrip;
-        ] );
       ( "deployment",
         [
           tc "merged trace matches the collector" test_serve_merged_trace_matches_collector;
           tc "carries the offered load" test_serve_carries_offered_load;
+          tc "bad parameters are errors" test_serve_rejects_bad_params;
+          tc "a failing node is an error" test_serve_node_failure_is_error;
+          tc "one node runs in process" test_serve_single_node;
         ] );
     ]

@@ -103,11 +103,6 @@ let test_total_order_prefix_ok () =
   Collector.record_deliver c ~node:1 ~id:(id 0 0) ~time:1.0;
   assert_ok (Props.Abcast_props.uniform_total_order c)
 
-let test_id_of_string () =
-  let i = Props.Abcast_props.id_of_string_exn "3.14" in
-  check Alcotest.int "origin" 3 i.Msg.origin;
-  check Alcotest.int "seq" 14 i.Msg.seq
-
 (* ------------------------------------------------------------------ *)
 (* Generic (§3) property checkers                                     *)
 (* ------------------------------------------------------------------ *)
@@ -395,7 +390,6 @@ let () =
           tc "total order swap" test_total_order_swap;
           tc "total order gap" test_total_order_gap;
           tc "total order prefix ok" test_total_order_prefix_ok;
-          tc "id parsing" test_id_of_string;
         ] );
       ( "generic",
         [

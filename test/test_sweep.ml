@@ -1,11 +1,9 @@
 (* Tests for the multi-process sweep runner: canonical-order merging,
-   bit-identical results regardless of worker count, worker-crash
-   surfacing, and parent/worker metrics accounting. *)
+   bit-identical results regardless of worker count, and worker-crash
+   surfacing. *)
 
-module W = Dpu_workload
-module Sweep = W.Sweep
-module F = W.Figures
-module Metrics = Dpu_obs.Metrics
+module Sweep = Dpu_runtime.Sweep
+module F = Dpu_workload.Figures
 module Json = Dpu_obs.Json
 
 let check = Alcotest.check
@@ -15,16 +13,18 @@ let fail = Alcotest.fail
 (* Core runner                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let results ~jobs ~cells f = (Sweep.run ~jobs ~cells f).Sweep.results
+
 let test_map_order () =
   let expected = Array.init 17 (fun i -> i * i) in
   check (Alcotest.array Alcotest.int) "sequential" expected
-    (Sweep.map ~jobs:1 ~cells:17 (fun i -> i * i));
+    (results ~jobs:1 ~cells:17 (fun i -> i * i));
   check (Alcotest.array Alcotest.int) "forked" expected
-    (Sweep.map ~jobs:4 ~cells:17 (fun i -> i * i))
+    (results ~jobs:4 ~cells:17 (fun i -> i * i))
 
 let test_jobs_clamped () =
   (* More workers than cells must not fork idle workers or lose cells. *)
-  let o = Sweep.run ~jobs:16 ~cells:3 (fun _ i -> i) in
+  let o = Sweep.run ~jobs:16 ~cells:3 Fun.id in
   check (Alcotest.array Alcotest.int) "results" [| 0; 1; 2 |] o.Sweep.results;
   check Alcotest.bool "jobs clamped" true (o.Sweep.stats.Sweep.jobs <= 3)
 
@@ -34,7 +34,7 @@ let test_default_jobs_env () =
   let restore = Sys.getenv_opt "DPU_JOBS" in
   Unix.putenv "DPU_JOBS" "32";
   let parsed = Sweep.default_jobs () in
-  let o = Sweep.run ~jobs:parsed ~cells:2 (fun _ i -> i * 10) in
+  let o = Sweep.run ~jobs:parsed ~cells:2 (fun i -> i * 10) in
   Unix.putenv "DPU_JOBS" (Option.value restore ~default:"");
   check Alcotest.int "env parsed" 32 parsed;
   check (Alcotest.array Alcotest.int) "results" [| 0; 10 |] o.Sweep.results;
@@ -45,26 +45,24 @@ let test_default_jobs_env () =
   Unix.putenv "DPU_JOBS" (Option.value restore ~default:"")
 
 let test_empty_and_single () =
-  check Alcotest.int "zero cells" 0 (Array.length (Sweep.map ~jobs:4 ~cells:0 (fun i -> i)));
+  check Alcotest.int "zero cells" 0 (Array.length (results ~jobs:4 ~cells:0 Fun.id));
   check (Alcotest.array Alcotest.int) "one cell" [| 42 |]
-    (Sweep.map ~jobs:4 ~cells:1 (fun _ -> 42))
+    (results ~jobs:4 ~cells:1 (fun _ -> 42))
 
 let test_large_results_cross_pipe () =
   (* Each cell returns ~80 KB — more than a pipe buffer — so workers
      must block mid-stream and resume as the parent drains. *)
-  let results =
-    Sweep.map ~jobs:3 ~cells:6 (fun i -> Array.make 10_000 (float_of_int i))
-  in
-  check Alcotest.int "all cells" 6 (Array.length results);
+  let arrays = results ~jobs:3 ~cells:6 (fun i -> Array.make 10_000 (float_of_int i)) in
+  check Alcotest.int "all cells" 6 (Array.length arrays);
   Array.iteri
     (fun i arr ->
       check Alcotest.int "payload size" 10_000 (Array.length arr);
       check (Alcotest.float 0.0) "payload content" (float_of_int i) arr.(0))
-    results
+    arrays
 
 let test_worker_killed_surfaces_error () =
   match
-    Sweep.map ~jobs:2 ~cells:4 (fun i ->
+    results ~jobs:2 ~cells:4 (fun i ->
         if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
         i)
   with
@@ -75,7 +73,7 @@ let test_worker_killed_surfaces_error () =
       (String.length reason > 0)
 
 let test_worker_exception_surfaces_error () =
-  match Sweep.map ~jobs:2 ~cells:4 (fun i -> if i = 2 then failwith "boom"; i) with
+  match results ~jobs:2 ~cells:4 (fun i -> if i = 2 then failwith "boom"; i) with
   | _ -> fail "expected Worker_failed"
   | exception Sweep.Worker_failed { worker = _; reason } ->
     let contains_boom =
@@ -87,13 +85,12 @@ let test_worker_exception_surfaces_error () =
       true contains_boom
 
 let test_stats_accounting () =
-  let o = Sweep.run ~jobs:2 ~cells:4 (fun _ i -> i) in
+  let o = Sweep.run ~jobs:2 ~cells:4 Fun.id in
   let st = o.Sweep.stats in
   check Alcotest.int "cells" 4 st.Sweep.cells;
   check Alcotest.int "jobs" 2 st.Sweep.jobs;
   check Alcotest.bool "wall measured" true (st.Sweep.wall_s >= 0.0);
-  check Alcotest.bool "cell wall measured" true (st.Sweep.cells_wall_s >= 0.0);
-  check Alcotest.int "one snapshot per worker" 2 (List.length o.Sweep.snapshots)
+  check Alcotest.bool "cell wall measured" true (st.Sweep.cells_wall_s >= 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: -j1 vs -j4 figures                                    *)
@@ -122,8 +119,8 @@ let fig6_section_json points =
 
 let test_fig6_bit_identical_across_jobs () =
   let ns = [ 3 ] and loads = [ 10.0; 20.0 ] in
-  let p1 = F.figure6 ~ns ~loads ~seed:1 ~jobs:1 () in
-  let p4 = F.figure6 ~ns ~loads ~seed:1 ~jobs:4 () in
+  let p1, _ = F.figure6 ~ns ~loads ~seed:1 ~jobs:1 () in
+  let p4, _ = F.figure6 ~ns ~loads ~seed:1 ~jobs:4 () in
   check Alcotest.int "same cell count" (List.length p1) (List.length p4);
   List.iter2
     (fun (a : F.fig6_point) (b : F.fig6_point) ->
@@ -143,89 +140,14 @@ let test_fig6_bit_identical_across_jobs () =
 
 let test_headline_bit_identical_across_jobs () =
   let seeds = [ 1; 2; 3 ] in
-  let h1 = F.headline ~n:3 ~load:20.0 ~seeds ~jobs:1 () in
-  let h3 = F.headline ~n:3 ~load:20.0 ~seeds ~jobs:3 () in
+  let h1, _ = F.headline ~n:3 ~load:20.0 ~seeds ~jobs:1 () in
+  let h3, _ = F.headline ~n:3 ~load:20.0 ~seeds ~jobs:3 () in
   check (Alcotest.float 0.0) "overhead" h1.F.layer_overhead_pct h3.F.layer_overhead_pct;
   check (Alcotest.float 0.0) "spike" h1.F.spike_pct h3.F.spike_pct;
   check (Alcotest.float 0.0) "duration" h1.F.spike_duration_ms h3.F.spike_duration_ms;
   check (Alcotest.float 0.0) "blocked" h1.F.app_blocked_ms h3.F.app_blocked_ms;
   check Alcotest.string "rendered headline byte-identical" (F.render_headline h1)
     (F.render_headline h3)
-
-(* ------------------------------------------------------------------ *)
-(* Metrics accounting                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let counters_to_crosscheck =
-  [ "sim_events_executed_total"; "net_sent_total"; "net_delivered_total" ]
-
-let test_merged_metrics_equal_worker_sums () =
-  let parent = Metrics.create () in
-  let outcome =
-    F.figure6_sweep ~ns:[ 3 ] ~loads:[ 10.0; 20.0 ] ~seed:1 ~jobs:2 ~metrics:parent ()
-  in
-  check Alcotest.int "two worker snapshots" 2 (List.length outcome.W.Sweep.snapshots);
-  List.iter
-    (fun name ->
-      let from_workers =
-        List.fold_left
-          (fun acc snap -> acc +. Metrics.snapshot_sum snap name)
-          0.0 outcome.W.Sweep.snapshots
-      in
-      check Alcotest.bool (name ^ " counted something") true (from_workers > 0.0);
-      check (Alcotest.float 0.0)
-        (name ^ ": parent equals sum of worker snapshots")
-        from_workers (Metrics.sum parent name))
-    counters_to_crosscheck
-
-let test_sequential_and_parallel_metrics_agree () =
-  let m1 = Metrics.create () in
-  let m2 = Metrics.create () in
-  ignore (F.figure6 ~ns:[ 3 ] ~loads:[ 10.0 ] ~seed:1 ~jobs:1 ~metrics:m1 ());
-  ignore (F.figure6 ~ns:[ 3 ] ~loads:[ 10.0 ] ~seed:1 ~jobs:2 ~metrics:m2 ());
-  List.iter
-    (fun name ->
-      check (Alcotest.float 0.0) (name ^ " agrees across -j") (Metrics.sum m1 name)
-        (Metrics.sum m2 name))
-    counters_to_crosscheck
-
-(* ------------------------------------------------------------------ *)
-(* Metrics snapshot/merge primitives                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_snapshot_merge_semantics () =
-  let a = Metrics.create () in
-  let b = Metrics.create () in
-  let ca = Metrics.counter a "requests_total" in
-  let cb = Metrics.counter b "requests_total" in
-  Metrics.add ca 3;
-  Metrics.add cb 4;
-  let ga = Metrics.gauge a "clock_ms" in
-  let gb = Metrics.gauge b "clock_ms" in
-  Metrics.set ga 10.0;
-  Metrics.set gb 7.0;
-  let ha = Metrics.histogram a "latency_ms" in
-  let hb = Metrics.histogram b "latency_ms" in
-  Metrics.observe ha 1.0;
-  Metrics.observe hb 2.0;
-  Metrics.observe hb 3.0;
-  Metrics.merge a (Metrics.snapshot b);
-  check (Alcotest.option (Alcotest.float 0.0)) "counters add" (Some 7.0)
-    (Metrics.value a "requests_total");
-  check (Alcotest.option (Alcotest.float 0.0)) "gauges keep max" (Some 10.0)
-    (Metrics.value a "clock_ms");
-  check Alcotest.int "histogram counts add" 3 (Metrics.histogram_count ha);
-  (* Merging into a registry that lacks the series creates it. *)
-  let fresh = Metrics.create () in
-  Metrics.merge fresh (Metrics.snapshot b);
-  check (Alcotest.option (Alcotest.float 0.0)) "created counter" (Some 4.0)
-    (Metrics.value fresh "requests_total");
-  (* A snapshot survives Marshal (the pipe boundary). *)
-  let round_tripped : Metrics.snapshot =
-    Marshal.from_string (Marshal.to_string (Metrics.snapshot b) []) 0
-  in
-  check (Alcotest.float 0.0) "marshalled snapshot intact" 4.0
-    (Metrics.snapshot_sum round_tripped "requests_total")
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -246,11 +168,5 @@ let () =
         [
           tc "fig6 bit-identical across jobs" test_fig6_bit_identical_across_jobs;
           tc "headline bit-identical across jobs" test_headline_bit_identical_across_jobs;
-        ] );
-      ( "metrics",
-        [
-          tc "merged parent equals worker sums" test_merged_metrics_equal_worker_sums;
-          tc "sequential and parallel agree" test_sequential_and_parallel_metrics_agree;
-          tc "snapshot merge semantics" test_snapshot_merge_semantics;
         ] );
     ]

@@ -387,9 +387,7 @@ let test_figures_render () =
   let r = W.Experiment.run small in
   let s5 = W.Figures.render_figure5 r in
   check Alcotest.bool "fig5 text" true (String.length s5 > 100);
-  let points =
-    W.Figures.figure6 ~ns:[ 3 ] ~loads:[ 20.0 ] ~seed:1 ()
-  in
+  let points, _ = W.Figures.figure6 ~ns:[ 3 ] ~loads:[ 20.0 ] ~seed:1 () in
   check Alcotest.int "fig6 one point" 1 (List.length points);
   let s6 = W.Figures.render_figure6 points in
   check Alcotest.bool "fig6 text" true (String.length s6 > 100);
@@ -405,7 +403,7 @@ let test_figures_render () =
     (String.length (W.Figures.render_headline h) > 50)
 
 let test_comparison_rows () =
-  let rows = W.Figures.compare_approaches ~n:3 ~load:20.0 ~seed:1 () in
+  let rows, _ = W.Figures.compare_approaches ~n:3 ~load:20.0 ~seed:1 () in
   check Alcotest.int "three approaches" 3 (List.length rows);
   let find a = List.find (fun r -> r.W.Figures.approach = a) rows in
   let repl = find W.Experiment.Repl in
