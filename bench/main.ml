@@ -1,13 +1,15 @@
 (* Benchmark harness: regenerates every figure and headline number of
-   the paper's evaluation (§6) and runs the ablation studies called out
-   in DESIGN.md. Per-primitive wall-clock costs live in bench/perf.
+   the paper's evaluation (§6), the ablations and the consensus
+   extension (§7), and records every deterministic value it prints in
+   BENCH_results.json, which CI diffs against the committed seed.
+   Per-primitive wall-clock costs live in bench/perf.
 
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig5         # one section
      dune exec bench/main.exe -- -j 2 compare # sweeps on two workers
      sections: fig5 fig6 headline compare throughput shard ablation
-               consensus model *)
+               consensus *)
 
 module W = Dpu_workload
 module E = W.Experiment
@@ -488,106 +490,45 @@ let run_compare () =
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Fan an (independent-cell) grid out to the worker pool; each cell
-   returns one pre-rendered table row, so rows stay in grid order. *)
-let sweep_rows name grid cell =
+(* Fan an (independent-cell) grid out to the worker pool; results come
+   back in grid order. *)
+let sweep_cells name grid cell =
   let grid = Array.of_list grid in
   let outcome =
     Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun idx -> cell grid.(idx))
   in
   record_sweep name outcome.Sweep.stats;
-  Array.to_list outcome.Sweep.results
+  List.combine (Array.to_list grid) (Array.to_list outcome.Sweep.results)
 
 let run_ablation () =
-  section "Ablation: consensus batching (paper ran consensus per message)";
-  let rows =
-    sweep_rows "ablation_batching"
-      (List.concat_map
-         (fun batch_size -> List.map (fun load -> (batch_size, load)) [ 40.0; 80.0 ])
-         [ 1; 4; 16 ])
-      (fun (batch_size, load) ->
-        let r =
-          E.run
-            { E.default with batch_size; load; switch_to = None; duration_ms = 6_000.0 }
-        in
-        [
-          string_of_int batch_size;
-          Printf.sprintf "%.0f" load;
-          Printf.sprintf "%.2f" (Stats.mean r.E.normal);
-          Printf.sprintf "%.2f" (Stats.percentile r.E.normal 95.0);
-        ])
-  in
-  print_string
-    (W.Ascii.table ~header:[ "batch"; "load"; "mean [ms]"; "p95 [ms]" ] rows);
-
   section "Ablation: per-hop dispatch cost (stack depth sensitivity)";
-  let dispatches_per_msg approach hop_cost =
-    let profile =
-      {
-        Dpu_core.Stack_builder.default_profile with
-        layer =
-          (match approach with
-          | E.No_layer -> None
-          | _ -> Some Dpu_core.Repl.protocol_name);
-      }
-    in
-    let config =
-      { Dpu_core.Middleware.default_config with profile; seed = 1; hop_cost }
-    in
-    let mw = Dpu_core.Middleware.create ~config ~n:7 () in
-    W.Load_gen.start mw ~rate_per_s:40.0 ~until:2_000.0 ();
-    Dpu_core.Middleware.run_until_quiescent ~limit:30_000.0 mw;
-    let total =
-      Array.fold_left
-        (fun acc stack ->
-          let c, i = Dpu_kernel.Stack.dispatch_counts stack in
-          acc + c + i)
-        0
-        (Dpu_kernel.System.stacks (Dpu_core.Middleware.system mw))
-    in
-    let sent = Dpu_core.Collector.send_count (Dpu_core.Middleware.collector mw) in
-    float_of_int total /. float_of_int (max sent 1)
-  in
-  let rows =
+  let hops =
     List.map
       (fun hop_cost ->
-        let with_layer =
-          E.run { E.default with hop_cost; switch_to = None; duration_ms = 4_000.0 }
+        let normal_mean approach =
+          Stats.mean
+            (E.run { E.default with hop_cost; approach; switch_to = None; duration_ms = 4_000.0 })
+              .E.normal
         in
-        let without =
-          E.run
-            {
-              E.default with
-              hop_cost;
-              approach = E.No_layer;
-              switch_to = None;
-              duration_ms = 4_000.0;
-            }
-        in
-        let overhead =
-          (Stats.mean with_layer.E.normal -. Stats.mean without.E.normal)
-          /. Stats.mean without.E.normal *. 100.0
-        in
-        [
-          Printf.sprintf "%.2f" hop_cost;
-          Printf.sprintf "%.2f" (Stats.mean without.E.normal);
-          Printf.sprintf "%.2f" (Stats.mean with_layer.E.normal);
-          Printf.sprintf "%+.1f%%" overhead;
-        ])
+        (hop_cost, normal_mean E.No_layer, normal_mean E.Repl))
       [ 0.1; 0.25; 0.5; 1.0 ]
   in
   print_string
     (W.Ascii.table
        ~header:[ "hop [ms]"; "no layer [ms]"; "with layer [ms]"; "layer overhead" ]
-       rows);
-  Printf.printf
-    "dispatch hops per message (all stacks): no layer %.1f, with layer %.1f\n"
-    (dispatches_per_msg E.No_layer 0.5)
-    (dispatches_per_msg E.Repl 0.5);
+       (List.map
+          (fun (hop, without, with_layer) ->
+            [
+              Printf.sprintf "%.2f" hop;
+              Printf.sprintf "%.2f" without;
+              Printf.sprintf "%.2f" with_layer;
+              Printf.sprintf "%+.1f%%" ((with_layer -. without) /. without *. 100.0);
+            ])
+          hops));
 
   section "Ablation: ABcast variant latency profiles (same service, n=3/7)";
-  let rows =
-    sweep_rows "ablation_variants"
+  let variants =
+    sweep_cells "ablation_variants"
       (List.concat_map
          (fun n -> List.map (fun variant -> (n, variant)) Dpu_core.Variants.all)
          [ 3; 7 ])
@@ -603,121 +544,23 @@ let run_ablation () =
               duration_ms = 5_000.0;
             }
         in
-        [
-          variant;
-          string_of_int n;
-          Printf.sprintf "%.2f" (Stats.mean r.E.normal);
-          Printf.sprintf "%.2f" (Stats.percentile r.E.normal 95.0);
-        ])
+        (Stats.mean r.E.normal, Stats.percentile r.E.normal 95.0))
   in
-  print_string (W.Ascii.table ~header:[ "variant"; "n"; "mean [ms]"; "p95 [ms]" ] rows);
-
-  section "Ablation: the price of ordering (reliable < FIFO < causal < total)";
-  let ordering_row name register_svc svc wrap_bcast unwrap =
-    let system = Dpu_kernel.System.create ~seed:1 ~n:5 () in
-    Dpu_protocols.Udp.register system;
-    Dpu_protocols.Rp2p.register system;
-    Dpu_protocols.Fd.register system;
-    Dpu_protocols.Rbcast.register system;
-    Dpu_protocols.Consensus_ct.register system;
-    Dpu_protocols.Abcast_ct.register system;
-    register_svc system;
-    Dpu_kernel.System.iter_stacks system (fun stack ->
-        Dpu_kernel.Registry.ensure_bound (Dpu_kernel.System.registry system) stack svc);
-    let clock = Dpu_kernel.System.clock system in
-    let stats = Dpu_engine.Stats.create () in
-    let sent : (int, float) Hashtbl.t = Hashtbl.create 256 in
-    (* Latency to the farthest receiver. *)
-    let worst : (int, float) Hashtbl.t = Hashtbl.create 256 in
-    for node = 0 to 4 do
-      ignore
-        (Dpu_kernel.Stack.add_module
-           (Dpu_kernel.System.stack system node)
-           ~name:"meter" ~provides:[] ~requires:[ svc ]
-           (fun _ _ ->
-             {
-               Dpu_kernel.Stack.default_handlers with
-               handle_indication =
-                 (fun s p ->
-                   if Dpu_kernel.Service.equal s svc then
-                     match unwrap p with
-                     | Some i ->
-                       let t = Clock.now clock in
-                       Hashtbl.replace worst i
-                         (Float.max t
-                            (Option.value ~default:0.0 (Hashtbl.find_opt worst i)))
-                     | None -> ());
-             })
-          : Dpu_kernel.Stack.module_)
-    done;
-    for i = 0 to 99 do
-      let node = i mod 5 in
-      ignore
-        (Clock.defer clock ~delay:(float_of_int i *. 10.0) (fun () ->
-             Hashtbl.replace sent i (Clock.now clock);
-             Dpu_kernel.Stack.call
-               (Dpu_kernel.System.stack system node)
-               svc (wrap_bcast i)))
-    done;
-    Dpu_kernel.System.run_until_quiescent ~limit:30_000.0 system;
-    Hashtbl.iter
-      (fun i t1 ->
-        match Hashtbl.find_opt sent i with
-        | Some t0 -> Dpu_engine.Stats.add stats (t1 -. t0)
-        | None -> ())
-      worst;
-    [
-      name;
-      Printf.sprintf "%.2f" (Dpu_engine.Stats.mean stats);
-      Printf.sprintf "%.2f" (Dpu_engine.Stats.percentile stats 95.0);
-    ]
-  in
-  let module K = Dpu_kernel in
   print_string
-    (W.Ascii.table
-       ~header:[ "guarantee"; "mean worst-receiver latency [ms]"; "p95 [ms]" ]
-       [
-         ordering_row "reliable (rbcast)"
-           (fun _ -> ())
-           Dpu_protocols.Rbcast.service
-           (fun i ->
-             Dpu_protocols.Rbcast.Bcast { size = 512; payload = Dpu_core.App_msg.App (K.Msg.make ~origin:0 ~seq:i ~size:512 "x") })
-           (function
-             | Dpu_protocols.Rbcast.Deliver { payload = Dpu_core.App_msg.App m; _ } ->
-               Some m.K.Msg.id.K.Msg.seq
-             | _ -> None);
-         ordering_row "FIFO"
-           (fun system -> Dpu_protocols.Fifo_bcast.register system)
-           Dpu_protocols.Fifo_bcast.service
-           (fun i ->
-             Dpu_protocols.Fifo_bcast.Bcast { size = 512; payload = Dpu_core.App_msg.App (K.Msg.make ~origin:0 ~seq:i ~size:512 "x") })
-           (function
-             | Dpu_protocols.Fifo_bcast.Deliver { payload = Dpu_core.App_msg.App m; _ } ->
-               Some m.K.Msg.id.K.Msg.seq
-             | _ -> None);
-         ordering_row "causal"
-           (fun system -> Dpu_protocols.Causal_bcast.register system)
-           Dpu_protocols.Causal_bcast.service
-           (fun i ->
-             Dpu_protocols.Causal_bcast.Bcast { size = 512; payload = Dpu_core.App_msg.App (K.Msg.make ~origin:0 ~seq:i ~size:512 "x") })
-           (function
-             | Dpu_protocols.Causal_bcast.Deliver { payload = Dpu_core.App_msg.App m; _ } ->
-               Some m.K.Msg.id.K.Msg.seq
-             | _ -> None);
-         ordering_row "total (abcast over consensus)"
-           (fun _ -> ())
-           K.Service.abcast
-           (fun i ->
-             Dpu_protocols.Abcast_iface.Broadcast { size = 512; payload = Dpu_core.App_msg.App (K.Msg.make ~origin:0 ~seq:i ~size:512 "x") })
-           (function
-             | Dpu_protocols.Abcast_iface.Deliver { payload = Dpu_core.App_msg.App m; _ } ->
-               Some m.K.Msg.id.K.Msg.seq
-             | _ -> None);
-       ]);
+    (W.Ascii.table ~header:[ "variant"; "n"; "mean [ms]"; "p95 [ms]" ]
+       (List.map
+          (fun ((n, variant), (mean, p95)) ->
+            [
+              variant;
+              string_of_int n;
+              Printf.sprintf "%.2f" mean;
+              Printf.sprintf "%.2f" p95;
+            ])
+          variants));
 
   section "Ablation: heterogeneous switch matrix (during-switch latency)";
-  let rows =
-    sweep_rows "ablation_switch_matrix"
+  let matrix =
+    sweep_cells "ablation_switch_matrix"
       (List.concat_map
          (fun from_p ->
            List.filter_map
@@ -737,57 +580,108 @@ let run_ablation () =
               switch_at_ms = 3_000.0;
             }
         in
-        [
-          Printf.sprintf "%s -> %s" from_p to_p;
-          Printf.sprintf "%.2f" (Stats.mean r.E.normal);
-          Printf.sprintf "%.2f" (Stats.mean r.E.during);
-          Printf.sprintf "%.1f" r.E.switch_duration_ms;
-          string_of_bool (r.E.delivered_everywhere = r.E.sent);
-        ])
+        ( Stats.mean r.E.normal,
+          Stats.mean r.E.during,
+          r.E.switch_duration_ms,
+          r.E.delivered_everywhere = r.E.sent ))
   in
   print_string
     (W.Ascii.table
        ~header:[ "switch"; "normal [ms]"; "during [ms]"; "window [ms]"; "all delivered" ]
-       rows)
+       (List.map
+          (fun ((from_p, to_p), (normal, during, window, all)) ->
+            [
+              Printf.sprintf "%s -> %s" from_p to_p;
+              Printf.sprintf "%.2f" normal;
+              Printf.sprintf "%.2f" during;
+              Printf.sprintf "%.1f" window;
+              string_of_bool all;
+            ])
+          matrix));
+  record "ablation"
+    (Json.Obj
+       [
+         ("seed", Json.Int 1);
+         ( "hop_cost",
+           Json.List
+             (List.map
+                (fun (hop, without, with_layer) ->
+                  Json.Obj
+                    [
+                      ("hop_ms", Json.Float hop);
+                      ("no_layer_ms", Json.Float without);
+                      ("with_layer_ms", Json.Float with_layer);
+                    ])
+                hops) );
+         ( "variants",
+           Json.List
+             (List.map
+                (fun ((n, variant), (mean, p95)) ->
+                  Json.Obj
+                    [
+                      ("variant", Json.Str variant);
+                      ("n", Json.Int n);
+                      ("mean_ms", Json.Float mean);
+                      ("p95_ms", Json.Float p95);
+                    ])
+                variants) );
+         ( "switch_matrix",
+           Json.List
+             (List.map
+                (fun ((from_p, to_p), (normal, during, window, all)) ->
+                  Json.Obj
+                    [
+                      ("from", Json.Str from_p);
+                      ("to", Json.Str to_p);
+                      ("normal_ms", Json.Float normal);
+                      ("during_ms", Json.Float during);
+                      ("window_ms", Json.Float window);
+                      ("all_delivered", Json.Bool all);
+                    ])
+                matrix) );
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Consensus replacement (paper §7 / TR [16])                         *)
 (* ------------------------------------------------------------------ *)
 
+let stats_json fields (st : Stats.t) =
+  Json.Obj
+    (fields
+    @ [
+        ("mean_ms", Json.Float (Stats.mean st));
+        ("p95_ms", Json.Float (Stats.percentile st 95.0));
+        ("msgs", Json.Int (Stats.count st));
+      ])
+
+let mean_p95 (st : Stats.t) =
+  [ Printf.sprintf "%.2f" (Stats.mean st); Printf.sprintf "%.2f" (Stats.percentile st 95.0) ]
+
 let run_consensus () =
   section "Extension: CT vs Paxos consensus (same service, same stack)";
-  let impl_row initial =
+  let consensus_mw initial =
     let profile =
       { Dpu_core.Stack_builder.default_profile with consensus_layer = Some initial }
     in
     let config = { Dpu_core.Middleware.default_config with profile; seed = 1 } in
-    let mw = Dpu_core.Middleware.create ~config ~n:5 () in
-    W.Load_gen.start mw ~rate_per_s:30.0 ~until:5_000.0 ();
-    Dpu_core.Middleware.run_until_quiescent ~limit:60_000.0 mw;
-    let stats = Dpu_engine.Series.stats (Dpu_core.Middleware.latency_series mw) in
-    [
-      initial;
-      Printf.sprintf "%.2f" (Stats.mean stats);
-      Printf.sprintf "%.2f" (Stats.percentile stats 95.0);
-    ]
+    Dpu_core.Middleware.create ~config ~n:5 ()
+  in
+  let impls =
+    List.map
+      (fun initial ->
+        let mw = consensus_mw initial in
+        W.Load_gen.start mw ~rate_per_s:30.0 ~until:5_000.0 ();
+        Dpu_core.Middleware.run_until_quiescent ~limit:60_000.0 mw;
+        (initial, Dpu_engine.Series.stats (Dpu_core.Middleware.latency_series mw)))
+      [ Dpu_protocols.Consensus_ct.protocol_name; Dpu_protocols.Consensus_paxos.protocol_name ]
   in
   print_string
     (W.Ascii.table
        ~header:[ "consensus impl"; "mean [ms]"; "p95 [ms]" ]
-       [
-         impl_row Dpu_protocols.Consensus_ct.protocol_name;
-         impl_row Dpu_protocols.Consensus_paxos.protocol_name;
-       ]);
+       (List.map (fun (impl, st) -> impl :: mean_p95 st) impls));
 
   section "Extension: hot-swapping consensus (CT -> Paxos) under ABcast load";
-  let profile =
-    {
-      Dpu_core.Stack_builder.default_profile with
-      consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name;
-    }
-  in
-  let config = { Dpu_core.Middleware.default_config with profile; seed = 1 } in
-  let mw = Dpu_core.Middleware.create ~config ~n:5 () in
+  let mw = consensus_mw Dpu_protocols.Consensus_ct.protocol_name in
   W.Load_gen.start mw ~rate_per_s:40.0 ~until:8_000.0 ();
   let clock = Dpu_kernel.System.clock (Dpu_core.Middleware.system mw) in
   ignore
@@ -796,159 +690,46 @@ let run_consensus () =
            Dpu_protocols.Consensus_paxos.protocol_name));
   Dpu_core.Middleware.run_until_quiescent ~limit:60_000.0 mw;
   let series = Dpu_core.Middleware.latency_series mw in
-  let before = Dpu_engine.Series.stats_between series ~lo:500.0 ~hi:4_000.0 in
-  let around = Dpu_engine.Series.stats_between series ~lo:4_000.0 ~hi:4_500.0 in
-  let after = Dpu_engine.Series.stats_between series ~lo:4_500.0 ~hi:8_000.0 in
+  let phases =
+    List.map
+      (fun (label, lo, hi) -> (label, Dpu_engine.Series.stats_between series ~lo ~hi))
+      [
+        ("CT (before switch)", 500.0, 4_000.0);
+        ("around the switch", 4_000.0, 4_500.0);
+        ("Paxos (after switch)", 4_500.0, 8_000.0);
+      ]
+  in
   print_string
     (W.Ascii.table
        ~header:[ "phase"; "mean [ms]"; "p95 [ms]"; "msgs" ]
-       [
-         [ "CT (before switch)"; Printf.sprintf "%.2f" (Stats.mean before);
-           Printf.sprintf "%.2f" (Stats.percentile before 95.0);
-           string_of_int (Stats.count before) ];
-         [ "around the switch"; Printf.sprintf "%.2f" (Stats.mean around);
-           Printf.sprintf "%.2f" (Stats.percentile around 95.0);
-           string_of_int (Stats.count around) ];
-         [ "Paxos (after switch)"; Printf.sprintf "%.2f" (Stats.mean after);
-           Printf.sprintf "%.2f" (Stats.percentile after 95.0);
-           string_of_int (Stats.count after) ];
-       ]);
-  let reports =
-    Dpu_props.Abcast_props.check_all (Dpu_core.Middleware.collector mw)
-      ~correct:[ 0; 1; 2; 3; 4 ]
+       (List.map
+          (fun (label, st) -> (label :: mean_p95 st) @ [ string_of_int (Stats.count st) ])
+          phases));
+  let properties_ok =
+    Dpu_props.Report.all_ok
+      (Dpu_props.Abcast_props.check_all (Dpu_core.Middleware.collector mw)
+         ~correct:[ 0; 1; 2; 3; 4 ])
   in
   Format.printf "properties across the consensus switch: %s@."
-    (if Dpu_props.Report.all_ok reports then "all ok" else "VIOLATED");
-
-  section "Ablation: adaptive vs fixed retransmission timeout (batch=16, load=80)";
-  let run_with_rp2p label rp2p_config =
-    let profile = { Dpu_core.Stack_builder.default_profile with batch_size = 16 } in
-    let config =
-      { Dpu_core.Middleware.default_config with profile; seed = 1; hop_cost = 0.5 }
-    in
-    let mw =
-      Dpu_core.Middleware.create ~config
-        ~register_extra:(fun system ->
-          (* Most recent registration wins: override rp2p. *)
-          Dpu_protocols.Rp2p.register ~config:rp2p_config system)
-        ~n:7 ()
-    in
-    W.Load_gen.start mw ~rate_per_s:80.0 ~size:4096 ~until:5_000.0 ();
-    Dpu_core.Middleware.run_until_quiescent ~limit:120_000.0 mw;
-    let stats = Dpu_engine.Series.stats (Dpu_core.Middleware.latency_series mw) in
-    let retrans =
-      Array.fold_left
-        (fun acc stack -> acc + (Dpu_protocols.Rp2p.stats stack).Dpu_protocols.Rp2p.retransmissions)
-        0
-        (Dpu_kernel.System.stacks (Dpu_core.Middleware.system mw))
-    in
-    [
-      label;
-      Printf.sprintf "%.1f" (Stats.mean stats);
-      Printf.sprintf "%.1f" (Stats.percentile stats 95.0);
-      string_of_int retrans;
-    ]
-  in
-  print_string
-    (W.Ascii.table
-       ~header:[ "rp2p timeout"; "mean [ms]"; "p95 [ms]"; "retransmissions" ]
+    (if properties_ok then "all ok" else "VIOLATED");
+  record "consensus"
+    (Json.Obj
        [
-         run_with_rp2p "adaptive (Jacobson+storm backoff)"
-           Dpu_protocols.Rp2p.default_config;
-         run_with_rp2p "fixed 10 ms (lucky guess)"
-           { Dpu_protocols.Rp2p.default_config with adaptive = false; max_rto_ms = 200.0 };
-         run_with_rp2p "fixed 3 ms (below loaded RTT)"
-           {
-             Dpu_protocols.Rp2p.default_config with
-             rto_ms = 3.0;
-             adaptive = false;
-             max_rto_ms = 200.0;
-           };
-       ]);
-  print_endline
-    "  (a fixed timeout below the loaded round-trip self-amplifies: every\n\
-    \   retransmission feeds the queue that delayed the ack; the adaptive\n\
-    \   estimator with a persistent storm backoff breaks that loop)" 
-
-(* ------------------------------------------------------------------ *)
-(* Bounded model checking of Algorithm 1                              *)
-(* ------------------------------------------------------------------ *)
-
-let run_model () =
-  section "Model checking Algorithm 1 (exhaustive within bounds)";
-  let module M = Dpu_model.Algo1 in
-  let row label mutation bounds =
-    let t0 = Unix.gettimeofday () in
-    let r = M.check ~mutation ~bounds () in
-    let outcome, states =
-      match r with
-      | M.Verified { states; _ } -> ("verified", states)
-      | M.Violation { property; states; _ } -> ("VIOLATION: " ^ property, states)
-      | M.Bound_exceeded { states } -> ("bound exceeded", states)
-    in
-    [ label; M.mutation_name mutation; outcome; string_of_int states;
-      Printf.sprintf "%.1f" (Unix.gettimeofday () -. t0) ]
-  in
-  let b = M.default_bounds in
-  print_string
-    (W.Ascii.table
-       ~header:[ "bounds"; "variant"; "result"; "states"; "wall [s]" ]
-       [
-         row "n=2 s=2 c=1" M.Faithful b;
-         row "n=3 s=1 c=1" M.Faithful { b with nodes = 3; sends = 1 };
-         row "n=2 s=2 c=1 +crash" M.Faithful { b with crashes = 1 };
-         row "n=2 s=2 c=1" M.No_sn_check b;
-         row "n=2 s=2 c=1" M.No_reissue b;
-         row "n=2 s=2 c=1" M.No_undelivered_removal b;
-         row "n=2 s=1 c=2" M.Faithful { b with sends = 1; changes = 2 };
-         row "n=2 s=1 c=2" M.Fixed_line10 { b with sends = 1; changes = 2 };
-       ]);
-  print_endline
-    "  (the n=2 s=1 c=2 rows are the finding: Algorithm 1 as printed breaks\n\
-    \   uniform agreement under overlapping changeABcast requests; the\n\
-    \   symmetric line-10 generation check, which this repo implements,\n\
-    \   restores every property)";
-  print_endline "\nthe as-printed counterexample, in full:";
-  (match M.check ~mutation:M.Faithful ~bounds:{ b with sends = 1; changes = 2 } () with
-  | M.Violation _ as r -> Format.printf "%a@." M.pp_result r
-  | M.Verified _ | M.Bound_exceeded _ -> ());
-
-  section "Model checking the consensus replacement layer (extension)";
-  let module C = Dpu_model.Consswap in
-  let crow label variant bounds =
-    let t0 = Unix.gettimeofday () in
-    let r = C.check ~variant ~bounds () in
-    let outcome, states =
-      match r with
-      | C.Verified { states; _ } -> ("verified", states)
-      | C.Violation { property; states; _ } -> ("VIOLATION: " ^ property, states)
-      | C.Bound_exceeded { states } -> ("bound exceeded", states)
-    in
-    [ label; C.variant_name variant; outcome; string_of_int states;
-      Printf.sprintf "%.1f" (Unix.gettimeofday () -. t0) ]
-  in
-  let cb = C.default_bounds in
-  print_string
-    (W.Ascii.table
-       ~header:[ "bounds"; "variant"; "result"; "states"; "wall [s]" ]
-       [
-         crow "n=2 i=2 c=1" C.Sound cb;
-         crow "n=2 i=4 c=1" C.Sound { cb with instances = 4 };
-         crow "n=3 i=2 c=1" C.Sound { cb with nodes = 3 };
-         crow "n=2 i=2 c=1" C.No_prefix_defer cb;
-         crow "n=2 i=2 c=1" C.No_stale_discard cb;
-         crow "n=2 i=2 c=1" C.No_reissue cb;
-       ]);
-  print_endline
-    "  (the prefix-defer rule is essential: without it, a stack that switches\n\
-    \   early re-decides an instance a slower stack already accepted under the\n\
-    \   old implementation. The stale-discard and re-issue guards verify as\n\
-    \   redundant under the sequential-client contract: defense-in-depth.)";
-  (match C.check ~variant:C.No_prefix_defer () with
-  | C.Violation _ as r ->
-    print_endline "\nthe no-defer counterexample, in full:";
-    Format.printf "%a@." C.pp_result r
-  | C.Verified _ | C.Bound_exceeded _ -> ())
+         ("seed", Json.Int 1);
+         ( "impls",
+           Json.List (List.map (fun (impl, st) -> stats_json [ ("impl", Json.Str impl) ] st) impls)
+         );
+         ( "hot_swap",
+           Json.Obj
+             [
+               ( "phases",
+                 Json.List
+                   (List.map
+                      (fun (label, st) -> stats_json [ ("phase", Json.Str label) ] st)
+                      phases) );
+               ("properties_ok", Json.Bool properties_ok);
+             ] );
+       ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -962,7 +743,6 @@ let all_sections =
     ("shard", run_shard);
     ("ablation", run_ablation);
     ("consensus", run_consensus);
-    ("model", run_model);
   ]
 
 let main jobs_arg requested =

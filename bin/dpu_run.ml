@@ -43,6 +43,30 @@ let jobs_arg =
            Results are bit-identical for every $(docv). Defaults to \\$DPU_JOBS \
            or 1.")
 
+(* One batching knob for every subcommand: [--batch K] is
+   [Batcher.max_batch = K]; omitted, every path stays unbatched (the
+   paper's one message per ordering round). *)
+let batch_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | Some _ -> Error (`Msg (Printf.sprintf "batch %s must be at least 1" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid batch %S, expected an integer" s))
+  in
+  Arg.(
+    value
+    & opt (some (conv (parse, Format.pp_print_int))) None
+    & info [ "batch" ] ~docv:"K"
+        ~doc:
+          "Throughput mode: aggregate up to K messages per ordering round in \
+           the ABcast hot path, flushing a partial batch after 2 ms (and, \
+           under $(b,serve), up to K messages per UDP frame on egress). Omit \
+           for the unbatched paths.")
+
+(* The simulator's reading of [--batch K]. *)
+let sim_batching =
+  Option.map (fun k -> { Dpu_protocols.Batcher.default with max_batch = k })
+
 let approach_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -98,7 +122,7 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
       switch_to;
       approach;
       loss;
-      batch_size = batch;
+      batching = sim_batching batch;
       trace_enabled = check || spans_out <> None;
       metrics_enabled = obs_requested;
       consensus_layer;
@@ -198,9 +222,6 @@ let scenario_cmd =
   let loss =
     Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Datagram loss probability.")
   in
-  let batch =
-    Arg.(value & opt int 1 & info [ "batch" ] ~docv:"K" ~doc:"Consensus batch size.")
-  in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Verify all correctness properties afterwards.")
   in
@@ -282,7 +303,7 @@ let scenario_cmd =
   let term =
     Term.(
       const scenario $ n_arg $ load_arg $ seed_arg $ duration $ switch_at $ initial
-      $ switch_to $ approach $ loss $ batch $ check $ consensus_layer
+      $ switch_to $ approach $ loss $ batch_arg $ check $ consensus_layer
       $ switch_consensus_to $ switch_consensus_at $ faults $ nemesis_seed
       $ nemesis_faults $ metrics_out $ spans_out $ csv_out $ log_out)
   in
@@ -552,7 +573,7 @@ let check n initial switch_to approach batch consensus_layer switch_consensus_to
           initial;
           switch_to;
           approach;
-          batch_size = batch;
+          batching = sim_batching batch;
           consensus_layer;
           switch_consensus =
             Option.map (fun prot -> (2_500.0, prot)) switch_consensus_to;
@@ -593,9 +614,6 @@ let check_cmd =
       value & opt approach_conv E.Repl
       & info [ "approach" ] ~docv:"A" ~doc:"repl | graceful | maestro | no-layer.")
   in
-  let batch =
-    Arg.(value & opt int 1 & info [ "batch" ] ~docv:"K" ~doc:"Consensus batch size.")
-  in
   let consensus_layer =
     Arg.(
       value & flag
@@ -635,7 +653,7 @@ let check_cmd =
   in
   let term =
     Term.(
-      const check $ n_arg $ initial $ switch_to $ approach $ batch $ consensus_layer
+      const check $ n_arg $ initial $ switch_to $ approach $ batch_arg $ consensus_layer
       $ switch_consensus_to $ no_epoch_buffer $ shipped $ json_out)
   in
   Cmd.v
@@ -826,16 +844,6 @@ let serve_cmd =
       value & opt int 1_024
       & info [ "size" ] ~docv:"BYTES" ~doc:"Modelled application payload size.")
   in
-  let batching =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"K"
-          ~doc:
-            "Throughput mode: batch up to K messages per UDP frame on egress \
-             and aggregate up to K messages per ordering round in the ABcast \
-             hot path. Omit for the unbatched legacy paths.")
-  in
   let check =
     Arg.(
       value & opt bool true
@@ -900,7 +908,7 @@ let serve_cmd =
   let term =
     Term.(
       const serve $ nodes $ load $ duration $ drain $ switch_at $ initial $ switch_to
-      $ seed_arg $ msg_size $ batching $ check $ nemesis $ scenario_name
+      $ seed_arg $ msg_size $ batch_arg $ check $ nemesis $ scenario_name
       $ metrics_out $ spans_out $ trace_out $ logs_dir)
   in
   Cmd.v

@@ -121,8 +121,7 @@ type hazard = {
    instance-local obligations (gap-free-gseq, epoch-flush) are about
    one instance's wire discipline, not the service. *)
 let contract_obligations =
-  [ Spec.Total_order; Spec.Exactly_once; Spec.Validity; Spec.Fifo_order;
-    Spec.Causal_order ]
+  [ Spec.Total_order; Spec.Exactly_once; Spec.Validity ]
 
 let check_pair ~old_name ~old_spec ~new_name ~new_spec ~layer ~passives =
   let layer_name, layer_spec = layer in

@@ -5,7 +5,6 @@ type profile = {
   initial_abcast : string;
   layer : string option;
   with_gm : bool;
-  batch_size : int;
   batching : P.Batcher.config option;
   consensus_layer : string option;
   epoch_buffer : bool;
@@ -16,15 +15,13 @@ let default_profile =
     initial_abcast = Variants.ct;
     layer = Some Repl.protocol_name;
     with_gm = false;
-    batch_size = 1;
     batching = None;
     consensus_layer = None;
     epoch_buffer = true;
   }
 
 let register_protocols ?register_extra ~profile system =
-  Variants.register_all ~batch_size:profile.batch_size ?batching:profile.batching
-    system;
+  Variants.register_all ?batching:profile.batching system;
   Repl.register system;
   P.Gm.register system;
   (match register_extra with Some f -> f system | None -> ());

@@ -25,7 +25,6 @@ type profile = {
       (** protocol name of the [r-abcast] provider; [None] = no
           replacement layer *)
   with_gm : bool;  (** install group membership (needs a layer) *)
-  batch_size : int;  (** consensus-based ABcast batching (1 = paper) *)
   batching : Dpu_protocols.Batcher.config option;
       (** throughput-mode batch aggregation for the ABcast variants
           ({!Dpu_protocols.Batcher}); [None] (the default) keeps the
@@ -42,8 +41,7 @@ type profile = {
 }
 
 val default_profile : profile
-(** CT ABcast, [Repl] layer, no GM, batch 1, no batching, epoch buffer
-    on. *)
+(** CT ABcast, [Repl] layer, no GM, no batching, epoch buffer on. *)
 
 val register_protocols :
   ?register_extra:(System.t -> unit) -> profile:profile -> System.t -> unit

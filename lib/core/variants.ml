@@ -8,12 +8,12 @@ let token = P.Abcast_token.protocol_name
 
 let all = [ ct; sequencer; token ]
 
-let register_all ?batch_size ?batching system =
+let register_all ?batching system =
   P.Udp.register system;
   P.Rp2p.register system;
   P.Fd.register system;
   P.Rbcast.register system;
   P.Consensus_ct.register system;
-  P.Abcast_ct.register ?batch_size ?batching system;
+  P.Abcast_ct.register ?batching system;
   P.Abcast_seq.register ?batching system;
   P.Abcast_token.register system

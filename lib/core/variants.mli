@@ -15,13 +15,12 @@ val token : string
 val all : string list
 
 val register_all :
-  ?batch_size:int ->
   ?batching:Dpu_protocols.Batcher.config ->
   Dpu_kernel.System.t ->
   unit
 (** Register every variant (and their substrate protocols: udp, rp2p,
     fd, rbcast, consensus) in the system registry, so that
     [Registry.instantiate] can build any of them on demand during a
-    replacement. [batch_size] configures the consensus-based variant;
-    [batching] turns on throughput-mode aggregation for the consensus
-    and sequencer variants (the token ring stays unbatched). *)
+    replacement. [batching] turns on throughput-mode aggregation for
+    the consensus and sequencer variants (the token ring stays
+    unbatched). *)

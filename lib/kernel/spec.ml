@@ -6,8 +6,6 @@ type obligation =
   | Validity
   | Gap_free_gseq
   | Epoch_flush
-  | Fifo_order
-  | Causal_order
 
 let obligation_name = function
   | Total_order -> "total-order"
@@ -15,8 +13,6 @@ let obligation_name = function
   | Validity -> "validity"
   | Gap_free_gseq -> "gap-free-gseq"
   | Epoch_flush -> "epoch-flush"
-  | Fifo_order -> "fifo-order"
-  | Causal_order -> "causal-order"
 
 type capability =
   | Reissue_undelivered

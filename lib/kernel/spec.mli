@@ -31,8 +31,6 @@ type obligation =
   | Epoch_flush
       (** a superseded instance must not keep payloads parked in a
           partially-filled batch waiting for a fuller fill *)
-  | Fifo_order  (** per-sender FIFO delivery *)
-  | Causal_order  (** causal delivery *)
 
 val obligation_name : obligation -> string
 (** Stable kebab-case name, e.g. ["total-order"], ["gap-free-gseq"]. *)

@@ -77,6 +77,8 @@ let validate params switches =
   let out_of_range node = node < 0 || node >= params.n in
   if params.n < 1 then Error "need at least one node"
   else if params.load <= 0.0 then Error "load must be positive"
+  else if Option.fold ~none:false ~some:(fun k -> k < 1) params.batching then
+    Error "batch must be at least 1"
   else
     match Dpu_faults.Schedule.validate ~n:params.n params.nemesis with
     | Error msg -> Error ("nemesis: " ^ msg)

@@ -71,8 +71,8 @@ val run :
   ?logs_dir:string ->
   params ->
   (outcome, string) result
-(** [Error] on bad parameters — [n < 1], [load <= 0], or a nemesis
-    schedule or switch naming a node out of range — before any socket
-    is bound; and [Error "node i: ..."] when node [i] raises or dies,
-    in which case the nodes still running are killed. Property
-    violations are not an error — inspect [checks]. *)
+(** [Error] on bad parameters — [n < 1], [load <= 0], a batch cap
+    below 1, or a nemesis schedule or switch naming a node out of
+    range — before any socket is bound; and [Error "node i: ..."] when
+    node [i] raises or dies, in which case the nodes still running are
+    killed. Property violations are not an error — inspect [checks]. *)

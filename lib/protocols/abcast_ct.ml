@@ -54,7 +54,7 @@ let protocol_name = "abcast.ct"
 
 let header_size = 64
 
-let install ?(batch_size = 1) ?batching stack =
+let install ?batching stack =
   let me = Stack.node stack in
   let epoch = Abcast_iface.current_epoch stack in
   Stack.add_module stack ~name:protocol_name
@@ -71,7 +71,7 @@ let install ?(batch_size = 1) ?batching stack =
       let cap =
         match batching with
         | Some (cfg : Batcher.config) -> cfg.Batcher.max_batch
-        | None -> batch_size
+        | None -> 1
       in
       let propose_now () =
         if (not !proposed) && Hashtbl.length unordered > 0 then begin
@@ -212,9 +212,9 @@ let spec ~batched =
       @ if batched then [ Spec.Epoch_flush_on_supersede ] else [])
     ()
 
-let register ?batch_size ?batching system =
+let register ?batching system =
   Registry.register (System.registry system) ~name:protocol_name
     ~provides:[ Service.abcast ]
     ~requires:[ Service.consensus; Rbcast.service ]
     ~spec:(spec ~batched:(batching <> None))
-    (fun stack -> install ?batch_size ?batching stack)
+    (fun stack -> install ?batching stack)

@@ -9,8 +9,8 @@
     consensus instance and ships full message contents (not
     identifiers) through consensus — the paper's §6 notes its latency
     figures are high for exactly this reason, and the load/latency
-    curve of Fig. 6 is shaped by this queueing. [batch_size] lifts the
-    limit for the batching ablation bench.
+    curve of Fig. 6 is shaped by this queueing. [batching] lifts the
+    limit for throughput mode.
 
     The module is epoch-aware: it reads the protocol generation from
     the stack environment at creation and tags all its consensus
@@ -31,12 +31,12 @@ type Payload.t += Disseminate of { epoch : int; item : item }
 val protocol_name : string
 (** ["abcast.ct"] *)
 
-val install : ?batch_size:int -> ?batching:Batcher.config -> Stack.t -> Stack.module_
-(** [batch_size] caps how many items one consensus instance may carry
-    (default 1, the paper's prototype). [batching] turns on the
-    throughput-mode flush policy instead: propose only once
-    [max_batch] messages are pending or the oldest has waited
-    [max_delay_ms] ({!Batcher.Trigger}); the cap becomes [max_batch].
+val install : ?batching:Batcher.config -> Stack.t -> Stack.module_
+(** Without [batching], one consensus instance carries one item (the
+    paper's prototype). [batching] turns on the throughput-mode flush
+    policy: propose only once [max_batch] messages are pending or the
+    oldest has waited [max_delay_ms] ({!Batcher.Trigger}); the cap
+    becomes [max_batch].
     Because the consensus value is the whole {!Batch}, one slot of the
     underlying consensus ({!Consensus_ct}, {!Consensus_paxos} — and
     one {!Repl_consensus} wrapped instance when the replacement layer
@@ -44,4 +44,4 @@ val install : ?batch_size:int -> ?batching:Batcher.config -> Stack.t -> Stack.mo
     from a single epoch; on supersession pending messages are proposed
     immediately rather than held for a fuller batch. *)
 
-val register : ?batch_size:int -> ?batching:Batcher.config -> System.t -> unit
+val register : ?batching:Batcher.config -> System.t -> unit

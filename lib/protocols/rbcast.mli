@@ -8,8 +8,9 @@
     the sender crashed mid-broadcast.
 
     Relaying costs O(n^2) datagrams per broadcast; [relay:false] turns
-    it off for the ablation bench (cheaper, but agreement then depends
-    on the sender surviving its send loop). *)
+    it off (cheaper, but agreement then depends on the sender surviving
+    its send loop; test_protocols' "no relay breaks it" shows the
+    loss). *)
 
 open Dpu_kernel
 

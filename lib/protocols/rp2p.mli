@@ -40,7 +40,8 @@ type config = {
           storm backoff. With [false] the timeout is the fixed
           [rto_ms]: under load, queueing pushes the real round-trip
           past it and every retransmission feeds the queue further —
-          the congestion collapse the ablation bench demonstrates. *)
+          test_protocols' "adaptive RTO converges" keeps this as a
+          negative control. *)
 }
 
 val default_config : config

@@ -28,7 +28,6 @@ type params = {
   switch_to : string option;
   switch_at_ms : float;
   approach : approach;
-  batch_size : int;
   batching : Dpu_protocols.Batcher.config option;
   loss : float;
   hop_cost : float;
@@ -56,7 +55,6 @@ let default =
     switch_to = Some Dpu_core.Variants.ct;
     switch_at_ms = 5_000.0;
     approach = Repl;
-    batch_size = 1;
     batching = None;
     loss = 0.0;
     hop_cost = 0.5;
@@ -99,7 +97,6 @@ let profile_of params =
     SB.initial_abcast = params.initial;
     layer = layer_of params.approach;
     with_gm = false;
-    batch_size = params.batch_size;
     batching = params.batching;
     consensus_layer = params.consensus_layer;
     epoch_buffer = params.epoch_buffer;

@@ -30,7 +30,6 @@ type params = {
   switch_to : string option;  (** [None]: no replacement *)
   switch_at_ms : float;
   approach : approach;
-  batch_size : int;
   batching : Dpu_protocols.Batcher.config option;
       (** throughput-mode batch aggregation in the ordering hot path
           ([None] = the exact unbatched code paths) *)

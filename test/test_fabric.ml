@@ -10,7 +10,6 @@ module Variants = Dpu_core.Variants
 module Collector = Dpu_core.Collector
 module Kv = Dpu_apps.Replicated_kv
 module Sharded_kv = Dpu_apps.Sharded_kv
-module Sharded_locks = Dpu_apps.Sharded_locks
 module Hash_ring = Dpu_apps.Hash_ring
 
 let check = Alcotest.check
@@ -187,31 +186,6 @@ let test_sharded_kv_survives_rolling_replacement () =
       check (Alcotest.option Alcotest.string) k (Some "after") (Sharded_kv.get kv k))
     keys
 
-let test_sharded_locks () =
-  let fabric = Fabric.create ~shards:3 ~n:6 () in
-  let locks = Sharded_locks.create fabric in
-  let names = List.init 12 (Printf.sprintf "lock-%d") in
-  List.iter (fun l -> Sharded_locks.acquire locks ~node:0 l) names;
-  (* Sequence the rounds (the [limit]s are absolute virtual times):
-     concurrent acquires from different nodes are ordered by the
-     shard's total order, not by issue time. *)
-  Fabric.run_until_quiescent ~limit:20_000.0 fabric;
-  List.iter (fun l -> Sharded_locks.acquire locks ~node:1 l) names;
-  Fabric.run_until_quiescent ~limit:40_000.0 fabric;
-  List.iter
-    (fun l ->
-      check (Alcotest.option Alcotest.int) (l ^ " held by first requester")
-        (Some 0) (Sharded_locks.holder locks l))
-    names;
-  List.iter (fun l -> Sharded_locks.release locks ~node:0 l) names;
-  Fabric.run_until_quiescent ~limit:60_000.0 fabric;
-  List.iter
-    (fun l ->
-      check (Alcotest.option Alcotest.int) (l ^ " passed to waiter") (Some 1)
-        (Sharded_locks.holder locks l))
-    names;
-  check Alcotest.bool "lock state converged" true (Sharded_locks.converged locks)
-
 let test_attach_late_races_change_protocol () =
   (* The PR-10 satellite: a state transfer pinned across a concurrent
      switch window on the same group. Node 2 of shard 1 attaches late
@@ -314,7 +288,6 @@ let () =
             test_sharded_kv_routing_and_convergence;
           Alcotest.test_case "kv survives rolling replacement" `Quick
             test_sharded_kv_survives_rolling_replacement;
-          Alcotest.test_case "sharded locks" `Quick test_sharded_locks;
           Alcotest.test_case "attach_late races change_protocol" `Quick
             test_attach_late_races_change_protocol;
         ] );

@@ -690,6 +690,7 @@ let test_serve_rejects_bad_params () =
     [
       ("no nodes", { base with n = 0 });
       ("zero load", { base with load = 0.0 });
+      ("batch below one", { base with batching = Some 0 });
       ( "nemesis node out of range",
         { base with nemesis = [ Dpu_faults.Schedule.crash ~at:100.0 9 ] } );
       ( "switch node out of range",

@@ -776,9 +776,9 @@ let prop_abcast_total_order variant =
 let test_abcast_ct_batching () =
   (* With batching enabled, many concurrent messages need far fewer
      consensus instances. *)
-  let count_instances batch_size =
+  let count_instances batching =
     let system = make_system ~n:3 () in
-    P.Abcast_ct.register ~batch_size system;
+    P.Abcast_ct.register ?batching system;
     System.iter_stacks system (fun stack ->
         ignore
           (Registry.instantiate (System.registry system) stack ~name:P.Abcast_ct.protocol_name));
@@ -790,8 +790,8 @@ let test_abcast_ct_batching () =
     check Alcotest.int "all delivered" 20 (List.length !(List.nth logs 0));
     P.Consensus_ct.decided_count (System.stack system 0)
   in
-  let unbatched = count_instances 1 in
-  let batched = count_instances 8 in
+  let unbatched = count_instances None in
+  let batched = count_instances (Some { P.Batcher.max_batch = 8; max_delay_ms = 2.0 }) in
   check Alcotest.bool
     (Printf.sprintf "batched (%d) uses fewer instances than unbatched (%d)" batched unbatched)
     true

@@ -84,13 +84,6 @@ let samples : (string * Payload.t) list =
     ("token.repair-req", P.Abcast_token.Wire_repair_req { epoch = 2; gseq = 4; from = 1 });
     ("token.repair", P.Abcast_token.Wire_repair { epoch = 2; order });
     ("token.hello", P.Abcast_token.Wire_hello { epoch = 2; from = 1 });
-    ("causal.bcast", P.Causal_bcast.Bcast { size = 77; payload = app });
-    ("causal.deliver", P.Causal_bcast.Deliver { origin = 3; payload = app });
-    ( "causal.stamped",
-      P.Causal_bcast.Stamped { stamp = [ 0; 2; 1 ]; origin = 1; payload = app } );
-    ("fifo.bcast", P.Fifo_bcast.Bcast { size = 77; payload = app });
-    ("fifo.deliver", P.Fifo_bcast.Deliver { origin = 3; payload = app });
-    ("fifo.tagged", P.Fifo_bcast.Tagged { fseq = 6; payload = app });
     ("gm.join", P.Gm.Join 2);
     ("gm.leave", P.Gm.Leave 0);
     ("gm.view", P.Gm.View { P.Gm.id = 3; members = [ 0; 1; 2 ] });
