@@ -20,6 +20,9 @@ module Clock = Dpu_runtime.Clock
 module Json = Dpu_obs.Json
 module Sweep = Dpu_runtime.Sweep
 
+(* Every section but [shard] runs the paper's single group: shard 0. *)
+let run_single p = (E.run p).E.per_shard.(0)
+
 let section name = Printf.printf "\n============ %s ============\n%!" name
 
 (* Machine-readable results: every section deposits its numbers here
@@ -61,19 +64,20 @@ let run_fig5 () =
   let r = F.figure5 () in
   print_string (F.render_figure5 r);
   let reports = E.check r in
+  let s = r.E.per_shard.(0) in
   record "fig5"
     (Json.Obj
        [
          ("n", Json.Int r.E.params.E.n);
          ("seed", Json.Int r.E.params.E.seed);
          ("load_msg_per_s", Json.Float r.E.params.E.load);
-         ("sent", Json.Int r.E.sent);
-         ("delivered_everywhere", Json.Int r.E.delivered_everywhere);
-         ("normal_mean_ms", Json.Float (Stats.mean r.E.normal));
-         ("normal_p95_ms", Json.Float (Stats.percentile r.E.normal 95.0));
-         ("during_mean_ms", Json.Float (Stats.mean r.E.during));
-         ("switch_duration_ms", Json.Float r.E.switch_duration_ms);
-         ("blocked_ms", Json.Float r.E.blocked_ms);
+         ("sent", Json.Int s.E.sent);
+         ("delivered_everywhere", Json.Int s.E.delivered_everywhere);
+         ("normal_mean_ms", Json.Float (Stats.mean s.E.normal));
+         ("normal_p95_ms", Json.Float (Stats.percentile s.E.normal 95.0));
+         ("during_mean_ms", Json.Float (Stats.mean s.E.during));
+         ("switch_duration_ms", Json.Float s.E.switch_duration_ms);
+         ("blocked_ms", Json.Float s.E.blocked_ms);
          ("properties_ok", Json.Bool (Dpu_props.Report.all_ok reports));
        ]);
   Format.printf "properties: %s@."
@@ -131,7 +135,7 @@ type point = {
 }
 
 let measure_window (p : E.params) =
-  let r = E.run p in
+  let r = run_single p in
   let lo = p.E.warmup_ms and hi = p.E.duration_ms in
   let delivered =
     List.length
@@ -320,7 +324,6 @@ let run_throughput () =
 
 let run_shard () =
   section "Sharded fabric: rolling replacement under load, n x shards grid";
-  let module Sh = W.Shard in
   (* The full {7,31,63,127} x {1,4,16} grid minus infeasible cells:
      shards <= n, and per-group size capped at 63 — a single 127-node
      consensus group needs minutes of wall clock per virtual second,
@@ -338,29 +341,40 @@ let run_shard () =
   let outcome =
     Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun i ->
         let n, shards = grid.(i) in
-        let params =
+        let p =
           {
-            Sh.default with
+            E.default with
             n;
             shards;
-            load_per_s = 1.5 *. float_of_int n;
+            msg_size = 512;
+            hop_cost = 0.05;
+            pattern = W.Load_gen.Constant;
+            load = 1.5 *. float_of_int n;
             warmup_ms = 100.0;
             duration_ms = 600.0;
             drain_ms = 1_200.0;
-            rolling = Some { Sh.default_rolling with start_ms = 250.0 };
+            switch_to = Some Dpu_core.Variants.sequencer;
+            switch_at_ms = 250.0;
+            stagger_ms = 0.25;
           }
         in
-        let r = Sh.run ~params () in
-        let sum f = List.fold_left (fun a s -> a + f s) 0 r.Sh.per_shard in
-        let worst f =
-          List.fold_left (fun a s -> Float.max a (f s)) 0.0 r.Sh.per_shard
+        let r = E.run p in
+        let shards = Array.to_list r.E.per_shard in
+        let sum f = List.fold_left (fun a s -> a + f s) 0 shards in
+        (* Post-warmup quantiles; a shard without samples does not count. *)
+        let worst q =
+          List.fold_left
+            (fun a (s : E.shard) ->
+              let m = Series.stats_between s.latency ~lo:p.warmup_ms ~hi:infinity in
+              if Stats.count m = 0 then a else Float.max a (Stats.percentile m q))
+            0.0 shards
         in
-        ( sum (fun s -> s.Sh.sent),
-          sum (fun s -> s.Sh.delivered),
-          worst (fun s -> s.Sh.p50_ms),
-          worst (fun s -> s.Sh.p99_ms),
-          r.Sh.max_concurrent_switches,
-          r.Sh.all_ok ))
+        ( sum (fun s -> s.E.sent),
+          sum (fun s -> s.E.delivered_everywhere),
+          worst 50.0,
+          worst 99.0,
+          r.E.max_concurrent_switches,
+          E.all_ok r ))
   in
   record_sweep "shard" outcome.Sweep.stats;
   let cells = Array.to_list (Array.mapi (fun i r -> (grid.(i), r)) outcome.Sweep.results) in
@@ -389,7 +403,7 @@ let run_shard () =
   record "shard"
     (Json.Obj
        [
-         ("seed", Json.Int Sh.default.Sh.seed);
+         ("seed", Json.Int E.default.E.seed);
          ( "cells",
            Json.List
              (List.map
@@ -466,7 +480,7 @@ let run_compare () =
     "\nflexibility: switch seq->ct (new protocol requires consensus+rbcast)\n";
   let try_switch approach =
     let r =
-      E.run
+      run_single
         {
           E.default with
           n = 4;
@@ -507,7 +521,8 @@ let run_ablation () =
       (fun hop_cost ->
         let normal_mean approach =
           Stats.mean
-            (E.run { E.default with hop_cost; approach; switch_to = None; duration_ms = 4_000.0 })
+            (run_single
+               { E.default with hop_cost; approach; switch_to = None; duration_ms = 4_000.0 })
               .E.normal
         in
         (hop_cost, normal_mean E.No_layer, normal_mean E.Repl))
@@ -534,7 +549,7 @@ let run_ablation () =
          [ 3; 7 ])
       (fun (n, variant) ->
         let r =
-          E.run
+          run_single
             {
               E.default with
               n;
@@ -569,7 +584,7 @@ let run_ablation () =
          Dpu_core.Variants.all)
       (fun (from_p, to_p) ->
         let r =
-          E.run
+          run_single
             {
               E.default with
               n = 5;

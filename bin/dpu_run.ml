@@ -6,12 +6,12 @@
      fig6       regenerate Figure 6
      headline   regenerate the §6 headline numbers
      compare    quantify Repl vs Graceful vs Maestro
-     shard      sharded fabric under load, rolling replacement
      check      static composition verification, no simulation
      serve      live deployment over real UDP sockets (--nemesis/--scenario)
      corpus     adversarial replacement scenarios, sim or live
-     trace      dump the kernel event trace of a short scenario
-     report     render metrics/trace/bench-history artifacts as HTML *)
+     report     render metrics/trace/shard/bench-history artifacts as HTML
+
+   [scenario --shards S] runs S groups on one simulator. *)
 
 open Cmdliner
 module E = Dpu_workload.Experiment
@@ -84,7 +84,16 @@ let approach_conv =
 
 let scenario n load seed duration switch_at initial switch_to approach loss batch check
     consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
-    nemesis_faults metrics_out spans_out csv_out log_out =
+    nemesis_faults shards stagger drain metrics_out spans_out csv_out json_out log_out =
+  let fail fmt =
+    Printf.ksprintf (fun m -> Printf.eprintf "dpu_run scenario: %s\n" m; exit 2) fmt
+  in
+  (* The per-message exports and the faults are single-group for now. *)
+  if
+    shards > 1
+    && (spans_out <> None || csv_out <> None || faults <> [] || nemesis_seed <> None
+       || nemesis_faults <> None)
+  then fail "--spans-out, --csv-out, --fault and --nemesis-* need --shards 1";
   let consensus_layer =
     if consensus_layer || switch_consensus_to <> None then
       Some Dpu_protocols.Consensus_ct.protocol_name
@@ -96,19 +105,13 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
   let faults =
     match nemesis_seed with
     | None -> faults
+    | Some _ when n < 2 -> fail "--nemesis-seed needs at least 2 nodes"
     | Some seed ->
       faults
       @ Dpu_faults.Nemesis.generate
           ~rng:(Dpu_engine.Rng.create ~seed)
           ~n ~horizon_ms:duration ?faults:nemesis_faults ()
   in
-  (match Dpu_faults.Schedule.validate ~n faults with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "dpu_run: bad fault schedule: %s\n" msg;
-    exit 2);
-  if faults <> [] then
-    Format.printf "fault schedule: %a@." Dpu_faults.Schedule.pp faults;
   let obs_requested = metrics_out <> None || spans_out <> None || csv_out <> None in
   let params =
     {
@@ -129,23 +132,41 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
       switch_consensus;
       faults;
       log_out;
+      shards;
+      stagger_ms = stagger;
+      drain_ms = drain;
     }
   in
-  let r = E.run params in
-  Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" r.E.sent
-    r.E.delivered_everywhere
-    (String.concat "," (List.map string_of_int r.E.correct));
-  Printf.printf "normal latency: mean %.2f ms, p95 %.2f ms (%d msgs)\n"
-    (Stats.mean r.E.normal)
-    (Stats.percentile r.E.normal 95.0)
-    (Stats.count r.E.normal);
-  (match r.E.switch_window with
-  | Some (lo, hi) ->
-    Printf.printf "replacement: %.1f..%.1f ms (window %.1f ms); during: mean %.2f ms (%d msgs)\n"
-      lo hi (hi -. lo) (Stats.mean r.E.during) (Stats.count r.E.during)
-  | None -> print_endline "no replacement performed");
-  if r.E.blocked_ms > 0.0 then
-    Printf.printf "application blocked for %.1f ms\n" r.E.blocked_ms;
+  (match E.validate params with Ok () -> () | Error msg -> fail "%s" msg);
+  if faults <> [] then
+    Format.printf "fault schedule: %a@." Dpu_faults.Schedule.pp faults;
+  let r =
+    match E.run params with
+    | r -> r
+    | exception E.Preflight_failure reports ->
+      Format.printf "%a@?" Dpu_props.Report.pp_all reports;
+      fail "the static composition check rejected the configuration"
+  in
+  (* Shard 0 is the whole run when there is one shard, the only case
+     the per-message exports below accept. *)
+  let s = r.E.per_shard.(0) in
+  if shards > 1 then print_string (E.render_shards r)
+  else begin
+    Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" s.E.sent
+      s.E.delivered_everywhere
+      (String.concat "," (List.map string_of_int s.E.correct));
+    Printf.printf "normal latency: mean %.2f ms, p95 %.2f ms (%d msgs)\n"
+      (Stats.mean s.E.normal)
+      (Stats.percentile s.E.normal 95.0)
+      (Stats.count s.E.normal);
+    (match s.E.switch_window with
+    | Some (lo, hi) ->
+      Printf.printf "replacement: %.1f..%.1f ms (window %.1f ms); during: mean %.2f ms (%d msgs)\n"
+        lo hi (hi -. lo) (Stats.mean s.E.during) (Stats.count s.E.during)
+    | None -> print_endline "no replacement performed");
+    if s.E.blocked_ms > 0.0 then
+      Printf.printf "application blocked for %.1f ms\n" s.E.blocked_ms
+  end;
   (match metrics_out with
   | Some path ->
     Dpu_obs.Json.to_file path (Dpu_obs.Metrics.to_json r.E.metrics);
@@ -153,7 +174,7 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
   | None -> ());
   (match spans_out with
   | Some path ->
-    let events = Dpu_core.Spans.of_run ~trace:r.E.trace ~n r.E.collector in
+    let events = Dpu_core.Spans.of_run ~trace:s.E.trace ~n s.E.collector in
     Dpu_obs.Json.to_file path (Dpu_core.Spans.to_json events);
     Printf.printf "%d trace events written to %s (load in Perfetto / chrome://tracing)\n"
       (List.length events) path
@@ -164,10 +185,15 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
       List.map
         (fun (p : Dpu_engine.Series.point) ->
           [ Printf.sprintf "%.3f" p.time; Printf.sprintf "%.3f" p.value ])
-        (Dpu_engine.Series.points r.E.latency)
+        (Dpu_engine.Series.points s.E.latency)
     in
     Dpu_obs.Csv.to_file path ~header:[ "send_time_ms"; "latency_ms" ] rows;
     Printf.printf "%d latency samples written to %s\n" (List.length rows) path
+  | None -> ());
+  (match json_out with
+  | Some path ->
+    Dpu_obs.Json.to_file path (E.to_json r);
+    Printf.printf "result JSON written to %s\n" path
   | None -> ());
   (match log_out with
   | Some path -> Printf.printf "structured log written to %s\n" path
@@ -291,6 +317,31 @@ let scenario_cmd =
       & info [ "csv-out" ] ~docv:"FILE"
           ~doc:"Write the per-message latency series to FILE as CSV.")
   in
+  let shards =
+    Arg.(
+      value & opt int E.default.shards
+      & info [ "shards" ] ~docv:"S"
+          ~doc:"Partition the nodes into $(docv) ABcast groups on one simulator.")
+  in
+  let stagger =
+    Arg.(
+      value & opt float E.default.stagger_ms
+      & info [ "stagger" ] ~docv:"MS"
+          ~doc:"Delay between consecutive shards' switch triggers.")
+  in
+  let drain =
+    Arg.(
+      value & opt float E.default.drain_ms
+      & info [ "drain" ] ~docv:"MS"
+          ~doc:"Virtual time after the load stops for in-flight messages to come out.")
+  in
+  let json_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json-out" ] ~docv:"FILE"
+          ~doc:"Write the per-shard result to FILE as JSON (for $(b,report --shard)).")
+  in
   let log_out =
     Arg.(
       value
@@ -305,10 +356,14 @@ let scenario_cmd =
       const scenario $ n_arg $ load_arg $ seed_arg $ duration $ switch_at $ initial
       $ switch_to $ approach $ loss $ batch_arg $ check $ consensus_layer
       $ switch_consensus_to $ switch_consensus_at $ faults $ nemesis_seed
-      $ nemesis_faults $ metrics_out $ spans_out $ csv_out $ log_out)
+      $ nemesis_faults $ shards $ stagger $ drain $ metrics_out $ spans_out $ csv_out
+      $ json_out $ log_out)
   in
   Cmd.v
-    (Cmd.info "scenario" ~doc:"Run one simulated group-communication scenario.")
+    (Cmd.info "scenario"
+       ~doc:
+         "Run one simulated group-communication scenario: one group, or \
+          $(b,--shards) independent groups on one simulator.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -351,164 +406,6 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare" ~doc:"Quantify Repl vs Graceful Adaptation vs Maestro.")
     Term.(const run $ n_arg $ load_arg $ seed_arg $ jobs_arg)
-
-(* ------------------------------------------------------------------ *)
-(* shard — multi-group fabric under load, rolling replacement         *)
-(* ------------------------------------------------------------------ *)
-
-let shard_cmd =
-  let module Sh = Dpu_workload.Shard in
-  let shards_arg =
-    Arg.(
-      value & opt int Sh.default.shards
-      & info [ "shards" ] ~docv:"S" ~doc:"Number of independent ABcast groups.")
-  in
-  let n_total =
-    Arg.(
-      value & opt int 15
-      & info [ "n"; "nodes" ] ~docv:"N"
-          ~doc:"Total nodes, partitioned round-robin across the shards.")
-  in
-  let duration =
-    Arg.(
-      value & opt float Sh.default.duration_ms
-      & info [ "duration" ] ~docv:"MS" ~doc:"How long the load runs.")
-  in
-  let warmup =
-    Arg.(
-      value & opt float Sh.default.warmup_ms
-      & info [ "warmup" ] ~docv:"MS"
-          ~doc:"Latency samples before this instant are discarded.")
-  in
-  let drain =
-    Arg.(
-      value & opt float Sh.default.drain_ms
-      & info [ "drain" ] ~docv:"MS"
-          ~doc:"Extra virtual time after the load stops, for in-flight messages.")
-  in
-  let msg_size =
-    Arg.(
-      value & opt int Sh.default.msg_size
-      & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Broadcast payload size.")
-  in
-  let loss =
-    Arg.(
-      value & opt float 0.0
-      & info [ "loss" ] ~docv:"P" ~doc:"Per-message network loss probability.")
-  in
-  let closed_loop =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "closed-loop" ] ~docv:"K"
-          ~doc:
-            "Replace the open-loop generators with $(docv) closed-loop clients \
-             per node (each re-sends on its own delivery).")
-  in
-  let rolling =
-    Arg.(
-      value & flag
-      & info [ "rolling" ]
-          ~doc:
-            "Perform a rolling protocol replacement: every shard switches, \
-             triggers staggered by --stagger, while the load keeps flowing.")
-  in
-  let rolling_to =
-    Arg.(
-      value
-      & opt string Sh.default_rolling.to_protocol
-      & info [ "rolling-to" ] ~docv:"PROT" ~doc:"ABcast variant to switch to.")
-  in
-  let rolling_at =
-    Arg.(
-      value
-      & opt float Sh.default_rolling.start_ms
-      & info [ "rolling-at" ] ~docv:"MS" ~doc:"When the first shard's switch fires.")
-  in
-  let stagger =
-    Arg.(
-      value
-      & opt float Sh.default_rolling.stagger_ms
-      & info [ "stagger" ] ~docv:"MS"
-          ~doc:
-            "Delay between consecutive shards' triggers. Smaller than a switch \
-             window means the windows overlap — that overlap is the point.")
-  in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv-out" ] ~docv:"FILE" ~doc:"Write the per-shard table to FILE as CSV.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the full result to FILE as JSON (feed to $(b,dpu_run report \
-             --shard)).")
-  in
-  let run n shards load seed msg_size duration warmup drain loss closed_loop rolling
-      rolling_to rolling_at stagger csv_out json_out =
-    let rolling =
-      if rolling then
-        Some { Sh.to_protocol = rolling_to; start_ms = rolling_at; stagger_ms = stagger }
-      else None
-    in
-    let params =
-      {
-        Sh.n;
-        shards;
-        seed;
-        msg_size;
-        load_per_s = load;
-        warmup_ms = warmup;
-        duration_ms = duration;
-        drain_ms = drain;
-        closed_loop;
-        rolling;
-        loss;
-      }
-    in
-    let r = Sh.run ~params () in
-    print_string
-      (Dpu_workload.Ascii.table ~header:Sh.csv_header (Sh.csv_rows r));
-    if rolling <> None then
-      Printf.printf "\nmax concurrent in-flight swaps: %d\n" r.Sh.max_concurrent_switches;
-    List.iter
-      (fun (s : Sh.shard_result) ->
-        List.iter
-          (fun v -> Printf.printf "shard %d VIOLATION: %s\n" s.shard v)
-          s.violations)
-      r.Sh.per_shard;
-    Option.iter
-      (fun path ->
-        Sh.write_csv path r;
-        Printf.printf "per-shard CSV written to %s\n" path)
-      csv_out;
-    Option.iter
-      (fun path ->
-        Dpu_obs.Json.to_file path (Sh.to_json r);
-        Printf.printf "result JSON written to %s\n" path)
-      json_out;
-    if r.Sh.all_ok then print_string "all shards OK\n"
-    else begin
-      print_string "FAILED: at least one shard violated its battery\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Run a consistent-hash-sharded fabric — many independent ABcast groups \
-          over one simulator — under sustained load, optionally with a rolling \
-          protocol replacement across every shard, and report per-shard latency \
-          quantiles, switch windows and property batteries.")
-    Term.(
-      const run $ n_total $ shards_arg $ load_arg $ seed_arg $ msg_size $ duration
-      $ warmup $ drain $ loss $ closed_loop $ rolling $ rolling_to $ rolling_at
-      $ stagger $ csv_out $ json_out)
 
 (* ------------------------------------------------------------------ *)
 (* check — static composition verification, no simulation             *)
@@ -1027,60 +924,6 @@ let corpus_cmd =
     Term.(const corpus $ only $ live $ seed_arg $ msg_size)
 
 (* ------------------------------------------------------------------ *)
-(* trace                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let trace_cmd =
-  let run n load duration switch_at switch_to grep =
-    let params =
-      {
-        E.default with
-        n;
-        load;
-        duration_ms = duration;
-        switch_at_ms = switch_at;
-        switch_to;
-        trace_enabled = true;
-      }
-    in
-    let r = E.run params in
-    let matches s =
-      match grep with
-      | None -> true
-      | Some needle ->
-        let nl = String.length needle and hl = String.length s in
-        let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
-        go 0
-    in
-    List.iter
-      (fun e ->
-        let line = Format.asprintf "%a" Dpu_kernel.Trace.pp_entry e in
-        if matches line then print_endline line)
-      (Dpu_kernel.Trace.entries r.E.trace)
-  in
-  let duration =
-    Arg.(value & opt float 500.0 & info [ "duration" ] ~docv:"MS" ~doc:"Horizon.")
-  in
-  let switch_at =
-    Arg.(value & opt float 250.0 & info [ "switch-at" ] ~docv:"MS" ~doc:"Switch time.")
-  in
-  let switch_to =
-    Arg.(
-      value
-      & opt (some string) (Some Dpu_core.Variants.sequencer)
-      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
-  in
-  let grep =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "grep" ] ~docv:"SUBSTR" ~doc:"Only print matching trace lines.")
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Dump the kernel event trace of a short scenario.")
-    Term.(const run $ n_arg $ load_arg $ duration $ switch_at $ switch_to $ grep)
-
-(* ------------------------------------------------------------------ *)
 (* report — render observability artifacts as one HTML page           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1168,8 +1011,8 @@ let report_cmd =
       & opt (some string) None
       & info [ "shard" ] ~docv:"FILE"
           ~doc:
-            "Sharded-run JSON (a $(b,shard --json-out) export) to render the \
-             per-shard quantile table and switch-window swimlane from.")
+            "Per-shard run JSON (a $(b,scenario --json-out) export) to render \
+             the per-shard quantile table and switch-window swimlane from.")
   in
   let history =
     Arg.(
@@ -1213,10 +1056,8 @@ let () =
             fig6_cmd;
             headline_cmd;
             compare_cmd;
-            shard_cmd;
             check_cmd;
             serve_cmd;
             corpus_cmd;
-            trace_cmd;
             report_cmd;
           ]))

@@ -190,25 +190,25 @@ let send t ~src ~dst ~size_bytes payload =
 let egress_backlog_ms t ~node =
   Float.max 0.0 (t.egress_free.(node) -. Sim.now t.sim)
 
-let register_metrics t m =
+let register_metrics ?(labels = []) t m =
   let module M = Dpu_obs.Metrics in
-  M.register_int m "net_sent_total" (fun () -> t.sent);
-  M.register_int m "net_delivered_total" (fun () -> t.delivered);
-  M.register_int m "net_lost_total" (fun () -> t.lost);
-  M.register_int m "net_filtered_total" (fun () -> t.filtered);
-  M.register_int m "net_duplicated_total" (fun () -> t.duplicated);
-  M.register_int m "net_dup_bytes_total" (fun () -> t.dup_bytes);
-  M.register_int m "net_blocked_total" (fun () ->
+  M.register_int m ~labels "net_sent_total" (fun () -> t.sent);
+  M.register_int m ~labels "net_delivered_total" (fun () -> t.delivered);
+  M.register_int m ~labels "net_lost_total" (fun () -> t.lost);
+  M.register_int m ~labels "net_filtered_total" (fun () -> t.filtered);
+  M.register_int m ~labels "net_duplicated_total" (fun () -> t.duplicated);
+  M.register_int m ~labels "net_dup_bytes_total" (fun () -> t.dup_bytes);
+  M.register_int m ~labels "net_blocked_total" (fun () ->
       t.blocked_crash + t.blocked_partition + t.blocked_no_handler);
-  M.register_int m ~labels:[ ("cause", "crash") ] "net_blocked_by_cause_total"
+  M.register_int m ~labels:(labels @ [ ("cause", "crash") ]) "net_blocked_by_cause_total"
     (fun () -> t.blocked_crash);
-  M.register_int m ~labels:[ ("cause", "partition") ] "net_blocked_by_cause_total"
+  M.register_int m ~labels:(labels @ [ ("cause", "partition") ]) "net_blocked_by_cause_total"
     (fun () -> t.blocked_partition);
-  M.register_int m ~labels:[ ("cause", "no-handler") ] "net_blocked_by_cause_total"
+  M.register_int m ~labels:(labels @ [ ("cause", "no-handler") ]) "net_blocked_by_cause_total"
     (fun () -> t.blocked_no_handler);
-  M.register_int m "net_bytes_total" (fun () -> t.bytes);
-  M.register_float m "net_loss_probability" (fun () -> t.loss);
-  M.register_float m "net_dup_probability" (fun () -> t.dup)
+  M.register_int m ~labels "net_bytes_total" (fun () -> t.bytes);
+  M.register_float m ~labels "net_loss_probability" (fun () -> t.loss);
+  M.register_float m ~labels "net_dup_probability" (fun () -> t.dup)
 
 let counters t =
   {

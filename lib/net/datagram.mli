@@ -101,10 +101,12 @@ val set_link_override : 'a t -> src:int -> dst:int -> Latency.link option -> uni
 
 val counters : 'a t -> counters
 
-val register_metrics : 'a t -> Dpu_obs.Metrics.t -> unit
+val register_metrics : ?labels:(string * string) list -> 'a t -> Dpu_obs.Metrics.t -> unit
 (** Export every {!counters} field (plus [net_blocked_by_cause_total]
     labelled by cause and the current loss/dup probabilities) as
-    snapshot-time callbacks — no per-datagram cost. *)
+    snapshot-time callbacks — no per-datagram cost. [labels] (default
+    none) go on every series, so several networks can share one
+    registry. *)
 
 val egress_backlog_ms : 'a t -> node:int -> float
 (** How far ahead of the current virtual time the node's interface is

@@ -485,7 +485,7 @@ let trend_section history =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Shard section (a sharded-run JSON from `dpu_run shard --json`)     *)
+(* Shard section (a run JSON from `dpu_run scenario --json-out`)      *)
 (* ------------------------------------------------------------------ *)
 
 let shard_field j name = Option.bind (Json.member j name) Json.to_float_opt
@@ -509,7 +509,7 @@ let shard_swimlane shards =
       shards
   in
   match windows with
-  | [] -> "<p class=\"empty\">no switch windows (run without --rolling)</p>\n"
+  | [] -> "<p class=\"empty\">no switch windows (run without --switch-to)</p>\n"
   | _ ->
     let tmin = List.fold_left (fun a (_, lo, _) -> Float.min a lo) infinity windows in
     let tmax = List.fold_left (fun a (_, _, hi) -> Float.max a hi) neg_infinity windows in

@@ -10,7 +10,7 @@
       per-node nesting ([{"nodes": [...]}]);
     - a sharded-run section (per-shard quantile table plus a
       switch-window swimlane, one lane per shard) from a
-      [dpu_run shard --json] export;
+      [dpu_run scenario --json-out] export;
     - per-commit trend charts over a history of BENCH_results.json
       files, one small SVG line chart per numeric series.
 

@@ -5,13 +5,17 @@ module Sweep = Dpu_runtime.Sweep
 let figure5 ?(n = 7) ?(load = 40.0) ?(seed = 1) () =
   Experiment.run { Experiment.default with n; load; seed }
 
+(* Every figure runs the paper's single group: its numbers are shard 0's. *)
+let single (r : Experiment.result) = r.per_shard.(0)
+
 let render_figure5 (r : Experiment.result) =
+  let s = single r in
   let buf = Buffer.create 4096 in
-  let windowed = Series.window_average r.latency ~width:250.0 in
+  let windowed = Series.window_average s.latency ~width:250.0 in
   let points = List.map (fun (p : Series.point) -> (p.time, p.value)) windowed in
   let ymax = List.fold_left (fun acc (_, y) -> Float.max acc y) 1.0 points in
   let window_markers =
-    match r.switch_window with
+    match s.switch_window with
     | Some (lo, hi) ->
       (* A vertical band of markers over the replacement window. *)
       let column x = List.init 8 (fun i -> (x, ymax *. float_of_int (i + 1) /. 8.0)) in
@@ -26,15 +30,15 @@ let render_figure5 (r : Experiment.result) =
             r.params.n r.params.load r.params.switch_at_ms)
        ~x_unit:"ms (send time)" ~y_unit:"ms"
        (("avg latency (250 ms windows)", points) :: window_markers));
-  (match r.switch_window with
+  (match s.switch_window with
   | Some (lo, hi) ->
     Buffer.add_string buf
       (Printf.sprintf "replacement window: %.1f .. %.1f ms (%.1f ms)\n" lo hi (hi -. lo))
   | None -> Buffer.add_string buf "no replacement completed\n");
   Buffer.add_string buf
     (Printf.sprintf "normal: %.2f ms (n=%d)   during replacement: %.2f ms (n=%d)\n"
-       (Stats.mean r.normal) (Stats.count r.normal) (Stats.mean r.during)
-       (Stats.count r.during));
+       (Stats.mean s.normal) (Stats.count s.normal) (Stats.mean s.during)
+       (Stats.count s.during));
   Buffer.contents buf
 
 type fig6_point = {
@@ -55,11 +59,10 @@ let figure6 ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ]) ?(seed 
     let base =
       { Experiment.default with n; load; seed; duration_ms = 8_000.0; switch_at_ms = 4_000.0 }
     in
-    let no_layer =
-      Experiment.run { base with approach = Experiment.No_layer; switch_to = None }
-    in
-    let with_layer = Experiment.run { base with switch_to = None } in
-    let switching = Experiment.run base in
+    let run p = single (Experiment.run p) in
+    let no_layer = run { base with approach = Experiment.No_layer; switch_to = None } in
+    let with_layer = run { base with switch_to = None } in
+    let switching = run base in
     {
       n;
       load;
@@ -134,11 +137,10 @@ let headline ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs () =
   let seeds = Array.of_list seeds in
   let cell idx =
     let base = { Experiment.default with n; load; seed = seeds.(idx) } in
-    let no_layer =
-      Experiment.run { base with approach = Experiment.No_layer; switch_to = None }
-    in
-    let with_layer = Experiment.run { base with switch_to = None } in
-    let switching = Experiment.run base in
+    let run p = single (Experiment.run p) in
+    let no_layer = run { base with approach = Experiment.No_layer; switch_to = None } in
+    let with_layer = run { base with switch_to = None } in
+    let switching = run base in
     {
       hc_no_layer = Stats.samples no_layer.normal;
       hc_with_layer = Stats.samples with_layer.normal;
@@ -205,7 +207,7 @@ let compare_approaches ?(n = 5) ?(load = 40.0) ?(seed = 1) ?jobs () =
   let approaches = [| Experiment.Repl; Experiment.Graceful; Experiment.Maestro |] in
   let cell idx =
     let approach = approaches.(idx) in
-    let r = Experiment.run { Experiment.default with n; load; seed; approach } in
+    let r = single (Experiment.run { Experiment.default with n; load; seed; approach }) in
     {
       approach;
       normal_ms = Stats.mean r.normal;

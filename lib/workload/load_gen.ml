@@ -8,6 +8,8 @@ type pattern =
   | Burst of { period_ms : float; duty : float }
 
 let start mw ~rate_per_s ?(pattern = Constant) ?size ?(body = "payload") ~until () =
+  if not (Float.is_finite rate_per_s && rate_per_s >= 0.0) then
+    invalid_arg (Printf.sprintf "Load_gen.start: rate %g must be finite and >= 0" rate_per_s);
   let n = MW.n mw in
   let system = MW.system mw in
   let clock = Dpu_kernel.System.clock system in

@@ -22,7 +22,8 @@ val start :
   unit ->
   unit
 (** Schedule broadcasts on every node from now until virtual time
-    [until] (ms). Total system rate is [rate_per_s]. *)
+    [until] (ms). Total system rate is [rate_per_s]. Raises
+    [Invalid_argument] unless [rate_per_s] is finite and [>= 0]. *)
 
 val closed_loop :
   Dpu_core.Middleware.t ->

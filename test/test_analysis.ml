@@ -523,7 +523,7 @@ let test_safe_pairs_static_eq_dynamic () =
         (E.check result);
       check Alcotest.bool
         (Printf.sprintf "%s->%s switch completed" initial target)
-        true (result.E.switch_window <> None))
+        true (result.E.per_shard.(0).E.switch_window <> None))
     [ (Variants.ct, Variants.sequencer); (Variants.sequencer, Variants.token) ]
 
 (* The pair the static checker rejects (no future-epoch buffer) must
@@ -625,7 +625,8 @@ let test_preflight_rejects_unsafe_behaviour () =
     check Alcotest.bool "raised before any message was sent" true
       (r.Report.checked > 0)
   | result ->
-    Alcotest.failf "expected Preflight_failure, ran and sent %d" result.E.sent
+    Alcotest.failf "expected Preflight_failure, ran and sent %d"
+      result.E.per_shard.(0).E.sent
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                        *)

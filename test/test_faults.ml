@@ -562,14 +562,14 @@ let assert_props_hold ~what result =
     reports;
   (* The switch really happened. *)
   check Alcotest.bool (what ^ ": switch completed") true
-    (result.E.switch_window <> None);
-  check Alcotest.bool (what ^ ": traffic flowed") true (result.E.sent > 20)
+    (result.E.per_shard.(0).E.switch_window <> None);
+  check Alcotest.bool (what ^ ": traffic flowed") true (result.E.per_shard.(0).E.sent > 20)
 
 let test_switch_during_crash () =
   let faults = [ Schedule.crash ~at:1_500.0 3 ] in
   let result = E.run (soak_params ~seed:101 faults) in
   check (Alcotest.list Alcotest.int) "crashed node excluded" [ 0; 1; 2; 4 ]
-    result.E.correct;
+    result.E.per_shard.(0).E.correct;
   assert_props_hold ~what:"switch-during-crash" result
 
 let test_switch_during_partition () =
@@ -577,7 +577,8 @@ let test_switch_during_partition () =
     [ Schedule.partition ~at:1_500.0 [ [ 0; 1; 2; 3 ]; [ 4 ] ]; Schedule.heal ~at:2_600.0 ]
   in
   let result = E.run (soak_params ~seed:102 faults) in
-  check (Alcotest.list Alcotest.int) "nobody crashed" [ 0; 1; 2; 3; 4 ] result.E.correct;
+  check (Alcotest.list Alcotest.int) "nobody crashed" [ 0; 1; 2; 3; 4 ]
+    result.E.per_shard.(0).E.correct;
   assert_props_hold ~what:"switch-during-partition" result
 
 let test_switch_during_loss_window () =

@@ -537,11 +537,13 @@ let obs_params =
 let test_cross_layer_invariants () =
   let r = E.run obs_params in
   let m = r.E.metrics in
+  let s = r.E.per_shard.(0) in
   check Alcotest.bool "registry live" true (M.enabled m);
-  (* The middleware's own send counter must agree with the collector. *)
+  (* The middleware's own send counter must agree with the collector.
+     The run is a one-shard fabric, whose series carry group="0". *)
   check (Alcotest.option (Alcotest.float 0.0)) "sends agree"
-    (Some (float_of_int (Collector.send_count r.E.collector)))
-    (M.value m "app_sends_total");
+    (Some (float_of_int (Collector.send_count s.E.collector)))
+    (M.value m ~labels:[ ("group", "0") ] "app_sends_total");
   (* The epoch buffer can only replay what it stashed. *)
   check Alcotest.bool "replayed <= stashed" true
     (M.sum m "epoch_buffer_replayed_total" <= M.sum m "epoch_buffer_stashed_total");
@@ -571,15 +573,15 @@ let test_cross_layer_invariants () =
   (* Every node switched exactly once: the per-node switch counters sum
      to n, and so do the collector's switch records. *)
   check (Alcotest.float 0.0) "repl switches = collector switches"
-    (float_of_int (List.length (Collector.switches r.E.collector)))
+    (float_of_int (List.length (Collector.switches s.E.collector)))
     (M.sum m "repl_switches_total");
   (* Delivery counters: each node's app monitor counted its own
      deliveries. *)
   let delivered_via_collector =
     List.fold_left
       (fun acc node ->
-        acc + List.length (Collector.delivers_of r.E.collector ~node))
-      0 r.E.correct
+        acc + List.length (Collector.delivers_of s.E.collector ~node))
+      0 s.E.correct
   in
   check (Alcotest.float 0.0) "app delivers = collector delivers"
     (float_of_int delivered_via_collector)
@@ -629,7 +631,8 @@ let test_metrics_off_is_noop_registry () =
 let test_metrics_do_not_perturb_results () =
   let on = E.run obs_params in
   let off = E.run { obs_params with metrics_enabled = false } in
-  let pts r = List.map (fun (p : Series.point) -> (p.time, p.value)) (Series.points r.E.latency) in
+  let on = on.E.per_shard.(0) and off = off.E.per_shard.(0) in
+  let pts s = List.map (fun (p : Series.point) -> (p.time, p.value)) (Series.points s.E.latency) in
   check Alcotest.int "same message count" (List.length (pts off)) (List.length (pts on));
   check Alcotest.bool "bit-identical latency series" true (pts on = pts off);
   check Alcotest.int "same sends" off.E.sent on.E.sent

@@ -8,6 +8,9 @@ module Stats = Dpu_engine.Stats
 let check = Alcotest.check
 let fail = Alcotest.fail
 
+(* A single-group run's numbers are its shard 0's. *)
+let run_single p = (W.Experiment.run p).W.Experiment.per_shard.(0)
+
 (* Small, fast experiment parameters. *)
 let small =
   {
@@ -148,7 +151,7 @@ let test_ascii_vbars () =
 (* ------------------------------------------------------------------ *)
 
 let test_experiment_runs_and_delivers () =
-  let r = W.Experiment.run small in
+  let r = run_single small in
   check Alcotest.bool "sent some" true (r.W.Experiment.sent > 30);
   check Alcotest.int "all delivered everywhere" r.W.Experiment.sent
     r.W.Experiment.delivered_everywhere;
@@ -156,31 +159,31 @@ let test_experiment_runs_and_delivers () =
   check Alcotest.bool "normal stats populated" true (Stats.count r.W.Experiment.normal > 0)
 
 let test_experiment_no_switch () =
-  let r = W.Experiment.run { small with switch_to = None } in
+  let r = run_single { small with switch_to = None } in
   check Alcotest.bool "no window" true (r.W.Experiment.switch_window = None);
   check (Alcotest.float 0.0) "no duration" 0.0 r.W.Experiment.switch_duration_ms;
   check Alcotest.int "during empty" 0 (Stats.count r.W.Experiment.during)
 
 let test_experiment_no_layer () =
   let r =
-    W.Experiment.run { small with approach = W.Experiment.No_layer; switch_to = None }
+    run_single { small with approach = W.Experiment.No_layer; switch_to = None }
   in
   check Alcotest.int "all delivered" r.W.Experiment.sent r.W.Experiment.delivered_everywhere
 
 let test_experiment_no_layer_ignores_switch () =
   (* A switch request without a layer is meaningless; the harness must
      simply not schedule one. *)
-  let r = W.Experiment.run { small with approach = W.Experiment.No_layer } in
+  let r = run_single { small with approach = W.Experiment.No_layer } in
   check Alcotest.bool "no window" true (r.W.Experiment.switch_window = None)
 
 let test_experiment_maestro_blocks () =
-  let r = W.Experiment.run { small with approach = W.Experiment.Maestro } in
+  let r = run_single { small with approach = W.Experiment.Maestro } in
   check Alcotest.bool "blocked time recorded" true (r.W.Experiment.blocked_ms > 50.0);
   check Alcotest.int "still all delivered" r.W.Experiment.sent
     r.W.Experiment.delivered_everywhere
 
 let test_experiment_graceful () =
-  let r = W.Experiment.run { small with approach = W.Experiment.Graceful } in
+  let r = run_single { small with approach = W.Experiment.Graceful } in
   check (Alcotest.float 0.0) "graceful does not block" 0.0 r.W.Experiment.blocked_ms;
   check Alcotest.int "all delivered" r.W.Experiment.sent r.W.Experiment.delivered_everywhere
 
@@ -195,7 +198,7 @@ let test_experiment_check_clean () =
 
 let test_experiment_crash_injection () =
   let r =
-    W.Experiment.run
+    run_single
       {
         small with
         n = 5;
@@ -212,18 +215,55 @@ let test_experiment_crash_injection () =
     reports
 
 let test_experiment_determinism () =
-  let r1 = W.Experiment.run small in
-  let r2 = W.Experiment.run small in
+  let r1 = run_single small in
+  let r2 = run_single small in
   check Alcotest.int "same sends" r1.W.Experiment.sent r2.W.Experiment.sent;
   check (Alcotest.float 1e-9) "same mean latency"
     (Stats.mean r1.W.Experiment.normal)
     (Stats.mean r2.W.Experiment.normal)
 
 let test_experiment_seed_changes_run () =
-  let r1 = W.Experiment.run small in
-  let r2 = W.Experiment.run { small with seed = 99 } in
+  let r1 = run_single small in
+  let r2 = run_single { small with seed = 99 } in
   check Alcotest.bool "different latencies" true
     (Stats.mean r1.W.Experiment.normal <> Stats.mean r2.W.Experiment.normal)
+
+(* Each bad parameter is an [Error] from [validate] and an
+   [Invalid_argument] from [run], before any simulation step. *)
+let test_experiment_validate () =
+  let module E = W.Experiment in
+  check Alcotest.bool "default is valid" true (E.validate E.default = Ok ());
+  List.iter
+    (fun (what, params) ->
+      (match E.validate params with
+      | Error _ -> ()
+      | Ok () -> fail (what ^ ": accepted"));
+      match E.run params with
+      | exception Invalid_argument _ -> ()
+      | _ -> fail (what ^ ": ran"))
+    [
+      ("n = 0", { small with n = 0 });
+      ("shards = 0", { small with shards = 0 });
+      ("shards > n", { small with n = 15; shards = 20 });
+      ("negative load", { small with load = -5.0 });
+      ("NaN load", { small with load = Float.nan });
+      ("infinite load", { small with load = Float.infinity });
+      ("negative duration", { small with duration_ms = -1.0 });
+      ("negative warmup", { small with warmup_ms = -1.0 });
+      ("negative switch time", { small with switch_at_ms = -1.0 });
+      ("negative stagger", { small with n = 6; shards = 2; stagger_ms = -1.0 });
+      ("negative drain", { small with drain_ms = -1.0 });
+      ( "fault on a missing node",
+        { small with faults = [ Dpu_faults.Schedule.crash ~at:100.0 9 ] } );
+      ( "faults on several shards",
+        { small with n = 6; shards = 2; faults = [ Dpu_faults.Schedule.crash ~at:100.0 1 ] } );
+    ];
+  List.iter
+    (fun rate_per_s ->
+      match W.Load_gen.start (MW.create ~n:3 ()) ~rate_per_s ~until:100.0 () with
+      | exception Invalid_argument _ -> ()
+      | () -> fail (Printf.sprintf "Load_gen.start accepted rate %g" rate_per_s))
+    [ -5.0; Float.nan; Float.infinity ]
 
 (* ------------------------------------------------------------------ *)
 (* Throughput mode: batching under replacement, and the speedup       *)
@@ -238,7 +278,7 @@ let batched_cfg = { Dpu_protocols.Batcher.max_batch = 64; max_delay_ms = 200.0 }
    reissued by Algorithm 1 — so exactly-once delivery and total order
    must survive. *)
 let run_switch_mid_batch ~initial ~target =
-  let r =
+  let result =
     W.Experiment.run
       {
         small with
@@ -248,13 +288,14 @@ let run_switch_mid_batch ~initial ~target =
         batching = Some batched_cfg;
       }
   in
+  let r = result.W.Experiment.per_shard.(0) in
   check Alcotest.bool "switch completed" true (r.W.Experiment.switch_window <> None);
   check Alcotest.int "no message lost or stranded in a batch"
     r.W.Experiment.sent r.W.Experiment.delivered_everywhere;
   List.iter
     (fun rep ->
       check Alcotest.bool rep.Dpu_props.Report.property true rep.Dpu_props.Report.ok)
-    (W.Experiment.check r)
+    (W.Experiment.check result)
 
 let test_switch_mid_batch_seq_to_ct () =
   run_switch_mid_batch ~initial:Dpu_core.Variants.sequencer ~target:Dpu_core.Variants.ct
@@ -282,7 +323,7 @@ let saturation_window ?closed_loop ?batching offered =
       closed_loop;
     }
   in
-  let r = W.Experiment.run p in
+  let r = run_single p in
   let lo = p.warmup_ms and hi = p.duration_ms in
   let delivered =
     List.length
@@ -301,16 +342,16 @@ let check_window name (rate, lat) ~rate_per_s ~p50 ~p99 ~samples =
 
 let test_throughput_open_loop_tracks_offered () =
   (* Well under the knee, delivered tracks offered exactly. *)
-  check_window "open loop" (saturation_window 100.0) ~rate_per_s:100.0 ~p50:2.600203
-    ~p99:2.858022 ~samples:250
+  check_window "open loop" (saturation_window 100.0) ~rate_per_s:100.0 ~p50:2.568698
+    ~p99:2.812592 ~samples:250
 
 let test_throughput_batching_at_least_doubles () =
   (* The headline claim of throughput mode: with the consensus path
      ordering one batch per round instead of one message, the closed
      loop sustains at least twice the unbatched rate. *)
   let ((off, _) as unbatched) = saturation_window ~closed_loop:16 0.0 in
-  check_window "closed loop" unbatched ~rate_per_s:588.4 ~p50:27.162051 ~p99:28.124114
-    ~samples:1471;
+  check_window "closed loop" unbatched ~rate_per_s:587.6 ~p50:27.154826 ~p99:28.183028
+    ~samples:1469;
   let on, _ =
     saturation_window ~closed_loop:16
       ~batching:{ Dpu_protocols.Batcher.max_batch = 16; max_delay_ms = 5.0 }
@@ -328,7 +369,7 @@ let test_switch_window_agrees_with_trace () =
      learns of it via the Protocol_changed indication a fixed number of
      dispatch hops later. *)
   let module Trace = Dpu_kernel.Trace in
-  let r = W.Experiment.run { small with trace_enabled = true } in
+  let r = run_single { small with trace_enabled = true } in
   let kernel_switches =
     Trace.filter r.W.Experiment.trace (fun e ->
         match e.Trace.kind with
@@ -370,9 +411,9 @@ let test_layer_overhead_positive () =
      exceed no-layer latency, by a small factor (paper: ~5%). *)
   let base = { small with switch_to = None; duration_ms = 3_000.0 } in
   let without =
-    W.Experiment.run { base with approach = W.Experiment.No_layer }
+    run_single { base with approach = W.Experiment.No_layer }
   in
-  let with_layer = W.Experiment.run base in
+  let with_layer = run_single base in
   let overhead =
     (Stats.mean with_layer.W.Experiment.normal -. Stats.mean without.W.Experiment.normal)
     /. Stats.mean without.W.Experiment.normal
@@ -421,30 +462,46 @@ let test_comparison_rows () =
 
 let shard_small =
   {
-    W.Shard.default with
+    W.Experiment.default with
     n = 6;
     shards = 2;
-    load_per_s = 100.0;
+    msg_size = 512;
+    hop_cost = 0.05;
+    pattern = W.Load_gen.Constant;
+    load = 100.0;
     warmup_ms = 100.0;
     duration_ms = 600.0;
+    drain_ms = 3_000.0;
+    switch_to = None;
   }
 
-let test_shard_runner_reports () =
-  let r = W.Shard.run ~params:shard_small () in
-  check Alcotest.int "one result per shard" 2 (List.length r.W.Shard.per_shard);
+let post_warmup (r : W.Experiment.result) (s : W.Experiment.shard) =
+  Dpu_engine.Series.stats_between s.latency ~lo:r.params.warmup_ms ~hi:infinity
+
+let check_battery r =
   List.iter
-    (fun (s : W.Shard.shard_result) ->
-      check Alcotest.bool "delivered something" true (s.delivered > 0);
-      check Alcotest.bool "properties hold" true s.props_ok;
-      check Alcotest.int "nothing undelivered" 0 s.undelivered;
+    (fun rep ->
+      check Alcotest.bool rep.Dpu_props.Report.property true rep.Dpu_props.Report.ok)
+    (W.Experiment.check r)
+
+let test_shard_runner_reports () =
+  let r = W.Experiment.run shard_small in
+  check Alcotest.int "one result per shard" 2 (Array.length r.W.Experiment.per_shard);
+  Array.iter
+    (fun (s : W.Experiment.shard) ->
+      let measured = post_warmup r s in
+      check Alcotest.bool "delivered something" true (s.delivered_everywhere > 0);
+      check Alcotest.int "nothing undelivered" s.sent s.delivered_everywhere;
       check (Alcotest.float 0.0) "nothing blocked" 0.0 s.blocked_ms;
-      check Alcotest.int "no switch" 0 s.generation;
-      check Alcotest.bool "latency measured" true (s.measured > 0);
+      check Alcotest.bool "no switch" true (s.switch_window = None);
+      check Alcotest.bool "latency measured" true (Stats.count measured > 0);
       check Alcotest.bool "quantiles ordered" true
-        (s.p50_ms <= s.p99_ms && s.p99_ms <= s.p999_ms))
-    r.W.Shard.per_shard;
-  check Alcotest.int "no rolling, no switches" 0 r.W.Shard.max_concurrent_switches;
-  check Alcotest.bool "all ok" true r.W.Shard.all_ok
+        (Stats.percentile measured 50.0 <= Stats.percentile measured 99.0
+        && Stats.percentile measured 99.0 <= Stats.percentile measured 99.9))
+    r.W.Experiment.per_shard;
+  check_battery r;
+  check Alcotest.int "no rolling, no switches" 0 r.W.Experiment.max_concurrent_switches;
+  check Alcotest.bool "all ok" true (W.Experiment.all_ok r)
 
 let test_shard_rolling_overlaps () =
   let params =
@@ -453,59 +510,77 @@ let test_shard_rolling_overlaps () =
       n = 12;
       shards = 4;
       duration_ms = 800.0;
-      rolling =
-        Some { W.Shard.default_rolling with start_ms = 150.0; stagger_ms = 0.25 };
+      switch_to = Some Dpu_core.Variants.sequencer;
+      switch_at_ms = 150.0;
+      stagger_ms = 0.25;
     }
   in
-  let r = W.Shard.run ~params () in
-  List.iter
-    (fun (s : W.Shard.shard_result) ->
-      check Alcotest.int "every shard switched" 1 s.generation;
-      check Alcotest.bool "window recorded" true (s.window <> None);
-      check Alcotest.bool "properties hold across the switch" true s.props_ok)
-    r.W.Shard.per_shard;
+  let r = W.Experiment.run params in
+  Array.iteri
+    (fun g (s : W.Experiment.shard) ->
+      let generations =
+        List.map
+          (fun (_, generation, _) -> generation)
+          (Dpu_core.Collector.switches s.collector)
+      in
+      check (Alcotest.list Alcotest.int) "every shard switched, once per node"
+        (List.init s.nodes (fun _ -> 1))
+        generations;
+      match s.switch_window with
+      | None -> fail "no window recorded"
+      | Some (lo, _) ->
+        check (Alcotest.float 1e-9) "window opens at the staggered trigger"
+          (150.0 +. (0.25 *. float_of_int g))
+          lo)
+    r.W.Experiment.per_shard;
+  check_battery r;
   check Alcotest.bool "switch windows overlapped" true
-    (r.W.Shard.max_concurrent_switches > 1);
-  check Alcotest.bool "all ok" true r.W.Shard.all_ok
+    (r.W.Experiment.max_concurrent_switches > 1);
+  check Alcotest.bool "all ok" true (W.Experiment.all_ok r)
 
 let test_shard_closed_loop () =
-  let params =
-    { shard_small with duration_ms = 400.0; closed_loop = Some 2 }
-  in
-  let r = W.Shard.run ~params () in
-  List.iter
-    (fun (s : W.Shard.shard_result) ->
-      check Alcotest.bool "closed loop kept sending" true (s.delivered > 10);
-      check Alcotest.bool "properties hold" true s.props_ok)
-    r.W.Shard.per_shard;
-  check Alcotest.bool "all ok" true r.W.Shard.all_ok
+  let params = { shard_small with duration_ms = 400.0; closed_loop = Some 2 } in
+  let r = W.Experiment.run params in
+  Array.iter
+    (fun (s : W.Experiment.shard) ->
+      check Alcotest.bool "closed loop kept sending" true (s.delivered_everywhere > 10))
+    r.W.Experiment.per_shard;
+  check_battery r;
+  check Alcotest.bool "all ok" true (W.Experiment.all_ok r)
 
 let test_shard_export_shapes () =
-  let r = W.Shard.run ~params:shard_small () in
-  let rows = W.Shard.csv_rows r in
-  check Alcotest.int "one csv row per shard" 2 (List.length rows);
-  List.iter
-    (fun row ->
-      check Alcotest.int "row arity matches header"
-        (List.length W.Shard.csv_header) (List.length row))
-    rows;
-  let j = W.Shard.to_json r in
+  let r = W.Experiment.run shard_small in
   let module J = Dpu_obs.Json in
+  let j = W.Experiment.to_json r in
   (match J.member j "shards" with
-  | Some (J.List l) -> check Alcotest.int "json shard entries" 2 (List.length l)
+  | Some (J.List l) ->
+    check Alcotest.int "json shard entries" 2 (List.length l);
+    List.iter
+      (fun entry ->
+        List.iter
+          (fun key ->
+            check Alcotest.bool (key ^ " present") true (J.member entry key <> None))
+          [ "shard"; "nodes"; "sent"; "delivered"; "p50_ms"; "p99_ms"; "p999_ms";
+            "mean_ms"; "generation"; "blocked_ms"; "undelivered"; "props_ok" ])
+      l
   | _ -> fail "missing shards list");
-  match J.member j "all_ok" with
+  (match J.member j "all_ok" with
   | Some (J.Bool b) -> check Alcotest.bool "json all_ok" true b
-  | _ -> fail "missing all_ok"
+  | _ -> fail "missing all_ok");
+  let table = W.Experiment.render_shards r in
+  check Alcotest.bool "table ends with the verdict" true
+    (String.ends_with ~suffix:"all shards OK\n" table)
 
 let test_shard_determinism () =
   let quantiles r =
-    List.map
-      (fun (s : W.Shard.shard_result) -> (s.sent, s.delivered, s.p50_ms, s.p99_ms))
-      r.W.Shard.per_shard
+    Array.map
+      (fun (s : W.Experiment.shard) ->
+        let m = post_warmup r s in
+        (s.sent, s.delivered_everywhere, Stats.percentile m 50.0, Stats.percentile m 99.0))
+      r.W.Experiment.per_shard
   in
-  let a = W.Shard.run ~params:shard_small () in
-  let b = W.Shard.run ~params:shard_small () in
+  let a = W.Experiment.run shard_small in
+  let b = W.Experiment.run shard_small in
   check Alcotest.bool "identical runs" true (quantiles a = quantiles b)
 
 let () =
@@ -550,6 +625,7 @@ let () =
           tc "seed sensitivity" test_experiment_seed_changes_run;
           tc "layer overhead positive" test_layer_overhead_positive;
           tc "switch window agrees with trace" test_switch_window_agrees_with_trace;
+          tc "validate rejects bad parameters" test_experiment_validate;
         ] );
       ( "throughput",
         [
