@@ -78,6 +78,11 @@ let approach_conv =
   in
   Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (E.approach_name a))
 
+(* The fault shim's ledger, as [serve] prints it per node and the
+   simulated runs print it per run. *)
+let fault_ledger stats =
+  Format.asprintf "faults: %a" Dpu_faults.Fault_transport.pp_stats stats
+
 (* ------------------------------------------------------------------ *)
 (* scenario                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -104,6 +109,8 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
   in
   let faults =
     match nemesis_seed with
+    | _ when Option.fold nemesis_faults ~none:false ~some:(fun k -> k < 0) ->
+      fail "--nemesis-faults must be >= 0"
     | None -> faults
     | Some _ when n < 2 -> fail "--nemesis-seed needs at least 2 nodes"
     | Some seed ->
@@ -165,7 +172,8 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
         lo hi (hi -. lo) (Stats.mean s.E.during) (Stats.count s.E.during)
     | None -> print_endline "no replacement performed");
     if s.E.blocked_ms > 0.0 then
-      Printf.printf "application blocked for %.1f ms\n" s.E.blocked_ms
+      Printf.printf "application blocked for %.1f ms\n" s.E.blocked_ms;
+    if faults <> [] then print_endline (fault_ledger s.E.faults)
   end;
   (match metrics_out with
   | Some path ->
@@ -278,7 +286,9 @@ let scenario_cmd =
             "Schedule a fault (repeatable). SPEC is one of crash@T:NODE, \
              recover@T:NODE, partition@T:0,1|2,3, heal@T, \
              loss@FROM-UNTIL:P, dup@FROM-UNTIL:P, \
-             slow@FROM-UNTIL:SRC>DST:LAT_MS.")
+             slow@FROM-UNTIL:SRC>DST:LAT_MS. A crash silences the node's \
+             traffic (fail-silence) until a matching recover; the same \
+             fault shim interprets the schedule on the live backend.")
   in
   let nemesis_seed =
     Arg.(
@@ -565,12 +575,6 @@ let check_cmd =
 (* serve — live deployment over real UDP sockets                      *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_switches (sc : Dpu_faults.Corpus.t) =
-  List.map
-    (fun (s : Dpu_faults.Corpus.switch) ->
-      (s.Dpu_faults.Corpus.sw_at, s.Dpu_faults.Corpus.sw_node, s.Dpu_faults.Corpus.sw_to))
-    sc.Dpu_faults.Corpus.switches
-
 let serve n load duration drain switch_at initial switch_to seed msg_size batching
     check nemesis scenario_name metrics_out spans_out trace_out logs_dir =
   let params =
@@ -601,17 +605,7 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
       | Some sc ->
         Printf.printf "scenario %s: %s\n" sc.Dpu_faults.Corpus.name
           sc.Dpu_faults.Corpus.summary;
-        {
-          params with
-          Dpu_live.Serve.n = sc.Dpu_faults.Corpus.n;
-          load = sc.Dpu_faults.Corpus.load;
-          duration_ms = sc.Dpu_faults.Corpus.duration_ms;
-          drain_ms = sc.Dpu_faults.Corpus.drain_ms;
-          initial = sc.Dpu_faults.Corpus.initial;
-          switch_to = None;
-          switches = corpus_switches sc;
-          nemesis = sc.Dpu_faults.Corpus.schedule;
-        })
+        Dpu_live.Serve.of_corpus ~base:params sc)
   in
   Printf.printf "serving %d nodes over UDP on 127.0.0.1 (%.0f msg/s for %.0f ms)\n%!"
     params.Dpu_live.Serve.n params.Dpu_live.Serve.load
@@ -626,7 +620,6 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
   | Ok o ->
     let module C = Dpu_core.Collector in
     let module T = Dpu_runtime.Transport in
-    let module FT = Dpu_faults.Fault_transport in
     List.iter
       (fun (r : Dpu_live.Node.report) ->
         let c = r.Dpu_live.Node.counters in
@@ -648,20 +641,10 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
             r.Dpu_live.Node.node r.Dpu_live.Node.rx_errors;
         match r.Dpu_live.Node.faults with
         | None -> ()
-        | Some f ->
-          Printf.printf
-            "node %d faults: crash-blocked %d, partition-blocked %d, lost %d, \
-             duplicated %d, delayed %d, rx-blocked %d\n"
-            r.Dpu_live.Node.node f.FT.blocked_crash f.FT.blocked_partition
-            f.FT.injected_loss f.FT.injected_dup f.FT.delayed f.FT.rx_blocked)
+        | Some f -> Printf.printf "node %d %s\n" r.Dpu_live.Node.node (fault_ledger f))
       o.Dpu_live.Serve.node_reports;
     let collector = o.Dpu_live.Serve.collector in
-    let planned =
-      (match params.Dpu_live.Serve.switch_to with
-      | Some p -> [ (params.Dpu_live.Serve.switch_at_ms, 0, p) ]
-      | None -> [])
-      @ params.Dpu_live.Serve.switches
-    in
+    let planned = Dpu_live.Serve.planned params in
     if planned = [] then print_endline "no replacement requested"
     else
       List.iteri
@@ -824,18 +807,26 @@ let serve_cmd =
 
 let corpus only live seed msg_size =
   let module Corpus = Dpu_faults.Corpus in
-  let module S = Dpu_workload.Scenario in
+  let module Serve = Dpu_live.Serve in
+  let fail fmt =
+    Printf.ksprintf (fun m -> Printf.eprintf "dpu_run corpus: %s\n" m; exit 2) fmt
+  in
   let scenarios =
     match only with
     | None -> Corpus.all
     | Some name -> (
       match Corpus.find name with
       | Some sc -> [ sc ]
-      | None ->
-        Printf.eprintf "dpu_run corpus: unknown scenario %S (have: %s)\n" name
-          (String.concat ", " (Corpus.names ()));
-        exit 2)
+      | None -> fail "unknown scenario %S (have: %s)" name (String.concat ", " (Corpus.names ())))
   in
+  let sim_params sc = { (E.of_corpus ~seed sc) with msg_size } in
+  let live_params sc = Serve.of_corpus ~base:{ Serve.default with msg_size; seed } sc in
+  List.iter
+    (fun (sc : Corpus.t) ->
+      match if live then Serve.validate (live_params sc) else E.validate (sim_params sc) with
+      | Ok () -> ()
+      | Error msg -> fail "%s: %s" sc.Corpus.name msg)
+    scenarios;
   let failures = ref [] in
   List.iter
     (fun (sc : Corpus.t) ->
@@ -846,42 +837,30 @@ let corpus only live seed msg_size =
         sc.Corpus.schedule;
       let ok =
         if live then begin
-          let params =
-            {
-              Dpu_live.Serve.n = sc.Corpus.n;
-              load = sc.Corpus.load;
-              duration_ms = sc.Corpus.duration_ms;
-              drain_ms = sc.Corpus.drain_ms;
-              switch_at_ms = 0.0;
-              initial = sc.Corpus.initial;
-              switch_to = None;
-              switches = corpus_switches sc;
-              nemesis = sc.Corpus.schedule;
-              msg_size;
-              seed;
-              batching = None;
-            }
-          in
-          match Dpu_live.Serve.run params with
+          match Serve.run (live_params sc) with
           | Error msg ->
             Printf.printf "run failed: %s\n" msg;
             false
           | Ok o ->
-            Format.printf "%a" Dpu_props.Report.pp_all o.Dpu_live.Serve.checks;
-            Dpu_props.Report.all_ok o.Dpu_live.Serve.checks
+            Format.printf "%a" Dpu_props.Report.pp_all o.Serve.checks;
+            Dpu_props.Report.all_ok o.Serve.checks
         end
         else begin
-          let r = S.run_sim ~seed sc in
-          List.iter
-            (fun (generation, window) ->
-              match window with
+          let r = E.run (sim_params sc) in
+          let s = r.E.per_shard.(0) in
+          List.iteri
+            (fun i _ ->
+              let generation = i + 1 in
+              match Dpu_core.Collector.switch_window s.E.collector ~generation with
               | Some (lo, hi) ->
                 Printf.printf "generation %d installed: %.1f..%.1f ms\n"
                   generation lo hi
               | None -> Printf.printf "generation %d: not installed\n" generation)
-            r.S.switch_windows;
-          Format.printf "%a" Dpu_props.Report.pp_all r.S.reports;
-          S.ok r
+            sc.Corpus.switches;
+          print_endline (fault_ledger s.E.faults);
+          let reports = E.check r in
+          Format.printf "%a" Dpu_props.Report.pp_all reports;
+          Dpu_props.Report.all_ok reports
         end
       in
       Printf.printf "%s: %s\n\n" sc.Corpus.name (if ok then "OK" else "FAILED");

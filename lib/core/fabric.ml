@@ -1,7 +1,6 @@
 module Sim = Dpu_engine.Sim
 module Rng = Dpu_engine.Rng
 module Datagram = Dpu_net.Datagram
-module System = Dpu_kernel.System
 
 type t = {
   sim : Sim.t;
@@ -19,6 +18,8 @@ let shard_sizes ~shards ~n =
 let create ?(config = Middleware.default_config) ?register_extra ~shards ~n () =
   if shards < 1 then invalid_arg "Fabric.create: shards must be >= 1";
   if n < shards then invalid_arg "Fabric.create: need at least one node per shard";
+  if config.Middleware.faults <> [] && shards > 1 then
+    invalid_arg "Fabric.create: a fault schedule needs shards = 1";
   let sim = Sim.create ~seed:config.Middleware.seed () in
   let metrics =
     if config.Middleware.metrics_enabled then Dpu_obs.Metrics.create ()
@@ -47,12 +48,7 @@ let create ?(config = Middleware.default_config) ?register_extra ~shards ~n () =
         in
         let group = Sim.new_group sim in
         let runtime = Dpu_runtime.Sim_backend.runtime ~group ~rng:g_rng sim net in
-        let system =
-          System.of_sim ~group_id:g ~hop_cost:config.Middleware.hop_cost
-            ~trace_enabled:config.Middleware.trace_enabled ~metrics ~runtime ~sim
-            ~net ~n:ng ()
-        in
-        Middleware.of_system ~config ?register_extra system)
+        Middleware.of_sim ~group_id:g ~config ?register_extra ~metrics ~runtime ~sim ~net ())
   in
   let gens = Array.make shards 0 in
   Array.iteri

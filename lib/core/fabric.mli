@@ -36,7 +36,9 @@ val create :
     [shards] groups (sizes differ by at most one; [n >= shards]
     required). [config] applies to every group; [config.seed] seeds the
     one shared simulator. With [config.metrics_enabled] all groups
-    share one registry — per-group series carry a [group=g] label. *)
+    share one registry — per-group series carry a [group=g] label.
+    Raises [Invalid_argument] for a non-empty [config.faults] with
+    [shards > 1]: a schedule names group-local nodes. *)
 
 val shards : t -> int
 

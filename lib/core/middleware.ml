@@ -12,6 +12,7 @@ type config = {
   trace_enabled : bool;
   metrics_enabled : bool;
   msg_size : int;
+  faults : Dpu_faults.Schedule.t;
 }
 
 let default_config =
@@ -25,6 +26,7 @@ let default_config =
     trace_enabled = true;
     metrics_enabled = false;
     msg_size = 4096;
+    faults = [];
   }
 
 type t = {
@@ -34,9 +36,10 @@ type t = {
   metrics : Dpu_obs.Metrics.t;
   m_sends : Dpu_obs.Metrics.counter;
   next_seq : int array;  (* per-node app message counter *)
+  shim : Payload.t Dpu_faults.Fault_transport.t option;
 }
 
-let of_system ?(config = default_config) ?register_extra system =
+let build ?shim ~config ?register_extra system =
   let metrics = System.metrics system in
   let collector = Collector.create () in
   Stack_builder.build ~collector ?register_extra ~profile:config.profile system;
@@ -54,17 +57,49 @@ let of_system ?(config = default_config) ?register_extra system =
     metrics;
     m_sends = Dpu_obs.Metrics.counter metrics ~labels "app_sends_total";
     next_seq = Array.make (System.n system) 0;
+    shim;
   }
 
+let of_system ?(config = default_config) ?register_extra system =
+  build ~config ?register_extra system
+
+(* The one place a fault schedule meets a simulated cluster: the
+   group's transport goes behind the same shim the live backend uses,
+   so a schedule means the same thing on both. Without a schedule the
+   runtime is used as given. *)
+let of_sim ?group_id ?(config = default_config) ?register_extra ~metrics ~runtime ~sim
+    ~net () =
+  let module FT = Dpu_faults.Fault_transport in
+  let runtime, shim =
+    match config.faults with
+    | [] -> (runtime, None)
+    | schedule ->
+      let shim =
+        FT.create ~seed:(config.seed + 0x5eed) ~schedule
+          ~clock:runtime.Dpu_runtime.Runtime.clock runtime.Dpu_runtime.Runtime.transport
+      in
+      ({ runtime with Dpu_runtime.Runtime.transport = FT.transport shim }, Some shim)
+  in
+  let system =
+    System.of_sim ?group_id ~hop_cost:config.hop_cost ~trace_enabled:config.trace_enabled
+      ~metrics ~runtime ~sim ~net ~n:(Dpu_net.Datagram.size net) ()
+  in
+  build ?shim ~config ?register_extra system
+
+(* Built step by step as [System.create] builds, so a run without a
+   fault schedule is the same simulation. *)
 let create ?(config = default_config) ?register_extra ~n () =
   let metrics =
     if config.metrics_enabled then Dpu_obs.Metrics.create () else Dpu_obs.Metrics.noop
   in
-  let system =
-    System.create ~seed:config.seed ~loss:config.loss ~dup:config.dup ~link:config.link
-      ~hop_cost:config.hop_cost ~trace_enabled:config.trace_enabled ~metrics ~n ()
+  let sim = Dpu_engine.Sim.create ~seed:config.seed () in
+  let net =
+    Dpu_net.Datagram.create sim ~n ~loss:config.loss ~dup:config.dup ~link:config.link ()
   in
-  of_system ~config ?register_extra system
+  Dpu_engine.Sim.register_metrics sim metrics;
+  Dpu_net.Datagram.register_metrics net metrics;
+  of_sim ~config ?register_extra ~metrics
+    ~runtime:(Dpu_runtime.Sim_backend.runtime sim net) ~sim ~net ()
 
 let config t = t.config
 
@@ -161,6 +196,11 @@ let on_view t ~node callback =
         | _ -> ())
 
 let crash t node = System.crash_node t.system node
+
+let fault_stats t =
+  match t.shim with
+  | None -> Dpu_faults.Fault_transport.no_stats
+  | Some shim -> Dpu_faults.Fault_transport.stats shim
 
 let run_for t d = System.run_for t.system d
 

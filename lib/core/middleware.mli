@@ -29,6 +29,12 @@ type config = {
       (** allocate a live metrics registry; off by default, in which
           case all instrumentation across the stack is no-op *)
   msg_size : int;  (** default broadcast payload size, bytes *)
+  faults : Dpu_faults.Schedule.t;
+      (** fault schedule from virtual time 0, interpreted by a
+          {!Dpu_faults.Fault_transport} shim around the cluster's
+          transport — the same shim the live backend uses, so a [Crash]
+          is fail-silence until a matching [Recover]. Default [[]]: no
+          shim, the exact fault-free code paths. *)
 }
 
 val default_config : config
@@ -46,8 +52,24 @@ val of_system : ?config:config -> ?register_extra:(System.t -> unit) -> System.t
 (** Like {!create}, but on a system the caller already built — e.g. a
     live deployment assembled with {!Dpu_kernel.System.of_runtime}.
     The simulation-only fields of [config] (seed, loss, dup, link,
-    hop_cost, trace/metrics switches) are ignored: those live in the
-    system itself. Only the local stacks of [system] are built. *)
+    hop_cost, trace/metrics switches, faults) are ignored: those live
+    in the system itself. Only the local stacks of [system] are built. *)
+
+val of_sim :
+  ?group_id:int ->
+  ?config:config ->
+  ?register_extra:(System.t -> unit) ->
+  metrics:Dpu_obs.Metrics.t ->
+  runtime:Payload.t Dpu_runtime.Runtime.t ->
+  sim:Dpu_engine.Sim.t ->
+  net:Payload.t Dpu_net.Datagram.t ->
+  unit ->
+  t
+(** One simulated cluster over a caller-built simulator, network and
+    runtime ({!Dpu_kernel.System.of_sim}): what {!create} and each
+    {!Fabric} group build through. A non-empty [config.faults] wraps
+    [runtime]'s transport in a {!Dpu_faults.Fault_transport} shim
+    (seed [config.seed + 0x5eed]). *)
 
 val config : t -> config
 
@@ -101,6 +123,11 @@ val on_view : t -> node:int -> (Dpu_protocols.Gm.view -> unit) -> unit
 (** {1 Fault injection} *)
 
 val crash : t -> int -> unit
+(** Fail-stop [node]: its stack and its network endpoint. *)
+
+val fault_stats : t -> Dpu_faults.Fault_transport.stats
+(** The shim's ledger of injected faults ({!Dpu_faults.Fault_transport.no_stats}
+    without a schedule). *)
 
 (** {1 Running} *)
 

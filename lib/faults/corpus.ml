@@ -6,7 +6,7 @@ let seq = P.Abcast_seq.protocol_name
 
 let token = P.Abcast_token.protocol_name
 
-type switch = { sw_at : float; sw_node : int; sw_to : string }
+type switch = float * int * string
 
 type t = {
   name : string;
@@ -20,7 +20,7 @@ type t = {
   schedule : Schedule.t;
 }
 
-let sw ~at ~node target = { sw_at = at; sw_node = node; sw_to = target }
+let sw ~at ~node target = (at, node, target)
 
 (* Every scenario fits one shape: open-loop load for [duration_ms],
    one or more changeABcast calls mid-stream, a fault schedule from the
@@ -120,35 +120,3 @@ let all =
 let names () = List.map (fun s -> s.name) all
 
 let find name = List.find_opt (fun s -> s.name = name) all
-
-let correct_nodes t =
-  let down = Schedule.crashed_before t.schedule ~time:infinity in
-  List.filter (fun node -> not (List.mem node down)) (List.init t.n Fun.id)
-
-let validate t =
-  match Schedule.validate ~n:t.n t.schedule with
-  | Error _ as e -> e
-  | Ok () ->
-    List.fold_left
-      (fun acc s ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if s.sw_node < 0 || s.sw_node >= t.n then
-            Error
-              (Printf.sprintf "switch at %g: node %d out of range [0, %d)" s.sw_at
-                 s.sw_node t.n)
-          else if s.sw_at < 0.0 then
-            Error (Printf.sprintf "switch at negative time %g" s.sw_at)
-          else Ok ())
-      (Ok ()) t.switches
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s: %d nodes, %g msg/s for %g ms, initial %s@," t.name
-    t.n t.load t.duration_ms t.initial;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  switch @%g node %d -> %s@," s.sw_at s.sw_node s.sw_to)
-    t.switches;
-  if t.schedule = [] then Format.fprintf ppf "  no faults@]"
-  else Format.fprintf ppf "  faults: %a@]" Schedule.pp t.schedule

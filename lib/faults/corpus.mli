@@ -5,13 +5,14 @@
     once in the simulator and once over real UDP sockets — from the
     same values, through the same {!Fault_transport} shim — with the
     full atomic-broadcast property battery checked on the merged logs
-    both times. The simulated driver is [Dpu_workload.Scenario]; the
-    live driver is [Dpu_live.Serve] via [dpu_run serve --scenario] /
-    [dpu_run corpus]. *)
+    both times. The simulated runner is [Dpu_workload.Experiment.of_corpus];
+    the live one is [Dpu_live.Serve.of_corpus], via
+    [dpu_run serve --scenario] / [dpu_run corpus --live]. *)
 
-type switch = { sw_at : float; sw_node : int; sw_to : string }
-(** One changeABcast call: at [sw_at] ms, node [sw_node] requests a
-    replacement to protocol [sw_to]. *)
+type switch = float * int * string
+(** One planned changeABcast call, [(at_ms, node, target)]: at [at_ms]
+    node [node] requests a replacement to protocol [target]. Every
+    runner's extra-switch list has this type. *)
 
 type t = {
   name : string;
@@ -33,12 +34,3 @@ val all : t list
 val names : unit -> string list
 
 val find : string -> t option
-
-val correct_nodes : t -> int list
-(** All nodes minus those the schedule crash-silences without
-    recovery — the [~correct] set for the property checkers. *)
-
-val validate : t -> (unit, string) result
-(** The fault schedule and every switch target a node in range. *)
-
-val pp : Format.formatter -> t -> unit

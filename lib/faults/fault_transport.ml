@@ -43,8 +43,7 @@ module State = struct
     }
 
   (* Windows are half-open [from_, until): the instant a window closes
-     behaves exactly as if it never opened, matching the restore
-     callbacks Schedule.arm fires at [until] on the simulator path. *)
+     behaves exactly as if it never opened. *)
   let in_window ~now ~from_ ~until = from_ <= now && now < until
 
   let crashed t ~now node =
@@ -120,6 +119,13 @@ let no_stats =
     delayed = 0;
     rx_blocked = 0;
   }
+
+let pp_stats ppf s =
+  Format.fprintf ppf
+    "crash-blocked %d, partition-blocked %d, lost %d, duplicated %d, delayed %d, \
+     rx-blocked %d"
+    s.blocked_crash s.blocked_partition s.injected_loss s.injected_dup s.delayed
+    s.rx_blocked
 
 type 'a t = {
   inner : 'a Transport.t;

@@ -71,6 +71,10 @@ type stats = {
 
 val no_stats : stats
 
+val pp_stats : Format.formatter -> stats -> unit
+(** The ledger as one line: [crash-blocked N, partition-blocked N,
+    lost N, duplicated N, delayed N, rx-blocked N]. *)
+
 type 'a t
 
 val create :

@@ -1,5 +1,3 @@
-module Sim = Dpu_engine.Sim
-module Datagram = Dpu_net.Datagram
 module Latency = Dpu_net.Latency
 
 type window = { from_ : float; until : float }
@@ -225,56 +223,3 @@ let of_specs specs =
         | Error _ as e -> e))
     (Ok []) specs
   |> Result.map List.rev
-
-(* ------------------------------------------------------------------ *)
-(* Interpretation                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let arm ?crash_node ?recover_node ?(on_event = fun _ _ -> ()) net t =
-  let sim = Datagram.sim net in
-  let crash_node =
-    match crash_node with Some f -> f | None -> Datagram.crash net
-  in
-  let recover_node =
-    match recover_node with Some f -> f | None -> Datagram.recover net
-  in
-  let at time describe fn =
-    ignore
-      (Sim.schedule_at sim ~time (fun () ->
-           fn ();
-           on_event (Sim.now sim) (describe ()))
-        : Sim.handle)
-  in
-  let describe_action action () = Format.asprintf "%a" pp_action action in
-  List.iter
-    (fun e ->
-      match e.action with
-      | Crash node -> at e.at (describe_action e.action) (fun () -> crash_node node)
-      | Recover node ->
-        at e.at (describe_action e.action) (fun () -> recover_node node)
-      | Partition groups ->
-        at e.at (describe_action e.action) (fun () -> Datagram.partition net groups)
-      | Heal -> at e.at (describe_action e.action) (fun () -> Datagram.heal net)
-      | Loss_window { p; from_; until } ->
-        let saved = ref 0.0 in
-        at from_ (describe_action e.action) (fun () ->
-            saved := Datagram.loss net;
-            Datagram.set_loss net p);
-        at until
-          (fun () -> Printf.sprintf "loss window closes, back to p=%g" !saved)
-          (fun () -> Datagram.set_loss net !saved)
-      | Dup_burst { p; from_; until } ->
-        let saved = ref 0.0 in
-        at from_ (describe_action e.action) (fun () ->
-            saved := Datagram.dup net;
-            Datagram.set_dup net p);
-        at until
-          (fun () -> Printf.sprintf "dup burst closes, back to p=%g" !saved)
-          (fun () -> Datagram.set_dup net !saved)
-      | Degrade_link { src; dst; link; window } ->
-        at window.from_ (describe_action e.action) (fun () ->
-            Datagram.set_link_override net ~src ~dst (Some link));
-        at window.until
-          (fun () -> Printf.sprintf "link %d->%d restored" src dst)
-          (fun () -> Datagram.set_link_override net ~src ~dst None))
-    (sorted t)

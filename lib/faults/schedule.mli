@@ -1,23 +1,22 @@
 (** Declarative, deterministic fault schedules.
 
-    A schedule is a list of timed actions against a {!Dpu_net.Datagram}
+    A schedule is a list of timed actions against a deployment's
     network: crashes, recoveries, partitions and heals fire at one
     instant; loss windows, duplication bursts and link degradations
-    open and close around a time window. {!arm} compiles the schedule
-    into {!Dpu_engine.Sim} timers, so the same schedule on the same
-    seed replays the exact same adverse interleaving — a failing soak
-    reproduces from its seed alone.
+    open and close around a time window. {!Fault_transport} is the one
+    interpreter, on the simulator and on the live backend alike, so the
+    same schedule on the same seed replays the exact same adverse
+    interleaving — a failing soak reproduces from its seed alone.
 
-    Times are absolute virtual milliseconds (the harness arms
-    schedules at virtual time 0). *)
+    Times are absolute milliseconds from the start of the run. *)
 
 module Latency = Dpu_net.Latency
 
 type window = { from_ : float; until : float }
 
 type action =
-  | Crash of int  (** silence a node (fail-stop unless recovered) *)
-  | Recover of int  (** un-crash a node; resets its egress clock *)
+  | Crash of int  (** silence a node (fail-silence until a [Recover]) *)
+  | Recover of int  (** un-silence a node *)
   | Partition of int list list  (** groups; leftovers isolate together *)
   | Heal  (** remove any partition *)
   | Loss_window of { p : float; from_ : float; until : float }
@@ -89,24 +88,3 @@ val event_of_spec : string -> (event, string) result
 
 val of_specs : string list -> (t, string) result
 (** Parse every spec; the first error aborts. *)
-
-(** {1 Interpretation} *)
-
-val arm :
-  ?crash_node:(int -> unit) ->
-  ?recover_node:(int -> unit) ->
-  ?on_event:(float -> string -> unit) ->
-  'a Dpu_net.Datagram.t ->
-  t ->
-  unit
-(** Compile the schedule into simulator timers against the network.
-
-    [crash_node]/[recover_node] override what [Crash]/[Recover] do —
-    the full-stack harness passes its own crash (which also fail-stops
-    the protocol stack); the defaults act on the datagram layer only.
-    [on_event] observes every boundary (action firings and window
-    closings) with the virtual time and a human-readable description.
-
-    Overlapping windows of the same kind are restored in closing
-    order, each to the probability (or link) in force when it opened;
-    nesting them is allowed but the last closer wins. *)

@@ -38,20 +38,6 @@ let make ?group_id ~backend ~runtime ~trace ~metrics ~hop_cost ~n ~local () =
     group_id;
   }
 
-let create ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?(link = Dpu_net.Latency.lan)
-    ?(hop_cost = 0.05) ?(trace_enabled = true) ?(metrics = Dpu_obs.Metrics.noop) ~n
-    () =
-  let sim = Sim.create ~seed () in
-  let net = Datagram.create sim ~n ~loss ~dup ~link () in
-  let trace = Trace.create ~enabled:trace_enabled () in
-  Sim.register_metrics sim metrics;
-  Datagram.register_metrics net metrics;
-  let runtime = Dpu_runtime.Sim_backend.runtime sim net in
-  make
-    ~backend:(Simulated { sim; net })
-    ~runtime ~trace ~metrics ~hop_cost ~n
-    ~local:(List.init n Fun.id) ()
-
 let of_runtime ?(hop_cost = 0.05) ?(trace_enabled = true)
     ?(metrics = Dpu_obs.Metrics.noop) ?local ~runtime ~n () =
   let trace = Trace.create ~enabled:trace_enabled () in
@@ -67,6 +53,17 @@ let of_sim ?group_id ?(hop_cost = 0.05) ?(trace_enabled = true)
     ~backend:(Simulated { sim; net })
     ~runtime ~trace ~metrics ~hop_cost ~n
     ~local:(List.init n Fun.id) ()
+
+let create ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?(link = Dpu_net.Latency.lan)
+    ?(hop_cost = 0.05) ?(trace_enabled = true) ?(metrics = Dpu_obs.Metrics.noop) ~n
+    () =
+  let sim = Sim.create ~seed () in
+  let net = Datagram.create sim ~n ~loss ~dup ~link () in
+  Sim.register_metrics sim metrics;
+  Datagram.register_metrics net metrics;
+  of_sim ~hop_cost ~trace_enabled ~metrics
+    ~runtime:(Dpu_runtime.Sim_backend.runtime sim net)
+    ~sim ~net ~n ()
 
 let n t = Array.length t.stacks
 

@@ -14,7 +14,7 @@ type config = {
   service : string;
   generation : int;
   initial : string;
-  switches : (float * int * string) list;
+  switches : Dpu_faults.Corpus.switch list;
   nemesis : Dpu_faults.Schedule.t;
   load : float;
   msg_size : int;

@@ -22,7 +22,7 @@ type config = {
   service : string;  (** envelope service name; foreign frames drop *)
   generation : int;  (** envelope deployment generation *)
   initial : string;  (** initial ABcast variant *)
-  switches : (float * int * string) list;
+  switches : Dpu_faults.Corpus.switch list;
       (** (at_ms, node, target): this process arms only its own *)
   nemesis : Dpu_faults.Schedule.t;  (** [[]] = clean network *)
   load : float;  (** aggregate messages per second across the group *)

@@ -10,7 +10,7 @@ type params = {
   switch_at_ms : float;
   initial : string;
   switch_to : string option;
-  switches : (float * int * string) list;
+  switches : Dpu_faults.Corpus.switch list;
   nemesis : Dpu_faults.Schedule.t;
   msg_size : int;
   seed : int;
@@ -31,6 +31,19 @@ let default =
     msg_size = 1_024;
     seed = 1;
     batching = None;
+  }
+
+let of_corpus ?(base = default) (sc : Dpu_faults.Corpus.t) =
+  {
+    base with
+    n = sc.n;
+    load = sc.load;
+    duration_ms = sc.duration_ms;
+    drain_ms = sc.drain_ms;
+    initial = sc.initial;
+    switch_to = None;
+    switches = sc.switches;
+    nemesis = sc.schedule;
   }
 
 type outcome = {
@@ -73,28 +86,35 @@ let counters_json (c : Dpu_runtime.Transport.counters) =
       ("bytes", J.Int c.Dpu_runtime.Transport.bytes);
     ]
 
-let validate params switches =
-  let out_of_range node = node < 0 || node >= params.n in
-  if params.n < 1 then Error "need at least one node"
-  else if params.load <= 0.0 then Error "load must be positive"
-  else if Option.fold ~none:false ~some:(fun k -> k < 1) params.batching then
+let planned params =
+  (match params.switch_to with
+  | Some p -> [ (params.switch_at_ms, 0, p) ]
+  | None -> [])
+  @ params.switches
+
+let validate p =
+  let bad_time =
+    List.find_opt
+      (fun (_, x) -> not (Float.is_finite x && x >= 0.0))
+      ([ ("duration", p.duration_ms); ("drain", p.drain_ms); ("switch time", p.switch_at_ms) ]
+      @ List.map (fun (at, _, _) -> ("switch time", at)) p.switches)
+  in
+  let bad_node = List.find_opt (fun (_, node, _) -> node < 0 || node >= p.n) p.switches in
+  match (bad_time, Dpu_faults.Schedule.validate ~n:p.n p.nemesis, bad_node) with
+  | _ when p.n < 1 -> Error "need at least one node"
+  | _ when not (Float.is_finite p.load && p.load > 0.0) ->
+    Error (Printf.sprintf "load must be finite and positive, got %g" p.load)
+  | _ when p.msg_size < 0 -> Error (Printf.sprintf "message size must be >= 0, got %d" p.msg_size)
+  | _ when Option.fold ~none:false ~some:(fun k -> k < 1) p.batching ->
     Error "batch must be at least 1"
-  else
-    match Dpu_faults.Schedule.validate ~n:params.n params.nemesis with
-    | Error msg -> Error ("nemesis: " ^ msg)
-    | Ok () -> (
-      match List.find_opt (fun (_, node, _) -> out_of_range node) switches with
-      | Some (_, node, _) -> Error (Printf.sprintf "switch node %d out of range" node)
-      | None -> Ok ())
+  | Some (name, x), _, _ -> Error (Printf.sprintf "%s must be finite and >= 0, got %g" name x)
+  | None, Error msg, _ -> Error ("nemesis: " ^ msg)
+  | None, Ok (), Some (_, node, _) -> Error (Printf.sprintf "switch node %d out of range" node)
+  | None, Ok (), None -> Ok ()
 
 let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
-  let switches =
-    (match params.switch_to with
-    | Some p -> [ (params.switch_at_ms, 0, p) ]
-    | None -> [])
-    @ params.switches
-  in
-  match validate params switches with
+  let switches = planned params in
+  match validate params with
   | Error _ as e -> e
   | Ok () -> (
     let fds =

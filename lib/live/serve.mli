@@ -42,7 +42,7 @@ type params = {
   switch_at_ms : float;
   initial : string;
   switch_to : string option;
-  switches : (float * int * string) list;
+  switches : Dpu_faults.Corpus.switch list;
       (** extra replacements: [(at_ms, node, target)] *)
   nemesis : Dpu_faults.Schedule.t;  (** [[]] = clean network *)
   msg_size : int;
@@ -58,6 +58,21 @@ val default : params
 (** 3 nodes, 30 msg/s for 3 s, CT ABcast swapped to the sequencer
     variant at 1.5 s, clean network, no batching. *)
 
+val of_corpus : ?base:params -> Dpu_faults.Corpus.t -> params
+(** [base] (default {!default}) running a corpus scenario: its nodes,
+    load, duration, drain, initial protocol, switch list and schedule
+    as the nemesis, with no [switch_to]. *)
+
+val planned : params -> Dpu_faults.Corpus.switch list
+(** Every replacement the run triggers: [switch_to] at [switch_at_ms]
+    from node 0, then [switches]. Generation [i + 1] is the [i]-th. *)
+
+val validate : params -> (unit, string) result
+(** [Ok ()] iff [n >= 1], [load] is finite and positive, [msg_size >=
+    0], the batch cap is at least 1, every time (duration, drain,
+    switch times) is finite and [>= 0], and the nemesis schedule and
+    every switch name a node in range. *)
+
 type outcome = {
   node_reports : Node.report list;  (** in node order *)
   collector : Dpu_core.Collector.t;  (** all processes merged, one time axis *)
@@ -71,8 +86,7 @@ val run :
   ?logs_dir:string ->
   params ->
   (outcome, string) result
-(** [Error] on bad parameters — [n < 1], [load <= 0], a batch cap
-    below 1, or a nemesis schedule or switch naming a node out of
-    range — before any socket is bound; and [Error "node i: ..."] when
+(** [Error] on parameters {!validate} rejects, before any socket is
+    bound; and [Error "node i: ..."] when
     node [i] raises or dies, in which case the nodes still running are
     killed. Property violations are not an error — inspect [checks]. *)

@@ -19,17 +19,14 @@ type 'a t = {
   sim : Sim.t;
   n : int;
   rng : Rng.t;
-  mutable loss : float;
-  mutable dup : float;
+  loss : float;
+  dup : float;
   link : Latency.link;
   egress_free : float array;
       (* per-node NIC: time at which the interface is free again *)
   handlers : (src:int -> 'a -> unit) option array;
   crashed : bool array;
   mutable group_of : int array option; (* partition: group id per node *)
-  overrides : (int, Latency.link) Hashtbl.t;
-      (* keyed [src * n + dst]: a flat int key costs no tuple
-         allocation on the per-send lookup *)
   mutable drop_filter : (src:int -> dst:int -> 'a -> bool) option;
   mutable sent : int;
   mutable delivered : int;
@@ -56,7 +53,6 @@ let create sim ~n ?rng ?(loss = 0.0) ?(dup = 0.0) ?(link = Latency.lan) () =
     handlers = Array.make n None;
     crashed = Array.make n false;
     group_of = None;
-    overrides = Hashtbl.create 4;
     drop_filter = None;
     sent = 0;
     delivered = 0;
@@ -80,12 +76,6 @@ let is_crashed t node = t.crashed.(node)
 
 let crash t node = t.crashed.(node) <- true
 
-let recover t node =
-  t.crashed.(node) <- false;
-  (* A rebooted interface has no transmissions queued from its past
-     life: reset the egress clock to "free now". *)
-  t.egress_free.(node) <- Sim.now t.sim
-
 let correct_nodes t =
   let rec collect i acc =
     if i < 0 then acc
@@ -103,22 +93,7 @@ let partition t groups =
 
 let heal t = t.group_of <- None
 
-let set_loss t p = t.loss <- p
-
-let loss t = t.loss
-
-let set_dup t p = t.dup <- p
-
-let dup t = t.dup
-
 let set_drop_filter t f = t.drop_filter <- f
-
-let override_key t ~src ~dst = (src * t.n) + dst
-
-let set_link_override t ~src ~dst link =
-  match link with
-  | Some l -> Hashtbl.replace t.overrides (override_key t ~src ~dst) l
-  | None -> Hashtbl.remove t.overrides (override_key t ~src ~dst)
 
 let separated t src dst =
   match t.group_of with
@@ -157,22 +132,15 @@ let send t ~src ~dst ~size_bytes payload =
         (* The sender's interface serialises outgoing datagrams: the
            transmission delay of queued packets adds up. This is what
            makes large fan-outs (bigger n) measurably slower. *)
-        let link =
-          if Hashtbl.length t.overrides = 0 then t.link
-          else
-            match Hashtbl.find_opt t.overrides (override_key t ~src ~dst) with
-            | Some l -> l
-            | None -> t.link
-        in
         let now = Sim.now t.sim in
         let transmission =
-          if link.Latency.bandwidth_mbps = infinity then 0.0
-          else float_of_int (size_bytes * 8) /. (link.Latency.bandwidth_mbps *. 1000.0)
+          if t.link.Latency.bandwidth_mbps = infinity then 0.0
+          else float_of_int (size_bytes * 8) /. (t.link.Latency.bandwidth_mbps *. 1000.0)
         in
         let depart = Float.max now t.egress_free.(src) in
         t.egress_free.(src) <- depart +. transmission;
         let d =
-          depart -. now +. transmission +. Latency.sample link.Latency.model t.rng
+          depart -. now +. transmission +. Latency.sample t.link.Latency.model t.rng
         in
         ignore
           (Sim.schedule t.sim ~delay:d (fun () -> deliver t ~src ~dst payload)

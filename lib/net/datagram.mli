@@ -58,14 +58,9 @@ val send : 'a t -> src:int -> dst:int -> size_bytes:int -> 'a -> unit
     are never lost. *)
 
 val crash : 'a t -> int -> unit
-(** Silence a node (fail-stop unless later {!recover}ed). In-flight
-    datagrams to it are discarded at arrival time. *)
-
-val recover : 'a t -> int -> unit
-(** Un-crash a node: it sends and receives again, and its egress clock
-    is reset to the current virtual time (a rebooted interface has no
-    queued transmissions). Datagrams addressed to it while it was down
-    stay lost. *)
+(** Silence a node for good (fail-stop). In-flight datagrams to it are
+    discarded at arrival time. Recoverable faults live behind the
+    transport seam, in [Dpu_faults.Fault_transport]. *)
 
 val is_crashed : 'a t -> int -> bool
 
@@ -79,25 +74,12 @@ val partition : 'a t -> int list list -> unit
 val heal : 'a t -> unit
 (** Remove any partition. *)
 
-val set_loss : 'a t -> float -> unit
-
-val loss : 'a t -> float
-
-val set_dup : 'a t -> float -> unit
-
-val dup : 'a t -> float
-
 val set_drop_filter : 'a t -> (src:int -> dst:int -> 'a -> bool) option -> unit
 (** Test hook: when the filter returns [true] the datagram is dropped
     (counted as [filtered], not [lost]). Applied before the iid loss
     process; the loss process draws no random bit for filtered
     datagrams, so installing a filter does not perturb the RNG
     stream of the survivors. *)
-
-val set_link_override : 'a t -> src:int -> dst:int -> Latency.link option -> unit
-(** Give one directed pair its own link (e.g. a slow WAN hop in an
-    otherwise LAN-like deployment); [None] restores the default. The
-    sender's interface still serialises all of its traffic. *)
 
 val counters : 'a t -> counters
 

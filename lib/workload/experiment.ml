@@ -30,6 +30,7 @@ type params = {
   initial : string;
   switch_to : string option;
   switch_at_ms : float;
+  switches : Dpu_faults.Corpus.switch list;
   approach : approach;
   batching : Dpu_protocols.Batcher.config option;
   loss : float;
@@ -60,6 +61,7 @@ let default =
     initial = Dpu_core.Variants.ct;
     switch_to = Some Dpu_core.Variants.ct;
     switch_at_ms = 5_000.0;
+    switches = [];
     approach = Repl;
     batching = None;
     loss = 0.0;
@@ -84,20 +86,50 @@ let validate p =
   let negative =
     List.find_opt
       (fun (_, x) -> not (x >= 0.0))
-      [ ("duration", p.duration_ms); ("warmup", p.warmup_ms); ("switch time", p.switch_at_ms);
-        ("stagger", p.stagger_ms); ("drain", p.drain_ms) ]
+      ([ ("duration", p.duration_ms); ("warmup", p.warmup_ms); ("switch time", p.switch_at_ms);
+         ("stagger", p.stagger_ms); ("drain", p.drain_ms) ]
+      @ Option.fold p.switch_consensus ~none:[] ~some:(fun (at, _) ->
+            [ ("consensus switch time", at) ])
+      @ List.map (fun (at, _, _) -> ("switch time", at)) p.switches)
   in
-  if p.n < 1 then fail "n must be >= 1, got %d" p.n
-  else if p.shards < 1 || p.shards > p.n then
+  let bad_node = List.find_opt (fun (_, node, _) -> node < 0 || node >= p.n) p.switches in
+  match (negative, bad_node, Dpu_faults.Schedule.validate ~n:p.n p.faults) with
+  | _ when p.n < 1 -> fail "n must be >= 1, got %d" p.n
+  | _ when p.shards < 1 || p.shards > p.n ->
     fail "shards must be in 1..n = 1..%d, got %d" p.n p.shards
-  else if not (Float.is_finite p.load && p.load >= 0.0) then
+  | _ when not (Float.is_finite p.load && p.load >= 0.0) ->
     fail "load must be finite and >= 0, got %g" p.load
-  else
-    match (negative, Dpu_faults.Schedule.validate ~n:p.n p.faults) with
-    | Some (name, x), _ -> fail "%s must be >= 0, got %g" name x
-    | None, Error msg -> fail "bad fault schedule: %s" msg
-    | None, Ok () when p.faults <> [] && p.shards > 1 -> fail "faults need shards = 1"
-    | None, Ok () -> Ok ()
+  | _ when not (p.loss >= 0.0 && p.loss <= 1.0) -> fail "loss must be in [0, 1], got %g" p.loss
+  | _ when p.msg_size < 0 -> fail "message size must be >= 0, got %d" p.msg_size
+  | _ when not (Float.is_finite p.hop_cost && p.hop_cost >= 0.0) ->
+    fail "hop cost must be finite and >= 0, got %g" p.hop_cost
+  | Some (name, x), _, _ -> fail "%s must be >= 0, got %g" name x
+  | None, Some (_, node, _), _ -> fail "switch node %d out of range [0, %d)" node p.n
+  | None, None, Error msg -> fail "bad fault schedule: %s" msg
+  | None, None, Ok () when p.shards > 1 && (p.faults <> [] || p.switches <> []) ->
+    fail "faults and switches need shards = 1"
+  | None, None, Ok () -> Ok ()
+
+(* Virtual grace beyond a scenario's drain for retransmission cycles to
+   finish after the last fault window closes: virtual time is cheap,
+   and the battery wants a quiescent trace. *)
+let corpus_grace_ms = 30_000.0
+
+let of_corpus ?(seed = 1) (sc : Dpu_faults.Corpus.t) =
+  {
+    default with
+    n = sc.n;
+    seed;
+    load = sc.load;
+    duration_ms = sc.duration_ms;
+    msg_size = 1_024;
+    initial = sc.initial;
+    switch_to = None;
+    switches = sc.switches;
+    hop_cost = 0.05;
+    faults = sc.schedule;
+    drain_ms = sc.drain_ms +. corpus_grace_ms;
+  }
 
 type shard = {
   nodes : int;
@@ -112,6 +144,7 @@ type shard = {
   collector : Dpu_core.Collector.t;
   trace : Dpu_kernel.Trace.t;
   correct : int list;
+  faults : Dpu_faults.Fault_transport.stats;
 }
 
 type result = {
@@ -143,6 +176,15 @@ let switch_target params =
   | Some protocol, Some _ -> Some protocol
   | Some _, None | None, _ -> None
 
+(* The extra replacements, under the same rule. *)
+let planned_switches params =
+  if Option.is_some (layer_of params.approach) then params.switches else []
+
+(* Every replacement target the run may install. *)
+let targets params =
+  Option.to_list (switch_target params)
+  @ List.map (fun (_, _, target) -> target) (planned_switches params)
+
 let register_extra system =
   Dpu_baselines.Maestro.register system;
   Dpu_baselines.Graceful.register system
@@ -165,7 +207,7 @@ let preflight params =
   SB.register_protocols ~register_extra ~profile system;
   Dpu_analysis.Composition.verify_profile
     ~registry:(Dpu_kernel.System.registry system)
-    ~updates:(Option.to_list (switch_target params))
+    ~updates:(targets params)
     ~consensus_updates:(Option.to_list (Option.map snd params.switch_consensus))
     profile
 
@@ -199,9 +241,24 @@ let shard_of params g mw =
         | Some _ | None -> Stats.add normal p.value)
     (Series.points latency);
   let system = MW.system mw in
-  let correct = Dpu_kernel.System.correct_nodes system in
+  (* A scheduled crash silences a node at the shim, so the system still
+     counts it: the schedule says who ends the run down, as live. *)
+  let down = Dpu_faults.Schedule.crashed_before params.faults ~time:infinity in
+  let correct =
+    List.filter (fun node -> not (List.mem node down)) (Dpu_kernel.System.correct_nodes system)
+  in
   let sent = Collector.send_count collector in
-  let undelivered = Collector.undelivered_ids collector ~expected_copies:(List.length correct) in
+  (* The messages the properties require at every correct node: those
+     a correct node sent, and those delivered anywhere (uniform
+     agreement). What a silenced node sent into the void is neither. *)
+  let undelivered =
+    List.filter
+      (fun (id, sender, _) ->
+        let at = List.map fst (Collector.deliver_times collector id) in
+        (List.mem sender correct || at <> [])
+        && List.exists (fun node -> not (List.mem node at)) correct)
+      (Collector.sends collector)
+  in
   {
     nodes = MW.n mw;
     latency;
@@ -219,6 +276,7 @@ let shard_of params g mw =
     collector;
     trace = Dpu_kernel.System.trace system;
     correct;
+    faults = MW.fault_stats mw;
   }
 
 let run params =
@@ -237,6 +295,7 @@ let run params =
       trace_enabled = params.trace_enabled;
       metrics_enabled = params.metrics_enabled;
       msg_size = params.msg_size;
+      faults = params.faults;
     }
   in
   let fabric = Fabric.create ~config ~register_extra ~shards:params.shards ~n:params.n () in
@@ -263,21 +322,19 @@ let run params =
         ("approach", Json.Str (approach_name params.approach));
         ("initial", Json.Str params.initial) ]
     "experiment start";
-  (* Faults need one shard ({!validate}), whose group is the whole
-     cluster. In the full-stack harness a scheduled [Crash] is
-     fail-stop (stack and network endpoint both die); a [Recover] of a
-     fail-stopped node is ignored — the process model has no rejoin —
-     so it only applies to network-level silences. *)
-  (let mw = Fabric.group fabric 0 in
-   let system = MW.system mw in
-   Dpu_faults.Schedule.arm
-     ~on_event:(fun _ what -> Dpu_obs.Log.warn log what)
-     ~crash_node:(fun node -> MW.crash mw node)
-     ~recover_node:(fun node ->
-       if not (Dpu_kernel.Stack.is_crashed (Dpu_kernel.System.stack system node)) then
-         Dpu_net.Datagram.recover (Dpu_kernel.System.net system) node)
-     (Dpu_kernel.System.net system)
-     params.faults);
+  (* The fault shim acts on its own; the log gets one record per
+     schedule event, at its time. Faults need one shard ({!validate}). *)
+  if Dpu_obs.Log.enabled log Dpu_obs.Log.Warn then begin
+    let clock = Dpu_kernel.System.clock (MW.system (Fabric.group fabric 0)) in
+    List.iter
+      (fun (e : Dpu_faults.Schedule.event) ->
+        Clock.defer clock ~delay:e.at (fun () ->
+            Dpu_obs.Log.warn log
+              ~fields:
+                [ ("event", Json.Str (Format.asprintf "%a" Dpu_faults.Schedule.pp_action e.action)) ]
+              "fault"))
+      (Dpu_faults.Schedule.sorted params.faults)
+  end;
   Fabric.iter_groups fabric (fun g mw ->
       let size = MW.n mw in
       let clock = Dpu_kernel.System.clock (MW.system mw) in
@@ -292,18 +349,19 @@ let run params =
         let rate_per_s = params.load *. (float_of_int size /. float_of_int params.n) in
         Load_gen.start mw ~rate_per_s ~pattern:params.pattern ~size:params.msg_size
           ~until:params.duration_ms ());
-      Option.iter
-        (fun protocol ->
-          (* "any process triggers the replacement" (§6.2) — pick the
-             highest-numbered one still alive at the switch time. *)
-          let at = trigger_ms params g in
-          let crashed_by_then = Dpu_faults.Schedule.crashed_before params.faults ~time:at in
-          let rec pick node =
-            if node < 0 then 0
-            else if List.mem node crashed_by_then then pick (node - 1)
-            else node
-          in
-          let node = pick (size - 1) in
+      (* "any process triggers the replacement" (§6.2) — [switch_to]
+         from the highest-numbered one still alive at the switch time,
+         then the planned ones. *)
+      let from_switch_to protocol =
+        let at = trigger_ms params g in
+        let crashed_by_then = Dpu_faults.Schedule.crashed_before params.faults ~time:at in
+        let rec pick node =
+          if node < 0 then 0 else if List.mem node crashed_by_then then pick (node - 1) else node
+        in
+        (at, pick (size - 1), protocol)
+      in
+      List.iter
+        (fun (at, node, protocol) ->
           Clock.defer clock ~delay:at (fun () ->
               Dpu_obs.Log.info log
                 ~fields:
@@ -311,7 +369,8 @@ let run params =
                     ("target", Json.Str protocol) ]
                 "switch trigger";
               MW.change_protocol mw ~node protocol))
-        (switch_target params);
+        (Option.to_list (Option.map from_switch_to (switch_target params))
+        @ planned_switches params);
       Option.iter
         (fun (time, protocol) ->
           Clock.defer clock ~delay:time (fun () ->
@@ -350,12 +409,16 @@ let check_shard params s =
   let abcast = Dpu_props.Abcast_props.check_all s.collector ~correct:s.correct in
   let protocols =
     params.initial
-    :: (match params.switch_to with Some p when p <> params.initial -> [ p ] | Some _ | None -> [])
+    :: List.sort_uniq String.compare
+         (List.filter (fun p -> p <> params.initial)
+            (Option.to_list params.switch_to
+            @ List.map (fun (_, _, target) -> target) params.switches))
   in
+  (* A silenced node never switches: the §3 properties, like the
+     ABcast ones, speak of the correct nodes. *)
   let generic =
     if Dpu_kernel.Trace.enabled s.trace then
-      Dpu_props.Stack_props.check_generic s.trace ~protocols
-        ~nodes:(List.init s.nodes Fun.id)
+      Dpu_props.Stack_props.check_generic s.trace ~protocols ~nodes:s.correct
     else []
   in
   abcast @ generic

@@ -32,6 +32,11 @@ type params = {
   initial : string;  (** initial ABcast variant *)
   switch_to : string option;  (** [None]: no replacement *)
   switch_at_ms : float;
+  switches : Dpu_faults.Corpus.switch list;
+      (** extra replacements [(at_ms, node, target)], as
+          [Dpu_live.Serve.params.switches] (default [[]]; a non-empty
+          list needs [shards = 1]). Like [switch_to], ignored without a
+          replacement layer. *)
   approach : approach;
   batching : Dpu_protocols.Batcher.config option;
       (** throughput-mode batch aggregation in the ordering hot path
@@ -57,12 +62,15 @@ type params = {
       (** (time, target implementation): hot-swap consensus mid-run
           (needs [consensus_layer]) *)
   faults : Dpu_faults.Schedule.t;
-      (** declarative fault schedule armed at virtual time 0. [Crash]
-          is fail-stop here (stack + network endpoint); [Recover] of a
-          fail-stopped node is ignored. Default: no faults. *)
+      (** fault schedule from virtual time 0, interpreted by the
+          {!Dpu_faults.Fault_transport} shim around the cluster's
+          transport ([Middleware.config.faults]), as on the live
+          backend: a [Crash] is fail-silence until a matching
+          [Recover]. Default: no faults. *)
   log_out : string option;
       (** write structured JSONL milestone logs (start, switch
-          triggers, fault events, completion) to this path, stamped on the
+          triggers, one [fault] record per schedule event, completion)
+          to this path, stamped on the
           {e virtual} clock — identical params produce byte-identical
           files; [None] (the default) is the noop logger *)
   epoch_buffer : bool;
@@ -92,8 +100,17 @@ val default : params
 
 val validate : params -> (unit, string) result
 (** [Ok ()] iff [n >= 1], [1 <= shards <= n], [load] is finite and
-    [>= 0], every time is [>= 0], [faults] passes
-    {!Dpu_faults.Schedule.validate}, and [faults = []] when [shards > 1]. *)
+    [>= 0], [loss] is in [[0, 1]], [msg_size >= 0], [hop_cost] is
+    finite and [>= 0], every time (consensus swap and [switches]
+    included) is [>= 0], every [switches] node is in range, [faults]
+    passes {!Dpu_faults.Schedule.validate}, and [faults] and
+    [switches] are empty when [shards > 1]. *)
+
+val of_corpus : ?seed:int -> Dpu_faults.Corpus.t -> params
+(** A corpus scenario as a run (default seed 1): its nodes, load,
+    duration, initial protocol, switch list and fault schedule, no
+    [switch_to], 0.05 ms hops, 1 KB messages, tracing off, and a drain
+    30 s beyond the scenario's so retransmissions settle. *)
 
 type shard = {
   nodes : int;  (** the shard's size; its nodes are numbered [0 .. nodes-1] *)
@@ -105,10 +122,17 @@ type shard = {
   switch_duration_ms : float;  (** window width; 0 when no switch *)
   blocked_ms : float;  (** max application-blocked time over stacks *)
   sent : int;
-  delivered_everywhere : int;  (** messages delivered by all correct stacks *)
+  delivered_everywhere : int;
+      (** [sent] minus the messages a correct stack missed although a
+          correct node sent it or some stack delivered it *)
   collector : Dpu_core.Collector.t;
   trace : Dpu_kernel.Trace.t;
   correct : int list;
+      (** the nodes neither fail-stopped nor left silenced by
+          [faults] at the end of the run *)
+  faults : Dpu_faults.Fault_transport.stats;
+      (** the fault shim's ledger ({!Dpu_faults.Fault_transport.no_stats}
+          without a schedule) *)
 }
 
 type result = {
@@ -133,7 +157,8 @@ val preflight : params -> Dpu_props.Report.t list
 (** Statically verify the configuration [run] would assemble
     ({!Dpu_analysis.Composition}): stack well-formedness, provider
     acyclicity, unique bindings and update-plan safety for the planned
-    [switch_to] / [switch_consensus] swaps. No simulation happens. *)
+    [switch_to] / [switches] / [switch_consensus] swaps. No simulation
+    happens. *)
 
 val run : params -> result
 (** Raises [Invalid_argument] if {!validate} rejects [params], and
@@ -142,7 +167,7 @@ val run : params -> result
 
 val check : result -> Dpu_props.Report.t list
 (** All ABcast properties plus, when tracing, the generic §3
-    properties, checked shard by shard. With more than one shard each
+    properties over the correct nodes, checked shard by shard. With more than one shard each
     report's property is prefixed with ["shard g: "]. *)
 
 val all_ok : result -> bool

@@ -535,13 +535,13 @@ let test_unsafe_pair_static_eq_dynamic () =
   let profile = { SB.default_profile with epoch_buffer = false } in
   let reports = verify ~updates:[ Variants.sequencer ] profile in
   some_violation_mentions reports "behavioural update safety" "gap-free-gseq";
-  let config = { MW.default_config with seed = 102; msg_size = 1024; profile } in
+  let config =
+    { MW.default_config with seed = 102; msg_size = 1024; profile; faults = discriminating_faults }
+  in
   let mw = MW.create ~config ~n:5 () in
   let system = MW.system mw in
   let clock = System.clock system in
-  let net = System.net system in
   Dpu_workload.Load_gen.start mw ~rate_per_s:30.0 ~until:4_000.0 ();
-  Schedule.arm net discriminating_faults;
   ignore
     (Dpu_runtime.Clock.defer clock ~delay:2_000.0 (fun () ->
          MW.change_protocol mw ~node:4 Variants.sequencer));

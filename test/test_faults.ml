@@ -1,7 +1,8 @@
-(* Tests for the Dpu_faults subsystem: schedule interpretation against
-   the datagram network, spec parsing, validation, nemesis determinism,
-   and full-harness soaks that replace the ABcast protocol *during*
-   each fault class with every §5 property checked across the switch. *)
+(* Tests for the Dpu_faults subsystem: schedules on a simulated cluster
+   and the fault shim that interprets them, spec parsing, validation,
+   nemesis determinism, the scenario corpus, and full-harness soaks
+   that replace the ABcast protocol *during* each fault class with
+   every §5 property checked across the switch. *)
 
 module Sim = Dpu_engine.Sim
 module Clock = Dpu_runtime.Clock
@@ -14,135 +15,93 @@ module FT = Dpu_faults.Fault_transport
 module RT = Dpu_runtime.Transport
 module Runtime = Dpu_runtime.Runtime
 module Corpus = Dpu_faults.Corpus
-module Scenario = Dpu_workload.Scenario
 module E = Dpu_workload.Experiment
+module MW = Dpu_core.Middleware
+module Collector = Dpu_core.Collector
 
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-let make_net ?(n = 3) ?(loss = 0.0) () =
-  let sim = Sim.create ~seed:7 () in
-  let net = Datagram.create sim ~n ~loss ~link:(Latency.constant 1.0) () in
-  (sim, net)
-
-let inbox net node =
-  let log = ref [] in
-  Datagram.set_handler net ~node (fun ~src payload -> log := (src, payload) :: !log);
-  log
-
 (* ------------------------------------------------------------------ *)
-(* Schedule interpretation                                            *)
+(* Schedules on a simulated cluster: [Middleware.config.faults]       *)
 (* ------------------------------------------------------------------ *)
+
+(* A cluster whose config carries [faults]: the schedule reaches the
+   stacks through the fault shim Middleware wraps around the simulated
+   network. Node 0 of three broadcasts at each of [times]; the run
+   drains. *)
+let run_cluster ~times faults =
+  let config = { MW.default_config with seed = 7; msg_size = 100; faults } in
+  let mw = MW.create ~config ~n:3 () in
+  let clock = Dpu_kernel.System.clock (MW.system mw) in
+  List.iter
+    (fun t ->
+      Clock.defer clock ~delay:t (fun () ->
+          ignore (MW.broadcast mw ~node:0 (Printf.sprintf "at %g" t) : Dpu_kernel.Msg.t)))
+    times;
+  MW.run_until_quiescent ~limit:5_000.0 mw;
+  mw
+
+(* Every node ends with node 0's full delivery sequence. *)
+let check_caught_up ~what ~sent mw =
+  let collector = MW.collector mw in
+  let ids node = List.map fst (Collector.delivers_of collector ~node) in
+  check Alcotest.int (what ^ ": node 0 delivered everything") sent (List.length (ids 0));
+  List.iter
+    (fun node ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: node %d has node 0's sequence" what node)
+        true
+        (ids node = ids 0))
+    (List.init (MW.n mw) Fun.id)
 
 let test_crash_recover_schedule () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Schedule.arm net [ Schedule.crash ~at:10.0 1; Schedule.recover ~at:20.0 1 ];
-  let send_at t tag =
-    ignore
-      (Sim.schedule_at sim ~time:t (fun () ->
-           Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 tag))
-  in
-  send_at 5.0 "before";
-  send_at 15.0 "during";
-  send_at 25.0 "after";
-  Sim.run sim;
-  check Alcotest.int "two delivered" 2 (List.length !inbox1);
-  check Alcotest.bool "during dropped" true
-    (List.for_all (fun (_, p) -> p <> "during") !inbox1);
-  check Alcotest.int "dropped at arrival while down" 1
-    (Datagram.counters net).Datagram.blocked_crash
+  let times = [ 50.0; 300.0; 900.0 ] in
+  let mw = run_cluster ~times [ Schedule.crash ~at:100.0 2; Schedule.recover ~at:600.0 2 ] in
+  check Alcotest.bool "the crash silenced traffic" true
+    ((MW.fault_stats mw).FT.blocked_crash > 0);
+  check (Alcotest.list Alcotest.int) "fail-silence, not fail-stop" [ 0; 1; 2 ]
+    (Dpu_kernel.System.correct_nodes (MW.system mw));
+  check_caught_up ~what:"recovered" ~sent:3 mw
 
 let test_loss_window_schedule () =
-  let sim, net = make_net ~loss:0.02 () in
-  ignore (inbox net 1);
-  Schedule.arm net [ Schedule.loss_window ~p:1.0 ~from_:10.0 ~until:20.0 ];
-  let send_at t =
-    ignore
-      (Sim.schedule_at sim ~time:t (fun () ->
-           Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "x"))
-  in
-  send_at 15.0;
-  Sim.run sim;
-  check Alcotest.int "lost inside window" 1 (Datagram.counters net).Datagram.lost;
-  (* After the window the pre-existing probability is restored. *)
-  check (Alcotest.float 1e-9) "baseline restored" 0.02 (Datagram.loss net)
+  let times = [ 50.0; 150.0; 400.0 ] in
+  let mw = run_cluster ~times [ Schedule.loss_window ~p:1.0 ~from_:100.0 ~until:200.0 ] in
+  check Alcotest.bool "frames lost inside the window" true
+    ((MW.fault_stats mw).FT.injected_loss > 0);
+  check_caught_up ~what:"after the window" ~sent:3 mw
 
 let test_dup_burst_schedule () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Schedule.arm net [ Schedule.dup_burst ~p:1.0 ~from_:10.0 ~until:20.0 ];
-  let send_at t tag =
-    ignore
-      (Sim.schedule_at sim ~time:t (fun () ->
-           Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 tag))
-  in
-  send_at 15.0 "inside";
-  send_at 25.0 "outside";
-  Sim.run sim;
-  let copies tag = List.length (List.filter (fun (_, p) -> p = tag) !inbox1) in
-  check Alcotest.int "duplicated inside" 2 (copies "inside");
-  check Alcotest.int "single outside" 1 (copies "outside");
-  check (Alcotest.float 0.0) "dup restored" 0.0 (Datagram.dup net)
+  let times = [ 50.0; 150.0; 400.0 ] in
+  let mw = run_cluster ~times [ Schedule.dup_burst ~p:1.0 ~from_:100.0 ~until:200.0 ] in
+  check Alcotest.bool "frames duplicated inside the burst" true
+    ((MW.fault_stats mw).FT.injected_dup > 0);
+  check_caught_up ~what:"no double delivery" ~sent:3 mw
 
 let test_degrade_link_schedule () =
-  let sim, net = make_net () in
-  let arrivals = ref [] in
-  Datagram.set_handler net ~node:1 (fun ~src:_ tag ->
-      arrivals := (tag, Sim.now sim) :: !arrivals);
-  Schedule.arm net
-    [
-      Schedule.degrade_link ~src:0 ~dst:1 ~link:(Latency.constant 40.0) ~from_:10.0
-        ~until:20.0;
-    ];
-  let send_at t tag =
-    ignore
-      (Sim.schedule_at sim ~time:t (fun () ->
-           Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 tag))
+  let times = [ 50.0; 150.0; 400.0 ] in
+  let mw =
+    run_cluster ~times
+      [
+        Schedule.degrade_link ~src:0 ~dst:1 ~link:(Latency.constant 40.0) ~from_:100.0
+          ~until:200.0;
+      ]
   in
-  send_at 12.0 "slow";
-  send_at 25.0 "fast";
-  Sim.run sim;
-  let time_of tag = List.assoc tag !arrivals in
-  check (Alcotest.float 1e-6) "degraded inside window" 52.0 (time_of "slow");
-  check (Alcotest.float 1e-6) "restored outside" 26.0 (time_of "fast")
+  check Alcotest.bool "frames deferred on the slow link" true
+    ((MW.fault_stats mw).FT.delayed > 0);
+  check_caught_up ~what:"slow link" ~sent:3 mw
 
 let test_partition_heal_schedule () =
-  let sim, net = make_net ~n:4 () in
-  let inbox3 = inbox net 3 in
-  Schedule.arm net
-    [ Schedule.partition ~at:10.0 [ [ 0; 1 ]; [ 2; 3 ] ]; Schedule.heal ~at:20.0 ];
-  let send_at t tag =
-    ignore
-      (Sim.schedule_at sim ~time:t (fun () ->
-           Datagram.send net ~src:0 ~dst:3 ~size_bytes:10 tag))
+  let times = [ 50.0; 300.0; 900.0 ] in
+  let mw =
+    run_cluster ~times
+      [ Schedule.partition ~at:100.0 [ [ 0; 1 ]; [ 2 ] ]; Schedule.heal ~at:600.0 ]
   in
-  send_at 15.0 "cross";
-  send_at 25.0 "healed";
-  Sim.run sim;
-  check Alcotest.bool "only post-heal" true (!inbox3 = [ (0, "healed") ]);
-  check Alcotest.int "partition drop counted" 1
-    (Datagram.counters net).Datagram.blocked_partition
-
-let test_on_event_observability () =
-  let sim, net = make_net () in
-  let seen = ref [] in
-  Schedule.arm net
-    ~on_event:(fun time what -> seen := (time, what) :: !seen)
-    [ Schedule.crash ~at:5.0 1; Schedule.loss_window ~p:0.5 ~from_:10.0 ~until:20.0 ];
-  Sim.run sim;
-  let times = List.rev_map fst !seen in
-  check (Alcotest.list (Alcotest.float 1e-9)) "all boundaries observed"
-    [ 5.0; 10.0; 20.0 ] times
-
-let test_custom_crash_hook () =
-  let _sim, net = make_net () in
-  let killed = ref [] in
-  Schedule.arm net ~crash_node:(fun node -> killed := node :: !killed)
-    [ Schedule.crash ~at:0.0 2 ];
-  Sim.run (Datagram.sim net);
-  check (Alcotest.list Alcotest.int) "hook used" [ 2 ] !killed;
-  check Alcotest.bool "net-level crash bypassed" false (Datagram.is_crashed net 2)
+  check Alcotest.bool "cross-partition frames absorbed" true
+    ((MW.fault_stats mw).FT.blocked_partition > 0);
+  check_caught_up ~what:"healed" ~sent:3 mw;
+  let clean = run_cluster ~times [] in
+  check Alcotest.bool "no schedule, no ledger" true (MW.fault_stats clean = FT.no_stats)
 
 (* ------------------------------------------------------------------ *)
 (* Fault_transport: the shim behind the Transport seam                *)
@@ -323,13 +282,22 @@ let test_corpus_well_formed () =
   check Alcotest.int "five scenarios" 5 (List.length Corpus.all);
   List.iter
     (fun (sc : Corpus.t) ->
-      match Corpus.validate sc with
+      (match E.validate (E.of_corpus sc) with
       | Ok () -> ()
-      | Error msg -> fail (Printf.sprintf "%s: %s" sc.Corpus.name msg))
+      | Error msg -> fail (Printf.sprintf "%s (simulated): %s" sc.Corpus.name msg));
+      match Dpu_live.Serve.validate (Dpu_live.Serve.of_corpus sc) with
+      | Ok () -> ()
+      | Error msg -> fail (Printf.sprintf "%s (live): %s" sc.Corpus.name msg))
     Corpus.all;
   check Alcotest.bool "find resolves every name" true
     (List.for_all (fun name -> Corpus.find name <> None) (Corpus.names ()));
   check Alcotest.bool "unknown name is None" true (Corpus.find "nope" = None)
+
+(* Per planned switch: (generation, completion window). *)
+let switch_windows (sc : Corpus.t) (s : E.shard) =
+  List.mapi
+    (fun i _ -> (i + 1, Collector.switch_window s.E.collector ~generation:(i + 1)))
+    sc.Corpus.switches
 
 let expect_installed ~what windows =
   List.iter
@@ -343,27 +311,61 @@ let test_corpus_scenarios_hold_properties () =
   List.iter
     (fun (sc : Corpus.t) ->
       let what = sc.Corpus.name in
-      let r = Scenario.run_sim ~seed:1 sc in
-      check Alcotest.bool (what ^ ": traffic flowed") true (r.Scenario.sent > 20);
+      let r = E.run (E.of_corpus ~seed:1 sc) in
+      let s = r.E.per_shard.(0) in
+      let windows = switch_windows sc s in
+      check Alcotest.bool (what ^ ": traffic flowed") true (s.E.sent > 20);
       check Alcotest.bool (what ^ ": full §5.1 battery holds") true
-        (Scenario.ok r);
+        (Dpu_props.Report.all_ok (E.check r));
       match what with
       | "racing-replacements" -> (
         (* Two changes race through generation 0; total order picks one
            winner and the loser is dropped as stale. *)
-        match r.Scenario.switch_windows with
+        match windows with
         | [ (1, Some _); (2, None) ] -> ()
         | _ -> fail "racing: expected exactly the first-ordered change to win")
       | "coordinator-crash-mid-switch" ->
         check (Alcotest.list Alcotest.int) "crashed coordinator excluded"
-          [ 0; 1; 3; 4 ] r.Scenario.correct;
-        expect_installed ~what r.Scenario.switch_windows
+          [ 0; 1; 3; 4 ] s.E.correct;
+        expect_installed ~what windows
       | "replacement-under-partition" ->
         check Alcotest.bool "the partition actually bit" true
-          (r.Scenario.faults.FT.blocked_partition > 0);
-        expect_installed ~what r.Scenario.switch_windows
-      | _ -> expect_installed ~what r.Scenario.switch_windows)
+          (s.E.faults.FT.blocked_partition > 0);
+        expect_installed ~what windows
+      | _ -> expect_installed ~what windows)
     Corpus.all
+
+(* The silenced coordinator's own messages went into the void: the
+   run is still all OK, since no property requires them. *)
+let test_coordinator_crash_all_ok () =
+  match Corpus.find "coordinator-crash-mid-switch" with
+  | None -> fail "scenario missing"
+  | Some sc ->
+    let r = E.run (E.of_corpus ~seed:1 sc) in
+    check Alcotest.bool "all_ok" true (E.all_ok r)
+
+(* Canonical dump of everything a corpus run observed; two runs replay
+   identically iff their signatures are byte-equal. *)
+let signature (r : E.result) =
+  let s = r.E.per_shard.(0) in
+  let buf = Buffer.create 4_096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  List.iter
+    (fun (id, node, time) ->
+      add "send %s node %d @%.6f\n" (Dpu_kernel.Msg.id_to_string id) node time)
+    (Collector.sends s.E.collector);
+  for node = 0 to s.E.nodes - 1 do
+    List.iter
+      (fun (id, time) ->
+        add "deliver node %d %s @%.6f\n" node (Dpu_kernel.Msg.id_to_string id) time)
+      (Collector.delivers_of s.E.collector ~node)
+  done;
+  List.iter
+    (fun (node, generation, time) ->
+      add "switch node %d gen %d @%.6f\n" node generation time)
+    (Collector.switches s.E.collector);
+  add "faults %s\n" (Format.asprintf "%a" FT.pp_stats s.E.faults);
+  Buffer.contents buf
 
 let test_corpus_replay_deterministic () =
   let sc =
@@ -371,10 +373,11 @@ let test_corpus_replay_deterministic () =
     | Some sc -> sc
     | None -> fail "scenario missing"
   in
-  let s1 = Scenario.signature (Scenario.run_sim ~seed:3 sc) in
-  let s2 = Scenario.signature (Scenario.run_sim ~seed:3 sc) in
+  let run seed = signature (E.run (E.of_corpus ~seed sc)) in
+  let s1 = run 3 in
+  let s2 = run 3 in
   check Alcotest.bool "byte-identical replay" true (String.equal s1 s2);
-  let s3 = Scenario.signature (Scenario.run_sim ~seed:4 sc) in
+  let s3 = run 4 in
   check Alcotest.bool "the seed matters" true (not (String.equal s1 s3))
 
 (* ------------------------------------------------------------------ *)
@@ -610,16 +613,15 @@ let test_epoch_buffer_engages () =
      and the late sequencer instance deadlocked on a global-sequence gap,
      delivering nothing after its switch. The buffer must engage at the
      late node, and every node must end with the same delivery count. *)
-  let module MW = Dpu_core.Middleware in
   let module System = Dpu_kernel.System in
-  let config = { MW.default_config with seed = 102; msg_size = 1024 } in
+  let faults =
+    [ Schedule.partition ~at:1_500.0 [ [ 0; 1; 2; 3 ]; [ 4 ] ]; Schedule.heal ~at:2_600.0 ]
+  in
+  let config = { MW.default_config with seed = 102; msg_size = 1024; faults } in
   let mw = MW.create ~config ~n:5 () in
   let system = MW.system mw in
   let clock = System.clock system in
-  let net = System.net system in
   Dpu_workload.Load_gen.start mw ~rate_per_s:30.0 ~until:4_000.0 ();
-  Schedule.arm net
-    [ Schedule.partition ~at:1_500.0 [ [ 0; 1; 2; 3 ]; [ 4 ] ]; Schedule.heal ~at:2_600.0 ];
   ignore
     (Clock.defer clock ~delay:2_000.0 (fun () ->
          MW.change_protocol mw ~node:4 Dpu_core.Variants.sequencer));
@@ -630,7 +632,7 @@ let test_epoch_buffer_engages () =
   check Alcotest.bool "stash replayed after the late switch" true
     (Dpu_protocols.Epoch_buffer.replayed late > 0);
   let collector = MW.collector mw in
-  let count node = List.length (Dpu_core.Collector.delivers_of collector ~node) in
+  let count node = List.length (Collector.delivers_of collector ~node) in
   check Alcotest.bool "traffic flowed" true (count 0 > 20);
   List.iter
     (fun node ->
@@ -638,6 +640,23 @@ let test_epoch_buffer_engages () =
         (Printf.sprintf "node %d delivered the full stream" node)
         (count 0) (count node))
     [ 1; 2; 3; 4 ]
+
+(* A crash-silenced node that recovers rejoins on the simulator as it
+   does live: it stays correct and ends with node 0's full sequence. *)
+let test_crash_then_recover_rejoins () =
+  let faults = [ Schedule.crash ~at:1_500.0 4; Schedule.recover ~at:2_600.0 4 ] in
+  List.iter
+    (fun seed ->
+      let result = E.run (soak_params ~seed faults) in
+      let s = result.E.per_shard.(0) in
+      let what = Printf.sprintf "crash-then-recover seed %d" seed in
+      check (Alcotest.list Alcotest.int) (what ^ ": node 4 is correct") [ 0; 1; 2; 3; 4 ]
+        s.E.correct;
+      let ids node = List.map fst (Collector.delivers_of s.E.collector ~node) in
+      check Alcotest.bool (what ^ ": node 4 delivered node 0's sequence") true
+        (ids 4 = ids 0);
+      assert_props_hold ~what result)
+    [ 1; 2 ]
 
 let test_experiment_rejects_bad_schedule () =
   let params = soak_params ~seed:1 [ Schedule.crash ~at:100.0 99 ] in
@@ -659,8 +678,6 @@ let () =
           tc "dup burst" test_dup_burst_schedule;
           tc "degrade link" test_degrade_link_schedule;
           tc "partition + heal" test_partition_heal_schedule;
-          tc "on_event" test_on_event_observability;
-          tc "custom crash hook" test_custom_crash_hook;
         ] );
       ( "fault-transport",
         [
@@ -677,6 +694,7 @@ let () =
           tc "well-formed" test_corpus_well_formed;
           slow "every scenario holds the battery" test_corpus_scenarios_hold_properties;
           slow "replay determinism" test_corpus_replay_deterministic;
+          slow "coordinator crash mid-switch is all OK" test_coordinator_crash_all_ok;
         ] );
       ( "spec",
         [
@@ -703,6 +721,7 @@ let () =
           slow "switch during loss window" test_switch_during_loss_window;
           slow "switch under nemesis" test_switch_under_nemesis;
           slow "late switch engages epoch buffer" test_epoch_buffer_engages;
+          slow "crash then recover rejoins" test_crash_then_recover_rejoins;
           tc "rejects bad schedule" test_experiment_rejects_bad_schedule;
         ] );
     ]

@@ -695,6 +695,14 @@ let test_serve_rejects_bad_params () =
         { base with nemesis = [ Dpu_faults.Schedule.crash ~at:100.0 9 ] } );
       ( "switch node out of range",
         { base with switches = [ (100.0, 3, Dpu_core.Variants.sequencer) ] } );
+      ("NaN load", { base with n = 1; load = Float.nan });
+      ("infinite load", { base with n = 1; load = Float.infinity });
+      ("negative message size", { base with msg_size = -5 });
+      ("negative duration", { base with duration_ms = -5.0 });
+      ("negative drain", { base with drain_ms = -5.0 });
+      ("negative switch time", { base with switch_at_ms = -10.0 });
+      ( "switch at a negative time",
+        { base with switches = [ (-1.0, 1, Dpu_core.Variants.sequencer) ] } );
     ];
   check Alcotest.bool "no socket left open" true (next_fd () = before)
 

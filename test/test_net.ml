@@ -233,37 +233,6 @@ let test_filtered_counted_separately () =
   check Alcotest.int "not lost" 0 c.Datagram.lost;
   check Alcotest.int "delivered" 1 c.Datagram.delivered
 
-let test_recover () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.crash net 1;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "while-down";
-  Sim.run sim;
-  check Alcotest.int "nothing while down" 0 (List.length !inbox1);
-  Datagram.recover net 1;
-  check Alcotest.bool "not crashed" false (Datagram.is_crashed net 1);
-  check (Alcotest.list Alcotest.int) "correct again" [ 0; 1; 2 ]
-    (Datagram.correct_nodes net);
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "after-recover";
-  Sim.run sim;
-  check Alcotest.int "delivery resumes" 1 (List.length !inbox1);
-  check Alcotest.bool "lost send stays lost" true (!inbox1 = [ (0, "after-recover") ])
-
-let test_recover_resets_egress_clock () =
-  let sim = Sim.create ~seed:7 () in
-  let link = { Latency.model = Latency.Constant 0.1; bandwidth_mbps = 100.0 } in
-  let net = Datagram.create sim ~n:2 ~link () in
-  Datagram.set_handler net ~node:1 (fun ~src:_ _ -> ());
-  for _ = 1 to 10 do
-    Datagram.send net ~src:0 ~dst:1 ~size_bytes:12_500 "1ms-each"
-  done;
-  check (Alcotest.float 1e-6) "backlog built" 10.0 (Datagram.egress_backlog_ms net ~node:0);
-  Datagram.crash net 0;
-  Sim.run ~until:1.0 sim;
-  Datagram.recover net 0;
-  check (Alcotest.float 0.0) "rebooted interface is idle" 0.0
-    (Datagram.egress_backlog_ms net ~node:0)
-
 let test_blocked_cause_counters () =
   let sim, net = make_net ~n:4 () in
   ignore (inbox net 1);
@@ -280,29 +249,6 @@ let test_blocked_cause_counters () =
   check Alcotest.int "partition cause" 1 c.Datagram.blocked_partition;
   check Alcotest.int "no-handler cause" 1 c.Datagram.blocked_no_handler;
   check Alcotest.int "total" 3 c.Datagram.blocked
-
-let test_set_dup_dynamic () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.set_dup net 1.0;
-  check (Alcotest.float 0.0) "getter" 1.0 (Datagram.dup net);
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "x";
-  Sim.run sim;
-  Datagram.set_dup net 0.0;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "y";
-  Sim.run sim;
-  check Alcotest.int "two then one" 3 (List.length !inbox1)
-
-let test_set_loss_dynamic () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.set_loss net 1.0;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "x";
-  Sim.run sim;
-  Datagram.set_loss net 0.0;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "y";
-  Sim.run sim;
-  check Alcotest.int "only second" 1 (List.length !inbox1)
 
 let test_counters_bytes () =
   let sim, net = make_net () in
@@ -349,47 +295,6 @@ let test_egress_backlog_reported () =
   check (Alcotest.float 1e-6) "drains with time" 6.0 (Datagram.egress_backlog_ms net ~node:0);
   Sim.run sim;
   check (Alcotest.float 0.0) "fully drained" 0.0 (Datagram.egress_backlog_ms net ~node:0)
-
-let test_link_override () =
-  let sim = Sim.create ~seed:7 () in
-  let net = Datagram.create sim ~n:3 ~link:(Latency.constant 0.5) () in
-  Datagram.set_link_override net ~src:0 ~dst:2 (Some (Latency.constant 40.0));
-  let arrivals = ref [] in
-  for node = 1 to 2 do
-    Datagram.set_handler net ~node (fun ~src:_ tag ->
-        arrivals := (tag, Sim.now sim) :: !arrivals)
-  done;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "lan";
-  Datagram.send net ~src:0 ~dst:2 ~size_bytes:10 "wan";
-  Sim.run sim;
-  let time_of tag = List.assoc tag !arrivals in
-  check (Alcotest.float 1e-6) "lan fast" 0.5 (time_of "lan");
-  check (Alcotest.float 1e-6) "wan slow" 40.0 (time_of "wan");
-  (* Remove the override: back to the default link. *)
-  Datagram.set_link_override net ~src:0 ~dst:2 None;
-  Datagram.send net ~src:0 ~dst:2 ~size_bytes:10 "wan2";
-  Sim.run sim;
-  check Alcotest.bool "restored" true (time_of "wan2" -. time_of "wan" < 10.0)
-
-let test_link_override_directional () =
-  (* The override table is keyed src * n + dst: the (1, 2) and (2, 1)
-     directions — and every other pair — must never alias. *)
-  let sim = Sim.create ~seed:7 () in
-  let net = Datagram.create sim ~n:3 ~link:(Latency.constant 0.5) () in
-  Datagram.set_link_override net ~src:1 ~dst:2 (Some (Latency.constant 40.0));
-  let arrivals = ref [] in
-  for node = 0 to 2 do
-    Datagram.set_handler net ~node (fun ~src:_ tag ->
-        arrivals := (tag, Sim.now sim) :: !arrivals)
-  done;
-  Datagram.send net ~src:1 ~dst:2 ~size_bytes:10 "slowed";
-  Datagram.send net ~src:2 ~dst:1 ~size_bytes:10 "reverse";
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "other";
-  Sim.run sim;
-  let time_of tag = List.assoc tag !arrivals in
-  check (Alcotest.float 1e-6) "overridden direction slow" 40.0 (time_of "slowed");
-  check (Alcotest.float 1e-6) "reverse direction untouched" 0.5 (time_of "reverse");
-  check (Alcotest.float 1e-6) "other pair untouched" 0.5 (time_of "other")
 
 let test_reordering_occurs () =
   (* With high-variance latency, arrival order differs from send order
@@ -457,16 +362,10 @@ let () =
           tc "implicit group" test_partition_implicit_group;
           tc "drop filter" test_drop_filter;
           tc "filtered counted separately" test_filtered_counted_separately;
-          tc "recover" test_recover;
-          tc "recover resets egress" test_recover_resets_egress_clock;
           tc "blocked causes" test_blocked_cause_counters;
-          tc "dynamic loss" test_set_loss_dynamic;
-          tc "dynamic dup" test_set_dup_dynamic;
           tc "counters" test_counters_bytes;
           tc "egress serialization" test_egress_serialization;
           tc "egress backlog" test_egress_backlog_reported;
-          tc "link override" test_link_override;
-          tc "link override directional" test_link_override_directional;
           tc "reordering" test_reordering_occurs;
         ] );
       ( "properties",

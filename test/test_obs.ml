@@ -619,6 +619,29 @@ let test_experiment_log_deterministic () =
     check Alcotest.bool "timestamps non-decreasing" true
       (List.sort compare times = times)
 
+(* Under a fault schedule the log carries one [fault] record per
+   schedule event, stamped at the event's virtual time. *)
+let test_experiment_log_records_faults () =
+  let path = Filename.temp_file "dpu_obs_faults" ".jsonl" in
+  let faults =
+    [ Dpu_faults.Schedule.crash ~at:500.0 2; Dpu_faults.Schedule.recover ~at:800.0 2 ]
+  in
+  ignore (E.run { obs_params with log_out = Some path; faults } : E.result);
+  let content = read_file path in
+  Sys.remove path;
+  match Log.entries_of_string content with
+  | Error e -> fail ("experiment log does not parse: " ^ e)
+  | Ok entries ->
+    let faults = List.filter (fun e -> e.Log.e_msg = "fault") entries in
+    check (Alcotest.list (Alcotest.float 1e-9)) "one record per event, at its time"
+      [ 500.0; 800.0 ]
+      (List.map (fun e -> e.Log.e_time) faults);
+    check (Alcotest.list (Alcotest.option Alcotest.string)) "the event described"
+      [ Some "crash node 2"; Some "recover node 2" ]
+      (List.map
+         (fun e -> Option.bind (Json.member e.Log.e_fields "event") Json.to_string_opt)
+         faults)
+
 let test_metrics_off_is_noop_registry () =
   let r = E.run { obs_params with metrics_enabled = false; trace_enabled = false } in
   check Alcotest.bool "noop registry" true (not (M.enabled r.E.metrics));
@@ -701,5 +724,6 @@ let () =
           tc "metrics off = noop registry" test_metrics_off_is_noop_registry;
           tc "metrics do not perturb results" test_metrics_do_not_perturb_results;
           tc "experiment log deterministic" test_experiment_log_deterministic;
+          tc "experiment log records faults" test_experiment_log_records_faults;
         ] );
     ]

@@ -257,6 +257,25 @@ let test_experiment_validate () =
         { small with faults = [ Dpu_faults.Schedule.crash ~at:100.0 9 ] } );
       ( "faults on several shards",
         { small with n = 6; shards = 2; faults = [ Dpu_faults.Schedule.crash ~at:100.0 1 ] } );
+      ("loss above one", { small with loss = 1.5 });
+      ("negative loss", { small with loss = -0.5 });
+      ("NaN loss", { small with loss = Float.nan });
+      ("negative message size", { small with msg_size = -5 });
+      ("negative hop cost", { small with hop_cost = -0.1 });
+      ("infinite hop cost", { small with hop_cost = Float.infinity });
+      ( "negative consensus swap time",
+        {
+          small with
+          consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name;
+          switch_consensus = Some (-5.0, Dpu_protocols.Consensus_paxos.protocol_name);
+        } );
+      ( "switch on a missing node",
+        { small with switches = [ (100.0, 9, Dpu_core.Variants.sequencer) ] } );
+      ( "switch at a negative time",
+        { small with switches = [ (-1.0, 0, Dpu_core.Variants.sequencer) ] } );
+      ( "switches on several shards",
+        { small with n = 6; shards = 2; switches = [ (100.0, 0, Dpu_core.Variants.sequencer) ] }
+      );
     ];
   List.iter
     (fun rate_per_s ->
