@@ -21,8 +21,7 @@ let install ~collector ~mode stack =
     (fun stack _self ->
       let now () = Stack.now stack in
       let m_delivers =
-        Dpu_obs.Metrics.counter (Stack.metrics stack)
-          ~labels:[ ("node", string_of_int node) ]
+        Dpu_obs.Metrics.counter (Stack.metrics stack) ~labels:(Stack.labels stack)
           "app_delivers_total"
       in
       let deliver (m : Msg.t) =

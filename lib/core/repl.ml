@@ -1,6 +1,7 @@
 open Dpu_kernel
 module Abcast_iface = Dpu_protocols.Abcast_iface
 module Repl_iface = Dpu_protocols.Repl_iface
+module Step = Dpu_model.Repl_step
 
 type Payload.t +=
   | A_data of { sn : int; id : Msg.id; size : int; payload : Payload.t }
@@ -50,11 +51,8 @@ let protocol_name = "repl.abcast"
 let header_size = 48
 
 let k_generation = "repl.generation"
-let k_undelivered = "repl.undelivered"
 
 let generation stack = Stack.get_env stack k_generation ~default:0
-
-let undelivered_count stack = Stack.get_env stack k_undelivered ~default:0
 
 let install ~registry stack =
   let me = Stack.node stack in
@@ -62,97 +60,63 @@ let install ~registry stack =
     ~requires:[ Service.abcast ]
     (fun stack _self ->
       let module M = Dpu_obs.Metrics in
-      let labels = [ ("node", string_of_int me) ] in
+      let labels = Stack.labels stack in
       let metrics = Stack.metrics stack in
       let m_intercepted = M.counter metrics ~labels "repl_intercepted_calls_total" in
       let m_reissued = M.counter metrics ~labels "repl_reissued_total" in
       let m_switches = M.counter metrics ~labels "repl_switches_total" in
       let m_stale = M.counter metrics ~labels "repl_stale_changes_total" in
-      (* Algorithm 1, lines 1-4. *)
-      let undelivered : (Msg.id, int * Payload.t) Hashtbl.t = Hashtbl.create 64 in
+      (* Algorithm 1, lines 1-4: seqNumber and undelivered live in the
+         step; an undelivered message keeps its size and payload. *)
+      let st = ref Step.initial in
       M.register_int metrics ~labels "repl_undelivered" (fun () ->
-          Hashtbl.length undelivered);
-      let seq_number = ref 0 in
+          List.length !st.undelivered);
       let next_local = ref 0 in
-      let sync_env () =
-        Stack.set_env stack k_generation !seq_number;
-        Stack.set_env stack k_undelivered (Hashtbl.length undelivered)
-      in
-      let abcast ~size payload =
+      let abcast (entry : _ Step.entry) =
+        let size, payload =
+          match entry with
+          | Data { sn; id; v = size, payload } ->
+            (size + header_size, A_data { sn; id; size; payload })
+          | New { sn; protocol } -> (header_size, A_new { sn; protocol })
+        in
         Stack.call stack Service.abcast (Abcast_iface.Broadcast { size; payload })
       in
-      (* Lines 7-9: rABcast(m). *)
-      let r_broadcast ~size payload =
-        let id = { Msg.origin = me; seq = !next_local } in
-        incr next_local;
-        Hashtbl.replace undelivered id (size, payload);
-        sync_env ();
-        abcast ~size:(size + header_size)
-          (A_data { sn = !seq_number; id; size; payload })
-      in
-      (* Lines 5-6: changeABcast(prot). *)
-      let change_abcast protocol =
-        abcast ~size:header_size (A_new { sn = !seq_number; protocol })
-      in
-      (* Lines 10-16: Adeliver(newABcast, sn, prot).
-
-         One deliberate strengthening of the printed algorithm: the
-         change is applied only if its generation tag matches the
-         current [seqNumber] — the same filter line 18 applies to data
-         messages. Algorithm 1 as printed applies every change
-         unconditionally, and the bounded model checker
-         ([Dpu_model.Algo1]) finds a uniform-agreement violation with
-         two *overlapping* changeABcast requests: the second change
-         message, issued before its requester had switched, is ordered
-         in the old generation's stream and yields a switch point that
-         is not synchronised with the stream being switched away from.
-         The paper's §5.2.2 agreement proof silently assumes a change
-         of protocol sn travels through protocol sn; this check makes
-         that assumption hold (a racing change request is dropped; the
-         requester can simply re-issue it). *)
-      let on_new sn protocol =
-        if sn <> !seq_number then begin
-          M.incr m_stale;
-          Stack.app_event stack ~tag:"repl.stale-change"
-            ~data:(Printf.sprintf "sn=%d current=%d prot=%s" sn !seq_number protocol)
-        end
-        else begin
-        incr seq_number;
-        Stack.unbind stack Service.abcast;
-        (* Pass the new generation to the factory (epochs keep the old
-           and new protocol's wire traffic disjoint), then create and
-           bind the new module — lines 13-14 and 22-28. *)
-        Stack.set_env stack Abcast_iface.epoch_key !seq_number;
-        ignore (Registry.instantiate registry stack ~name:protocol : Stack.module_);
-        sync_env ();
-        M.incr m_switches;
-        Stack.app_event stack ~tag:"repl.switch"
-          ~data:(Printf.sprintf "gen=%d prot=%s" !seq_number protocol);
-        Stack.indicate stack Service.r_abcast
-          (Repl_iface.Protocol_changed { generation = !seq_number; protocol });
-        (* Lines 15-16: reissue undelivered messages through the new
-           protocol. *)
-        (* dpu-lint: allow hashtbl-iter — folded messages are sorted by id below *)
-        let pending = Hashtbl.fold (fun id v acc -> (id, v) :: acc) undelivered [] in
-        let pending = List.sort (fun (a, _) (b, _) -> Msg.id_compare a b) pending in
+      (* Lines 10-21: Adeliver(entry) is the step; its effects run here,
+         in the order of Algorithm 1. *)
+      let deliver entry =
+        let after, actions = Step.deliver ~equal:Msg.id_equal !st entry in
+        st := after;
         List.iter
-          (fun (id, (size, payload)) ->
-            M.incr m_reissued;
-            abcast ~size:(size + header_size)
-              (A_data { sn = !seq_number; id; size; payload }))
-          pending
-        end
-      in
-      (* Lines 17-21: Adeliver(nil, sn, m). *)
-      let on_data sn id payload =
-        if sn = !seq_number then begin
-          if Hashtbl.mem undelivered id then begin
-            Hashtbl.remove undelivered id;
-            sync_env ()
-          end;
-          Stack.indicate stack Service.r_abcast
-            (Repl_iface.R_deliver { origin = id.Msg.origin; payload })
-        end
+          (function
+            | Step.R_deliver { id; v = _, payload } ->
+              Stack.indicate stack Service.r_abcast
+                (Repl_iface.R_deliver { origin = id.Msg.origin; payload })
+            | Step.Stale_change { sn; protocol } ->
+              (* A change ABcast before its requester had switched:
+                 applying it would break agreement ([Dpu_model.Algo1]
+                 finds the counterexample). The requester can simply
+                 re-issue it. *)
+              M.incr m_stale;
+              Stack.app_event stack ~tag:"repl.stale-change"
+                ~data:(Printf.sprintf "sn=%d current=%d prot=%s" sn after.sn protocol)
+            | Step.Switch { generation; protocol } ->
+              Stack.unbind stack Service.abcast;
+              (* Pass the new generation to the factory (epochs keep the
+                 old and new protocol's wire traffic disjoint), then
+                 create and bind the new module — lines 13-14 and 22-28. *)
+              Stack.set_env stack Abcast_iface.epoch_key generation;
+              ignore (Registry.instantiate registry stack ~name:protocol : Stack.module_);
+              Stack.set_env stack k_generation generation;
+              M.incr m_switches;
+              Stack.app_event stack ~tag:"repl.switch"
+                ~data:(Printf.sprintf "gen=%d prot=%s" generation protocol);
+              Stack.indicate stack Service.r_abcast
+                (Repl_iface.Protocol_changed { generation; protocol })
+            | Step.Reissue entry ->
+              (* Lines 15-16, in id order. *)
+              M.incr m_reissued;
+              abcast entry)
+          actions
       in
       {
         Stack.default_handlers with
@@ -160,20 +124,26 @@ let install ~registry stack =
           (fun _svc p ->
             match p with
             | Repl_iface.R_broadcast { size; payload } ->
+              (* Lines 7-9: rABcast(m). *)
               M.incr m_intercepted;
-              r_broadcast ~size payload
+              let id = { Msg.origin = me; seq = !next_local } in
+              incr next_local;
+              let after, entry = Step.broadcast !st ~id (size, payload) in
+              st := after;
+              abcast entry
             | Repl_iface.Change_abcast protocol ->
+              (* Lines 5-6: changeABcast(prot). *)
               M.incr m_intercepted;
-              change_abcast protocol
+              abcast (Step.change !st protocol)
             | _ -> ());
         handle_indication =
           (fun svc p ->
             if Service.equal svc Service.abcast then
               match p with
-              | Abcast_iface.Deliver { origin = _; payload = A_data { sn; id; size = _; payload } } ->
-                on_data sn id payload
+              | Abcast_iface.Deliver { origin = _; payload = A_data { sn; id; size; payload } } ->
+                deliver (Data { sn; id; v = (size, payload) })
               | Abcast_iface.Deliver { origin = _; payload = A_new { sn; protocol } } ->
-                on_new sn protocol
+                deliver (New { sn; protocol })
               | _ -> ());
       })
 

@@ -8,22 +8,28 @@
     being replaced, so every stack switches at the same point of the
     total order.
 
-    Line-by-line correspondence with Algorithm 1:
+    Line-by-line correspondence with Algorithm 1. The algorithm itself
+    is one pure step, {!Dpu_model.Repl_step}, the same function the
+    model checker [Dpu_model.Algo1] explores; this module runs it and
+    interprets its actions against the kernel:
 
-    - state: [undelivered] (line 2), the current provider binding
-      (line 3), [seqNumber] (line 4);
-    - [Change_abcast prot] call → [ABcast(newABcast, seqNumber, prot)]
-      (lines 5–6), here {!A_new};
-    - [R_broadcast m] call → add to [undelivered], then
-      [ABcast(nil, seqNumber, m)] (lines 7–9), here {!A_data};
-    - [Adeliver] of {!A_new} → increment [seqNumber], unbind the old
-      module, [create_module] the new protocol (recursively binding
-      providers for any services it requires — lines 22–28 via
-      [Registry.instantiate]), and re-issue all undelivered messages
-      through the new protocol (lines 10–16);
-    - [Adeliver] of {!A_data} → discard if the generation does not
-      match [seqNumber] (line 18), otherwise remove from [undelivered]
-      (lines 19–20) and [rAdeliver] (line 21).
+    - state: [undelivered] (line 2) and [seqNumber] (line 4) are the
+      step's state; the current provider binding (line 3) is the
+      stack's;
+    - [Change_abcast prot] call → [Repl_step.change], ABcast as
+      {!A_new} (lines 5–6);
+    - [R_broadcast m] call → [Repl_step.broadcast] adds [m] to
+      [undelivered], and its entry is ABcast as {!A_data} (lines 7–9);
+    - [Adeliver] → [Repl_step.deliver] (lines 10–21). Its [Switch]
+      action unbinds the old module, [create_module]s the new protocol
+      (recursively binding providers for any services it requires —
+      lines 22–28 via [Registry.instantiate]) and indicates
+      [Protocol_changed]; each [Reissue] ABcasts an undelivered
+      message through the new protocol (lines 15–16); [R_deliver] is
+      line 21. A data entry of another generation yields nothing
+      (line 18). A change tagged with a superseded [seqNumber] yields
+      [Stale_change] and is dropped: the line-10 check the printed
+      algorithm lacks (see [Dpu_model.Algo1]).
 
     The [prot] argument travels as a protocol name resolved against the
     system registry (see {!Dpu_kernel.Registry}).
@@ -54,7 +60,6 @@ val register : System.t -> unit
 (** Register under {!protocol_name}, providing [Service.r_abcast]. *)
 
 val generation : Stack.t -> int
-(** Current [seqNumber] of the stack's replacement module (0 initially). *)
-
-val undelivered_count : Stack.t -> int
-(** Size of the [undelivered] set (diagnostics). *)
+(** Current [seqNumber] of the stack's replacement module (0 initially).
+    The size of its [undelivered] set is the [repl_undelivered] series
+    of the stack's metrics. *)

@@ -1,6 +1,7 @@
 open Dpu_kernel
 module P = Dpu_protocols
 module CI = Dpu_protocols.Consensus_iface
+module Step = Dpu_model.Consensus_step
 
 type Payload.t +=
   | Change_consensus of string
@@ -104,18 +105,6 @@ let k_generation = "repl-consensus.generation"
 
 let generation stack = Stack.get_env stack k_generation ~default:0
 
-(* Per-stream bookkeeping. *)
-type stream = {
-  epoch : int;
-  mutable gen : int;
-  mutable protocol : string;  (* implementation of the current gen *)
-  mutable decided_ks : (int, unit) Hashtbl.t;  (* accepted decisions *)
-  mutable prefix : int;  (* first k not yet decided *)
-  mutable switch_at : (int * string) option;  (* k_s, target protocol *)
-  pending : (int, Payload.t * int) Hashtbl.t;  (* k -> value, weight (our proposals) *)
-  forwarded : (int, Payload.t) Hashtbl.t;  (* decided client values already indicated *)
-}
-
 let install ~registry ~initial ~n stack =
   let me = Stack.node stack in
   let all_impl_services = List.init slots impl_service in
@@ -123,33 +112,23 @@ let install ~registry ~initial ~n stack =
     ~requires:(Service.rp2p :: all_impl_services)
     (fun stack _self ->
       let module M = Dpu_obs.Metrics in
-      let labels = [ ("node", string_of_int me) ] in
+      let labels = Stack.labels stack in
       let metrics = Stack.metrics stack in
       let m_proposals = M.counter metrics ~labels "repl_consensus_proposals_total" in
       let m_decisions = M.counter metrics ~labels "repl_consensus_decisions_total" in
       let m_stale = M.counter metrics ~labels "repl_consensus_stale_decisions_total" in
       let m_switches = M.counter metrics ~labels "repl_consensus_switches_total" in
       let m_reissued = M.counter metrics ~labels "repl_consensus_reissued_total" in
-      let streams : (int, stream) Hashtbl.t = Hashtbl.create 4 in
+      (* Stream epoch -> the step's state. A pending proposal keeps its
+         value and weight; a decided instance, the client value. *)
+      let streams : (int, (Payload.t * int, Payload.t, string) Step.t) Hashtbl.t =
+        Hashtbl.create 4
+      in
       let request = ref None in
-      let get_stream epoch =
-        match Hashtbl.find_opt streams epoch with
-        | Some s -> s
-        | None ->
-          let s =
-            {
-              epoch;
-              gen = 0;
-              protocol = initial;
-              decided_ks = Hashtbl.create 64;
-              prefix = 0;
-              switch_at = None;
-              pending = Hashtbl.create 16;
-              forwarded = Hashtbl.create 64;
-            }
-          in
-          Hashtbl.replace streams epoch s;
-          s
+      let run_step epoch f =
+        let step, out = f (Option.value (Hashtbl.find_opt streams epoch) ~default:Step.initial) in
+        Hashtbl.replace streams epoch step;
+        (step.Step.gen, out)
       in
       let ensure_impl ~protocol ~gen =
         let slot = gen mod slots in
@@ -161,87 +140,54 @@ let install ~registry ~initial ~n stack =
           (Registry.instantiate registry stack ~name:(impl_name protocol ~slot)
             : Stack.module_)
       in
-      let propose_impl s ~k ~value ~weight =
-        let tag = !request in
-        let iid = { CI.epoch = (s.epoch * gen_stride) + s.gen; k } in
+      let propose_impl ~epoch ~gen ~k ~value ~weight =
+        let iid = { CI.epoch = (epoch * gen_stride) + gen; k } in
         Stack.call stack
-          (impl_service (s.gen mod slots))
+          (impl_service (gen mod slots))
           (CI.Propose
-             { iid; value = Wrapped { value; switch = tag }; weight = weight + header_size })
-      in
-      let apply_switch s k_s protocol =
-        s.gen <- s.gen + 1;
-        s.protocol <- protocol;
-        s.switch_at <- None;
-        if !request <> None then request := None;
-        if s.epoch = 0 then Stack.set_env stack k_generation s.gen;
-        ensure_impl ~protocol ~gen:s.gen;
-        M.incr m_switches;
-        Stack.app_event stack ~tag:"repl-consensus.switch"
-          ~data:(Printf.sprintf "stream=%d gen=%d prot=%s" s.epoch s.gen protocol);
-        Stack.indicate stack Service.consensus
-          (Consensus_changed { generation = s.gen; protocol });
-        (* Re-issue our undecided proposals beyond the switch point
-           under the new generation (sequential clients will not have
-           any, but a racing proposal is repaired here). *)
-        (* dpu-lint: allow hashtbl-iter — folded pairs are sorted by k before use *)
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.pending []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.iter (fun (k, (value, weight)) ->
-               if k > k_s then begin
-                 M.incr m_reissued;
-                 propose_impl s ~k ~value ~weight
-               end)
-      in
-      let advance_prefix s =
-        while Hashtbl.mem s.decided_ks s.prefix do
-          s.prefix <- s.prefix + 1
-        done;
-        match s.switch_at with
-        | Some (k_s, protocol) when s.prefix > k_s -> apply_switch s k_s protocol
-        | Some _ | None -> ()
+             { iid; value = Wrapped { value; switch = !request }; weight = weight + header_size })
       in
       let on_decide iid value =
-        let stream_epoch = iid.CI.epoch / gen_stride in
-        let gen = iid.CI.epoch mod gen_stride in
-        let k = iid.CI.k in
-        let s = get_stream stream_epoch in
-        (* Line-18 analogue: decisions of superseded generations are
-           discarded; the instances they decided were (or will be)
-           re-decided under the current generation. *)
-        if gen <> s.gen then M.incr m_stale
-        else if not (Hashtbl.mem s.forwarded k) then begin
-          M.incr m_decisions;
-          let client_value, switch =
-            match value with
-            | Wrapped { value; switch } -> (value, switch)
-            | CI.No_value -> (CI.No_value, None)
-            | other -> (other, None)
-          in
-          Hashtbl.replace s.forwarded k client_value;
-          Hashtbl.replace s.decided_ks k ();
-          Hashtbl.remove s.pending k;
-          Stack.indicate stack Service.consensus
-            (CI.Decide { iid = { CI.epoch = stream_epoch; k }; value = client_value });
-          (match (switch, s.switch_at) with
-          | Some protocol, None -> s.switch_at <- Some (k, protocol)
-          | Some _, Some _ | None, _ -> ());
-          advance_prefix s
-        end
+        let epoch = iid.CI.epoch / gen_stride and k = iid.CI.k in
+        let client_value, switch =
+          match value with Wrapped { value; switch } -> (value, switch) | other -> (other, None)
+        in
+        let gen, actions =
+          run_step epoch (fun step ->
+              Step.decide step ~gen:(iid.CI.epoch mod gen_stride) ~k client_value ~switch)
+        in
+        List.iter
+          (function
+            | Step.Stale ->
+              (* Line-18 analogue: the instances a superseded generation
+                 decided were (or will be) re-decided under the current
+                 one. *)
+              M.incr m_stale
+            | Step.Decided ->
+              M.incr m_decisions;
+              Stack.indicate stack Service.consensus
+                (CI.Decide { iid = { CI.epoch; k }; value = client_value })
+            | Step.Switch { generation; protocol } ->
+              request := None;
+              if epoch = 0 then Stack.set_env stack k_generation generation;
+              ensure_impl ~protocol ~gen:generation;
+              M.incr m_switches;
+              Stack.app_event stack ~tag:"repl-consensus.switch"
+                ~data:(Printf.sprintf "stream=%d gen=%d prot=%s" epoch generation protocol);
+              Stack.indicate stack Service.consensus
+                (Consensus_changed { generation; protocol })
+            | Step.Reissue { k; value = value, weight } ->
+              M.incr m_reissued;
+              propose_impl ~epoch ~gen ~k ~value ~weight)
+          actions
       in
-      let on_propose iid value weight =
+      let on_propose { CI.epoch; k } value weight =
         M.incr m_proposals;
-        let s = get_stream iid.CI.epoch in
-        let k = iid.CI.k in
-        match Hashtbl.find_opt s.forwarded k with
-        | Some v ->
+        match run_step epoch (fun step -> Step.propose step ~k (value, weight)) with
+        | _, Step.Repeat v ->
           (* Already decided: repeat the indication for the caller. *)
-          Stack.indicate stack Service.consensus
-            (CI.Decide { iid = { CI.epoch = s.epoch; k }; value = v })
-        | None -> begin
-          Hashtbl.replace s.pending k (value, weight);
-          propose_impl s ~k ~value ~weight
-        end
+          Stack.indicate stack Service.consensus (CI.Decide { iid = { CI.epoch; k }; value = v })
+        | _, Step.Propose_under gen -> propose_impl ~epoch ~gen ~k ~value ~weight
       in
       {
         Stack.default_handlers with

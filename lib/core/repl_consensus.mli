@@ -36,6 +36,15 @@
     is what rules out two implementations deciding the same instance
     differently at different stacks.
 
+    These per-stream rules are one pure step,
+    {!Dpu_model.Consensus_step}, the same function the model checker
+    [Dpu_model.Consswap] explores: [Consensus_step.propose] either
+    repeats an already-decided value or proposes under the stream's
+    generation, [Consensus_step.decide] yields [Stale] or [Decided]
+    followed, once the prefix covers [k_s], by [Switch] and the
+    [Reissue]s. This module runs the step for every stream and
+    interprets its actions against the kernel.
+
     {2 Implementation slots}
 
     A draining old generation must still accept wire traffic while the

@@ -27,6 +27,7 @@ type module_ = {
 type t = {
   clock : Clock.t;
   node : int;
+  labels : (string * string) list;
   hop_cost : float;
   trace : Trace.t;
   metrics : Dpu_obs.Metrics.t;
@@ -61,6 +62,7 @@ let create ~clock ~node ?group ?(hop_cost = 0.05) ~trace
     {
       clock;
       node;
+      labels;
       hop_cost;
       trace;
       metrics;
@@ -94,6 +96,8 @@ let create ~clock ~node ?group ?(hop_cost = 0.05) ~trace
   t
 
 let node t = t.node
+
+let labels t = t.labels
 
 let clock t = t.clock
 

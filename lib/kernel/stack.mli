@@ -61,6 +61,11 @@ val create :
 
 val node : t -> int
 
+val labels : t -> (string * string) list
+(** The metric labels of this stack's series: [node=i], plus
+    [group=g] when created with a [group]. Layers label their own
+    series with them, so the stacks of a fabric's groups keep apart. *)
+
 val clock : t -> Dpu_runtime.Clock.t
 
 val now : t -> float

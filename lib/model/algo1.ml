@@ -22,16 +22,13 @@ type bounds = {
 
 let default_bounds = { nodes = 2; sends = 2; changes = 1; crashes = 0; max_states = 2_000_000 }
 
-(* An entry of a generation's agreed sequence: ABcast(nil, sn, m) or
-   ABcast(newABcast, sn, prot). The [prot] argument is irrelevant to
-   the ordering argument (self-replacement), so it is omitted. *)
-type entry =
-  | Data of int * int  (* sn at send, message id *)
-  | New of int  (* sn at send *)
+(* An entry of a generation's agreed sequence. Message ids are ints;
+   the payload and the [prot] argument are irrelevant to the ordering
+   argument (self-replacement), so they are units. *)
+type entry = (int, unit, unit) Repl_step.entry
 
 type node_state = {
-  sn : int;
-  undelivered : int list;  (* sorted message ids *)
+  step : (int, unit) Repl_step.t;
   cursors : int list;  (* per generation: how much of its sequence we consumed *)
   out : int list;  (* rAdelivered ids, in delivery order *)
   crashed : bool;
@@ -55,9 +52,9 @@ type action =
   | Deliver of { node : int; generation : int; what : string }
   | Crash of { node : int }
 
-let entry_to_string = function
-  | Data (sn, m) -> Printf.sprintf "(nil, sn=%d, m%d)" sn m
-  | New sn -> Printf.sprintf "(newABcast, sn=%d)" sn
+let entry_to_string : entry -> string = function
+  | Data { sn; id; v = () } -> Printf.sprintf "(nil, sn=%d, m%d)" sn id
+  | New { sn; protocol = () } -> Printf.sprintf "(newABcast, sn=%d)" sn
 
 let pp_action ppf = function
   | Send { node; msg } -> Format.fprintf ppf "node %d rABcasts m%d" node msg
@@ -68,86 +65,64 @@ let pp_action ppf = function
     Format.fprintf ppf "node %d Adelivers %s from generation %d" node what generation
   | Crash { node } -> Format.fprintf ppf "node %d crashes" node
 
-type result =
-  | Verified of { states : int; quiescent : int }
-  | Violation of { property : string; trace : action list; states : int }
-  | Bound_exceeded of { states : int }
+type result = action Explore.result
 
-let pp_result ppf = function
-  | Verified { states; quiescent } ->
-    Format.fprintf ppf "verified: %d states explored (%d quiescent), all properties hold"
-      states quiescent
-  | Violation { property; trace; states } ->
-    Format.fprintf ppf "VIOLATION of %s after %d states:@\n" property states;
-    List.iteri (fun i a -> Format.fprintf ppf "  %2d. %a@\n" (i + 1) pp_action a) trace
-  | Bound_exceeded { states } ->
-    Format.fprintf ppf "exploration bound exceeded at %d states" states
+let pp_result = Explore.pp_result pp_action
 
 (* ------------------------------------------------------------------ *)
 (* Transition function                                                *)
 (* ------------------------------------------------------------------ *)
 
-let rec set_nth l i v =
-  match (l, i) with
-  | _ :: rest, 0 -> v :: rest
-  | x :: rest, i -> x :: set_nth rest (i - 1) v
-  | [], _ -> invalid_arg "set_nth"
+let set_nth = Explore.set_nth
 
 let nth = List.nth
 
-(* dpu-lint: allow poly-compare — model states are finite int/string tuples; the polymorphic order is total and stable on them *)
-let insert_sorted x l = List.sort_uniq compare (x :: l)
+(* One entry at one node: the shipped step (Algorithm 1 lines 10-21),
+   with the mutation's line deleted around it. *)
+let deliver_entry mutation node (entry : entry) =
+  let sn = node.step.sn in
+  let entry : entry =
+    match entry with
+    (* Line 10 as printed applies every change, whatever its tag. *)
+    | New { sn = _; protocol } when mutation <> Fixed_line10 -> New { sn; protocol }
+    | Data { sn = _; id; v } when mutation = No_sn_check -> Data { sn; id; v }
+    | Data _ | New _ -> entry
+  in
+  let step, actions = Repl_step.deliver ~equal:Int.equal node.step entry in
+  let step =
+    if mutation = No_undelivered_removal then { step with undelivered = node.step.undelivered }
+    else step
+  in
+  List.fold_left
+    (fun (node, reissue) -> function
+      | Repl_step.R_deliver { id; v = () } -> ({ node with out = node.out @ [ id ] }, reissue)
+      | Reissue e when mutation <> No_reissue -> (node, reissue @ [ e ])
+      | Reissue _ | Switch _ | Stale_change _ -> (node, reissue))
+    ({ node with step }, []) actions
 
-(* Apply one entry at one node per Algorithm 1 lines 10-21. *)
-let deliver_entry mutation node entry n_gens =
-  match entry with
-  | Data (sn, m) ->
-    let matches = sn = node.sn in
-    let deliver = if mutation = No_sn_check then true else matches in
-    if deliver then begin
-      let undelivered =
-        if mutation = No_undelivered_removal then node.undelivered
-        else List.filter (fun x -> x <> m) node.undelivered
-      in
-      ({ node with undelivered; out = node.out @ [ m ] }, [])
-    end
-    else (node, [])
-  | New sn ->
-    (* The paper's line 10 applies every (newABcast, sn, prot)
-       delivery unconditionally. With two overlapping change requests
-       the second one is ordered in the OLD generation's stream, and
-       the resulting switch point is not synchronised with the stream
-       it switches away from — the [Fixed_line10] variant instead
-       discards a change whose generation tag is stale, exactly like
-       line 18 does for data. *)
-    if mutation = Fixed_line10 && sn <> node.sn then (node, [])
-    else begin
-      let sn' = node.sn + 1 in
-      let reissue =
-        if mutation = No_reissue || sn' >= n_gens then []
-        else List.map (fun m -> Data (sn', m)) node.undelivered
-      in
-      ({ node with sn = sn' }, reissue)
-    end
-
-let successors mutation bounds st =
-  let n_gens = bounds.changes + 1 in
+(* A stack's [sn] counts the changes it applied, each from its own
+   change request, so every generation it reaches has a stream. *)
+let successors mutation st =
   let acc = ref [] in
   let add action st' = acc := (action, st') :: !acc in
+  (* Entries ABcast through generation [gen]'s protocol. *)
+  let abcast gen = function
+    | [] -> st.pending
+    | entries -> set_nth st.pending gen (entries @ nth st.pending gen)
+  in
   (* Client sends. *)
   if st.sends_left > 0 then
     List.iteri
       (fun i node ->
         if not node.crashed then begin
           let m = st.next_id in
-          let gen = node.sn in
-          let node' = { node with undelivered = insert_sorted m node.undelivered } in
+          let step, entry = Repl_step.broadcast node.step ~id:m () in
           add
             (Send { node = i; msg = m })
             {
               st with
-              nodes = set_nth st.nodes i node';
-              pending = set_nth st.pending gen (Data (gen, m) :: nth st.pending gen);
+              nodes = set_nth st.nodes i { node with step };
+              pending = abcast node.step.sn [ entry ];
               senders = (m, i) :: st.senders;
               sends_left = st.sends_left - 1;
               next_id = st.next_id + 1;
@@ -159,15 +134,13 @@ let successors mutation bounds st =
     List.iteri
       (fun i node ->
         if not node.crashed then
-          let gen = node.sn in
-          if gen < n_gens then
-            add
-              (Change { node = i })
-              {
-                st with
-                pending = set_nth st.pending gen (New gen :: nth st.pending gen);
-                changes_left = st.changes_left - 1;
-              })
+          add
+            (Change { node = i })
+            {
+              st with
+              pending = abcast node.step.sn [ Repl_step.change node.step () ];
+              changes_left = st.changes_left - 1;
+            })
       st.nodes;
   (* The generation's ABcast orders one pending entry (any of them). *)
   List.iteri
@@ -182,7 +155,7 @@ let successors mutation bounds st =
               pending = set_nth st.pending g pend';
               streams = set_nth st.streams g (nth st.streams g @ [ entry ]);
             })
-        (* dpu-lint: allow poly-compare — pending entries are int/string tuples; the polymorphic order is total and stable on them *)
+        (* dpu-lint: allow poly-compare — pending entries are int/unit records; the polymorphic order is total and stable on them *)
         (List.sort_uniq compare pend))
     st.pending;
   (* Deliveries: each node consumes each generation's sequence in
@@ -196,20 +169,13 @@ let successors mutation bounds st =
         List.iteri
           (fun g cursor ->
             let stream = nth st.streams g in
-            if g <= node.sn && cursor < List.length stream then begin
+            if g <= node.step.sn && cursor < List.length stream then begin
               let entry = nth stream cursor in
-              let node', reissue = deliver_entry mutation node entry n_gens in
-              let node' = { node' with cursors = set_nth node'.cursors g (cursor + 1) } in
-              let pending =
-                match reissue with
-                | [] -> st.pending
-                | entries ->
-                  let gen = node'.sn in
-                  set_nth st.pending gen (entries @ nth st.pending gen)
-              in
+              let node', reissue = deliver_entry mutation node entry in
+              let node' = { node' with cursors = set_nth node.cursors g (cursor + 1) } in
               add
                 (Deliver { node = i; generation = g; what = entry_to_string entry })
-                { st with nodes = set_nth st.nodes i node'; pending }
+                { st with nodes = set_nth st.nodes i node'; pending = abcast node'.step.sn reissue }
             end)
           node.cursors)
     st.nodes;
@@ -288,7 +254,7 @@ let liveness st =
     (* Uniform agreement: anything delivered anywhere is delivered at
        every live node. *)
     let all_delivered =
-      (* dpu-lint: allow poly-compare — deliveries are int/string tuples; the polymorphic order is total and stable on them *)
+      (* dpu-lint: allow poly-compare — deliveries are ints; the polymorphic order is total and stable on them *)
       List.concat_map (fun node -> node.out) st.nodes |> List.sort_uniq compare
     in
     let agreement_violation =
@@ -300,12 +266,6 @@ let liveness st =
     else None
   end
 
-(* ------------------------------------------------------------------ *)
-(* Exploration (DFS with memoisation)                                 *)
-(* ------------------------------------------------------------------ *)
-
-exception Found of string * action list
-
 let check ?(mutation = Faithful) ?(bounds = default_bounds) () =
   let n_gens = bounds.changes + 1 in
   let initial =
@@ -315,8 +275,7 @@ let check ?(mutation = Faithful) ?(bounds = default_bounds) () =
       nodes =
         List.init bounds.nodes (fun _ ->
             {
-              sn = 0;
-              undelivered = [];
+              step = Repl_step.initial;
               cursors = List.init n_gens (fun _ -> 0);
               out = [];
               crashed = false;
@@ -328,35 +287,7 @@ let check ?(mutation = Faithful) ?(bounds = default_bounds) () =
       next_id = 0;
     }
   in
-  let visited : (state, unit) Hashtbl.t = Hashtbl.create 65_536 in
-  let states = ref 0 in
-  let quiescent_count = ref 0 in
-  let exceeded = ref false in
-  let rec dfs st path =
-    if !exceeded then ()
-    else if Hashtbl.mem visited st then ()
-    else begin
-      Hashtbl.replace visited st ();
-      incr states;
-      if !states > bounds.max_states then exceeded := true
-      else begin
-        (match safety st with
-        | Some prop -> raise (Found (prop, List.rev path))
-        | None -> ());
-        if quiescent st then begin
-          incr quiescent_count;
-          match liveness st with
-          | Some prop -> raise (Found (prop, List.rev path))
-          | None -> ()
-        end;
-        List.iter
-          (fun (action, st') -> dfs st' (action :: path))
-          (successors mutation bounds st)
-      end
-    end
-  in
-  try
-    dfs initial [];
-    if !exceeded then Bound_exceeded { states = !states }
-    else Verified { states = !states; quiescent = !quiescent_count }
-  with Found (property, trace) -> Violation { property; trace; states = !states }
+  Explore.run ~max_states:bounds.max_states ~key:Fun.id
+    ~successors:(successors mutation) ~safety
+    ~quiescent:(fun st _ -> quiescent st)
+    ~liveness initial

@@ -9,8 +9,9 @@
       shared growing sequence (the agreed order) fed nondeterministically
       from a pending set;
     - each stack consumes every generation's sequence at its own pace
-      (old modules keep delivering after being unbound, §2) and runs
-      Algorithm 1 verbatim: [seqNumber], the [undelivered] set, the
+      (old modules keep delivering after being unbound, §2), and every
+      node-local transition is the shipped step {!Repl_step}, the one
+      [Dpu_core.Repl] runs: [seqNumber], the [undelivered] set, the
       generation check of line 18, the re-issue of lines 15–16;
     - clients broadcast, any stack may request a change, stacks may
       fail-stop.
@@ -22,13 +23,15 @@
     per-run.
 
     {b Mutations.} To show each line of the algorithm is load-bearing,
-    the model can be run with a line deleted; the checker then returns
-    a minimal counterexample trace:
-    - {!no_sn_check} (drop line 18) — stale-generation deliveries reach
+    the model can be run with a line deleted, by rewriting the step's
+    input or output around the shipped step (which itself has no
+    mutation switch); the checker then returns a minimal
+    counterexample trace:
+    - [No_sn_check] (drop line 18) — stale-generation deliveries reach
       the application: duplicates / order violations;
-    - {!no_reissue} (drop lines 15–16) — messages caught by the switch
+    - [No_reissue] (drop lines 15–16) — messages caught by the switch
       are lost: validity fails;
-    - {!no_undelivered_removal} (drop lines 19–20) — delivered messages
+    - [No_undelivered_removal] (drop lines 19–20) — delivered messages
       are re-issued anyway: duplicates.
 
     {b A finding.} At [changes = 2] the checker produces a
@@ -42,7 +45,9 @@
     is ABcast through protocol [sn]; overlapping requests violate that
     assumption. {!Fixed_line10} (discard stale change messages, the
     same filter line 18 applies to data) restores every property at
-    the same bounds, and is what this repository's [Repl] implements. *)
+    the same bounds. It is the shipped step unwrapped: every other
+    variant undoes the step's line-10 check by rewriting a change's tag
+    to the node's current [seqNumber]. *)
 
 type mutation =
   | Faithful  (** Algorithm 1 exactly as printed *)
@@ -76,12 +81,7 @@ type action =
 
 val pp_action : Format.formatter -> action -> unit
 
-type result =
-  | Verified of { states : int; quiescent : int }
-      (** all reachable states satisfy the properties *)
-  | Violation of { property : string; trace : action list; states : int }
-      (** a counterexample: the action sequence leading to it *)
-  | Bound_exceeded of { states : int }
+type result = action Explore.result
 
 val check : ?mutation:mutation -> ?bounds:bounds -> unit -> result
 

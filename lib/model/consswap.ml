@@ -14,12 +14,12 @@ let variant_name = function
   | No_stale_discard -> "stale-generation decisions accepted"
   | No_reissue -> "no re-issue of undecided proposals after a switch"
 
+module Step = Consensus_step
+module Int_map = Step.Int_map
+
+(* A proposal's value is its proposer; the protocol name is a unit. *)
 type node = {
-  gen : int;
-  accepted : (int * int) list;  (* instance -> accepted value, sorted by k *)
-  prefix : int;  (* first instance without an accepted decision *)
-  own : (int * int) list;  (* own proposals: instance -> gen last proposed under *)
-  pending_switch : int option;
+  step : (int, int, unit) Step.t;
   has_request : bool;
   learned : (int * int) list;  (* (k, gen) decisions already processed *)
 }
@@ -31,64 +31,38 @@ type state = {
   changes_left : int;
 }
 
-type result =
-  | Verified of { states : int; quiescent : int }
-  | Violation of { property : string; trace : string list; states : int }
-  | Bound_exceeded of { states : int }
+type result = string Explore.result
 
-let pp_result ppf = function
-  | Verified { states; quiescent } ->
-    Format.fprintf ppf "verified: %d states explored (%d quiescent), all properties hold"
-      states quiescent
-  | Violation { property; trace; states } ->
-    Format.fprintf ppf "VIOLATION of %s after %d states:@\n" property states;
-    List.iteri (fun i a -> Format.fprintf ppf "  %2d. %s@\n" (i + 1) a) trace
-  | Bound_exceeded { states } ->
-    Format.fprintf ppf "exploration bound exceeded at %d states" states
+let pp_result = Explore.pp_result Format.pp_print_string
 
-let rec set_nth l i v =
-  match (l, i) with
-  | _ :: rest, 0 -> v :: rest
-  | x :: rest, i -> x :: set_nth rest (i - 1) v
-  | [], _ -> invalid_arg "set_nth"
+let set_nth = Explore.set_nth
 
 (* dpu-lint: allow poly-compare — model states are finite int tuples; the polymorphic order is total and stable on them *)
 let sorted l = List.sort_uniq compare l
 
-(* Advance the accepted prefix and, if a pending switch is now covered,
-   apply it: bump the generation, clear the request, re-issue own
-   undecided proposals beyond the switch point under the new
-   generation. Returns the updated node plus new proposals. *)
-let rec settle variant node extra_proposals me =
-  let rec prefix_of p accepted =
-    if List.mem_assoc p accepted then prefix_of (p + 1) accepted else p
+(* A node learns a decision: the shipped step, with the variant's rule
+   deleted around it. Returns the updated node, whether it accepted the
+   decision, and its re-issued proposals. *)
+let learn variant node ~gen ~k ~value ~tagged =
+  let gen = if variant = No_stale_discard then node.step.gen else gen in
+  let switch = if tagged then Some () else None in
+  let step, actions = Step.decide node.step ~gen ~k value ~switch in
+  let accepted = List.mem Step.Decided actions in
+  let step, actions =
+    if variant = No_prefix_defer && accepted then
+      let step, switch = Step.switch step in
+      (step, actions @ switch)
+    else (step, actions)
   in
-  let node = { node with prefix = prefix_of node.prefix node.accepted } in
-  match node.pending_switch with
-  | Some ks
-    when node.prefix > ks
-         || variant = No_prefix_defer (* apply immediately, prefix or not *) ->
-    let gen' = node.gen + 1 in
-    let reissues =
-      if variant = No_reissue then []
-      else
-        List.filter_map
-          (fun (k, _g) ->
-            if k > ks && not (List.mem_assoc k node.accepted) then
-              Some (k, gen', me, false)
-            else None)
-          node.own
-    in
-    let own' =
-      List.map
-        (fun (k, g) ->
-          if k > ks && not (List.mem_assoc k node.accepted) then (k, gen') else (k, g))
-        node.own
-    in
-    settle variant
-      { node with gen = gen'; pending_switch = None; has_request = false; own = own' }
-      (reissues @ extra_proposals) me
-  | Some _ | None -> (node, extra_proposals)
+  let switched = List.exists (function Step.Switch _ -> true | _ -> false) actions in
+  let reissues =
+    List.filter_map
+      (function
+        | Step.Reissue { k; value } when variant <> No_reissue -> Some (k, step.gen, value, false)
+        | _ -> None)
+      actions
+  in
+  ({ node with step; has_request = node.has_request && not switched }, accepted, reissues)
 
 let successors variant bounds st =
   let acc = ref [] in
@@ -98,18 +72,20 @@ let successors variant bounds st =
      else's proposal already settled it). *)
   List.iteri
     (fun i node ->
-      if node.prefix < bounds.instances && not (List.mem_assoc node.prefix node.own)
-      then begin
-        let k = node.prefix in
+      let k = node.step.prefix in
+      if k < bounds.instances && not (Int_map.mem k node.step.pending) then begin
         let tagged = node.has_request in
-        let node' = { node with own = sorted ((k, node.gen) :: node.own) } in
+        (* [k] is the prefix, so undecided: the step proposes it under
+           the current generation. *)
+        let gen = node.step.gen in
+        let step, _ = Step.propose node.step ~k i in
         add
-          (Printf.sprintf "node %d proposes instance %d under gen %d%s" i k node.gen
+          (Printf.sprintf "node %d proposes instance %d under gen %d%s" i k gen
              (if tagged then " [change tag]" else ""))
           {
             st with
-            nodes = set_nth st.nodes i node';
-            proposals = sorted ((k, node.gen, i, tagged) :: st.proposals);
+            nodes = set_nth st.nodes i { node with step };
+            proposals = sorted ((k, gen, i, tagged) :: st.proposals);
           }
       end)
     st.nodes;
@@ -138,27 +114,9 @@ let successors variant bounds st =
     (fun i node ->
       List.iter
         (fun (k, g, v, tagged) ->
-          if g <= node.gen && not (List.mem (k, g) node.learned) then begin
+          if g <= node.step.gen && not (List.mem (k, g) node.learned) then begin
             let node = { node with learned = sorted ((k, g) :: node.learned) } in
-            let accept =
-              (match variant with
-              | No_stale_discard -> g <= node.gen
-              | Sound | No_prefix_defer | No_reissue -> g = node.gen)
-              && not (List.mem_assoc k node.accepted)
-            in
-            let node =
-              if accept then
-                {
-                  node with
-                  accepted = sorted ((k, v) :: node.accepted);
-                  pending_switch =
-                    (match node.pending_switch with
-                    | Some _ as s -> s
-                    | None -> if tagged then Some k else None);
-                }
-              else node
-            in
-            let node', reissues = settle variant node [] i in
+            let node', accept, reissues = learn variant node ~gen:g ~k ~value:v ~tagged in
             add
               (Printf.sprintf "node %d learns gen-%d decision of instance %d%s" i g k
                  (if accept then "" else " (discarded)"))
@@ -180,12 +138,12 @@ let safety st =
       (fun (node_a : node) ->
         List.exists
           (fun (node_b : node) ->
-            List.exists
-              (fun (k, v) ->
-                match List.assoc_opt k node_b.accepted with
+            Int_map.exists
+              (fun k v ->
+                match Int_map.find_opt k node_b.step.decided with
                 | Some v' -> v <> v'
                 | None -> false)
-              node_a.accepted)
+              node_a.step.decided)
           st.nodes)
       st.nodes
   in
@@ -193,16 +151,30 @@ let safety st =
   else None
 
 let liveness bounds st =
-  let complete = List.for_all (fun node -> node.prefix = bounds.instances) st.nodes in
+  let complete = List.for_all (fun node -> node.step.prefix = bounds.instances) st.nodes in
   if not complete then Some "completeness (a stack is stuck before the end of the stream)"
   else begin
-    let gens = List.map (fun node -> node.gen) st.nodes in
+    let gens = List.map (fun node -> node.step.gen) st.nodes in
     match gens with
     | g :: rest when List.for_all (fun g' -> g' = g) rest -> None
     | _ -> Some "switch agreement (stacks ended in different generations)"
   end
 
-exception Found of string * string list
+(* Memoise on a canonical view: equal maps can differ in shape. *)
+let key st =
+  ( st.proposals,
+    st.decisions,
+    List.map
+      (fun { step; has_request; learned } ->
+        ( step.gen,
+          step.prefix,
+          Int_map.bindings step.decided,
+          step.switch_at,
+          Int_map.bindings step.pending,
+          has_request,
+          learned ))
+      st.nodes,
+    st.changes_left )
 
 let check ?(variant = Sound) ?(bounds = default_bounds) () =
   let initial =
@@ -211,45 +183,11 @@ let check ?(variant = Sound) ?(bounds = default_bounds) () =
       decisions = [];
       nodes =
         List.init bounds.nodes (fun _ ->
-            {
-              gen = 0;
-              accepted = [];
-              prefix = 0;
-              own = [];
-              pending_switch = None;
-              has_request = false;
-              learned = [];
-            });
+            { step = Step.initial; has_request = false; learned = [] });
       changes_left = bounds.changes;
     }
   in
-  let visited : (state, unit) Hashtbl.t = Hashtbl.create 65_536 in
-  let states = ref 0 in
-  let quiescent_count = ref 0 in
-  let exceeded = ref false in
-  let rec dfs st path =
-    if !exceeded || Hashtbl.mem visited st then ()
-    else begin
-      Hashtbl.replace visited st ();
-      incr states;
-      if !states > bounds.max_states then exceeded := true
-      else begin
-        (match safety st with
-        | Some prop -> raise (Found (prop, List.rev path))
-        | None -> ());
-        let succs = successors variant bounds st in
-        if succs = [] then begin
-          incr quiescent_count;
-          match liveness bounds st with
-          | Some prop -> raise (Found (prop, List.rev path))
-          | None -> ()
-        end;
-        List.iter (fun (label, st') -> dfs st' (label :: path)) succs
-      end
-    end
-  in
-  try
-    dfs initial [];
-    if !exceeded then Bound_exceeded { states = !states }
-    else Verified { states = !states; quiescent = !quiescent_count }
-  with Found (property, trace) -> Violation { property; trace; states = !states }
+  Explore.run ~max_states:bounds.max_states ~key ~successors:(successors variant bounds)
+    ~safety
+    ~quiescent:(fun _ succs -> succs = [])
+    ~liveness:(liveness bounds) initial

@@ -10,10 +10,13 @@
     proposals made under that generation; one instance can end up
     decided by *both* the old and the new implementation (the re-issue
     path), which is exactly the razor's edge the design must survive.
-    Nodes learn decisions in arbitrary order and per the layer's rules:
-    accept only the current generation, track the decided prefix, apply
-    a tagged switch only once the prefix reaches it, re-issue own
-    undecided proposals beyond the switch point.
+    Nodes learn decisions in arbitrary order, and every node-local
+    transition is the shipped step {!Consensus_step}, the one
+    [Dpu_core.Repl_consensus] runs: accept only the current generation,
+    track the decided prefix, apply a tagged switch only once the
+    prefix reaches it, re-issue own undecided proposals beyond the
+    switch point. The variants delete one rule by rewriting the step's
+    input or output around it.
 
     Checked in every reachable state: {e decision agreement} (no two
     nodes accept different values for one instance) and {e at most one
@@ -43,10 +46,7 @@ type variant =
 
 val variant_name : variant -> string
 
-type result =
-  | Verified of { states : int; quiescent : int }
-  | Violation of { property : string; trace : string list; states : int }
-  | Bound_exceeded of { states : int }
+type result = string Explore.result
 
 val check : ?variant:variant -> ?bounds:bounds -> unit -> result
 

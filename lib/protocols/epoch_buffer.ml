@@ -22,7 +22,7 @@ let install stack =
   Stack.add_module stack ~name:protocol_name ~provides:[] ~requires
     (fun stack _self ->
       let module M = Dpu_obs.Metrics in
-      let labels = [ ("node", string_of_int (Stack.node stack)) ] in
+      let labels = Stack.labels stack in
       let m_stashed = M.counter (Stack.metrics stack) ~labels "epoch_buffer_stashed_total" in
       let m_replayed =
         M.counter (Stack.metrics stack) ~labels "epoch_buffer_replayed_total"

@@ -212,10 +212,11 @@ let test_builder_gm () =
 (* ------------------------------------------------------------------ *)
 
 let test_repl_initial_generation () =
-  let mw = default_mw () in
-  check Alcotest.int "gen 0" 0 (Core.Repl.generation (System.stack (MW.system mw) 0));
-  check Alcotest.int "no undelivered" 0
-    (Core.Repl.undelivered_count (System.stack (MW.system mw) 0))
+  let mw = default_mw ~config:{ MW.default_config with metrics_enabled = true } () in
+  let stack = System.stack (MW.system mw) 0 in
+  check Alcotest.int "gen 0" 0 (Core.Repl.generation stack);
+  check (Alcotest.option (Alcotest.float 0.0)) "no undelivered" (Some 0.0)
+    (Dpu_obs.Metrics.value (MW.metrics mw) ~labels:(Stack.labels stack) "repl_undelivered")
 
 let test_repl_switch_updates_generation () =
   let mw = default_mw () in

@@ -4,6 +4,7 @@
    the paper proves with that line. *)
 
 module M = Dpu_model.Algo1
+module E = Dpu_model.Explore
 module C = Dpu_model.Consswap
 
 let check = Alcotest.check
@@ -11,15 +12,15 @@ let fail = Alcotest.fail
 
 let expect_verified ?(bounds = M.default_bounds) ?mutation label =
   match M.check ?mutation ~bounds () with
-  | M.Verified { states; quiescent } ->
+  | E.Verified { states; quiescent } ->
     check Alcotest.bool (label ^ ": explored something") true (states > 100);
     check Alcotest.bool (label ^ ": reached quiescent states") true (quiescent > 0)
-  | M.Violation _ as r -> fail (Format.asprintf "%s: %a" label M.pp_result r)
-  | M.Bound_exceeded _ -> fail (label ^ ": bound exceeded")
+  | E.Violation _ as r -> fail (Format.asprintf "%s: %a" label M.pp_result r)
+  | E.Bound_exceeded _ -> fail (label ^ ": bound exceeded")
 
 let expect_violation ?(bounds = M.default_bounds) ~mutation ~property label =
   match M.check ~mutation ~bounds () with
-  | M.Violation { property = p; trace; _ } ->
+  | E.Violation { property = p; trace; _ } ->
     check Alcotest.bool
       (Printf.sprintf "%s: property %S mentions %S" label p property)
       true
@@ -36,8 +37,8 @@ let expect_violation ?(bounds = M.default_bounds) ~mutation ~property label =
        mutations leave untouched. *)
     check Alcotest.bool (label ^ ": counterexample includes a change") true
       (List.exists (function M.Change _ -> true | _ -> false) trace)
-  | M.Verified _ -> fail (label ^ ": expected a violation")
-  | M.Bound_exceeded _ -> fail (label ^ ": bound exceeded")
+  | E.Verified _ -> fail (label ^ ": expected a violation")
+  | E.Bound_exceeded _ -> fail (label ^ ": bound exceeded")
 
 let test_faithful_default () = expect_verified "default bounds"
 
@@ -90,12 +91,12 @@ let test_mutations_harmless_without_change () =
 
 let test_bound_exceeded_reported () =
   match M.check ~bounds:{ M.default_bounds with max_states = 50 } () with
-  | M.Bound_exceeded { states } -> check Alcotest.bool "cut off" true (states >= 50)
-  | M.Verified _ | M.Violation _ -> fail "expected bound exceeded"
+  | E.Bound_exceeded { states } -> check Alcotest.bool "cut off" true (states >= 50)
+  | E.Verified _ | E.Violation _ -> fail "expected bound exceeded"
 
 let test_counterexample_renders () =
   match M.check ~mutation:M.No_sn_check () with
-  | M.Violation _ as r ->
+  | E.Violation _ as r ->
     let s = Format.asprintf "%a" M.pp_result r in
     check Alcotest.bool "mentions changeABcast" true
       (let contains hay needle =
@@ -104,7 +105,7 @@ let test_counterexample_renders () =
          go 0
        in
        contains s "changeABcast" && contains s "Adelivers")
-  | M.Verified _ | M.Bound_exceeded _ -> fail "expected violation"
+  | E.Verified _ | E.Bound_exceeded _ -> fail "expected violation"
 
 (* ------------------------------------------------------------------ *)
 (* The consensus replacement layer's switch threading                 *)
@@ -112,11 +113,11 @@ let test_counterexample_renders () =
 
 let cs_verified ?(bounds = C.default_bounds) ?variant label =
   match C.check ?variant ~bounds () with
-  | C.Verified { states; quiescent } ->
+  | E.Verified { states; quiescent } ->
     check Alcotest.bool (label ^ ": explored") true (states > 50);
     check Alcotest.bool (label ^ ": quiescent reached") true (quiescent > 0)
-  | C.Violation _ as r -> fail (Format.asprintf "%s: %a" label C.pp_result r)
-  | C.Bound_exceeded _ -> fail (label ^ ": bound exceeded")
+  | E.Violation _ as r -> fail (Format.asprintf "%s: %a" label C.pp_result r)
+  | E.Bound_exceeded _ -> fail (label ^ ": bound exceeded")
 
 let test_consswap_sound () =
   cs_verified "default";
@@ -125,12 +126,12 @@ let test_consswap_sound () =
 
 let test_consswap_prefix_defer_essential () =
   match C.check ~variant:C.No_prefix_defer () with
-  | C.Violation { property; trace; _ } ->
+  | E.Violation { property; trace; _ } ->
     check Alcotest.bool "disagreement found" true
       (String.length property > 0 && String.sub property 0 8 = "decision");
     check Alcotest.bool "non-trivial trace" true (List.length trace >= 8)
-  | C.Verified _ -> fail "expected the defer rule to be essential"
-  | C.Bound_exceeded _ -> fail "bound exceeded"
+  | E.Verified _ -> fail "expected the defer rule to be essential"
+  | E.Bound_exceeded _ -> fail "bound exceeded"
 
 let test_consswap_defense_in_depth () =
   (* Under the sequential-client contract these two guards are

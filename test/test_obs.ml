@@ -587,6 +587,43 @@ let test_cross_layer_invariants () =
     (float_of_int delivered_via_collector)
     (M.sum m "app_delivers_total")
 
+(* The groups of a fabric reuse node ids, so every layer labels its
+   series with the stack's group as well as its node: two shards then
+   never share a counter cell, nor drop each other's callback series. *)
+let test_per_group_series () =
+  let r = E.run { obs_params with n = 6; shards = 2; trace_enabled = false } in
+  let m = r.E.metrics in
+  let switches = ref 0 and delivers = ref 0 in
+  Array.iteri
+    (fun g (s : E.shard) ->
+      switches := !switches + List.length (Collector.switches s.E.collector);
+      List.iter
+        (fun node -> delivers := !delivers + List.length (Collector.delivers_of s.E.collector ~node))
+        s.E.correct;
+      for node = 0 to s.E.nodes - 1 do
+        let labels = [ ("group", string_of_int g); ("node", string_of_int node) ] in
+        let value name = M.value m ~labels name in
+        check (Alcotest.option (Alcotest.float 0.0))
+          (Printf.sprintf "group %d node %d switched once" g node)
+          (Some 1.0) (value "repl_switches_total");
+        List.iter
+          (fun name ->
+            check Alcotest.bool
+              (Printf.sprintf "%s{group=%d,node=%d}" name g node)
+              true
+              (Option.is_some (value name)))
+          [
+            "repl_intercepted_calls_total";
+            "repl_undelivered";
+            "epoch_buffer_stashed_total";
+            "app_delivers_total";
+          ]
+      done)
+    r.E.per_shard;
+  (* Splitting the cells leaves the sums as they were. *)
+  check (Alcotest.float 0.0) "switch sum" (float_of_int !switches) (M.sum m "repl_switches_total");
+  check (Alcotest.float 0.0) "deliver sum" (float_of_int !delivers) (M.sum m "app_delivers_total")
+
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -721,6 +758,7 @@ let () =
       ( "end_to_end",
         [
           tc "cross-layer invariants" test_cross_layer_invariants;
+          tc "series per group and node" test_per_group_series;
           tc "metrics off = noop registry" test_metrics_off_is_noop_registry;
           tc "metrics do not perturb results" test_metrics_do_not_perturb_results;
           tc "experiment log deterministic" test_experiment_log_deterministic;
