@@ -1,7 +1,10 @@
 (* Benchmark harness: regenerates every figure and headline number of
    the paper's evaluation (§6), the ablations and the consensus
    extension (§7), and records every deterministic value it prints in
-   BENCH_results.json, which CI diffs against the committed seed.
+   BENCH_results.json, which CI diffs against the committed seed. The
+   fig6, throughput and shard runs also record their work per
+   delivered message, so the diff pins events, hops, frames, bytes and
+   retransmissions too.
    Per-primitive wall-clock costs live in bench/perf.
 
    Usage:
@@ -22,6 +25,10 @@ module Sweep = Dpu_runtime.Sweep
 
 (* Every section but [shard] runs the paper's single group: shard 0. *)
 let run_single p = (E.run p).E.per_shard.(0)
+
+(* A run's deterministic work per delivered message
+   ({!E.per_message}); the seed diff pins it exactly. *)
+let work_json work = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) work)
 
 let section name = Printf.printf "\n============ %s ============\n%!" name
 
@@ -108,6 +115,7 @@ let run_fig6 () =
                       ("no_layer_ms", Json.Float p.F.no_layer_ms);
                       ("with_layer_ms", Json.Float p.F.with_layer_ms);
                       ("during_ms", Json.Float p.F.during_ms);
+                      ("work", work_json p.F.work);
                     ])
                 points) );
        ]);
@@ -132,10 +140,12 @@ type point = {
   p50_ms : float;
   p99_ms : float;
   measured : int;
+  work : (string * float) list;
 }
 
 let measure_window (p : E.params) =
-  let r = run_single p in
+  let result = E.run p in
+  let r = result.E.per_shard.(0) in
   let lo = p.E.warmup_ms and hi = p.E.duration_ms in
   let delivered =
     List.length
@@ -151,6 +161,7 @@ let measure_window (p : E.params) =
     p50_ms = pct 50.0;
     p99_ms = pct 99.0;
     measured = Stats.count lat;
+    work = E.per_message result;
   }
 
 type curve = {
@@ -299,6 +310,7 @@ let run_throughput () =
                      ("p50_ms", Json.Float p.p50_ms);
                      ("p99_ms", Json.Float p.p99_ms);
                      ("measured", Json.Int p.measured);
+                     ("work", work_json p.work);
                    ])
                c.points) );
       ]
@@ -374,7 +386,8 @@ let run_shard () =
           worst 50.0,
           worst 99.0,
           r.E.max_concurrent_switches,
-          E.all_ok r ))
+          E.all_ok r,
+          E.per_message r ))
   in
   record_sweep "shard" outcome.Sweep.stats;
   let cells = Array.to_list (Array.mapi (fun i r -> (grid.(i), r)) outcome.Sweep.results) in
@@ -384,7 +397,7 @@ let run_shard () =
          [ "n"; "shards"; "sent"; "delivered"; "worst p50 [ms]"; "worst p99 [ms]";
            "max swaps in flight"; "all ok" ]
        (List.map
-          (fun ((n, shards), (sent, delivered, p50, p99, maxcc, ok)) ->
+          (fun ((n, shards), (sent, delivered, p50, p99, maxcc, ok, _)) ->
             [
               string_of_int n;
               string_of_int shards;
@@ -407,7 +420,7 @@ let run_shard () =
          ( "cells",
            Json.List
              (List.map
-                (fun ((n, shards), (sent, delivered, p50, p99, maxcc, ok)) ->
+                (fun ((n, shards), (sent, delivered, p50, p99, maxcc, ok, work)) ->
                   Json.Obj
                     [
                       ("n", Json.Int n);
@@ -418,6 +431,7 @@ let run_shard () =
                       ("worst_p99_ms", Json.Float p99);
                       ("max_concurrent_switches", Json.Int maxcc);
                       ("all_ok", Json.Bool ok);
+                      ("work", work_json work);
                     ])
                 cells) );
        ])

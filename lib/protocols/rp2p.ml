@@ -113,13 +113,26 @@ let stats stack =
   }
 
 (* An unacknowledged outgoing datagram and its retransmission state.
-   [sent_at] records the send time of every attempt so the echoed
-   attempt number in the ack yields an unambiguous RTT sample. *)
+   [sent_at.(a)] is the send time of attempt [a] (for [a <= tries]), so
+   the echoed attempt number in the ack yields an unambiguous RTT
+   sample. The unboxed column grows by doubling up to
+   [max_retries + 1] slots: a frame's state is bounded however often
+   it is retried. *)
 type pending = {
   mutable tries : int;
   mutable timer : Dpu_runtime.Clock.timer option;
-  mutable sent_at : (int * float) list;  (* attempt -> send time *)
+  mutable sent_at : Float.Array.t;
 }
+
+(* Record the send time of attempt [p.tries]. *)
+let stamp ~cap p time =
+  let len = Float.Array.length p.sent_at in
+  if p.tries >= len then begin
+    let grown = Float.Array.create (min cap (2 * len)) in
+    Float.Array.blit p.sent_at 0 grown 0 len;
+    p.sent_at <- grown
+  end;
+  Float.Array.set p.sent_at p.tries time
 
 (* Jacobson/Karels round-trip estimation, one estimator per peer. Under
    load the per-hop delay includes NIC queueing, and a fixed timeout
@@ -151,8 +164,16 @@ let install ?(config = default_config) stack =
          each sender, and its [seen] window stays as small as the
          frames still out of order. *)
       let next_seq : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      (* (dst, seq) -> retransmission state *)
-      let pending : (int * int, pending) Hashtbl.t = Hashtbl.create 64 in
+      (* dst -> seq -> retransmission state *)
+      let pending : (int, (int, pending) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+      let pending_to dst =
+        match Hashtbl.find_opt pending dst with
+        | Some frames -> frames
+        | None ->
+          let frames = Hashtbl.create 64 in
+          Hashtbl.replace pending dst frames;
+          frames
+      in
       (* src -> already-delivered sequence numbers *)
       let seen = Seq_set.create () in
       let rtts : (int, rtt) Hashtbl.t = Hashtbl.create 8 in
@@ -205,41 +226,42 @@ let install ?(config = default_config) stack =
       let udp_send ~dst ~size payload =
         Stack.call stack Service.net (Udp.Send { dst; size; payload })
       in
-      let rec arm ~dst ~seq ~size payload (p : pending) =
+      let arm ~dst (p : pending) retransmit =
         let delay =
           Float.min config.max_rto_ms
             (rto dst *. (config.backoff ** float_of_int p.tries))
         in
         Stack.set_env stack (rto_key dst) (int_of_float (delay *. 1000.0));
-        let h =
-          Stack.after stack ~delay (fun () ->
-              if Hashtbl.mem pending (dst, seq) then begin
-                if p.tries >= config.max_retries then begin
-                  Hashtbl.remove pending (dst, seq);
-                  bump stack k_gave_up
-                end
-                else begin
-                  p.tries <- p.tries + 1;
-                  p.sent_at <- (p.tries, now ()) :: p.sent_at;
-                  let r = rtt_of dst in
-                  r.storm_backoff <- Float.min 128.0 (r.storm_backoff *. 2.0);
-                  bump stack k_retrans;
-                  udp_send ~dst ~size
-                    (Wire_data { src = me; seq; attempt = p.tries; size; payload });
-                  arm ~dst ~seq ~size payload p
-                end
-              end)
-        in
-        p.timer <- Some h
+        p.timer <- Some (Stack.after stack ~delay retransmit)
       in
       let send ~dst ~size payload =
         bump stack k_accepted;
         let seq = Option.value (Hashtbl.find_opt next_seq dst) ~default:0 in
         Hashtbl.replace next_seq dst (seq + 1);
         udp_send ~dst ~size (Wire_data { src = me; seq; attempt = 0; size; payload });
-        let p = { tries = 0; timer = None; sent_at = [ (0, now ()) ] } in
-        Hashtbl.replace pending (dst, seq) p;
-        arm ~dst ~seq ~size payload p
+        let frames = pending_to dst in
+        let p = { tries = 0; timer = None; sent_at = Float.Array.make 1 (now ()) } in
+        (* One closure per frame, re-armed on every try. *)
+        let rec retransmit () =
+          if Hashtbl.mem frames seq then begin
+            if p.tries >= config.max_retries then begin
+              Hashtbl.remove frames seq;
+              bump stack k_gave_up
+            end
+            else begin
+              p.tries <- p.tries + 1;
+              stamp ~cap:(config.max_retries + 1) p (now ());
+              let r = rtt_of dst in
+              r.storm_backoff <- Float.min 128.0 (r.storm_backoff *. 2.0);
+              bump stack k_retrans;
+              udp_send ~dst ~size
+                (Wire_data { src = me; seq; attempt = p.tries; size; payload });
+              arm ~dst p retransmit
+            end
+          end
+        in
+        Hashtbl.replace frames seq p;
+        arm ~dst p retransmit
       in
       let on_wire src payload =
         match payload with
@@ -252,16 +274,20 @@ let install ?(config = default_config) stack =
             Stack.indicate stack Service.rp2p (Recv { src = origin; payload })
           end
         | Wire_ack { src = acker; seq; attempt } -> (
-          match Hashtbl.find_opt pending (acker, seq) with
+          match Hashtbl.find_opt pending acker with
           | None -> ()
-          | Some p ->
-            (match p.timer with
-            | Some h -> Dpu_runtime.Clock.cancel h
-            | None -> ());
-            (match List.assoc_opt attempt p.sent_at with
-            | Some sent -> record_rtt acker (now () -. sent)
-            | None -> ());
-            Hashtbl.remove pending (acker, seq))
+          | Some frames -> (
+            match Hashtbl.find_opt frames seq with
+            | None -> ()
+            | Some p ->
+              (match p.timer with
+              | Some h -> Dpu_runtime.Clock.cancel h
+              | None -> ());
+              (* An echo of no attempt of ours (hostile or corrupt)
+                 still releases the frame, but yields no sample. *)
+              if attempt >= 0 && attempt <= p.tries then
+                record_rtt acker (now () -. Float.Array.get p.sent_at attempt);
+              Hashtbl.remove frames seq))
         | _ -> ()
       in
       {
@@ -283,12 +309,16 @@ let install ?(config = default_config) stack =
                stop retransmitting everything still in flight. *)
             (* dpu-lint: allow hashtbl-iter — cancelling every timer is order-insensitive *)
             Hashtbl.iter
-              (fun _ p ->
-                match p.timer with
-                | Some h -> Dpu_runtime.Clock.cancel h
-                | None -> ())
-              pending;
-            Hashtbl.clear pending);
+              (fun _ frames ->
+                (* dpu-lint: allow hashtbl-iter — cancelling is order-insensitive *)
+                Hashtbl.iter
+                  (fun _ p ->
+                    match p.timer with
+                    | Some h -> Dpu_runtime.Clock.cancel h
+                    | None -> ())
+                  frames;
+                Hashtbl.clear frames)
+              pending);
       })
 
 let spec =

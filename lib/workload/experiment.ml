@@ -147,11 +147,14 @@ type shard = {
   faults : Dpu_faults.Fault_transport.stats;
 }
 
+type work = { events : int; hops : int; frames : int; bytes : int; retransmissions : int }
+
 type result = {
   params : params;
   per_shard : shard array;
   metrics : Dpu_obs.Metrics.t;
   max_concurrent_switches : int;
+  work : work;
 }
 
 let layer_of = function
@@ -279,6 +282,43 @@ let shard_of params g mw =
     faults = MW.fault_stats mw;
   }
 
+(* The counters every layer keeps whether or not observability is on,
+   summed over the shards (the simulator is shared: one event count). *)
+let work_of fabric =
+  let hops = ref 0 and retransmissions = ref 0 and frames = ref 0 and bytes = ref 0 in
+  Fabric.iter_groups fabric (fun _ mw ->
+      let system = MW.system mw in
+      Array.iter
+        (fun stack ->
+          let calls, indications = Dpu_kernel.Stack.dispatch_counts stack in
+          hops := !hops + calls + indications;
+          retransmissions :=
+            !retransmissions + (Dpu_protocols.Rp2p.stats stack).retransmissions)
+        (Dpu_kernel.System.stacks system);
+      let net = Dpu_net.Datagram.counters (Dpu_kernel.System.net system) in
+      frames := !frames + net.sent;
+      bytes := !bytes + net.bytes);
+  {
+    events = Dpu_engine.Sim.events_executed (Fabric.sim fabric);
+    hops = !hops;
+    frames = !frames;
+    bytes = !bytes;
+    retransmissions = !retransmissions;
+  }
+
+let per_message r =
+  let delivered =
+    Array.fold_left (fun acc (s : shard) -> acc + s.delivered_everywhere) 0 r.per_shard
+  in
+  let per count = if delivered = 0 then 0.0 else float_of_int count /. float_of_int delivered in
+  [
+    ("events_per_msg", per r.work.events);
+    ("hops_per_msg", per r.work.hops);
+    ("frames_per_msg", per r.work.frames);
+    ("bytes_per_msg", per r.work.bytes);
+    ("retransmissions_per_msg", per r.work.retransmissions);
+  ]
+
 let run params =
   (match validate params with
   | Ok () -> ()
@@ -403,6 +443,7 @@ let run params =
     per_shard;
     metrics = Fabric.metrics fabric;
     max_concurrent_switches = Fabric.max_concurrent_switches fabric ~generation:1;
+    work = work_of fabric;
   }
 
 let check_shard params s =

@@ -135,6 +135,15 @@ type shard = {
           without a schedule) *)
 }
 
+type work = {
+  events : int;  (** simulator events executed *)
+  hops : int;  (** kernel dispatch hops: calls plus indications *)
+  frames : int;  (** datagrams sent on the simulated networks *)
+  bytes : int;  (** their bytes *)
+  retransmissions : int;  (** Rp2p retransmissions *)
+}
+(** The run's deterministic work, summed over every shard. *)
+
 type result = {
   params : params;
   per_shard : shard array;  (** one per shard; a single-group run reads index 0 *)
@@ -145,7 +154,13 @@ type result = {
   max_concurrent_switches : int;
       (** most shards whose generation-1 switch windows overlap at one
           instant; 0 without a switch *)
+  work : work;
 }
+
+val per_message : result -> (string * float) list
+(** [work] per message delivered everywhere (summed over the shards;
+    0 when none was), as [events_per_msg], [hops_per_msg],
+    [frames_per_msg], [bytes_per_msg] and [retransmissions_per_msg]. *)
 
 exception Preflight_failure of Dpu_props.Report.t list
 (** The static composition verifier rejected the configuration. Raised

@@ -47,6 +47,7 @@ type fig6_point = {
   no_layer_ms : float;
   with_layer_ms : float;
   during_ms : float;
+  work : (string * float) list;
 }
 
 let figure6 ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ]) ?(seed = 1)
@@ -62,13 +63,14 @@ let figure6 ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ]) ?(seed 
     let run p = single (Experiment.run p) in
     let no_layer = run { base with approach = Experiment.No_layer; switch_to = None } in
     let with_layer = run { base with switch_to = None } in
-    let switching = run base in
+    let switching = Experiment.run base in
     {
       n;
       load;
       no_layer_ms = Stats.mean no_layer.normal;
       with_layer_ms = Stats.mean with_layer.normal;
-      during_ms = Stats.mean switching.during;
+      during_ms = Stats.mean (single switching).during;
+      work = Experiment.per_message switching;
     }
   in
   let outcome = Sweep.run ?jobs ~cells:(Array.length grid) point in

@@ -25,6 +25,7 @@ type fig6_point = {
   no_layer_ms : float;  (** normal, without replacement layer *)
   with_layer_ms : float;  (** normal, with replacement layer *)
   during_ms : float;  (** messages sent during the replacement *)
+  work : (string * float) list;  (** {!Experiment.per_message} of the switching run *)
 }
 
 val figure6 :

@@ -14,9 +14,9 @@ let fail = Alcotest.fail
 type Payload.t += Blob of string
 
 (* A system with the basic substrate registered; nothing instantiated. *)
-let make_system ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?link () =
+let make_system ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?link ?metrics () =
   let link = match link with Some l -> l | None -> Latency.lan in
-  let system = System.create ~seed ~loss ~dup ~link ~n () in
+  let system = System.create ~seed ~loss ~dup ~link ?metrics ~n () in
   P.Udp.register system;
   P.Rp2p.register system;
   P.Fd.register system;
@@ -160,14 +160,91 @@ let test_rp2p_dedup_under_duplication () =
     "node 2 exactly once despite dups" (expect 2) (List.sort compare !got2)
 
 let test_rp2p_gives_up_on_crashed_dst () =
+  (* Every frame to a crashed peer is dropped after [max_retries]
+     timeouts, and leaves no retransmission timer behind. *)
+  let metrics = Dpu_obs.Metrics.create () in
+  let system = make_system ~metrics () in
+  ensure_all system Service.rp2p;
+  System.crash_node system 1;
+  let pending_events () = Option.get (Dpu_obs.Metrics.value metrics "sim_pending_events") in
+  let before = pending_events () in
+  let frames = 25 in
+  for i = 1 to frames do
+    Stack.call (System.stack system 0) Service.rp2p
+      (P.Rp2p.Send { dst = 1; size = 64; payload = Blob (string_of_int i) })
+  done;
+  (* Each of the [max_retries + 1] timeouts waits at most [max_rto_ms]. *)
+  let config = P.Rp2p.default_config in
+  System.run_for system (float_of_int (config.max_retries + 2) *. config.max_rto_ms);
+  let stats = P.Rp2p.stats (System.stack system 0) in
+  check Alcotest.int "gave up" frames stats.P.Rp2p.gave_up;
+  check (Alcotest.float 0.0) "no timer left" before (pending_events ())
+
+(* Hand [node]'s stack a frame at time [at], as if the net service had
+   just received it from [src]. *)
+let inject system ~node ~at ~src payload =
+  Clock.defer (System.clock system) ~delay:at (fun () ->
+      Stack.indicate (System.stack system node) Service.net (P.Udp.Recv { src; payload }))
+
+let rto_us stack ~dst = Stack.get_env stack (Printf.sprintf "rp2p.rto_us.%d" dst) ~default:0
+
+let test_rp2p_rtt_from_echoed_earlier_attempt () =
+  (* Node 1 is down, so attempt 0 (sent at [hop]) is retried at
+     [hop + 10]. An ack echoing attempt 0 that arrives at [20 + hop]
+     must be timed from attempt 0: a 20 ms sample, so the next frame
+     waits srtt + 4 * rttvar = 60 ms (30 ms if timed from attempt 1). *)
   let system = make_system () in
   ensure_all system Service.rp2p;
   System.crash_node system 1;
-  Stack.call (System.stack system 0) Service.rp2p
-    (P.Rp2p.Send { dst = 1; size = 64; payload = Blob "x" });
-  System.run_until_quiescent ~limit:3_000_000.0 system;
-  let stats = P.Rp2p.stats (System.stack system 0) in
-  check Alcotest.int "gave up" 1 stats.P.Rp2p.gave_up
+  let stack = System.stack system 0 in
+  let send () =
+    Stack.call stack Service.rp2p (P.Rp2p.Send { dst = 1; size = 64; payload = Blob "x" })
+  in
+  send ();
+  inject system ~node:0 ~at:20.0 ~src:1 (P.Rp2p.Wire_ack { src = 1; seq = 0; attempt = 0 });
+  System.run_for system 25.0;
+  check Alcotest.int "attempt 1 went out first" 1 (P.Rp2p.stats stack).P.Rp2p.retransmissions;
+  send ();
+  System.run_for system 1.0;
+  let rto = rto_us stack ~dst:1 in
+  check Alcotest.bool (Printf.sprintf "timeout from a 20 ms sample (%d us)" rto) true
+    (abs (rto - 60_000) <= 1)
+
+let test_rp2p_out_of_range_ack_echo () =
+  (* A forged ack whose echoed attempt names no transmission (negative,
+     beyond the tries made, max_int) releases the frame, yields no RTT
+     sample and raises nothing. Nodes 1 and 2 are down: only the forged
+     acks ever reach node 0. *)
+  let system = make_system () in
+  ensure_all system Service.rp2p;
+  System.crash_node system 1;
+  System.crash_node system 2;
+  let stack = System.stack system 0 in
+  let send dst =
+    Stack.call stack Service.rp2p (P.Rp2p.Send { dst; size = 64; payload = Blob "x" })
+  in
+  (* Frames 0..2 to node 1, acked before their first timeout. *)
+  List.iteri
+    (fun seq attempt ->
+      send 1;
+      inject system ~node:0 ~at:5.0 ~src:1 (P.Rp2p.Wire_ack { src = 1; seq; attempt }))
+    [ -1; 1; max_int ];
+  (* Frame 0 to node 2 has been retried twice (attempt 2 at 40 ms, so
+     its send-time column has grown to four slots) when the echo of the
+     unsent attempt 3 arrives. *)
+  send 2;
+  inject system ~node:0 ~at:60.0 ~src:2 (P.Rp2p.Wire_ack { src = 2; seq = 0; attempt = 3 });
+  System.run_until_quiescent ~limit:100_000.0 system;
+  let stats = P.Rp2p.stats stack in
+  check Alcotest.int "released, not given up" 0 stats.P.Rp2p.gave_up;
+  check Alcotest.int "only node 2's two retries" 2 stats.P.Rp2p.retransmissions;
+  send 1;
+  send 2;
+  System.run_for system 1.0;
+  (* Without a sample: the initial 10 ms, times node 2's storm backoff
+     of 4 after its two timeouts. *)
+  check Alcotest.int "node 1: no sample" 10_000 (rto_us stack ~dst:1);
+  check Alcotest.int "node 2: no sample" 40_000 (rto_us stack ~dst:2)
 
 let test_rp2p_self_send () =
   let system = make_system () in
@@ -918,6 +995,8 @@ let () =
           tc "reliable under loss" test_rp2p_reliable_under_loss;
           tc "dedup" test_rp2p_dedup_under_duplication;
           tc "gives up on crashed" test_rp2p_gives_up_on_crashed_dst;
+          tc "RTT from an echoed earlier attempt" test_rp2p_rtt_from_echoed_earlier_attempt;
+          tc "out-of-range ack echo" test_rp2p_out_of_range_ack_echo;
           tc "self send" test_rp2p_self_send;
           tc "stats" test_rp2p_stats_accepted;
           tc "adaptive RTO converges" test_rp2p_adaptive_rto_converges;

@@ -113,6 +113,7 @@ let fig6_section_json points =
                    ("no_layer_ms", Json.Float p.F.no_layer_ms);
                    ("with_layer_ms", Json.Float p.F.with_layer_ms);
                    ("during_ms", Json.Float p.F.during_ms);
+                   ("work", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) p.F.work));
                  ])
              points) );
     ]
