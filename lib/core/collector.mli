@@ -6,7 +6,11 @@
     delivering it on stack [i]; the latency of [m] is the mean of
     [t_i(m)] over all stacks that delivered it. {!latency_series}
     returns one point per message, keyed by its send time — exactly the
-    scatter plotted in Fig. 5. *)
+    scatter plotted in Fig. 5.
+
+    Recording is a few array stores and keeps the caller's [Msg.id]
+    record rather than a copy. Readers build their indexes on first use
+    and keep them until the next record, so read once the run is over. *)
 
 open Dpu_kernel
 

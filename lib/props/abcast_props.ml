@@ -70,15 +70,17 @@ let uniform_integrity collector =
   Report.make ~property:"uniform integrity" ~checked:!checked (List.rev !violations)
 
 let uniform_total_order collector =
-  let nodes = Collector.delivered_nodes collector in
-  let position node =
-    let tbl : (Msg.id, int) Hashtbl.t = Hashtbl.create 1024 in
-    List.iteri
-      (fun i (id, _) -> if not (Hashtbl.mem tbl id) then Hashtbl.replace tbl id i)
-      (Collector.delivers_of collector ~node);
-    tbl
+  (* Each node's delivery sequence is read once: its ids, and the
+     position of the first delivery of each. *)
+  let positions =
+    List.map
+      (fun node ->
+        let seq = Array.of_list (List.map fst (Collector.delivers_of collector ~node)) in
+        let tbl : (Msg.id, int) Hashtbl.t = Hashtbl.create 1024 in
+        Array.iteri (fun i id -> if not (Hashtbl.mem tbl id) then Hashtbl.replace tbl id i) seq;
+        (node, tbl, seq))
+      (Collector.delivered_nodes collector)
   in
-  let positions = List.map (fun n -> (n, position n)) nodes in
   let checked = ref 0 in
   let violations = ref [] in
   (* For each ordered pair (p, q): walk q's sequence; the p-positions of
@@ -89,14 +91,14 @@ let uniform_total_order collector =
      (uniformity). (b) is implied by (a) plus prefix coverage; we check
      (a) directly and (b) via a coverage counter. *)
   List.iter
-    (fun (p, pos_p) ->
+    (fun (p, pos_p, _) ->
       List.iter
-        (fun (q, _) ->
+        (fun (q, _, seq_q) ->
           if p <> q then begin
             let last = ref (-1) in
             let common = ref 0 in
-            List.iter
-              (fun (id, _) ->
+            Array.iter
+              (fun id ->
                 match Hashtbl.find_opt pos_p id with
                 | None -> ()
                 | Some i ->
@@ -109,7 +111,7 @@ let uniform_total_order collector =
                         p q (Msg.id_to_string id) i !last
                       :: !violations
                   else last := i)
-              (Collector.delivers_of collector ~node:q);
+              seq_q;
             (* (b): q's common subset must be a prefix of p's sequence
                up to the furthest p-position reached. *)
             if !last + 1 > !common then

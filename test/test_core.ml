@@ -113,6 +113,216 @@ let test_collector_deliver_order () =
   let seq = List.map fst (Core.Collector.delivers_of c ~node:0) in
   check Alcotest.bool "in order" true (seq = [ id 1; id 2 ])
 
+(* The Collector as it was first written, one list and one hashtable
+   per kind of event, kept as the reference model its readers must
+   agree with. *)
+module Collector_model = struct
+  type t = {
+    mutable rev_sends : (Msg.id * int * float) list;
+    send_times : (Msg.id, float) Hashtbl.t;
+    delivers : (int, (Msg.id * float) list ref) Hashtbl.t;
+    deliveries_by_id : (Msg.id, (int * float) list) Hashtbl.t;
+    mutable rev_switches : (int * int * float) list;
+  }
+
+  let create () =
+    {
+      rev_sends = [];
+      send_times = Hashtbl.create 16;
+      delivers = Hashtbl.create 16;
+      deliveries_by_id = Hashtbl.create 16;
+      rev_switches = [];
+    }
+
+  let record_send t ~node ~id ~time =
+    t.rev_sends <- (id, node, time) :: t.rev_sends;
+    if not (Hashtbl.mem t.send_times id) then Hashtbl.replace t.send_times id time
+
+  let record_deliver t ~node ~id ~time =
+    let l =
+      match Hashtbl.find_opt t.delivers node with
+      | Some l -> l
+      | None ->
+        let l = ref [] in
+        Hashtbl.replace t.delivers node l;
+        l
+    in
+    l := (id, time) :: !l;
+    let existing = Option.value ~default:[] (Hashtbl.find_opt t.deliveries_by_id id) in
+    Hashtbl.replace t.deliveries_by_id id ((node, time) :: existing)
+
+  let record_switch t ~node ~generation ~time =
+    t.rev_switches <- (node, generation, time) :: t.rev_switches
+
+  let sends t = List.rev t.rev_sends
+  let send_count t = List.length t.rev_sends
+  let send_time t id = Hashtbl.find_opt t.send_times id
+
+  let delivers_of t ~node =
+    match Hashtbl.find_opt t.delivers node with Some l -> List.rev !l | None -> []
+
+  let delivered_nodes t =
+    (* dpu-lint: allow hashtbl-iter — folded nodes are sorted before use *)
+    Hashtbl.fold (fun node _ acc -> node :: acc) t.delivers [] |> List.sort Int.compare
+
+  let deliver_times t id =
+    match Hashtbl.find_opt t.deliveries_by_id id with Some l -> List.rev l | None -> []
+
+  let latency_of t id =
+    match (send_time t id, deliver_times t id) with
+    | Some t0, (_ :: _ as ds) ->
+      let sum = List.fold_left (fun acc (_, time) -> acc +. (time -. t0)) 0.0 ds in
+      Some (sum /. float_of_int (List.length ds))
+    | _, _ -> None
+
+  let latency_series t =
+    let s = Dpu_engine.Series.create () in
+    List.iter
+      (fun (id, _, t0) ->
+        Option.iter (fun l -> Dpu_engine.Series.add s ~time:t0 ~value:l) (latency_of t id))
+      (sends t);
+    s
+
+  let undelivered_ids t ~expected_copies =
+    List.filter_map
+      (fun (id, _, _) ->
+        if List.length (deliver_times t id) < expected_copies then Some id else None)
+      (sends t)
+
+  let switches t = List.rev t.rev_switches
+
+  let switch_window t ~generation =
+    match List.filter_map (fun (_, g, time) -> if g = generation then Some time else None) (switches t) with
+    | [] -> None
+    | first :: rest -> Some (List.fold_left min first rest, List.fold_left max first rest)
+end
+
+type collector_op =
+  | Send of int * int * float  (** node, id, time *)
+  | Deliver of int * int * float
+  | Switch of int * int * float  (** node, generation, time *)
+  | Read
+
+(* A fresh record for every use, so the Collector must match ids by
+   value. Ids 8 and 9 are delivered but never sent. *)
+let op_id k = { Msg.origin = k mod 3; seq = k / 3 }
+
+let apply_op (c, m) = function
+  | Send (node, k, time) ->
+    Core.Collector.record_send c ~node ~id:(op_id k) ~time;
+    Collector_model.record_send m ~node ~id:(op_id k) ~time
+  | Deliver (node, k, time) ->
+    Core.Collector.record_deliver c ~node ~id:(op_id k) ~time;
+    Collector_model.record_deliver m ~node ~id:(op_id k) ~time
+  | Switch (node, generation, time) ->
+    Core.Collector.record_switch c ~node ~generation ~time;
+    Collector_model.record_switch m ~node ~generation ~time
+  | Read -> ()
+
+(* Every reader of [c] equals the model's; latencies bit for bit. *)
+let collector_agrees (c, m) =
+  let module C = Core.Collector in
+  let module M = Collector_model in
+  let same what a b = if a <> b then QCheck.Test.fail_reportf "%s differs from the model" what in
+  let bits = Option.map Int64.bits_of_float in
+  same "sends" (C.sends c) (M.sends m);
+  same "send_count" (C.send_count c) (M.send_count m);
+  same "delivered_nodes" (C.delivered_nodes c) (M.delivered_nodes m);
+  same "switches" (C.switches c) (M.switches m);
+  for node = -1 to 5 do
+    same (Printf.sprintf "delivers_of %d" node) (C.delivers_of c ~node) (M.delivers_of m ~node)
+  done;
+  for k = 0 to 10 do
+    let id = op_id k in
+    same "send_time" (C.send_time c id) (M.send_time m id);
+    same "deliver_times" (C.deliver_times c id) (M.deliver_times m id);
+    same "latency_of" (bits (C.latency_of c id)) (bits (M.latency_of m id))
+  done;
+  let points series =
+    List.map
+      (fun (p : Dpu_engine.Series.point) -> (Int64.bits_of_float p.time, Int64.bits_of_float p.value))
+      (Dpu_engine.Series.points series)
+  in
+  same "latency_series" (points (C.latency_series c)) (points (M.latency_series m));
+  for expected_copies = 0 to 5 do
+    same "undelivered_ids" (C.undelivered_ids c ~expected_copies) (M.undelivered_ids m ~expected_copies)
+  done;
+  for generation = 0 to 4 do
+    same "switch_window" (C.switch_window c ~generation) (M.switch_window m ~generation)
+  done;
+  true
+
+(* Runs [ops] on a fresh Collector and model, comparing them at every
+   [Read] and at the end. *)
+let run_collector_ops ops =
+  let pair = (Core.Collector.create (), Collector_model.create ()) in
+  List.for_all
+    (fun op ->
+      apply_op pair op;
+      op <> Read || collector_agrees pair)
+    ops
+  && collector_agrees pair
+
+let print_collector_op = function
+  | Send (n, k, t) -> Printf.sprintf "send %d %d %h" n k t
+  | Deliver (n, k, t) -> Printf.sprintf "deliver %d %d %h" n k t
+  | Switch (n, g, t) -> Printf.sprintf "switch %d %d %h" n g t
+  | Read -> "read"
+
+let prop_collector_matches_model =
+  let open QCheck.Gen in
+  let time = map (fun k -> float_of_int k /. 7.0) (int_range 0 7000) in
+  let op =
+    frequency
+      [
+        (4, map3 (fun n k t -> Send (n, k, t)) (int_range 0 3) (int_range 0 7) time);
+        (6, map3 (fun n k t -> Deliver (n, k, t)) (int_range 0 4) (int_range 0 9) time);
+        (1, map3 (fun n g t -> Switch (n, g, t)) (int_range 0 3) (int_range 1 3) time);
+        (2, return Read);
+      ]
+  in
+  QCheck.Test.make ~name:"collector agrees with its reference model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_collector_op) (list_size (int_range 0 60) op))
+    run_collector_ops
+
+let test_collector_model_edge_cases () =
+  let cases =
+    [
+      ("empty", []);
+      ("re-sent id", [ Send (0, 1, 1.0); Deliver (0, 1, 2.0); Send (1, 1, 3.0); Deliver (1, 1, 5.0) ]);
+      ("duplicate delivery", [ Send (0, 2, 1.0); Deliver (2, 2, 2.0); Deliver (2, 2, 4.0) ]);
+      ("never sent", [ Deliver (1, 9, 1.0); Send (0, 0, 2.0); Deliver (1, 8, 3.0) ]);
+      ("nodes out of order", [ Send (0, 0, 0.5); Deliver (3, 0, 1.0); Deliver (0, 0, 1.5); Deliver (2, 0, 2.0) ]);
+      ( "read, append, read",
+        [
+          Send (0, 0, 0.0); Deliver (1, 0, 0.3); Read; Send (1, 3, 0.7); Deliver (0, 3, 0.9); Deliver (1, 0, 1.1);
+          Read; Switch (2, 1, 1.3); Deliver (0, 0, 1.7);
+        ] );
+    ]
+  in
+  List.iter (fun (name, ops) -> check Alcotest.bool name true (run_collector_ops ops)) cases
+
+(* Rows are three words (an id pointer, an int and an unboxed float);
+   each distinct id record is three words, shared with its message; a
+   column wastes at most one chunk (1024 rows). A Collector that copies
+   ids, boxes times or keeps an index during the run fails this. *)
+let test_collector_size_gate () =
+  let n = 10_000 in
+  let c = Core.Collector.create () in
+  let ids = Array.init n (fun i -> { Msg.origin = i mod 3; seq = i }) in
+  Array.iteri
+    (fun i id -> Core.Collector.record_send c ~node:(i mod 3) ~id ~time:(float_of_int i))
+    ids;
+  for node = 0 to 2 do
+    Array.iteri
+      (fun i id -> Core.Collector.record_deliver c ~node ~id ~time:(float_of_int i +. 0.5))
+      ids
+  done;
+  let rows = 4 * n and columns = 6 in
+  let bound = (3 * rows) + (3 * n) + (columns * 1024) + 256 in
+  let words = Obj.reachable_words (Obj.repr c) in
+  check Alcotest.bool (Printf.sprintf "%d words <= %d" words bound) true (words <= bound)
+
 (* ------------------------------------------------------------------ *)
 (* Middleware basics                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -602,6 +812,9 @@ let () =
           tc "undelivered" test_collector_undelivered;
           tc "switch window" test_collector_switch_window;
           tc "deliver order" test_collector_deliver_order;
+          tc "model edge cases" test_collector_model_edge_cases;
+          tc "size gate" test_collector_size_gate;
+          QCheck_alcotest.to_alcotest ~long:false prop_collector_matches_model;
         ] );
       ( "middleware",
         [
