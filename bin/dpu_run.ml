@@ -1,37 +1,47 @@
 (* dpu_run — command-line front end for the DPU reproduction.
 
    Subcommands:
-     scenario   run one simulated scenario with full parameter control
+     run        one run on the simulator, or over real UDP sockets with
+                --live; --scenario runs the adversarial corpus
      fig5       regenerate Figure 5
      fig6       regenerate Figure 6
      headline   regenerate the §6 headline numbers
      compare    quantify Repl vs Graceful vs Maestro
      check      static composition verification, no simulation
-     serve      live deployment over real UDP sockets (--nemesis/--scenario)
-     corpus     adversarial replacement scenarios, sim or live
      report     render metrics/trace/shard/bench-history artifacts as HTML
 
-   [scenario --shards S] runs S groups on one simulator. *)
+   A run is described once: every [run] flag overrides one field of a
+   base record from the library ([Experiment.default], [Serve.default]
+   or a corpus scenario's), and that library's [validate] is the one
+   range check. *)
 
 open Cmdliner
 module E = Dpu_workload.Experiment
 module F = Dpu_workload.Figures
+module Serve = Dpu_live.Serve
+module Corpus = Dpu_faults.Corpus
+module Schedule = Dpu_faults.Schedule
+module Report = Dpu_props.Report
 module Stats = Dpu_engine.Stats
 
+(* A usage error of subcommand [cmd]: one line on stderr, exit 2. *)
+let fail cmd fmt =
+  Printf.ksprintf (fun m -> Printf.eprintf "dpu_run %s: %s\n" cmd m; exit 2) fmt
+
+let ( |? ) flag base = Option.value flag ~default:base
+
 (* ------------------------------------------------------------------ *)
-(* Common arguments                                                   *)
+(* Run flags                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let n_arg =
-  Arg.(value & opt int 7 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of machines.")
+(* An argument that is [None] unless given. A run flag overrides one
+   field of the base run when given. *)
+let optional ?absent kind names ~docv doc =
+  Arg.(value & opt (some kind) None & info names ?absent ~docv ~doc)
 
-let load_arg =
-  Arg.(
-    value & opt float 40.0
-    & info [ "load" ] ~docv:"MSG/S" ~doc:"Aggregate ABcast load in messages per second.")
+let bool_flag names doc = Arg.(value & flag & info names ~doc)
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
+let ms = Printf.sprintf "%g"
 
 let jobs_arg =
   Arg.(
@@ -43,9 +53,22 @@ let jobs_arg =
            Results are bit-identical for every $(docv). Defaults to \\$DPU_JOBS \
            or 1.")
 
-(* One batching knob for every subcommand: [--batch K] is
-   [Batcher.max_batch = K]; omitted, every path stays unbatched (the
-   paper's one message per ordering round). *)
+let n_arg =
+  optional Arg.int [ "n"; "nodes" ] ~docv:"N" ~absent:(string_of_int E.default.n)
+    "Number of machines (OS processes under $(b,--live))."
+
+let load_arg =
+  optional Arg.float [ "load" ] ~docv:"MSG/S" ~absent:(ms E.default.load)
+    "Aggregate ABcast load in messages per second."
+
+let seed_arg =
+  optional Arg.int [ "seed" ] ~docv:"SEED" ~absent:(string_of_int E.default.seed)
+    "Seed of the run."
+
+(* One batching knob: [--batch K] is [Batcher.max_batch = K] on the
+   simulator and the egress frame cap plus [Batcher.max_batch] live;
+   omitted, every path stays unbatched (the paper's one message per
+   ordering round). *)
 let batch_arg =
   let parse s =
     match int_of_string_opt s with
@@ -60,12 +83,8 @@ let batch_arg =
         ~doc:
           "Throughput mode: aggregate up to K messages per ordering round in \
            the ABcast hot path, flushing a partial batch after 2 ms (and, \
-           under $(b,serve), up to K messages per UDP frame on egress). Omit \
+           under $(b,--live), up to K messages per UDP frame on egress). Omit \
            for the unbatched paths.")
-
-(* The simulator's reading of [--batch K]. *)
-let sim_batching =
-  Option.map (fun k -> { Dpu_protocols.Batcher.default with max_batch = k })
 
 let approach_conv =
   let parse s =
@@ -78,86 +97,208 @@ let approach_conv =
   in
   Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (E.approach_name a))
 
-(* The fault shim's ledger, as [serve] prints it per node and the
-   simulated runs print it per run. *)
+let fault_conv =
+  let parse s =
+    match Schedule.event_of_spec s with Ok e -> Ok e | Error msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Schedule.pp_event)
+
+(* No params record holds a consensus swap time ([E.default] plans no
+   swap): a planned swap runs at this time unless [run
+   --switch-consensus-at] moves it, as in the shipped consensus-swap
+   configuration. *)
+let consensus_swap_at_ms = 2_500.0
+
+(* The update plan: the flags [run] and [check] share. *)
+type plan = {
+  n : int option;
+  initial : string option;
+  switch_to : string option;
+  approach : E.approach option;
+  batch : int option;
+  consensus_layer : bool;
+  switch_consensus_to : string option;
+}
+
+let plan_term =
+  let open Term.Syntax in
+  let+ n = n_arg
+  and+ initial =
+    optional Arg.string [ "initial" ] ~docv:"PROTO" ~absent:E.default.initial
+      "Initial ABcast variant (abcast.ct, abcast.seq, abcast.token)."
+  and+ switch_to =
+    optional Arg.string [ "switch-to" ] ~docv:"PROTO"
+      ~absent:(Option.value E.default.switch_to ~default:"none")
+      "Replacement target."
+  and+ approach =
+    optional approach_conv [ "approach" ] ~docv:"A"
+      ~absent:(E.approach_name E.default.approach)
+      "repl | graceful | maestro | no-layer (simulator only)."
+  and+ batch = batch_arg
+  and+ consensus_layer =
+    bool_flag [ "consensus-layer" ]
+      "Install the consensus replacement layer (implied by --switch-consensus-to; \
+       simulator only)."
+  and+ switch_consensus_to =
+    optional Arg.string [ "switch-consensus-to" ] ~docv:"IMPL"
+      "Hot-swap consensus to IMPL (consensus.ct | consensus.paxos; simulator only)."
+  in
+  { n; initial; switch_to; approach; batch; consensus_layer; switch_consensus_to }
+
+(* The plan over a simulated base run. *)
+let plan_over (pl : plan) (p : E.params) =
+  {
+    p with
+    n = pl.n |? p.n;
+    initial = pl.initial |? p.initial;
+    switch_to = (match pl.switch_to with None -> p.switch_to | given -> given);
+    approach = pl.approach |? p.approach;
+    batching =
+      (match pl.batch with
+      | Some k -> Some { Dpu_protocols.Batcher.default with max_batch = k }
+      | None -> p.batching);
+    consensus_layer =
+      (if pl.consensus_layer || pl.switch_consensus_to <> None then
+         Some Dpu_protocols.Consensus_ct.protocol_name
+       else p.consensus_layer);
+    switch_consensus =
+      (match pl.switch_consensus_to with
+      | Some prot -> Some (consensus_swap_at_ms, prot)
+      | None -> p.switch_consensus);
+  }
+
+type flags = {
+  plan : plan;
+  live : bool;
+  scenario : string option;
+  load : float option;
+  seed : int option;
+  duration : float option;
+  drain : float option;
+  switch_at : float option;
+  size : int option;
+  faults : Schedule.t;
+  nemesis_seed : int option;
+  nemesis_faults : int option;
+  check : bool;
+  metrics_out : string option;
+  spans_out : string option;
+  (* simulator only *)
+  switch_consensus_at : float option;
+  loss : float option;
+  shards : int option;
+  stagger : float option;
+  csv_out : string option;
+  json_out : string option;
+  log_out : string option;
+  (* live only *)
+  trace_out : string option;
+  logs_out : string option;
+}
+
+(* The flags only one backend honours, and whether each was given. *)
+let sim_only f =
+  [
+    ("--approach", f.plan.approach <> None);
+    ("--loss", f.loss <> None);
+    ("--consensus-layer", f.plan.consensus_layer);
+    ("--switch-consensus-to", f.plan.switch_consensus_to <> None);
+    ("--switch-consensus-at", f.switch_consensus_at <> None);
+    ("--shards", f.shards <> None);
+    ("--stagger", f.stagger <> None);
+    ("--csv-out", f.csv_out <> None);
+    ("--json-out", f.json_out <> None);
+    ("--log-out", f.log_out <> None);
+  ]
+
+let live_only f = [ ("--trace-out", f.trace_out <> None); ("--logs-out", f.logs_out <> None) ]
+
+(* A corpus scenario is a check: it runs the battery. *)
+let checked f = f.check || f.scenario <> None
+
+(* The [--fault] events, then a [--nemesis-seed] draw over the run's
+   horizon: one schedule for either backend. *)
+let schedule f ~n ~horizon_ms =
+  f.faults
+  @
+  match f.nemesis_seed with
+  | None -> []
+  | Some _ when n < 2 -> fail "run" "--nemesis-seed needs at least 2 nodes"
+  | Some seed ->
+    Dpu_faults.Nemesis.generate
+      ~rng:(Dpu_engine.Rng.create ~seed)
+      ~n ~horizon_ms ?faults:f.nemesis_faults ()
+
+let sim_params f (base : E.params) =
+  let p = plan_over f.plan base in
+  let duration_ms = f.duration |? p.duration_ms in
+  {
+    p with
+    load = f.load |? p.load;
+    seed = f.seed |? p.seed;
+    duration_ms;
+    drain_ms = f.drain |? p.drain_ms;
+    switch_at_ms = f.switch_at |? p.switch_at_ms;
+    msg_size = f.size |? p.msg_size;
+    switch_consensus =
+      Option.map (fun (at, prot) -> (f.switch_consensus_at |? at, prot)) p.switch_consensus;
+    loss = f.loss |? p.loss;
+    shards = f.shards |? p.shards;
+    stagger_ms = f.stagger |? p.stagger_ms;
+    faults = p.faults @ schedule f ~n:p.n ~horizon_ms:duration_ms;
+    trace_enabled = checked f || f.spans_out <> None;
+    metrics_enabled = f.metrics_out <> None || f.spans_out <> None || f.csv_out <> None;
+    log_out = (match f.log_out with None -> p.log_out | given -> given);
+  }
+
+let live_params f (base : Serve.params) =
+  let n = f.plan.n |? base.n and duration_ms = f.duration |? base.duration_ms in
+  {
+    base with
+    n;
+    load = f.load |? base.load;
+    seed = f.seed |? base.seed;
+    duration_ms;
+    drain_ms = f.drain |? base.drain_ms;
+    switch_at_ms = f.switch_at |? base.switch_at_ms;
+    initial = f.plan.initial |? base.initial;
+    switch_to = (match f.plan.switch_to with None -> base.switch_to | given -> given);
+    msg_size = f.size |? base.msg_size;
+    batching = (match f.plan.batch with None -> base.batching | given -> given);
+    nemesis = base.nemesis @ schedule f ~n ~horizon_ms:duration_ms;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* run                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The fault shim's ledger, per run on the simulator and per node live. *)
 let fault_ledger stats =
   Format.asprintf "faults: %a" Dpu_faults.Fault_transport.pp_stats stats
 
-(* ------------------------------------------------------------------ *)
-(* scenario                                                           *)
-(* ------------------------------------------------------------------ *)
+let print_schedule s = if s <> [] then Format.printf "fault schedule: %a@." Schedule.pp s
 
-let scenario n load seed duration switch_at initial switch_to approach loss batch check
-    consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
-    nemesis_faults shards stagger drain metrics_out spans_out csv_out json_out log_out =
-  let fail fmt =
-    Printf.ksprintf (fun m -> Printf.eprintf "dpu_run scenario: %s\n" m; exit 2) fmt
-  in
-  (* The per-message exports and the faults are single-group for now. *)
-  if
-    shards > 1
-    && (spans_out <> None || csv_out <> None || faults <> [] || nemesis_seed <> None
-       || nemesis_faults <> None)
-  then fail "--spans-out, --csv-out, --fault and --nemesis-* need --shards 1";
-  let consensus_layer =
-    if consensus_layer || switch_consensus_to <> None then
-      Some Dpu_protocols.Consensus_ct.protocol_name
-    else None
-  in
-  let switch_consensus =
-    Option.map (fun prot -> (switch_consensus_at, prot)) switch_consensus_to
-  in
-  let faults =
-    match nemesis_seed with
-    | _ when Option.fold nemesis_faults ~none:false ~some:(fun k -> k < 0) ->
-      fail "--nemesis-faults must be >= 0"
-    | None -> faults
-    | Some _ when n < 2 -> fail "--nemesis-seed needs at least 2 nodes"
-    | Some seed ->
-      faults
-      @ Dpu_faults.Nemesis.generate
-          ~rng:(Dpu_engine.Rng.create ~seed)
-          ~n ~horizon_ms:duration ?faults:nemesis_faults ()
-  in
-  let obs_requested = metrics_out <> None || spans_out <> None || csv_out <> None in
-  let params =
-    {
-      E.default with
-      n;
-      load;
-      seed;
-      duration_ms = duration;
-      switch_at_ms = switch_at;
-      initial;
-      switch_to;
-      approach;
-      loss;
-      batching = sim_batching batch;
-      trace_enabled = check || spans_out <> None;
-      metrics_enabled = obs_requested;
-      consensus_layer;
-      switch_consensus;
-      faults;
-      log_out;
-      shards;
-      stagger_ms = stagger;
-      drain_ms = drain;
-    }
-  in
-  (match E.validate params with Ok () -> () | Error msg -> fail "%s" msg);
-  if faults <> [] then
-    Format.printf "fault schedule: %a@." Dpu_faults.Schedule.pp faults;
+let print_checks reports =
+  Format.printf "%a" Report.pp_all reports;
+  Report.all_ok reports
+
+let written what path = Option.iter (Printf.printf "%s written to %s\n" what) path
+
+(* One simulated run and its report; [false] iff a checked property
+   failed. *)
+let run_sim f (p : E.params) =
+  print_schedule p.faults;
   let r =
-    match E.run params with
+    match E.run p with
     | r -> r
     | exception E.Preflight_failure reports ->
-      Format.printf "%a@?" Dpu_props.Report.pp_all reports;
-      fail "the static composition check rejected the configuration"
+      Format.printf "%a@?" Report.pp_all reports;
+      fail "run" "the static composition check rejected the configuration"
   in
   (* Shard 0 is the whole run when there is one shard, the only case
      the per-message exports below accept. *)
   let s = r.E.per_shard.(0) in
-  if shards > 1 then print_string (E.render_shards r)
+  if p.shards > 1 then print_string (E.render_shards r)
   else begin
     Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" s.E.sent
       s.E.delivered_everywhere
@@ -170,218 +311,294 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
     | Some (lo, hi) ->
       Printf.printf "replacement: %.1f..%.1f ms (window %.1f ms); during: mean %.2f ms (%d msgs)\n"
         lo hi (hi -. lo) (Stats.mean s.E.during) (Stats.count s.E.during)
-    | None -> print_endline "no replacement performed");
+    | None when p.switches = [] -> print_endline "no replacement performed"
+    | None -> ());
+    (* [switch_to], when planned, is generation 1. *)
+    let first = if p.switch_to = None then 1 else 2 in
+    List.iteri
+      (fun i _ ->
+        let generation = first + i in
+        match Dpu_core.Collector.switch_window s.E.collector ~generation with
+        | Some (lo, hi) ->
+          Printf.printf "generation %d installed: %.1f..%.1f ms\n" generation lo hi
+        | None -> Printf.printf "generation %d: not installed\n" generation)
+      p.switches;
     if s.E.blocked_ms > 0.0 then
       Printf.printf "application blocked for %.1f ms\n" s.E.blocked_ms;
-    if faults <> [] then print_endline (fault_ledger s.E.faults)
+    if p.faults <> [] then print_endline (fault_ledger s.E.faults)
   end;
-  (match metrics_out with
-  | Some path ->
-    Dpu_obs.Json.to_file path (Dpu_obs.Metrics.to_json r.E.metrics);
-    Printf.printf "metrics snapshot written to %s\n" path
-  | None -> ());
-  (match spans_out with
-  | Some path ->
-    let events = Dpu_core.Spans.of_run ~trace:s.E.trace ~n s.E.collector in
-    Dpu_obs.Json.to_file path (Dpu_core.Spans.to_json events);
-    Printf.printf "%d trace events written to %s (load in Perfetto / chrome://tracing)\n"
-      (List.length events) path
-  | None -> ());
-  (match csv_out with
-  | Some path ->
-    let rows =
-      List.map
-        (fun (p : Dpu_engine.Series.point) ->
-          [ Printf.sprintf "%.3f" p.time; Printf.sprintf "%.3f" p.value ])
-        (Dpu_engine.Series.points s.E.latency)
-    in
-    Dpu_obs.Csv.to_file path ~header:[ "send_time_ms"; "latency_ms" ] rows;
-    Printf.printf "%d latency samples written to %s\n" (List.length rows) path
-  | None -> ());
-  (match json_out with
-  | Some path ->
-    Dpu_obs.Json.to_file path (E.to_json r);
-    Printf.printf "result JSON written to %s\n" path
-  | None -> ());
-  (match log_out with
-  | Some path -> Printf.printf "structured log written to %s\n" path
-  | None -> ());
-  if obs_requested then begin
+  Option.iter
+    (fun path -> Dpu_obs.Json.to_file path (Dpu_obs.Metrics.to_json r.E.metrics))
+    f.metrics_out;
+  written "metrics snapshot" f.metrics_out;
+  Option.iter
+    (fun path ->
+      let events = Dpu_core.Spans.of_run ~trace:s.E.trace ~n:p.n s.E.collector in
+      Dpu_obs.Json.to_file path (Dpu_core.Spans.to_json events);
+      Printf.printf "%d trace events written to %s (load in Perfetto / chrome://tracing)\n"
+        (List.length events) path)
+    f.spans_out;
+  Option.iter
+    (fun path ->
+      let rows =
+        List.map
+          (fun (pt : Dpu_engine.Series.point) ->
+            [ Printf.sprintf "%.3f" pt.time; Printf.sprintf "%.3f" pt.value ])
+          (Dpu_engine.Series.points s.E.latency)
+      in
+      Dpu_obs.Csv.to_file path ~header:[ "send_time_ms"; "latency_ms" ] rows;
+      Printf.printf "%d latency samples written to %s\n" (List.length rows) path)
+    f.csv_out;
+  Option.iter (fun path -> Dpu_obs.Json.to_file path (E.to_json r)) f.json_out;
+  written "result JSON" f.json_out;
+  written "structured log" p.log_out;
+  if p.metrics_enabled then begin
     print_endline "--- observability summary ---";
     Format.printf "%a@?" Dpu_obs.Metrics.pp_summary r.E.metrics
   end;
-  if check then begin
-    let reports = E.check r in
-    Format.printf "%a" Dpu_props.Report.pp_all reports;
-    if not (Dpu_props.Report.all_ok reports) then exit 1
+  (not (checked f)) || print_checks (E.check r)
+
+(* One live deployment and its report; [false] iff a checked property
+   failed. *)
+let run_live f (p : Serve.params) =
+  Printf.printf "serving %d nodes over UDP on 127.0.0.1 (%.0f msg/s for %.0f ms)\n%!" p.n
+    p.load p.duration_ms;
+  print_schedule p.nemesis;
+  match
+    Serve.run ?metrics_out:f.metrics_out ?spans_out:f.spans_out ?trace_out:f.trace_out
+      ?logs_dir:f.logs_out p
+  with
+  | Error msg -> fail "run" "%s" msg
+  | Ok o ->
+    let module C = Dpu_core.Collector in
+    let module N = Dpu_live.Node in
+    let module T = Dpu_runtime.Transport in
+    List.iter
+      (fun (r : N.report) ->
+        let c = r.N.counters in
+        Printf.printf
+          "node %d: sent %d, delivered %d; wire: %d out / %d in / %d dropped, %d bytes\n"
+          r.N.node (List.length r.N.sends) (List.length r.N.delivers) c.T.sent
+          c.T.delivered c.T.dropped c.T.bytes;
+        Option.iter
+          (fun (b : T.batch_counters) ->
+            Printf.printf "node %d: %d egress batches carrying %d msgs (avg %.1f/frame)\n"
+              r.N.node b.T.batches_sent b.T.batched_msgs
+              (if b.T.batches_sent = 0 then 0.0
+               else float_of_int b.T.batched_msgs /. float_of_int b.T.batches_sent))
+          r.N.batches;
+        if r.N.rx_errors > 0 then
+          Printf.printf "node %d: survived %d receive errors\n" r.N.node r.N.rx_errors;
+        Option.iter
+          (fun stats -> Printf.printf "node %d %s\n" r.N.node (fault_ledger stats))
+          r.N.faults)
+      o.Serve.node_reports;
+    let collector = o.Serve.collector in
+    (match Serve.planned p with
+    | [] -> print_endline "no replacement requested"
+    | planned ->
+      List.iteri
+        (fun i (_, _, proto) ->
+          let generation = i + 1 in
+          match C.switch_window collector ~generation with
+          | Some (lo, hi) ->
+            Printf.printf "replacement to %s: %.1f..%.1f ms (window %.1f ms), %d/%d nodes\n"
+              proto lo hi (hi -. lo)
+              (List.length
+                 (List.filter (fun (_, g, _) -> g = generation) (C.switches collector)))
+              p.n
+          | None -> Printf.printf "replacement to %s: never completed\n" proto)
+        planned);
+    written "per-node metrics" f.metrics_out;
+    Option.iter (Printf.printf "merged trace events written to %s (load in Perfetto)\n")
+      f.spans_out;
+    Option.iter
+      (Printf.printf "merged cross-process trace written to %s (load in Perfetto)\n")
+      f.trace_out;
+    Option.iter (Printf.printf "per-node JSONL logs written to %s/\n") f.logs_out;
+    (not (checked f)) || print_checks o.Serve.checks
+
+(* The run [sc] names (the flags' own when [None]), built and
+   validated; it starts when the thunk is called. *)
+let prepare f (sc : Corpus.t option) =
+  let valid = function
+    | Ok () -> ()
+    | Error msg ->
+      fail "run" "%s%s" (Option.fold sc ~none:"" ~some:(fun sc -> sc.Corpus.name ^ ": ")) msg
+  in
+  if f.live then begin
+    let p = live_params f (Option.fold sc ~none:Serve.default ~some:Serve.of_corpus) in
+    valid (Serve.validate p);
+    fun () -> run_live f p
+  end
+  else begin
+    let p = sim_params f (Option.fold sc ~none:E.default ~some:E.of_corpus) in
+    if p.shards > 1 && (f.spans_out <> None || f.csv_out <> None) then
+      fail "run" "--spans-out and --csv-out need --shards 1";
+    valid (E.validate p);
+    fun () -> run_sim f p
   end
 
-let fault_conv =
-  let parse s =
-    match Dpu_faults.Schedule.event_of_spec s with
-    | Ok e -> Ok e
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Dpu_faults.Schedule.pp_event)
+let run f =
+  let fail fmt = fail "run" fmt in
+  (match List.find_opt snd (if f.live then sim_only f else live_only f) with
+  | Some (flag, _) when f.live -> fail "%s needs the simulator (drop --live)" flag
+  | Some (flag, _) -> fail "%s needs --live" flag
+  | None -> ());
+  if Option.fold f.nemesis_faults ~none:false ~some:(fun k -> k < 0) then
+    fail "--nemesis-faults must be >= 0";
+  match f.scenario with
+  | None -> if not (prepare f None ()) then exit 1
+  | Some which ->
+    let scenarios =
+      match (which, Corpus.find which) with
+      | "all", _ -> Corpus.all
+      | _, Some sc -> [ sc ]
+      | _, None ->
+        fail "unknown scenario %S (have: all, %s)" which
+          (String.concat ", " (Corpus.names ()))
+    in
+    let outputs =
+      [ f.metrics_out; f.spans_out; f.csv_out; f.json_out; f.log_out; f.trace_out; f.logs_out ]
+    in
+    if List.length scenarios > 1 && List.exists Option.is_some outputs then
+      fail "--scenario all takes no --*-out: each scenario would overwrite the file";
+    (* Every scenario is validated before the first one starts. *)
+    let runs = List.map (fun sc -> (sc, prepare f (Some sc))) scenarios in
+    let failed =
+      List.filter_map
+        (fun ((sc : Corpus.t), go) ->
+          Printf.printf "== %s (%s) ==\n%s\n" sc.name
+            (if f.live then "live UDP" else "simulated")
+            sc.summary;
+          let ok = go () in
+          Printf.printf "%s: %s\n\n" sc.name (if ok then "OK" else "FAILED");
+          if ok then None else Some sc.name)
+        runs
+    in
+    if failed = [] then print_endline "corpus: all scenarios OK"
+    else begin
+      Printf.printf "corpus: FAILED: %s\n" (String.concat ", " failed);
+      exit 1
+    end
 
-let scenario_cmd =
-  let duration =
-    Arg.(
-      value & opt float 10_000.0
-      & info [ "duration" ] ~docv:"MS" ~doc:"Load generation horizon (virtual ms).")
+let run_cmd =
+  let open Term.Syntax in
+  let flags =
+    let+ plan = plan_term
+    and+ live =
+      bool_flag [ "live" ]
+        "Run over real UDP sockets on 127.0.0.1, one OS process per node, on \
+         wall-clock timers, instead of the simulator."
+    and+ scenario =
+      optional Arg.string [ "scenario" ] ~docv:"NAME"
+        (Printf.sprintf
+           "Start from a named corpus scenario (its nodes, load, duration, drain, \
+            initial protocol, switch list and fault schedule), or run each with \
+            $(b,all). Implies $(b,--check). Scenarios: %s."
+           (String.concat ", " (Corpus.names ())))
+    and+ load = load_arg
+    and+ seed = seed_arg
+    and+ duration =
+      optional Arg.float [ "duration" ] ~docv:"MS" ~absent:(ms E.default.duration_ms)
+        "Load generation horizon (virtual ms; wall-clock ms under $(b,--live))."
+    and+ drain =
+      optional Arg.float [ "drain" ] ~docv:"MS" ~absent:(ms E.default.drain_ms)
+        "Time after the load stops for in-flight messages to come out."
+    and+ switch_at =
+      optional Arg.float [ "switch-at" ] ~docv:"MS" ~absent:(ms E.default.switch_at_ms)
+        "When to trigger the replacement."
+    and+ size =
+      optional Arg.int [ "size" ] ~docv:"BYTES" ~absent:(string_of_int E.default.msg_size)
+        "Modelled application payload size."
+    and+ faults =
+      Arg.(
+        value & opt_all fault_conv []
+        & info [ "fault" ] ~docv:"SPEC"
+            ~doc:
+              "Schedule a fault (repeatable). SPEC is one of crash@T:NODE, \
+               recover@T:NODE, partition@T:0,1|2,3, heal@T, \
+               loss@FROM-UNTIL:P, dup@FROM-UNTIL:P, \
+               slow@FROM-UNTIL:SRC>DST:LAT_MS. A crash silences the node's \
+               traffic (fail-silence) until a matching recover; one fault \
+               shim interprets the schedule on both backends.")
+    and+ nemesis_seed =
+      optional Arg.int [ "nemesis-seed" ] ~docv:"SEED"
+        "Additionally sample a random fault schedule from SEED."
+    and+ nemesis_faults =
+      optional Arg.int [ "nemesis-faults" ] ~docv:"K" "How many faults the nemesis draws."
+    and+ check =
+      bool_flag [ "check" ] "Verify every correctness property afterwards; exit 1 on a violation."
+    and+ metrics_out =
+      optional Arg.string [ "metrics-out" ] ~docv:"FILE"
+        "Write a JSON metrics snapshot to FILE (per node, with transport counters, \
+         under $(b,--live)); enables metrics collection."
+    and+ spans_out =
+      optional Arg.string [ "spans-out" ] ~docv:"FILE"
+        "Write per-message spans and the replacement timeline to FILE as Chrome \
+         trace-event JSON (load in Perfetto); implies tracing."
+    and+ switch_consensus_at =
+      optional Arg.float [ "switch-consensus-at" ] ~docv:"MS"
+        ~absent:(ms consensus_swap_at_ms)
+        "When to trigger the consensus swap (simulator only)."
+    and+ loss =
+      optional Arg.float [ "loss" ] ~docv:"P" ~absent:(ms E.default.loss)
+        "Datagram loss probability (simulator only)."
+    and+ shards =
+      optional Arg.int [ "shards" ] ~docv:"S" ~absent:(string_of_int E.default.shards)
+        "Partition the nodes into $(docv) ABcast groups on one simulator."
+    and+ stagger =
+      optional Arg.float [ "stagger" ] ~docv:"MS" ~absent:(ms E.default.stagger_ms)
+        "Delay between consecutive shards' switch triggers (simulator only)."
+    and+ csv_out =
+      optional Arg.string [ "csv-out" ] ~docv:"FILE"
+        "Write the per-message latency series to FILE as CSV (simulator only)."
+    and+ json_out =
+      optional Arg.string [ "json-out" ] ~docv:"FILE"
+        "Write the per-shard result to FILE as JSON, for $(b,report --shard) \
+         (simulator only)."
+    and+ log_out =
+      optional Arg.string [ "log-out" ] ~docv:"FILE"
+        "Write structured JSONL milestone logs to FILE, stamped on the virtual \
+         clock (simulator only)."
+    and+ trace_out =
+      optional Arg.string [ "trace-out" ] ~docv:"FILE"
+        "Record per-node traces and write ONE merged Chrome trace to FILE: \
+         per-message spans, each process's switch triggers, fault injections \
+         and start/stop marks, and the fault schedule as windows, on the \
+         shared epoch's time axis ($(b,--live) only)."
+    and+ logs_out =
+      optional Arg.string [ "logs-out" ] ~docv:"DIR"
+        "Give each node process a JSONL log file DIR/node-<i>.jsonl \
+         ($(b,--live) only)."
+    in
+    {
+      plan; live; scenario; load; seed; duration; drain; switch_at; size; faults;
+      nemesis_seed; nemesis_faults; check; metrics_out; spans_out; switch_consensus_at;
+      loss; shards; stagger; csv_out; json_out; log_out; trace_out; logs_out;
+    }
   in
-  let switch_at =
-    Arg.(
-      value & opt float 5_000.0
-      & info [ "switch-at" ] ~docv:"MS" ~doc:"When to trigger the replacement.")
+  let live = Serve.default in
+  let doc =
+    Printf.sprintf
+      "Run the stack with a mid-stream protocol replacement, optionally under faults: \
+       on the simulator, or with $(b,--live) as one OS process per node over UDP. A \
+       flag left out keeps the base run's value: the simulator's default (shown as \
+       \"absent\"), the $(b,--scenario)'s, or under $(b,--live) %d nodes, %g msg/s \
+       of %d-byte messages for %g ms and a %g ms drain, seed %d, %s replaced by %s \
+       at %g ms. A flag the other backend alone honours is a usage error (exit 2)."
+      live.n live.load live.msg_size live.duration_ms live.drain_ms live.seed live.initial
+      (Option.value live.switch_to ~default:"none")
+      live.switch_at_ms
   in
-  let initial =
-    Arg.(
-      value
-      & opt string Dpu_core.Variants.ct
-      & info [ "initial" ] ~docv:"PROTO"
-          ~doc:"Initial ABcast variant (abcast.ct, abcast.seq, abcast.token).")
-  in
-  let switch_to =
-    Arg.(
-      value
-      & opt (some string) (Some Dpu_core.Variants.ct)
-      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
-  in
-  let approach =
-    Arg.(
-      value & opt approach_conv E.Repl
-      & info [ "approach" ] ~docv:"A" ~doc:"repl | graceful | maestro | no-layer.")
-  in
-  let loss =
-    Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Datagram loss probability.")
-  in
-  let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Verify all correctness properties afterwards.")
-  in
-  let consensus_layer =
-    Arg.(
-      value & flag
-      & info [ "consensus-layer" ]
-          ~doc:"Install the consensus replacement layer (implied by --switch-consensus-to).")
-  in
-  let switch_consensus_to =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "switch-consensus-to" ] ~docv:"IMPL"
-          ~doc:"Hot-swap consensus to IMPL (consensus.ct | consensus.paxos).")
-  in
-  let switch_consensus_at =
-    Arg.(
-      value & opt float 2_500.0
-      & info [ "switch-consensus-at" ] ~docv:"MS"
-          ~doc:"When to trigger the consensus swap.")
-  in
-  let faults =
-    Arg.(
-      value & opt_all fault_conv []
-      & info [ "fault" ] ~docv:"SPEC"
-          ~doc:
-            "Schedule a fault (repeatable). SPEC is one of crash@T:NODE, \
-             recover@T:NODE, partition@T:0,1|2,3, heal@T, \
-             loss@FROM-UNTIL:P, dup@FROM-UNTIL:P, \
-             slow@FROM-UNTIL:SRC>DST:LAT_MS. A crash silences the node's \
-             traffic (fail-silence) until a matching recover; the same \
-             fault shim interprets the schedule on the live backend.")
-  in
-  let nemesis_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nemesis-seed" ] ~docv:"SEED"
-          ~doc:"Additionally sample a random fault schedule from SEED.")
-  in
-  let nemesis_faults =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nemesis-faults" ] ~docv:"K"
-          ~doc:"How many faults the nemesis draws (default 3).")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write a JSON metrics snapshot to FILE (enables metrics collection).")
-  in
-  let spans_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spans-out" ] ~docv:"FILE"
-          ~doc:
-            "Write per-message spans and the replacement timeline to FILE as \
-             Chrome trace-event JSON (load in Perfetto); implies tracing.")
-  in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv-out" ] ~docv:"FILE"
-          ~doc:"Write the per-message latency series to FILE as CSV.")
-  in
-  let shards =
-    Arg.(
-      value & opt int E.default.shards
-      & info [ "shards" ] ~docv:"S"
-          ~doc:"Partition the nodes into $(docv) ABcast groups on one simulator.")
-  in
-  let stagger =
-    Arg.(
-      value & opt float E.default.stagger_ms
-      & info [ "stagger" ] ~docv:"MS"
-          ~doc:"Delay between consecutive shards' switch triggers.")
-  in
-  let drain =
-    Arg.(
-      value & opt float E.default.drain_ms
-      & info [ "drain" ] ~docv:"MS"
-          ~doc:"Virtual time after the load stops for in-flight messages to come out.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE"
-          ~doc:"Write the per-shard result to FILE as JSON (for $(b,report --shard)).")
-  in
-  let log_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "log-out" ] ~docv:"FILE"
-          ~doc:
-            "Write structured JSONL milestone logs to FILE, stamped on the \
-             virtual clock (identical runs produce identical files).")
-  in
-  let term =
-    Term.(
-      const scenario $ n_arg $ load_arg $ seed_arg $ duration $ switch_at $ initial
-      $ switch_to $ approach $ loss $ batch_arg $ check $ consensus_layer
-      $ switch_consensus_to $ switch_consensus_at $ faults $ nemesis_seed
-      $ nemesis_faults $ shards $ stagger $ drain $ metrics_out $ spans_out $ csv_out
-      $ json_out $ log_out)
-  in
-  Cmd.v
-    (Cmd.info "scenario"
-       ~doc:
-         "Run one simulated group-communication scenario: one group, or \
-          $(b,--shards) independent groups on one simulator.")
-    term
+  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ flags)
 
 (* ------------------------------------------------------------------ *)
 (* figures                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let fig5_cmd =
-  let run n load seed = print_string (F.render_figure5 (F.figure5 ~n ~load ~seed ())) in
+  let run n load seed = print_string (F.render_figure5 (F.figure5 ?n ?load ?seed ())) in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Regenerate Figure 5 (latency around a replacement).")
     Term.(const run $ n_arg $ load_arg $ seed_arg)
@@ -397,21 +614,25 @@ let fig6_cmd =
     Arg.(value & opt (list int) [ 3; 7 ] & info [ "ns" ] ~docv:"N1,N2" ~doc:"Group sizes.")
   in
   let run ns loads seed jobs =
-    print_string (F.render_figure6 (fst (F.figure6 ~ns ~loads ~seed ~jobs ())))
+    print_string (F.render_figure6 (fst (F.figure6 ~ns ~loads ?seed ~jobs ())))
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Regenerate Figure 6 (latency vs load).")
     Term.(const run $ ns $ loads $ seed_arg $ jobs_arg)
 
 let headline_cmd =
-  let run n load jobs = print_string (F.render_headline (fst (F.headline ~n ~load ~jobs ()))) in
+  let run n load jobs = print_string (F.render_headline (fst (F.headline ?n ?load ~jobs ()))) in
   Cmd.v
     (Cmd.info "headline" ~doc:"Regenerate the headline numbers of §6.")
     Term.(const run $ n_arg $ load_arg $ jobs_arg)
 
 let compare_cmd =
+  (* The CLI compares at the simulator's default n, not the library
+     function's. *)
   let run n load seed jobs =
-    print_string (F.render_comparison (fst (F.compare_approaches ~n ~load ~seed ~jobs ())))
+    print_string
+      (F.render_comparison
+         (fst (F.compare_approaches ~n:(n |? E.default.n) ?load ?seed ~jobs ())))
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Quantify Repl vs Graceful Adaptation vs Maestro.")
@@ -451,44 +672,27 @@ let shipped_configs =
         {
           base with
           consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name;
-          switch_consensus = Some (2_500.0, Dpu_protocols.Consensus_paxos.protocol_name);
+          switch_consensus =
+            Some (consensus_swap_at_ms, Dpu_protocols.Consensus_paxos.protocol_name);
         } );
     ]
 
 let check_one ~label params =
   let reports = E.preflight params in
-  let ok = Dpu_props.Report.all_ok reports in
+  let ok = Report.all_ok reports in
   Format.printf "@[<v>-- %s: %s@,%a@]@." label
     (if ok then "OK" else "REJECTED")
-    Dpu_props.Report.pp_all reports;
+    Report.pp_all reports;
   (ok, reports)
 
-let check n initial switch_to approach batch consensus_layer switch_consensus_to
-    no_epoch_buffer shipped json_out =
+let check plan no_epoch_buffer shipped json_out =
   let results =
     if shipped then List.map (fun (label, p) -> check_one ~label p) shipped_configs
-    else begin
-      let consensus_layer =
-        if consensus_layer || switch_consensus_to <> None then
-          Some Dpu_protocols.Consensus_ct.protocol_name
-        else None
-      in
-      let params =
-        {
-          E.default with
-          n;
-          initial;
-          switch_to;
-          approach;
-          batching = sim_batching batch;
-          consensus_layer;
-          switch_consensus =
-            Option.map (fun prot -> (2_500.0, prot)) switch_consensus_to;
-          epoch_buffer = not no_epoch_buffer;
-        }
-      in
-      [ check_one ~label:"configuration" params ]
-    end
+    else
+      [
+        check_one ~label:"configuration"
+          { (plan_over plan E.default) with epoch_buffer = not no_epoch_buffer };
+      ]
   in
   (match json_out with
   | Some path ->
@@ -504,64 +708,20 @@ let check n initial switch_to approach batch consensus_layer switch_consensus_to
   end
 
 let check_cmd =
-  let initial =
-    Arg.(
-      value
-      & opt string Dpu_core.Variants.ct
-      & info [ "initial" ] ~docv:"PROTO" ~doc:"Initial ABcast variant.")
-  in
-  let switch_to =
-    Arg.(
-      value
-      & opt (some string) (Some Dpu_core.Variants.ct)
-      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
-  in
-  let approach =
-    Arg.(
-      value & opt approach_conv E.Repl
-      & info [ "approach" ] ~docv:"A" ~doc:"repl | graceful | maestro | no-layer.")
-  in
-  let consensus_layer =
-    Arg.(
-      value & flag
-      & info [ "consensus-layer" ]
-          ~doc:"Install the consensus replacement layer (implied by --switch-consensus-to).")
-  in
-  let switch_consensus_to =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "switch-consensus-to" ] ~docv:"IMPL"
-          ~doc:"Plan a consensus hot-swap to IMPL (consensus.ct | consensus.paxos).")
-  in
   let no_epoch_buffer =
-    Arg.(
-      value & flag
-      & info [ "no-epoch-buffer" ]
-          ~doc:
-            "Plan the stack without the future-epoch wire buffer. The \
-             behavioural check rejects any switch under this flag: a \
-             late-switching node would lose the successor's early traffic.")
+    bool_flag [ "no-epoch-buffer" ]
+      "Plan the stack without the future-epoch wire buffer. The \
+       behavioural check rejects any switch under this flag: a \
+       late-switching node would lose the successor's early traffic."
   in
   let shipped =
-    Arg.(
-      value & flag
-      & info [ "shipped" ]
-          ~doc:
-            "Verify every shipped configuration — the full old/new ABcast \
-             pair matrix plus the batched and consensus-swap plans — instead \
-             of one.")
+    bool_flag [ "shipped" ]
+      "Verify every shipped configuration — the full old/new ABcast \
+       pair matrix plus the batched and consensus-swap plans — instead \
+       of one."
   in
   let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write the verdicts to FILE as JSON.")
-  in
-  let term =
-    Term.(
-      const check $ n_arg $ initial $ switch_to $ approach $ batch_arg $ consensus_layer
-      $ switch_consensus_to $ no_epoch_buffer $ shipped $ json_out)
+    optional Arg.string [ "json" ] ~docv:"FILE" "Write the verdicts to FILE as JSON."
   in
   Cmd.v
     (Cmd.info "check"
@@ -569,345 +729,14 @@ let check_cmd =
          "Statically verify a stack composition and update plan without running \
           any simulation (missing providers, provider cycles, duplicate \
           bindings, unsafe replacement plans).")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* serve — live deployment over real UDP sockets                      *)
-(* ------------------------------------------------------------------ *)
-
-let serve n load duration drain switch_at initial switch_to seed msg_size batching
-    check nemesis scenario_name metrics_out spans_out trace_out logs_dir =
-  let params =
-    {
-      Dpu_live.Serve.n;
-      load;
-      duration_ms = duration;
-      drain_ms = drain;
-      switch_at_ms = switch_at;
-      initial;
-      switch_to;
-      switches = [];
-      nemesis;
-      msg_size;
-      seed;
-      batching;
-    }
-  in
-  let params =
-    match scenario_name with
-    | None -> params
-    | Some name -> (
-      match Dpu_faults.Corpus.find name with
-      | None ->
-        Printf.eprintf "dpu_run serve: unknown scenario %S (have: %s)\n" name
-          (String.concat ", " (Dpu_faults.Corpus.names ()));
-        exit 2
-      | Some sc ->
-        Printf.printf "scenario %s: %s\n" sc.Dpu_faults.Corpus.name
-          sc.Dpu_faults.Corpus.summary;
-        Dpu_live.Serve.of_corpus ~base:params sc)
-  in
-  Printf.printf "serving %d nodes over UDP on 127.0.0.1 (%.0f msg/s for %.0f ms)\n%!"
-    params.Dpu_live.Serve.n params.Dpu_live.Serve.load
-    params.Dpu_live.Serve.duration_ms;
-  if params.Dpu_live.Serve.nemesis <> [] then
-    Format.printf "fault schedule: %a@.%!" Dpu_faults.Schedule.pp
-      params.Dpu_live.Serve.nemesis;
-  match Dpu_live.Serve.run ?metrics_out ?spans_out ?trace_out ?logs_dir params with
-  | Error msg ->
-    Printf.eprintf "dpu_run serve: %s\n" msg;
-    exit 2
-  | Ok o ->
-    let module C = Dpu_core.Collector in
-    let module T = Dpu_runtime.Transport in
-    List.iter
-      (fun (r : Dpu_live.Node.report) ->
-        let c = r.Dpu_live.Node.counters in
-        Printf.printf
-          "node %d: sent %d, delivered %d; wire: %d out / %d in / %d dropped, %d bytes\n"
-          r.Dpu_live.Node.node
-          (List.length r.Dpu_live.Node.sends)
-          (List.length r.Dpu_live.Node.delivers)
-          c.T.sent c.T.delivered c.T.dropped c.T.bytes;
-        (match r.Dpu_live.Node.batches with
-        | None -> ()
-        | Some b ->
-          Printf.printf "node %d: %d egress batches carrying %d msgs (avg %.1f/frame)\n"
-            r.Dpu_live.Node.node b.T.batches_sent b.T.batched_msgs
-            (if b.T.batches_sent = 0 then 0.0
-             else float_of_int b.T.batched_msgs /. float_of_int b.T.batches_sent));
-        if r.Dpu_live.Node.rx_errors > 0 then
-          Printf.printf "node %d: survived %d receive errors\n"
-            r.Dpu_live.Node.node r.Dpu_live.Node.rx_errors;
-        match r.Dpu_live.Node.faults with
-        | None -> ()
-        | Some f -> Printf.printf "node %d %s\n" r.Dpu_live.Node.node (fault_ledger f))
-      o.Dpu_live.Serve.node_reports;
-    let collector = o.Dpu_live.Serve.collector in
-    let planned = Dpu_live.Serve.planned params in
-    if planned = [] then print_endline "no replacement requested"
-    else
-      List.iteri
-        (fun i (_, _, proto) ->
-          let generation = i + 1 in
-          match C.switch_window collector ~generation with
-          | Some (lo, hi) ->
-            Printf.printf
-              "replacement to %s: %.1f..%.1f ms (window %.1f ms), %d/%d nodes\n"
-              proto lo hi (hi -. lo)
-              (List.length
-                 (List.filter
-                    (fun (_, g, _) -> g = generation)
-                    (C.switches collector)))
-              params.Dpu_live.Serve.n
-          | None -> Printf.printf "replacement to %s: never completed\n" proto)
-        planned;
-    (match metrics_out with
-    | Some path -> Printf.printf "per-node metrics written to %s\n" path
-    | None -> ());
-    (match spans_out with
-    | Some path ->
-      Printf.printf "merged trace events written to %s (load in Perfetto)\n" path
-    | None -> ());
-    (match trace_out with
-    | Some path ->
-      Printf.printf
-        "merged cross-process trace written to %s (load in Perfetto)\n" path
-    | None -> ());
-    (match logs_dir with
-    | Some dir -> Printf.printf "per-node JSONL logs written to %s/\n" dir
-    | None -> ());
-    if check then begin
-      let checks = o.Dpu_live.Serve.checks in
-      Format.printf "%a" Dpu_props.Report.pp_all checks;
-      if not (Dpu_props.Report.all_ok checks) then exit 1
-    end
-
-let serve_cmd =
-  let nodes =
-    Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"OS processes to launch.")
-  in
-  let load =
-    Arg.(
-      value & opt float 30.0
-      & info [ "load" ] ~docv:"MSG/S" ~doc:"Aggregate ABcast load in messages per second.")
-  in
-  let duration =
-    Arg.(
-      value & opt float 3_000.0
-      & info [ "duration" ] ~docv:"MS" ~doc:"Load generation horizon (wall-clock ms).")
-  in
-  let drain =
-    Arg.(
-      value & opt float 1_500.0
-      & info [ "drain" ] ~docv:"MS" ~doc:"Settle time after the load stops.")
-  in
-  let switch_at =
-    Arg.(
-      value & opt float 1_500.0
-      & info [ "switch-at" ] ~docv:"MS" ~doc:"When node 0 triggers the replacement.")
-  in
-  let initial =
-    Arg.(
-      value
-      & opt string Dpu_core.Variants.ct
-      & info [ "initial" ] ~docv:"PROTO" ~doc:"Initial ABcast variant.")
-  in
-  let switch_to =
-    Arg.(
-      value
-      & opt (some string) (Some Dpu_core.Variants.sequencer)
-      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
-  in
-  let msg_size =
-    Arg.(
-      value & opt int 1_024
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Modelled application payload size.")
-  in
-  let check =
-    Arg.(
-      value & opt bool true
-      & info [ "check" ] ~docv:"BOOL"
-          ~doc:"Verify the atomic broadcast properties on the merged trace.")
-  in
-  let nemesis =
-    Arg.(
-      value & opt_all fault_conv []
-      & info [ "nemesis" ] ~docv:"SPEC"
-          ~doc:
-            "Schedule a network fault against the live deployment (repeatable). \
-             SPEC is one of crash@T:NODE, recover@T:NODE, partition@T:0,1|2,3, \
-             heal@T, loss@FROM-UNTIL:P, dup@FROM-UNTIL:P, \
-             slow@FROM-UNTIL:SRC>DST:LAT_MS. Interpreted by a fault shim behind \
-             the transport seam in every node process.")
-  in
-  let scenario_name =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Run a named corpus scenario (overrides -n, --load, --duration, \
-             --drain, --initial, --switch-to and installs its fault schedule). \
-             See $(b,dpu_run corpus) for the list.")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write per-node metrics and transport counters to FILE as JSON.")
-  in
-  let spans_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spans-out" ] ~docv:"FILE"
-          ~doc:"Write the merged per-message spans to FILE as Chrome trace-event JSON.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Turn per-node trace recording on and write ONE merged Chrome trace \
-             to FILE: per-message spans, each process's own events (switch \
-             triggers, fault injections, start/stop marks) and the nemesis \
-             schedule as fault windows, all on the shared epoch's time axis.")
-  in
-  let logs_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "logs-out" ] ~docv:"DIR"
-          ~doc:
-            "Give each node process a structured JSONL log file \
-             (DIR/node-<i>.jsonl, created on demand).")
-  in
-  let term =
-    Term.(
-      const serve $ nodes $ load $ duration $ drain $ switch_at $ initial $ switch_to
-      $ seed_arg $ msg_size $ batch_arg $ check $ nemesis $ scenario_name
-      $ metrics_out $ spans_out $ trace_out $ logs_dir)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the stack live: one OS process per node, real UDP sockets on \
-          localhost, wall-clock timers, with a mid-stream protocol replacement — \
-          optionally under a scripted fault schedule (--nemesis / --scenario). \
-          The same code that runs under the simulator, on the live runtime \
-          backend.")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* corpus — the adversarial replacement scenarios, sim or live        *)
-(* ------------------------------------------------------------------ *)
-
-let corpus only live seed msg_size =
-  let module Corpus = Dpu_faults.Corpus in
-  let module Serve = Dpu_live.Serve in
-  let fail fmt =
-    Printf.ksprintf (fun m -> Printf.eprintf "dpu_run corpus: %s\n" m; exit 2) fmt
-  in
-  let scenarios =
-    match only with
-    | None -> Corpus.all
-    | Some name -> (
-      match Corpus.find name with
-      | Some sc -> [ sc ]
-      | None -> fail "unknown scenario %S (have: %s)" name (String.concat ", " (Corpus.names ())))
-  in
-  let sim_params sc = { (E.of_corpus ~seed sc) with msg_size } in
-  let live_params sc = Serve.of_corpus ~base:{ Serve.default with msg_size; seed } sc in
-  List.iter
-    (fun (sc : Corpus.t) ->
-      match if live then Serve.validate (live_params sc) else E.validate (sim_params sc) with
-      | Ok () -> ()
-      | Error msg -> fail "%s: %s" sc.Corpus.name msg)
-    scenarios;
-  let failures = ref [] in
-  List.iter
-    (fun (sc : Corpus.t) ->
-      Printf.printf "== %s (%s) ==\n" sc.Corpus.name
-        (if live then "live UDP" else "simulated");
-      Printf.printf "%s\n" sc.Corpus.summary;
-      Format.printf "fault schedule: %a@.%!" Dpu_faults.Schedule.pp
-        sc.Corpus.schedule;
-      let ok =
-        if live then begin
-          match Serve.run (live_params sc) with
-          | Error msg ->
-            Printf.printf "run failed: %s\n" msg;
-            false
-          | Ok o ->
-            Format.printf "%a" Dpu_props.Report.pp_all o.Serve.checks;
-            Dpu_props.Report.all_ok o.Serve.checks
-        end
-        else begin
-          let r = E.run (sim_params sc) in
-          let s = r.E.per_shard.(0) in
-          List.iteri
-            (fun i _ ->
-              let generation = i + 1 in
-              match Dpu_core.Collector.switch_window s.E.collector ~generation with
-              | Some (lo, hi) ->
-                Printf.printf "generation %d installed: %.1f..%.1f ms\n"
-                  generation lo hi
-              | None -> Printf.printf "generation %d: not installed\n" generation)
-            sc.Corpus.switches;
-          print_endline (fault_ledger s.E.faults);
-          let reports = E.check r in
-          Format.printf "%a" Dpu_props.Report.pp_all reports;
-          Dpu_props.Report.all_ok reports
-        end
-      in
-      Printf.printf "%s: %s\n\n" sc.Corpus.name (if ok then "OK" else "FAILED");
-      if not ok then failures := sc.Corpus.name :: !failures)
-    scenarios;
-  match List.rev !failures with
-  | [] -> print_endline "corpus: all scenarios OK"
-  | failed ->
-    Printf.printf "corpus: FAILED: %s\n" (String.concat ", " failed);
-    exit 1
-
-let corpus_cmd =
-  let only =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"NAME" ~doc:"Run a single scenario instead of all.")
-  in
-  let live =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:
-            "Run over real UDP sockets (one process per node) instead of the \
-             simulator. Same scenario values, same fault shim, different clock.")
-  in
-  let msg_size =
-    Arg.(
-      value & opt int 1_024
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Modelled application payload size.")
-  in
-  Cmd.v
-    (Cmd.info "corpus"
-       ~doc:
-         "Run the adversarial replacement scenario corpus — replacements under \
-          partitions, races, coordinator crashes, rollbacks and cascades — and \
-          check the full atomic broadcast battery on every merged trace. \
-          Defaults to the simulator; --live replays the same schedules over \
-          real UDP sockets.")
-    Term.(const corpus $ only $ live $ seed_arg $ msg_size)
+    Term.(const check $ plan_term $ no_epoch_buffer $ shipped $ json_out)
 
 (* ------------------------------------------------------------------ *)
 (* report — render observability artifacts as one HTML page           *)
 (* ------------------------------------------------------------------ *)
 
 let report metrics_path trace_path shard_path history_dir out title =
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "dpu_run report: %s\n" m; exit 2) fmt in
+  let fail fmt = fail "report" fmt in
   let read_json path =
     match In_channel.with_open_text path In_channel.input_all with
     | exception Sys_error e -> fail "%s" e
@@ -966,41 +795,25 @@ let report metrics_path trace_path shard_path history_dir out title =
 
 let report_cmd =
   let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Metrics snapshot to render latency-quantile tables from (either a \
-             $(b,scenario --metrics-out) snapshot or a $(b,serve --metrics-out) \
-             per-node file).")
+    optional Arg.string [ "metrics" ] ~docv:"FILE"
+      "Metrics snapshot to render latency-quantile tables from (either a \
+       $(b,run --metrics-out) snapshot or a $(b,run --live --metrics-out) \
+       per-node file)."
   in
   let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Chrome trace to render the replacement timeline from (a $(b,serve \
-             --trace-out) merged trace or a --spans-out export).")
+    optional Arg.string [ "trace" ] ~docv:"FILE"
+      "Chrome trace to render the replacement timeline from (a $(b,run \
+       --live --trace-out) merged trace or a --spans-out export)."
   in
   let shard =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard" ] ~docv:"FILE"
-          ~doc:
-            "Per-shard run JSON (a $(b,scenario --json-out) export) to render \
-             the per-shard quantile table and switch-window swimlane from.")
+    optional Arg.string [ "shard" ] ~docv:"FILE"
+      "Per-shard run JSON (a $(b,run --json-out) export) to render \
+       the per-shard quantile table and switch-window swimlane from."
   in
   let history =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "history" ] ~docv:"DIR"
-          ~doc:
-            "Directory of BENCH_results.json files (sorted by filename = \
-             chronological order) to render per-commit trend charts from.")
+    optional Arg.string [ "history" ] ~docv:"DIR"
+      "Directory of BENCH_results.json files (sorted by filename = \
+       chronological order) to render per-commit trend charts from."
   in
   let out =
     Arg.(
@@ -1029,14 +842,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            scenario_cmd;
-            fig5_cmd;
-            fig6_cmd;
-            headline_cmd;
-            compare_cmd;
-            check_cmd;
-            serve_cmd;
-            corpus_cmd;
-            report_cmd;
-          ]))
+          [ run_cmd; fig5_cmd; fig6_cmd; headline_cmd; compare_cmd; check_cmd; report_cmd ]))

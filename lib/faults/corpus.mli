@@ -6,8 +6,9 @@
     same values, through the same {!Fault_transport} shim — with the
     full atomic-broadcast property battery checked on the merged logs
     both times. The simulated runner is [Dpu_workload.Experiment.of_corpus];
-    the live one is [Dpu_live.Serve.of_corpus], via
-    [dpu_run serve --scenario] / [dpu_run corpus --live]. *)
+    the live one is [Dpu_live.Serve.of_corpus]. [dpu_run run --scenario
+    NAME|all] runs them on the simulator, and adding [--live] runs them
+    over UDP. *)
 
 type switch = float * int * string
 (** One planned changeABcast call, [(at_ms, node, target)]: at [at_ms]

@@ -268,8 +268,8 @@ let parse_instrument ~extra j =
       (Option.bind (Json.member j "value") Json.to_float_opt)
   | Some _ | None -> None
 
-(* Accept both exported metrics shapes: the scenario snapshot
-   ({"schema":"dpu.metrics/1","metrics":[...]}) and the serve per-node
+(* Accept both exported metrics shapes: the simulated run's snapshot
+   ({"schema":"dpu.metrics/1","metrics":[...]}) and the live run's per-node
    nesting ({"nodes":[{"node":i,"metrics":<snapshot>}, ...]}). *)
 let parse_metrics j =
   let of_snapshot ~extra j =
@@ -485,7 +485,7 @@ let trend_section history =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Shard section (a run JSON from `dpu_run scenario --json-out`)      *)
+(* Shard section (a run JSON from `dpu_run run --json-out`)           *)
 (* ------------------------------------------------------------------ *)
 
 let shard_field j name = Option.bind (Json.member j name) Json.to_float_opt

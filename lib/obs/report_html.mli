@@ -6,11 +6,11 @@
       an SVG swimlane per trace pid) from a merged Chrome trace;
     - latency quantile tables (p50/p99/p999 via
       {!Metrics.quantile_of_buckets}) from an exported metrics snapshot,
-      accepting both the scenario shape ("dpu.metrics/1") and the serve
-      per-node nesting ([{"nodes": [...]}]);
+      accepting both the simulated run's shape ("dpu.metrics/1") and
+      the live run's per-node nesting ([{"nodes": [...]}]);
     - a sharded-run section (per-shard quantile table plus a
       switch-window swimlane, one lane per shard) from a
-      [dpu_run scenario --json-out] export;
+      [dpu_run run --json-out] export;
     - per-commit trend charts over a history of BENCH_results.json
       files, one small SVG line chart per numeric series.
 

@@ -39,7 +39,6 @@ type params = {
   metrics_enabled : bool;
   pattern : Load_gen.pattern;
   closed_loop : int option;
-  during_margin_ms : float;
   consensus_layer : string option;
   switch_consensus : (float * string) option;
   faults : Dpu_faults.Schedule.t;
@@ -70,7 +69,6 @@ let default =
     metrics_enabled = false;
     pattern = Load_gen.Poisson;
     closed_loop = None;
-    during_margin_ms = 50.0;
     consensus_layer = None;
     switch_consensus = None;
     faults = [];
@@ -83,9 +81,9 @@ let default =
 
 let validate p =
   let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  let negative =
+  let bad_time =
     List.find_opt
-      (fun (_, x) -> not (x >= 0.0))
+      (fun (_, x) -> not (Float.is_finite x && x >= 0.0))
       ([ ("duration", p.duration_ms); ("warmup", p.warmup_ms); ("switch time", p.switch_at_ms);
          ("stagger", p.stagger_ms); ("drain", p.drain_ms) ]
       @ Option.fold p.switch_consensus ~none:[] ~some:(fun (at, _) ->
@@ -93,7 +91,7 @@ let validate p =
       @ List.map (fun (at, _, _) -> ("switch time", at)) p.switches)
   in
   let bad_node = List.find_opt (fun (_, node, _) -> node < 0 || node >= p.n) p.switches in
-  match (negative, bad_node, Dpu_faults.Schedule.validate ~n:p.n p.faults) with
+  match (bad_time, bad_node, Dpu_faults.Schedule.validate ~n:p.n p.faults) with
   | _ when p.n < 1 -> fail "n must be >= 1, got %d" p.n
   | _ when p.shards < 1 || p.shards > p.n ->
     fail "shards must be in 1..n = 1..%d, got %d" p.n p.shards
@@ -103,7 +101,7 @@ let validate p =
   | _ when p.msg_size < 0 -> fail "message size must be >= 0, got %d" p.msg_size
   | _ when not (Float.is_finite p.hop_cost && p.hop_cost >= 0.0) ->
     fail "hop cost must be finite and >= 0, got %g" p.hop_cost
-  | Some (name, x), _, _ -> fail "%s must be >= 0, got %g" name x
+  | Some (name, x), _, _ -> fail "%s must be finite and >= 0, got %g" name x
   | None, Some (_, node, _), _ -> fail "switch node %d out of range [0, %d)" node p.n
   | None, None, Error msg -> fail "bad fault schedule: %s" msg
   | None, None, Ok () when p.shards > 1 && (p.faults <> [] || p.switches <> []) ->
@@ -214,6 +212,12 @@ let preflight params =
     ~consensus_updates:(Option.to_list (Option.map snd params.switch_consensus))
     profile
 
+(* Messages sent up to this long after the last stack switched are
+   still attributed to the replacement: the fresh protocol's first
+   instances are its cold start (the paper's spike decays over a short
+   period after the switch, Fig. 5). *)
+let during_margin_ms = 50.0
+
 let trigger_ms params g = params.switch_at_ms +. (params.stagger_ms *. float_of_int g)
 
 (* One shard's view of the finished run. *)
@@ -225,13 +229,9 @@ let shard_of params g mw =
     | Some _, Some (_first, last) -> Some (trigger_ms params g, last)
     | Some _, None | None, _ -> None
   in
-  (* Messages sent up to [during_margin_ms] after the last stack
-     switched are still attributed to the replacement: the fresh
-     protocol's first instances are its cold start (the paper's spike
-     decays over a short period after the switch, Fig. 5). *)
   let during_range =
     match switch_window with
-    | Some (lo, hi) -> Some (lo, hi +. params.during_margin_ms)
+    | Some (lo, hi) -> Some (lo, hi +. during_margin_ms)
     | None -> None
   in
   let normal = Stats.create () in

@@ -52,9 +52,6 @@ type params = {
   closed_loop : int option;
       (** [Some k]: replace the open loop ([load], [pattern]) with [k]
           {!Load_gen.closed_loop} clients per node (default [None]) *)
-  during_margin_ms : float;
-      (** messages sent this long after the last stack switched still
-          count as "during the replacement" (cold-start tail) *)
   consensus_layer : string option;
       (** install the consensus replacement layer on this initial
           implementation *)
@@ -101,8 +98,9 @@ val default : params
 val validate : params -> (unit, string) result
 (** [Ok ()] iff [n >= 1], [1 <= shards <= n], [load] is finite and
     [>= 0], [loss] is in [[0, 1]], [msg_size >= 0], [hop_cost] is
-    finite and [>= 0], every time (consensus swap and [switches]
-    included) is [>= 0], every [switches] node is in range, [faults]
+    finite and [>= 0], every time (duration, warmup, switch time,
+    stagger, drain, the consensus swap and [switches]) is finite and
+    [>= 0], every [switches] node is in range, [faults]
     passes {!Dpu_faults.Schedule.validate}, and [faults] and
     [switches] are empty when [shards > 1]. *)
 
@@ -116,7 +114,9 @@ type shard = {
   nodes : int;  (** the shard's size; its nodes are numbered [0 .. nodes-1] *)
   latency : Series.t;  (** avg latency per message, keyed by send time *)
   normal : Stats.t;  (** messages sent after warmup, outside the replacement window *)
-  during : Stats.t;  (** messages sent inside it *)
+  during : Stats.t;
+      (** messages sent inside it or up to 50 ms after it: the fresh
+          protocol's cold start *)
   switch_window : (float * float) option;
       (** [(the shard's trigger, last stack switched)] *)
   switch_duration_ms : float;  (** window width; 0 when no switch *)

@@ -253,6 +253,11 @@ let test_experiment_validate () =
       ("negative switch time", { small with switch_at_ms = -1.0 });
       ("negative stagger", { small with n = 6; shards = 2; stagger_ms = -1.0 });
       ("negative drain", { small with drain_ms = -1.0 });
+      ("infinite duration", { small with duration_ms = Float.infinity });
+      ("infinite warmup", { small with warmup_ms = Float.infinity });
+      ("infinite switch time", { small with switch_at_ms = Float.infinity });
+      ("infinite stagger", { small with stagger_ms = Float.infinity });
+      ("infinite drain", { small with drain_ms = Float.infinity });
       ( "fault on a missing node",
         { small with faults = [ Dpu_faults.Schedule.crash ~at:100.0 9 ] } );
       ( "faults on several shards",
@@ -269,10 +274,18 @@ let test_experiment_validate () =
           consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name;
           switch_consensus = Some (-5.0, Dpu_protocols.Consensus_paxos.protocol_name);
         } );
+      ( "infinite consensus swap time",
+        {
+          small with
+          consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name;
+          switch_consensus = Some (Float.infinity, Dpu_protocols.Consensus_paxos.protocol_name);
+        } );
       ( "switch on a missing node",
         { small with switches = [ (100.0, 9, Dpu_core.Variants.sequencer) ] } );
       ( "switch at a negative time",
         { small with switches = [ (-1.0, 0, Dpu_core.Variants.sequencer) ] } );
+      ( "switch at an infinite time",
+        { small with switches = [ (Float.infinity, 0, Dpu_core.Variants.sequencer) ] } );
       ( "switches on several shards",
         { small with n = 6; shards = 2; switches = [ (100.0, 0, Dpu_core.Variants.sequencer) ] }
       );
