@@ -241,9 +241,13 @@ let execute_indication t svc payload =
   if not t.crashed then begin
     t.indications_executed <- t.indications_executed + 1;
     record_lazy t (fun d -> Trace.Indication (Service.name svc, d)) payload;
-    (* Snapshot: handlers may add/remove modules while we iterate. *)
+    (* Snapshot in addition order, taken in one pass over the
+       (reversed) module list before any handler runs: handlers may
+       add/remove modules while we iterate. *)
     let receivers =
-      List.filter (fun m -> List.exists (Service.equal svc) m.m_requires) (modules t)
+      List.fold_left
+        (fun acc m -> if List.exists (Service.equal svc) m.m_requires then m :: acc else acc)
+        [] t.modules
     in
     List.iter (fun m -> m.m_handlers.handle_indication svc payload) receivers
   end

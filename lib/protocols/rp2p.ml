@@ -120,9 +120,15 @@ let stats stack =
    it is retried. *)
 type pending = {
   mutable tries : int;
-  mutable timer : Dpu_runtime.Clock.timer option;
+  mutable timer : slot;
   mutable sent_at : Float.Array.t;
 }
+
+(* What drives a frame's next retransmission. [Parked] holds the
+   frame's retransmission closure (the only place its payload lives)
+   while its destination is in probe mode: no timer, until an ack
+   resumes it. [Idle] only between creation and the first arming. *)
+and slot = Idle | Armed of Dpu_runtime.Clock.timer | Parked of (unit -> unit)
 
 (* Record the send time of attempt [p.tries]. *)
 let stamp ~cap p time =
@@ -133,6 +139,28 @@ let stamp ~cap p time =
     p.sent_at <- grown
   end;
   Float.Array.set p.sent_at p.tries time
+
+(* Everything a sender keeps for destination [dst]. Frames are
+   numbered per destination so each receiver sees a contiguous sequence
+   from each sender, and its [seen] window stays as small as the frames
+   still out of order. [frames] holds those in flight, by sequence
+   number. [probe] is the sequence number of the one frame still
+   retransmitted on a timer while the destination is in probe mode,
+   [no_probe] outside it, and [resuming] while an ack resumes the
+   parked frames. *)
+type dest = {
+  dst : int;
+  mutable next_seq : int;
+  frames : (int, pending) Hashtbl.t;
+  mutable probe : int;
+}
+
+let no_probe = -1
+let resuming = -2
+
+(* A frame that times out this many times puts its destination into
+   probe mode (DESIGN.md "Protocol state"). *)
+let probe_after = 6
 
 (* Jacobson/Karels round-trip estimation, one estimator per peer. Under
    load the per-hop delay includes NIC queueing, and a fixed timeout
@@ -159,20 +187,14 @@ let install ?(config = default_config) stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.rp2p ]
     ~requires:[ Service.net ]
     (fun stack _self ->
-      (* dst -> next sequence number. Frames are numbered per
-         destination so each receiver sees a contiguous sequence from
-         each sender, and its [seen] window stays as small as the
-         frames still out of order. *)
-      let next_seq : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      (* dst -> seq -> retransmission state *)
-      let pending : (int, (int, pending) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-      let pending_to dst =
-        match Hashtbl.find_opt pending dst with
-        | Some frames -> frames
+      let dests : (int, dest) Hashtbl.t = Hashtbl.create 8 in
+      let dest_of dst =
+        match Hashtbl.find_opt dests dst with
+        | Some d -> d
         | None ->
-          let frames = Hashtbl.create 64 in
-          Hashtbl.replace pending dst frames;
-          frames
+          let d = { dst; next_seq = 0; frames = Hashtbl.create 64; probe = no_probe } in
+          Hashtbl.replace dests dst d;
+          d
       in
       (* src -> already-delivered sequence numbers *)
       let seen = Seq_set.create () in
@@ -226,42 +248,101 @@ let install ?(config = default_config) stack =
       let udp_send ~dst ~size payload =
         Stack.call stack Service.net (Udp.Send { dst; size; payload })
       in
-      let arm ~dst (p : pending) retransmit =
+      let arm d (p : pending) retransmit =
         let delay =
           Float.min config.max_rto_ms
-            (rto dst *. (config.backoff ** float_of_int p.tries))
+            (rto d.dst *. (config.backoff ** float_of_int p.tries))
         in
-        Stack.set_env stack (rto_key dst) (int_of_float (delay *. 1000.0));
-        p.timer <- Some (Stack.after stack ~delay retransmit)
+        Stack.set_env stack (rto_key d.dst) (int_of_float (delay *. 1000.0));
+        p.timer <- Armed (Stack.after stack ~delay retransmit)
+      in
+      (* Send attempt [p.tries] of frame [seq] and arm its timer. *)
+      let transmit d seq p ~size payload retransmit =
+        udp_send ~dst:d.dst ~size (Wire_data { src = me; seq; attempt = p.tries; size; payload });
+        arm d p retransmit
+      in
+      (* Every timeout waits at most [max_rto_ms], so no frame retried
+         on its own timer gives up later than this after its first send. *)
+      let horizon = float_of_int (config.max_retries + 1) *. config.max_rto_ms in
+      let expired p = now () >= Float.Array.get p.sent_at 0 +. horizon in
+      (* Parked frames have no timer: the probe gives up those past
+         their deadline each time it fires. *)
+      let expire_parked d =
+        (* dpu-lint: allow hashtbl-iter — each expired frame is dropped and counted, order-insensitive *)
+        Hashtbl.filter_map_inplace
+          (fun _ p ->
+            match p.timer with
+            | Parked _ when expired p ->
+              bump stack k_gave_up;
+              None
+            | Idle | Armed _ | Parked _ -> Some p)
+          d.frames
+      in
+      let parked d =
+        (* dpu-lint: allow hashtbl-iter — folded then sorted by seq *)
+        Hashtbl.fold
+          (fun seq p acc -> match p.timer with Parked f -> (seq, p, f) :: acc | _ -> acc)
+          d.frames []
+        |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      in
+      (* The probe has given up: the oldest parked frame takes over. *)
+      let next_probe d =
+        expire_parked d;
+        match parked d with
+        | (seq, p, retransmit) :: _ ->
+          d.probe <- seq;
+          arm d p retransmit
+        | [] -> d.probe <- no_probe
+      in
+      (* The destination answered: resend every parked frame now, in
+         sequence order. *)
+      let resume d =
+        let frames = parked d in
+        d.probe <- resuming;
+        List.iter (fun (_, _, retransmit) -> retransmit ()) frames;
+        d.probe <- no_probe
+      in
+      (* Frame [seq]'s timer fired (or a resume runs it). Returns whether
+         to send its next attempt: not if it gave up or was parked. *)
+      let timed_out d seq p retransmit =
+        if not (Hashtbl.mem d.frames seq) then false
+        else if p.tries >= config.max_retries || expired p then begin
+          Hashtbl.remove d.frames seq;
+          bump stack k_gave_up;
+          if d.probe = seq then next_probe d;
+          false
+        end
+        else if d.probe >= 0 && d.probe <> seq then begin
+          p.timer <- Parked retransmit;
+          false
+        end
+        else begin
+          if d.probe = seq then expire_parked d;
+          if p.tries + 1 >= probe_after && d.probe = no_probe then d.probe <- seq; (* mutation anchor: probe *)
+          p.tries <- p.tries + 1;
+          stamp ~cap:(config.max_retries + 1) p (now ());
+          (* A resume answers an ack, not a timeout. *)
+          if d.probe <> resuming then begin
+            let r = rtt_of d.dst in
+            r.storm_backoff <- Float.min 128.0 (r.storm_backoff *. 2.0)
+          end;
+          bump stack k_retrans;
+          true
+        end
       in
       let send ~dst ~size payload =
         bump stack k_accepted;
-        let seq = Option.value (Hashtbl.find_opt next_seq dst) ~default:0 in
-        Hashtbl.replace next_seq dst (seq + 1);
-        udp_send ~dst ~size (Wire_data { src = me; seq; attempt = 0; size; payload });
-        let frames = pending_to dst in
-        let p = { tries = 0; timer = None; sent_at = Float.Array.make 1 (now ()) } in
-        (* One closure per frame, re-armed on every try. *)
+        let d = dest_of dst in
+        let seq = d.next_seq in
+        d.next_seq <- seq + 1;
+        let p = { tries = 0; timer = Idle; sent_at = Float.Array.make 1 (now ()) } in
+        (* One closure per frame, re-armed on every try and kept while
+           the frame is parked. *)
         let rec retransmit () =
-          if Hashtbl.mem frames seq then begin
-            if p.tries >= config.max_retries then begin
-              Hashtbl.remove frames seq;
-              bump stack k_gave_up
-            end
-            else begin
-              p.tries <- p.tries + 1;
-              stamp ~cap:(config.max_retries + 1) p (now ());
-              let r = rtt_of dst in
-              r.storm_backoff <- Float.min 128.0 (r.storm_backoff *. 2.0);
-              bump stack k_retrans;
-              udp_send ~dst ~size
-                (Wire_data { src = me; seq; attempt = p.tries; size; payload });
-              arm ~dst p retransmit
-            end
-          end
+          if timed_out d seq p retransmit then transmit d seq p ~size payload retransmit
         in
-        Hashtbl.replace frames seq p;
-        arm ~dst p retransmit
+        Hashtbl.replace d.frames seq p;
+        transmit d seq p ~size payload retransmit
       in
       let on_wire src payload =
         match payload with
@@ -274,20 +355,21 @@ let install ?(config = default_config) stack =
             Stack.indicate stack Service.rp2p (Recv { src = origin; payload })
           end
         | Wire_ack { src = acker; seq; attempt } -> (
-          match Hashtbl.find_opt pending acker with
+          match Hashtbl.find_opt dests acker with
           | None -> ()
-          | Some frames -> (
-            match Hashtbl.find_opt frames seq with
+          | Some d ->
+            (match Hashtbl.find_opt d.frames seq with
             | None -> ()
             | Some p ->
               (match p.timer with
-              | Some h -> Dpu_runtime.Clock.cancel h
-              | None -> ());
+              | Armed h -> Dpu_runtime.Clock.cancel h
+              | Idle | Parked _ -> ());
               (* An echo of no attempt of ours (hostile or corrupt)
                  still releases the frame, but yields no sample. *)
               if attempt >= 0 && attempt <= p.tries then
                 record_rtt acker (now () -. Float.Array.get p.sent_at attempt);
-              Hashtbl.remove frames seq))
+              Hashtbl.remove d.frames seq);
+            if d.probe >= 0 then resume d)
         | _ -> ()
       in
       {
@@ -309,16 +391,16 @@ let install ?(config = default_config) stack =
                stop retransmitting everything still in flight. *)
             (* dpu-lint: allow hashtbl-iter — cancelling every timer is order-insensitive *)
             Hashtbl.iter
-              (fun _ frames ->
+              (fun _ d ->
                 (* dpu-lint: allow hashtbl-iter — cancelling is order-insensitive *)
                 Hashtbl.iter
                   (fun _ p ->
                     match p.timer with
-                    | Some h -> Dpu_runtime.Clock.cancel h
-                    | None -> ())
-                  frames;
-                Hashtbl.clear frames)
-              pending);
+                    | Armed h -> Dpu_runtime.Clock.cancel h
+                    | Idle | Parked _ -> ())
+                  d.frames;
+                Hashtbl.clear d.frames)
+              dests);
       })
 
 let spec =

@@ -5,9 +5,11 @@
     duplicate suppression: every datagram accepted by {!Send} is
     delivered to a correct, connected destination exactly once,
     regardless of network loss and duplication (up to the retry
-    budget — channels are quasi-reliable: retransmission gives up after
-    [max_retries] attempts, which only happens when the destination is
-    crashed or partitioned away for the whole backoff horizon).
+    budget — channels are quasi-reliable: a frame gives up after
+    [max_retries] attempts, or, parked behind its destination's probe
+    (see {!probe_after}), once its retry horizon has passed; either
+    only happens when the destination is crashed or partitioned away
+    for the whole horizon).
 
     Delivery order is not guaranteed (like the paper's stack, ordering
     is the business of the layers above). *)
@@ -45,6 +47,14 @@ type config = {
 }
 
 val default_config : config
+
+val probe_after : int
+(** Timeouts of one frame after which its destination enters probe
+    mode: only that frame keeps a retransmission timer, every other
+    frame to the destination is parked at its next timeout until any
+    ack from the destination resumes them in sequence order. A parked
+    frame gives up once [(max_retries + 1) * max_rto_ms] have passed
+    since it was first sent. *)
 
 val protocol_name : string
 (** ["rp2p"] *)

@@ -413,6 +413,41 @@ let test_stack_modules_order () =
   let names = List.map Stack.module_name (Stack.modules stack) in
   check (Alcotest.list Alcotest.string) "addition order" [ "a"; "b" ] names
 
+let test_stack_indication_snapshot () =
+  (* Receivers are the requirers in addition order, snapshotted before
+     the first handler runs: a module added by a handler misses the
+     indication in flight, a module removed by one still gets it. *)
+  let sim, _trace, stack = make_stack () in
+  let log = ref [] in
+  let on_first = ref (fun () -> ()) in
+  let logger name ~requires =
+    Stack.add_module stack ~name ~provides:[] ~requires (fun _ _ ->
+        { Stack.default_handlers with
+          handle_indication =
+            (fun _ _ ->
+              log := name :: !log;
+              let f = !on_first in
+              on_first := (fun () -> ());
+              f ()) })
+  in
+  ignore (logger "r1" ~requires:[ svc_a ]);
+  ignore (logger "other" ~requires:[ svc_b ]);
+  ignore (logger "r2" ~requires:[ svc_b; svc_a ]);
+  let r3 = logger "r3" ~requires:[ svc_a ] in
+  on_first :=
+    (fun () ->
+      ignore (logger "late" ~requires:[ svc_a ]);
+      Stack.remove_module stack r3);
+  Stack.indicate stack svc_a (Pong 1);
+  Sim.run sim;
+  check (Alcotest.list Alcotest.string) "snapshot in addition order" [ "r1"; "r2"; "r3" ]
+    (List.rev !log);
+  log := [];
+  Stack.indicate stack svc_a (Pong 2);
+  Sim.run sim;
+  check (Alcotest.list Alcotest.string) "next indication sees the change"
+    [ "r1"; "r2"; "late" ] (List.rev !log)
+
 (* Model-based property: for any interleaving of bind/unbind/call
    issued at time zero and then drained, dispatch conserves calls —
    executed + still-blocked = issued — and whether the tail blocks is
@@ -624,6 +659,7 @@ let () =
           tc "unbind keeps module" test_stack_unbind_keeps_module;
           tc "indication routing" test_stack_indication_routing;
           tc "indication fan-out" test_stack_indication_multiple_requirers;
+          tc "indication snapshot" test_stack_indication_snapshot;
           tc "unbound module interaction" test_stack_unbound_module_can_indicate_and_receive;
           tc "remove module" test_stack_remove_module;
           tc "crash stops dispatch" test_stack_crash_stops_dispatch;

@@ -180,6 +180,54 @@ let test_rp2p_gives_up_on_crashed_dst () =
   check Alcotest.int "gave up" frames stats.P.Rp2p.gave_up;
   check (Alcotest.float 0.0) "no timer left" before (pending_events ())
 
+let test_rp2p_silent_peer_costs_one_probe () =
+  (* Frames to a crashed peer each time out at most [probe_after]
+     times; then only the probe keeps a timer. *)
+  let metrics = Dpu_obs.Metrics.create () in
+  let system = make_system ~metrics () in
+  ensure_all system Service.rp2p;
+  System.crash_node system 1;
+  let pending_events () = Option.get (Dpu_obs.Metrics.value metrics "sim_pending_events") in
+  let before = pending_events () in
+  let frames = 25 in
+  for i = 1 to frames do
+    Stack.call (System.stack system 0) Service.rp2p
+      (P.Rp2p.Send { dst = 1; size = 64; payload = Blob (string_of_int i) })
+  done;
+  System.run_for system 10_000.0;
+  let stats = P.Rp2p.stats (System.stack system 0) in
+  let bound = (P.Rp2p.probe_after * frames) + P.Rp2p.default_config.max_retries in
+  check Alcotest.bool
+    (Printf.sprintf "%d retransmissions <= %d" stats.P.Rp2p.retransmissions bound)
+    true
+    (stats.P.Rp2p.retransmissions <= bound);
+  check Alcotest.int "none gave up yet" 0 stats.P.Rp2p.gave_up;
+  check Alcotest.bool "only the probe's timer left" true (pending_events () <= before +. 1.0)
+
+let test_rp2p_parked_frames_resume_after_heal () =
+  (* Frames sent into a partition are parked behind the probe. After
+     the heal, the probe's ack resumes them: each is delivered exactly
+     once, and on a constant-latency link in sequence order. *)
+  let system = make_system ~link:(Latency.constant 2.0) () in
+  ensure_all system Service.rp2p;
+  let got = rp2p_recv_log system 1 in
+  Dpu_net.Datagram.partition (System.net system) [ [ 0; 2 ]; [ 1 ] ];
+  let frames = 30 in
+  for i = 1 to frames do
+    Stack.call (System.stack system 0) Service.rp2p
+      (P.Rp2p.Send { dst = 1; size = 64; payload = Blob (string_of_int i) })
+  done;
+  System.run_for system 10_000.0;
+  check Alcotest.int "nothing through the partition" 0 (List.length !got);
+  Dpu_net.Datagram.heal (System.net system);
+  System.run_until_quiescent ~limit:100_000.0 system;
+  check
+    Alcotest.(list (pair int string))
+    "every frame once, in sequence order"
+    (List.init frames (fun i -> (0, string_of_int (i + 1))))
+    (List.rev !got);
+  check Alcotest.int "none gave up" 0 (P.Rp2p.stats (System.stack system 0)).P.Rp2p.gave_up
+
 (* Hand [node]'s stack a frame at time [at], as if the net service had
    just received it from [src]. *)
 let inject system ~node ~at ~src payload =
@@ -995,6 +1043,8 @@ let () =
           tc "reliable under loss" test_rp2p_reliable_under_loss;
           tc "dedup" test_rp2p_dedup_under_duplication;
           tc "gives up on crashed" test_rp2p_gives_up_on_crashed_dst;
+          tc "silent peer costs one probe" test_rp2p_silent_peer_costs_one_probe;
+          tc "parked frames resume after heal" test_rp2p_parked_frames_resume_after_heal;
           tc "RTT from an echoed earlier attempt" test_rp2p_rtt_from_echoed_earlier_attempt;
           tc "out-of-range ack echo" test_rp2p_out_of_range_ack_echo;
           tc "self send" test_rp2p_self_send;
