@@ -90,29 +90,29 @@ let () =
         C_activated { gen; from }
       | c -> raise (Wire.Error (Printf.sprintf "graceful: bad case %d" c)))
 
-type config = { control_resend_ms : float }
-
-let default_config = { control_resend_ms = 100.0 }
-
 let protocol_name = "graceful.ca"
 
 let header_size = 48
 let control_size = 64
 
-let k_refused = "graceful.refused"
-let k_switch_us = "graceful.switch_us"
+(* The last switch's duration is kept in whole microseconds. *)
+type counts = { mutable refused : int; mutable switch_us : int }
 
-let refused stack = Stack.get_env stack k_refused ~default:0
+let k_counts : counts Stack.key = Stack.key ()
 
-let switch_duration_ms stack =
-  float_of_int (Stack.get_env stack k_switch_us ~default:0) /. 1000.0
+let counts stack = Stack.state stack k_counts (fun () -> { refused = 0; switch_us = 0 })
 
-let install ?(config = default_config) ~registry ~n stack =
-  ignore config;
+let refused stack = (counts stack).refused
+
+let switch_duration_ms stack = float_of_int (counts stack).switch_us /. 1000.0
+
+let install ~registry ~n stack =
   let me = Stack.node stack in
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.r_abcast ]
     ~requires:[ Service.abcast; Service.rp2p ]
     (fun stack _self ->
+      let counts = counts stack in
+      let epoch = Abcast_iface.epoch stack in
       let gen = ref 0 in
       let next_local = ref 0 in
       let undelivered : (Msg.id, int * Payload.t) Hashtbl.t = Hashtbl.create 64 in
@@ -151,10 +151,10 @@ let install ?(config = default_config) ~registry ~n stack =
       let on_prepare g protocol initiator =
         if g = !gen && !prepared = None then begin
           (* The factory reads the generation at creation time, so the
-             env must be bumped before the new AAC is instantiated —
+             epoch cell must be bumped before the new AAC is instantiated —
              otherwise its wire traffic would collide with the active
              component's. *)
-          Stack.set_env stack Abcast_iface.epoch_key (!gen + 1);
+          epoch := !gen + 1;
           let m = Registry.create_only registry stack ~name:protocol in
           let unmet =
             List.filter
@@ -167,12 +167,11 @@ let install ?(config = default_config) ~registry ~n stack =
           end
           else begin
             Stack.remove_module stack m;
-            Stack.set_env stack Abcast_iface.epoch_key !gen;
-            Stack.set_env stack k_refused (Stack.get_env stack k_refused ~default:0 + 1);
+            epoch := !gen;
+            counts.refused <- counts.refused + 1;
             Stack.app_event stack ~tag:"graceful.refused"
-              ~data:
-                (Printf.sprintf "%s requires %s" protocol
-                   (String.concat "," (List.map Service.name unmet)));
+              (fun () -> Printf.sprintf "%s requires %s" protocol
+                   (String.concat "," (List.map Service.name unmet))) ();
             ctl ~dst:initiator (C_prepared { gen = g; from = me; ok = false })
           end
         end
@@ -189,7 +188,7 @@ let install ?(config = default_config) ~registry ~n stack =
             Stack.bind stack Service.abcast m;
             incr gen;
             Stack.app_event stack ~tag:"graceful.switch"
-              ~data:(Printf.sprintf "gen=%d prot=%s" !gen protocol);
+              (fun () -> Printf.sprintf "gen=%d prot=%s" !gen protocol) ();
             Stack.indicate stack Service.r_abcast
               (Repl_iface.Protocol_changed { generation = !gen; protocol });
             let pending =
@@ -198,9 +197,6 @@ let install ?(config = default_config) ~registry ~n stack =
               |> List.sort (fun (a, _) (b, _) -> Msg.id_compare a b)
             in
             List.iter (fun (id, (size, payload)) -> send_data id size payload) pending;
-            (match !initiating with
-            | Some _ -> ()
-            | None -> ());
             ctl_all (C_activated { gen = g; from = me })
         end
       in
@@ -219,7 +215,7 @@ let install ?(config = default_config) ~registry ~n stack =
             (* One stack refused: abort the adaptation. *)
             initiating := None;
             Hashtbl.reset prepare_acks;
-            Stack.app_event stack ~tag:"graceful.aborted" ~data:protocol
+            Stack.app_event stack ~tag:"graceful.aborted" Fun.id protocol
           end
           else begin
             Hashtbl.replace prepare_acks from ();
@@ -238,8 +234,7 @@ let install ?(config = default_config) ~registry ~n stack =
             point_sent := false;
             Hashtbl.reset prepare_acks;
             Hashtbl.reset activate_acks;
-            let us = int_of_float ((now () -. !initiate_started) *. 1000.0) in
-            Stack.set_env stack k_switch_us us
+            counts.switch_us <- int_of_float ((now () -. !initiate_started) *. 1000.0)
           end
         end
       in
@@ -300,9 +295,9 @@ let spec =
          prepared alternative, deliveries filtered by generation *)
     ~capabilities:[ Spec.Reissue_undelivered; Spec.Generation_filter ] ()
 
-let register ?config system =
+let register system =
   let registry = System.registry system in
   let n = System.n system in
   Registry.register registry ~name:protocol_name ~provides:[ Service.r_abcast ]
     ~requires:[ Service.abcast; Service.rp2p ] ~spec
-    (fun stack -> install ?config ~registry ~n stack)
+    (fun stack -> install ~registry ~n stack)

@@ -36,16 +36,12 @@ type Payload.t +=
   | C_prepared of { gen : int; from : int; ok : bool }
   | C_activated of { gen : int; from : int }
 
-type config = { control_resend_ms : float  (** barrier ack resend period *) }
-
-val default_config : config
-
 val protocol_name : string
 (** ["graceful.ca"] *)
 
-val install : ?config:config -> registry:Registry.t -> n:int -> Stack.t -> Stack.module_
+val install : registry:Registry.t -> n:int -> Stack.t -> Stack.module_
 
-val register : ?config:config -> System.t -> unit
+val register : System.t -> unit
 
 val refused : Stack.t -> int
 (** Number of adaptation requests this stack refused because the new

@@ -54,12 +54,16 @@ let protocol_name = "maestro.ss"
 
 let header_size = 48
 
-let k_blocked_us = "maestro.blocked_us"
-let k_reissued = "maestro.reissued"
+(* Blocked time accumulates in whole microseconds. *)
+type counts = { mutable blocked_us : int; mutable reissued : int }
 
-let blocked_ms stack = float_of_int (Stack.get_env stack k_blocked_us ~default:0) /. 1000.0
+let k_counts : counts Stack.key = Stack.key ()
 
-let reissued stack = Stack.get_env stack k_reissued ~default:0
+let counts stack = Stack.state stack k_counts (fun () -> { blocked_us = 0; reissued = 0 })
+
+let blocked_ms stack = float_of_int (counts stack).blocked_us /. 1000.0
+
+let reissued stack = (counts stack).reissued
 
 (* The "whole stack" that gets replaced: every module providing one of
    the group-communication services below the switch module. *)
@@ -72,6 +76,8 @@ let install ?(config = default_config) ~registry stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.r_abcast ]
     ~requires:[ Service.abcast ]
     (fun stack _self ->
+      let counts = counts stack in
+      let epoch = Abcast_iface.epoch stack in
       let gen = ref 0 in
       let next_local = ref 0 in
       let undelivered : (Msg.id, int * Payload.t) Hashtbl.t = Hashtbl.create 64 in
@@ -107,17 +113,16 @@ let install ?(config = default_config) ~registry stack =
       let rebuild protocol =
         teardown ();
         incr gen;
-        Stack.set_env stack Abcast_iface.epoch_key !gen;
+        epoch := !gen;
         ignore (Registry.instantiate registry stack ~name:protocol : Stack.module_);
         (* Give the fresh stack a warm-up before resuming traffic. *)
         ignore
           (Stack.after stack ~delay:config.startup_ms (fun () ->
                blocked := false;
-               let us = int_of_float ((now () -. !blocked_since) *. 1000.0) in
-               Stack.set_env stack k_blocked_us
-                 (Stack.get_env stack k_blocked_us ~default:0 + us);
+               counts.blocked_us <-
+                 counts.blocked_us + int_of_float ((now () -. !blocked_since) *. 1000.0);
                Stack.app_event stack ~tag:"maestro.switch"
-                 ~data:(Printf.sprintf "gen=%d prot=%s" !gen protocol);
+                 (fun () -> Printf.sprintf "gen=%d prot=%s" !gen protocol) ();
                Stack.indicate stack Service.r_abcast
                  (Repl_iface.Protocol_changed { generation = !gen; protocol });
                let pending =
@@ -125,8 +130,7 @@ let install ?(config = default_config) ~registry stack =
                  Hashtbl.fold (fun id v acc -> (id, v) :: acc) undelivered []
                  |> List.sort (fun (a, _) (b, _) -> Msg.id_compare a b)
                in
-               Stack.set_env stack k_reissued
-                 (Stack.get_env stack k_reissued ~default:0 + List.length pending);
+               counts.reissued <- counts.reissued + List.length pending;
                List.iter (fun (id, (size, payload)) -> send_data id size payload) pending)
             : Dpu_runtime.Clock.timer)
       in

@@ -42,9 +42,7 @@ let create ?(config = Middleware.default_config) ?register_extra ~shards ~n () =
            exact randomness no matter how many shards exist. *)
         let g_rng = Rng.split_key (Sim.rng sim) ~key:g in
         let net =
-          Datagram.create sim ~n:ng ~rng:(Rng.split g_rng)
-            ~loss:config.Middleware.loss ~dup:config.Middleware.dup
-            ~link:config.Middleware.link ()
+          Datagram.create sim ~n:ng ~rng:(Rng.split g_rng) ~loss:config.Middleware.loss ()
         in
         let group = Sim.new_group sim in
         let runtime = Dpu_runtime.Sim_backend.runtime ~group ~rng:g_rng sim net in

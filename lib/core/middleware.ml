@@ -5,8 +5,6 @@ module Repl_iface = Dpu_protocols.Repl_iface
 type config = {
   seed : int;
   loss : float;
-  dup : float;
-  link : Dpu_net.Latency.link;
   hop_cost : float;
   profile : Stack_builder.profile;
   trace_enabled : bool;
@@ -19,8 +17,6 @@ let default_config =
   {
     seed = 1;
     loss = 0.0;
-    dup = 0.0;
-    link = Dpu_net.Latency.lan;
     hop_cost = 0.05;
     profile = Stack_builder.default_profile;
     trace_enabled = true;
@@ -93,9 +89,7 @@ let create ?(config = default_config) ?register_extra ~n () =
     if config.metrics_enabled then Dpu_obs.Metrics.create () else Dpu_obs.Metrics.noop
   in
   let sim = Dpu_engine.Sim.create ~seed:config.seed () in
-  let net =
-    Dpu_net.Datagram.create sim ~n ~loss:config.loss ~dup:config.dup ~link:config.link ()
-  in
+  let net = Dpu_net.Datagram.create sim ~n ~loss:config.loss () in
   Dpu_engine.Sim.register_metrics sim metrics;
   Dpu_net.Datagram.register_metrics net metrics;
   of_sim ~config ?register_extra ~metrics
@@ -128,7 +122,7 @@ let broadcast t ~node ?size body =
   else begin
   Dpu_obs.Metrics.incr t.m_sends;
   Collector.record_send t.collector ~node ~id:m.id ~time:(now t);
-  Stack.app_event stack ~tag:"abcast" ~data:(Msg.id_to_string m.id);
+  Stack.app_event stack ~tag:"abcast" Msg.id_to_string m.id;
   (if has_layer t then
      Stack.call stack Service.r_abcast
        (Repl_iface.R_broadcast { size; payload = App_msg.App m })
@@ -164,7 +158,7 @@ let change_protocol t ~node protocol =
   if not (has_layer t) then
     invalid_arg "Middleware.change_protocol: profile has no replacement layer";
   let stack = System.stack t.system node in
-  Stack.app_event stack ~tag:"change-abcast" ~data:protocol;
+  Stack.app_event stack ~tag:"change-abcast" Fun.id protocol;
   Stack.call stack Service.r_abcast (Repl_iface.Change_abcast protocol)
 
 let on_protocol_change t ~node callback =

@@ -20,8 +20,6 @@ open Dpu_kernel
 type config = {
   seed : int;
   loss : float;  (** network loss probability *)
-  dup : float;  (** network duplication probability *)
-  link : Dpu_net.Latency.link;
   hop_cost : float;  (** per-module dispatch cost, ms *)
   profile : Stack_builder.profile;
   trace_enabled : bool;  (** record the kernel trace (needed by checkers) *)
@@ -51,8 +49,8 @@ val create : ?config:config -> ?register_extra:(System.t -> unit) -> n:int -> un
 val of_system : ?config:config -> ?register_extra:(System.t -> unit) -> System.t -> t
 (** Like {!create}, but on a system the caller already built — e.g. a
     live deployment assembled with {!Dpu_kernel.System.of_runtime}.
-    The simulation-only fields of [config] (seed, loss, dup, link,
-    hop_cost, trace/metrics switches, faults) are ignored: those live
+    The simulation-only fields of [config] (seed, loss, hop_cost,
+    trace/metrics switches, faults) are ignored: those live
     in the system itself. Only the local stacks of [system] are built. *)
 
 val of_sim :

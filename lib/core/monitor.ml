@@ -26,7 +26,7 @@ let install ~collector ~mode stack =
       in
       let deliver (m : Msg.t) =
         Dpu_obs.Metrics.incr m_delivers;
-        Stack.app_event stack ~tag:"adeliver" ~data:(Msg.id_to_string m.id);
+        Stack.app_event stack ~tag:"adeliver" Msg.id_to_string m.id;
         Collector.record_deliver collector ~node ~id:m.id ~time:(now ())
       in
       {

@@ -50,9 +50,8 @@ let protocol_name = "repl.abcast"
 
 let header_size = 48
 
-let k_generation = "repl.generation"
-
-let generation stack = Stack.get_env stack k_generation ~default:0
+(* The generation handed to the ABcast module in force. *)
+let generation = Abcast_iface.current_epoch
 
 let install ~registry stack =
   let me = Stack.node stack in
@@ -98,18 +97,17 @@ let install ~registry stack =
                  re-issue it. *)
               M.incr m_stale;
               Stack.app_event stack ~tag:"repl.stale-change"
-                ~data:(Printf.sprintf "sn=%d current=%d prot=%s" sn after.sn protocol)
+                (fun () -> Printf.sprintf "sn=%d current=%d prot=%s" sn after.sn protocol) ()
             | Step.Switch { generation; protocol } ->
               Stack.unbind stack Service.abcast;
               (* Pass the new generation to the factory (epochs keep the
                  old and new protocol's wire traffic disjoint), then
                  create and bind the new module — lines 13-14 and 22-28. *)
-              Stack.set_env stack Abcast_iface.epoch_key generation;
+              Abcast_iface.epoch stack := generation; (* mutation anchor: epoch *)
               ignore (Registry.instantiate registry stack ~name:protocol : Stack.module_);
-              Stack.set_env stack k_generation generation;
               M.incr m_switches;
               Stack.app_event stack ~tag:"repl.switch"
-                ~data:(Printf.sprintf "gen=%d prot=%s" generation protocol);
+                (fun () -> Printf.sprintf "gen=%d prot=%s" generation protocol) ();
               Stack.indicate stack Service.r_abcast
                 (Repl_iface.Protocol_changed { generation; protocol })
             | Step.Reissue entry ->

@@ -60,6 +60,7 @@ val register : System.t -> unit
 (** Register under {!protocol_name}, providing [Service.r_abcast]. *)
 
 val generation : Stack.t -> int
-(** Current [seqNumber] of the stack's replacement module (0 initially).
-    The size of its [undelivered] set is the [repl_undelivered] series
+(** Current [seqNumber] of the stack's replacement module (0 initially):
+    the generation it handed to the ABcast module in force
+    ({!Dpu_protocols.Abcast_iface.current_epoch}). The size of its [undelivered] set is the [repl_undelivered] series
     of the stack's metrics. *)

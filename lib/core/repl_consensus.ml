@@ -101,9 +101,11 @@ let spec =
 
 let header_size = 32
 
-let k_generation = "repl-consensus.generation"
+let k_generation : int ref Stack.key = Stack.key ()
 
-let generation stack = Stack.get_env stack k_generation ~default:0
+let current stack = Stack.state stack k_generation (fun () -> ref 0)
+
+let generation stack = !(current stack)
 
 let install ~registry ~initial ~n stack =
   let me = Stack.node stack in
@@ -111,6 +113,7 @@ let install ~registry ~initial ~n stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.consensus ]
     ~requires:(Service.rp2p :: all_impl_services)
     (fun stack _self ->
+      let current = current stack in
       let module M = Dpu_obs.Metrics in
       let labels = Stack.labels stack in
       let metrics = Stack.metrics stack in
@@ -169,11 +172,11 @@ let install ~registry ~initial ~n stack =
                 (CI.Decide { iid = { CI.epoch; k }; value = client_value })
             | Step.Switch { generation; protocol } ->
               request := None;
-              if epoch = 0 then Stack.set_env stack k_generation generation;
+              if epoch = 0 then current := generation;
               ensure_impl ~protocol ~gen:generation;
               M.incr m_switches;
               Stack.app_event stack ~tag:"repl-consensus.switch"
-                ~data:(Printf.sprintf "stream=%d gen=%d prot=%s" epoch generation protocol);
+                (fun () -> Printf.sprintf "stream=%d gen=%d prot=%s" epoch generation protocol) ();
               Stack.indicate stack Service.consensus
                 (Consensus_changed { generation; protocol })
             | Step.Reissue { k; value = value, weight } ->
@@ -197,7 +200,7 @@ let install ~registry ~initial ~n stack =
             match p with
             | CI.Propose { iid; value; weight } -> on_propose iid value weight
             | Change_consensus protocol ->
-              Stack.app_event stack ~tag:"change-consensus" ~data:protocol;
+              Stack.app_event stack ~tag:"change-consensus" Fun.id protocol;
               request := Some protocol;
               for dst = 0 to n - 1 do
                 if dst <> me then

@@ -24,6 +24,11 @@ type module_ = {
   mutable m_removed : bool;
 }
 
+(* [Type.Id] proves a cell's value has its key's type. *)
+type 'a key = 'a Type.Id.t
+
+and cell = Cell : 'a key * 'a -> cell
+
 type t = {
   clock : Clock.t;
   node : int;
@@ -37,7 +42,7 @@ type t = {
   mutable bindings : module_ Service.Map.t;
   blocked : (Service.t, (float * Payload.t) Queue.t) Hashtbl.t;
       (* enqueue time, payload *)
-  env : (string, int) Hashtbl.t;
+  mutable cells : cell list;
   mutable crashed : bool;
   mutable calls_executed : int;
   mutable indications_executed : int;
@@ -72,7 +77,7 @@ let create ~clock ~node ?group ?(hop_cost = 0.05) ~trace
       modules = [];
       bindings = Service.Map.empty;
       blocked = Hashtbl.create 8;
-      env = Hashtbl.create 4;
+      cells = [];
       crashed = false;
       calls_executed = 0;
       indications_executed = 0;
@@ -99,15 +104,9 @@ let node t = t.node
 
 let labels t = t.labels
 
-let clock t = t.clock
-
 let now t = Clock.now t.clock
 
-let trace t = t.trace
-
 let metrics t = t.metrics
-
-let hop_cost t = t.hop_cost
 
 let is_crashed t = t.crashed
 
@@ -257,14 +256,23 @@ let indicate t svc payload =
     Clock.defer t.clock ~delay:t.hop_cost (fun () ->
         execute_indication t svc payload)
 
-let app_event t ~tag ~data = record t (Trace.App (tag, data))
+let app_event t ~tag to_string x =
+  if Trace.enabled t.trace then record t (Trace.App (tag, to_string x))
 
 let dispatch_counts t = (t.calls_executed, t.indications_executed)
 
-let set_env t key v = Hashtbl.replace t.env key v
+let key () = Type.Id.make ()
 
-let get_env t key ~default =
-  match Hashtbl.find_opt t.env key with Some v -> v | None -> default
+let state (type a) t (key : a key) init : a =
+  let rec find = function
+    | [] ->
+      let v = init () in
+      t.cells <- Cell (key, v) :: t.cells;
+      v
+    | Cell (key', v) :: rest -> (
+      match Type.Id.provably_equal key key' with Some Type.Equal -> v | None -> find rest)
+  in
+  find t.cells
 
 let after t ~delay fn =
   Clock.schedule t.clock ~delay (fun () -> if not t.crashed then fn ())

@@ -66,18 +66,12 @@ val labels : t -> (string * string) list
     [group=g] when created with a [group]. Layers label their own
     series with them, so the stacks of a fabric's groups keep apart. *)
 
-val clock : t -> Dpu_runtime.Clock.t
-
 val now : t -> float
 (** Current time on the stack's clock, in milliseconds. *)
-
-val trace : t -> Trace.t
 
 val metrics : t -> Dpu_obs.Metrics.t
 (** The registry passed at creation ({!Dpu_obs.Metrics.noop} when
     observability is off — instruments created against it are free). *)
-
-val hop_cost : t -> float
 
 val crash : t -> unit
 (** Fail-stop: all subsequent dispatch, timers and sends are dropped. *)
@@ -142,25 +136,32 @@ val indicate : t -> Service.t -> Payload.t -> unit
 (** Response/indication: delivered after one hop to every module
     requiring the service (membership evaluated at delivery time). *)
 
-val app_event : t -> tag:string -> data:string -> unit
-(** Record an application-level trace entry (used by monitors and by
-    the property checkers). *)
+val app_event : t -> tag:string -> ('a -> string) -> 'a -> unit
+(** [app_event t ~tag to_string x] records an application-level trace
+    entry [to_string x] (used by monitors and by the property
+    checkers). [to_string] runs only when the trace is on; pass
+    [Fun.id] for a ready string. *)
 
 val dispatch_counts : t -> int * int
 (** [(calls, indications)] executed so far — the per-stack dispatch
     work, each unit costing [hop_cost]. The measured overhead of a
     layer is its share of these hops. *)
 
-(** {1 Module-creation environment}
+(** {1 Per-stack state}
 
-    A small per-stack key/value store used to pass context from the
-    code that instantiates a module (e.g. the replacement module, which
-    knows the new protocol generation number) to registry factories,
-    which take only the stack as argument. *)
+    Typed cells, one per key and stack, for what a module shares beyond
+    its closure: the generation a replacement module hands to the next
+    ABcast factory, and the counters and views that readers return. A
+    cell outlives its module, so counts survive a reinstall. A module
+    fetches its cell once, at install. *)
 
-val set_env : t -> string -> int -> unit
+type 'a key
 
-val get_env : t -> string -> default:int -> int
+val key : unit -> 'a key
+(** A fresh key, distinct from every other. *)
+
+val state : t -> 'a key -> (unit -> 'a) -> 'a
+(** [state t k init] is [t]'s cell for [k], made by [init] on first use. *)
 
 (** {1 Timers} *)
 

@@ -56,7 +56,8 @@ let header_size = 64
 
 let install ?batching stack =
   let me = Stack.node stack in
-  let epoch = Abcast_iface.current_epoch stack in
+  let current = Abcast_iface.epoch stack in
+  let epoch = !current in
   Stack.add_module stack ~name:protocol_name
     ~provides:[ Service.abcast ]
     ~requires:[ Service.consensus; Rbcast.service ]
@@ -98,7 +99,7 @@ let install ?batching stack =
         | None -> propose_now ()
         | Some tr ->
           if !proposed then ()
-          else if Abcast_iface.current_epoch stack <> epoch then
+          else if !current <> epoch then
             (* Epoch-boundary flush: once superseded, never hold
                messages for a fuller batch — propose immediately so the
                switch window is not stretched by the batch timer. *)

@@ -13,7 +13,7 @@
     limit for throughput mode.
 
     The module is epoch-aware: it reads the protocol generation from
-    the stack environment at creation and tags all its consensus
+    the stack's epoch cell at creation and tags all its consensus
     instances and wire traffic with it, so a replacement's new module
     never collides with its predecessor. *)
 

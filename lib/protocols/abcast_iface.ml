@@ -40,9 +40,11 @@ let () =
         Deliver { origin; payload }
       | c -> raise (Wire.Error (Printf.sprintf "abcast: bad case %d" c)))
 
-let epoch_key = "abcast.epoch"
+let k_epoch : int ref Stack.key = Stack.key ()
 
-let current_epoch stack = Stack.get_env stack epoch_key ~default:0
+let epoch stack = Stack.state stack k_epoch (fun () -> ref 0)
+
+let current_epoch stack = !(epoch stack)
 
 (* Wire-epoch extractors: each ABcast implementation registers a
    function that recognises its own wire payloads (wrapped in the

@@ -19,12 +19,12 @@ type Payload.t +=
       (** indication: Adeliver — same sequence of payloads at every
           stack *)
 
-val epoch_key : string
-(** Stack-env key holding the protocol generation number under which a
+val epoch : Stack.t -> int ref
+(** [stack]'s cell holding the protocol generation number under which a
     newly created ABcast module must operate (written by the
-    replacement module before [create_module], read by factories).
-    Generations keep wire traffic and consensus instances of old and
-    new protocol versions disjoint. *)
+    replacement module before it instantiates the new module, read by
+    factories). Generations keep wire traffic and consensus instances
+    of old and new protocol versions disjoint. *)
 
 val current_epoch : Stack.t -> int
 (** The generation in force in [stack] (0 before any replacement). *)

@@ -100,7 +100,8 @@ let header_size = 48
 
 let install ?(sequencer = 0) ?batching ~n stack =
   let me = Stack.node stack in
-  let epoch = Abcast_iface.current_epoch stack in
+  let current = Abcast_iface.epoch stack in
+  let epoch = !current in
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.abcast ]
     ~requires:[ Service.rp2p ]
     (fun stack _self ->
@@ -156,7 +157,7 @@ let install ?(sequencer = 0) ?batching ~n stack =
          atomically and Algorithm 1 reissues through the successor. *)
       let flush_if_superseded () =
         match batcher with
-        | Some b when Abcast_iface.current_epoch stack <> epoch -> Batcher.flush b
+        | Some b when !current <> epoch -> Batcher.flush b
         | _ -> ()
       in
       let sequence_or_batch ~origin ~size payload =

@@ -215,7 +215,7 @@ let install ?(config = default_config) ~n stack =
         else begin
           holding := false;
           Stack.app_event stack ~tag:"token.pass"
-            ~data:(Printf.sprintf "e%d era=%d dst=%d next=%d" epoch !era dst !gseq);
+            (fun () -> Printf.sprintf "e%d era=%d dst=%d next=%d" epoch !era dst !gseq) ();
           send ~dst ~size:token_size (Wire_token { epoch; era = !era; next_gseq = !gseq })
         end
       in
@@ -242,7 +242,7 @@ let install ?(config = default_config) ~n stack =
           max_era_seen := !max_era_seen + 1;
           era := !max_era_seen;
           Stack.app_event stack ~tag:"token.regen"
-            ~data:(Printf.sprintf "e%d era=%d next=%d" epoch !era (!max_gseq_seen + 1));
+            (fun () -> Printf.sprintf "e%d era=%d next=%d" epoch !era (!max_gseq_seen + 1)) ();
           hold_token (!max_gseq_seen + 1)
         end
       in

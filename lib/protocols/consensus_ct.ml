@@ -109,9 +109,11 @@ let protocol_name = "consensus.ct"
 
 let round_pacing_ms = 10.0
 
-let k_decided = "consensus.decided"
+let k_decided : int ref Stack.key = Stack.key ()
 
-let decided_count stack = Stack.get_env stack k_decided ~default:0
+let decided_total stack = Stack.state stack k_decided (fun () -> ref 0)
+
+let decided_count stack = !(decided_total stack)
 
 (* Control messages are small; estimates/proposals carry the value, so
    their size is the value's weight-declared size plus a header. The
@@ -148,6 +150,7 @@ let install ?(service = Service.consensus) ~n stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ service ]
     ~requires:[ Service.rp2p; Service.fd ]
     (fun stack _self ->
+      let decided_total = decided_total stack in
       (* Running instances only. A decided instance moves to [decided],
          which keeps just what late participants need: the value and
          its weight (the declared size of every W_decide it answers). *)
@@ -202,7 +205,7 @@ let install ?(service = Service.consensus) ~n stack =
           inst.estimate <- value;
           Hashtbl.remove insts inst.iid;
           Hashtbl.replace decided inst.iid (value, inst.weight);
-          Stack.set_env stack k_decided (Stack.get_env stack k_decided ~default:0 + 1);
+          incr decided_total;
           (* Reliable dissemination: relay on first receipt. *)
           send_all ~size:(header_size + max inst.weight 0)
             (W_decide { iid = inst.iid; value });

@@ -144,9 +144,11 @@ let protocol_name = "consensus.paxos"
 
 let header_size = 64
 
-let k_decided = "consensus.paxos.decided"
+let k_decided : int ref Stack.key = Stack.key ()
 
-let decided_count stack = Stack.get_env stack k_decided ~default:0
+let decided_total stack = Stack.state stack k_decided (fun () -> ref 0)
+
+let decided_count stack = !(decided_total stack)
 
 (* Leader-side state for one ballot attempt. *)
 type attempt = {
@@ -178,6 +180,7 @@ let install ?(config = default_config) ?(service = Service.consensus) ~n stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ service ]
     ~requires:[ Service.rp2p; Service.fd ]
     (fun stack _self ->
+      let decided_total = decided_total stack in
       let insts : (iid, inst) Hashtbl.t = Hashtbl.create 64 in
       let suspected = Array.make n false in
       let send ~dst ~size payload =
@@ -222,7 +225,7 @@ let install ?(config = default_config) ?(service = Service.consensus) ~n stack =
           | None -> ());
           (* Remember the decision for late short-circuits. *)
           inst.accepted <- Some (max_int, value, weight);
-          Stack.set_env stack k_decided (Stack.get_env stack k_decided ~default:0 + 1);
+          incr decided_total;
           send_all ~size:(header_size + max weight 0) (P_decide { iid = inst.iid; value; weight });
           Stack.indicate stack service (Decide { iid = inst.iid; value })
         end

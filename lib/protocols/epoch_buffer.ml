@@ -2,13 +2,14 @@ open Dpu_kernel
 
 let protocol_name = "abcast.epoch-buffer"
 
-let k_stashed = "epoch-buffer.stashed"
-let k_replayed = "epoch-buffer.replayed"
+type counts = { mutable stashed : int; mutable replayed : int }
 
-let stashed stack = Stack.get_env stack k_stashed ~default:0
-let replayed stack = Stack.get_env stack k_replayed ~default:0
+let k_counts : counts Stack.key = Stack.key ()
 
-let bump stack key = Stack.set_env stack key (Stack.get_env stack key ~default:0 + 1)
+let counts stack = Stack.state stack k_counts (fun () -> { stashed = 0; replayed = 0 })
+
+let stashed stack = (counts stack).stashed
+let replayed stack = (counts stack).replayed
 
 let requires = [ Service.rp2p; Rbcast.service; Service.consensus; Service.r_abcast ]
 
@@ -21,12 +22,14 @@ let spec =
 let install stack =
   Stack.add_module stack ~name:protocol_name ~provides:[] ~requires
     (fun stack _self ->
-      let module M = Dpu_obs.Metrics in
-      let labels = Stack.labels stack in
-      let m_stashed = M.counter (Stack.metrics stack) ~labels "epoch_buffer_stashed_total" in
-      let m_replayed =
-        M.counter (Stack.metrics stack) ~labels "epoch_buffer_replayed_total"
+      let counts = counts stack in
+      (* The one count of each: the registry samples the cell. *)
+      let register =
+        Dpu_obs.Metrics.register_int (Stack.metrics stack) ~labels:(Stack.labels stack)
       in
+      register "epoch_buffer_stashed_total" (fun () -> counts.stashed);
+      register "epoch_buffer_replayed_total" (fun () -> counts.replayed);
+      let epoch = Abcast_iface.epoch stack in
       (* epoch -> stashed (service, payload) in arrival order (reversed) *)
       let stash : (int, (Service.t * Payload.t) list) Hashtbl.t = Hashtbl.create 4 in
       let replay_up_to generation =
@@ -42,8 +45,7 @@ let install stack =
             Hashtbl.remove stash e;
             List.iter
               (fun (svc, payload) ->
-                bump stack k_replayed;
-                M.incr m_replayed;
+                counts.replayed <- counts.replayed + 1;
                 Stack.indicate stack svc payload)
               (List.rev msgs))
           ready
@@ -58,9 +60,8 @@ let install stack =
               replay_up_to generation
             | _ -> (
               match Abcast_iface.wire_epoch p with
-              | Some e when e > Abcast_iface.current_epoch stack ->
-                bump stack k_stashed;
-                M.incr m_stashed;
+              | Some e when e > !epoch ->
+                counts.stashed <- counts.stashed + 1;
                 let prev = Option.value ~default:[] (Hashtbl.find_opt stash e) in
                 Hashtbl.replace stash e ((svc, p) :: prev)
               | Some _ | None -> ()));

@@ -51,20 +51,15 @@ let protocol_name = "fd"
 
 let heartbeat_size = 32
 
-(* Suspicion state is also mirrored into the stack env (one key per
-   monitored node) so tests can observe it without plumbing handles. *)
-let k_suspected peer = Printf.sprintf "fd.suspected.%d" peer
+(* The current install's suspicion array, so tests can observe it
+   without plumbing handles. *)
+let k_suspected : bool array ref Stack.key = Stack.key ()
+
+let suspicion stack = Stack.state stack k_suspected (fun () -> ref [||])
 
 let suspects stack =
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      collect (i - 1)
-        (if Stack.get_env stack (k_suspected i) ~default:0 = 1 then i :: acc else acc)
-  in
-  (* Upper bound: env keys exist only for monitored peers; 1024 is a
-     safe scan bound for any system we simulate. *)
-  collect 1023 []
+  let suspected = !(suspicion stack) in
+  List.filter (fun i -> suspected.(i)) (List.init (Array.length suspected) Fun.id)
 
 let install ?(config = default_config) ~n stack =
   let me = Stack.node stack in
@@ -74,6 +69,7 @@ let install ?(config = default_config) ~n stack =
       let last_seen = Array.make n 0.0 in
       let timeout = Array.make n config.timeout_ms in
       let suspected = Array.make n false in
+      suspicion stack := suspected;
       let now () = Stack.now stack in
       let beat () =
         for dst = 0 to n - 1 do
@@ -88,7 +84,6 @@ let install ?(config = default_config) ~n stack =
           if peer <> me && (not suspected.(peer)) && t -. last_seen.(peer) > timeout.(peer)
           then begin
             suspected.(peer) <- true;
-            Stack.set_env stack (k_suspected peer) 1;
             Stack.indicate stack Service.fd (Suspect peer)
           end
         done
@@ -98,7 +93,6 @@ let install ?(config = default_config) ~n stack =
         if suspected.(src) then begin
           (* False suspicion: restore and be more patient next time. *)
           suspected.(src) <- false;
-          Stack.set_env stack (k_suspected src) 0;
           timeout.(src) <- timeout.(src) +. config.timeout_increment_ms;
           Stack.indicate stack Service.fd (Restore src)
         end

@@ -86,24 +86,12 @@ let protocol_name = "gm"
 
 let change_size = 64
 
-let k_view_id = "gm.view_id"
-let k_members = "gm.members"
+(* The view last published on the stack. *)
+let k_view : view option ref Stack.key = Stack.key ()
 
-let members_to_mask members = List.fold_left (fun acc m -> acc lor (1 lsl m)) 0 members
+let published stack = Stack.state stack k_view (fun () -> ref None)
 
-let mask_to_members mask =
-  let rec collect i acc =
-    if i < 0 then acc
-    else collect (i - 1) (if mask land (1 lsl i) <> 0 then i :: acc else acc)
-  in
-  collect 61 []
-
-let current_view stack =
-  let id = Stack.get_env stack k_view_id ~default:(-1) in
-  if id < 0 then None
-  else
-    let members = mask_to_members (Stack.get_env stack k_members ~default:0) in
-    Some { id; members }
+let current_view stack = !(published stack)
 
 let install ?(config = default_config) ?initial ~n stack =
   let me = Stack.node stack in
@@ -121,10 +109,11 @@ let install ?(config = default_config) ?initial ~n stack =
       let suspected_since = Array.make n nan in
       let proposed_exclusion : (int, unit) Hashtbl.t = Hashtbl.create 4 in
       let timers = ref [] in
+      let published = published stack in
       let publish () =
-        Stack.set_env stack k_view_id !view_id;
-        Stack.set_env stack k_members (members_to_mask !members);
-        Stack.indicate stack Service.gm (View { id = !view_id; members = !members })
+        let view = { id = !view_id; members = !members } in
+        published := Some view;
+        Stack.indicate stack Service.gm (View view)
       in
       let propose op target =
         Stack.call stack Service.r_abcast

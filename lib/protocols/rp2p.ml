@@ -97,21 +97,6 @@ let protocol_name = "rp2p"
 
 type stats = { accepted : int; delivered : int; retransmissions : int; gave_up : int }
 
-let k_accepted = "rp2p.accepted"
-let k_delivered = "rp2p.delivered"
-let k_retrans = "rp2p.retransmissions"
-let k_gave_up = "rp2p.gave_up"
-
-let bump stack key = Stack.set_env stack key (Stack.get_env stack key ~default:0 + 1)
-
-let stats stack =
-  {
-    accepted = Stack.get_env stack k_accepted ~default:0;
-    delivered = Stack.get_env stack k_delivered ~default:0;
-    retransmissions = Stack.get_env stack k_retrans ~default:0;
-    gave_up = Stack.get_env stack k_gave_up ~default:0;
-  }
-
 (* An unacknowledged outgoing datagram and its retransmission state.
    [sent_at.(a)] is the send time of attempt [a] (for [a <= tries]), so
    the echoed attempt number in the ack yields an unambiguous RTT
@@ -140,28 +125,6 @@ let stamp ~cap p time =
   end;
   Float.Array.set p.sent_at p.tries time
 
-(* Everything a sender keeps for destination [dst]. Frames are
-   numbered per destination so each receiver sees a contiguous sequence
-   from each sender, and its [seen] window stays as small as the frames
-   still out of order. [frames] holds those in flight, by sequence
-   number. [probe] is the sequence number of the one frame still
-   retransmitted on a timer while the destination is in probe mode,
-   [no_probe] outside it, and [resuming] while an ack resumes the
-   parked frames. *)
-type dest = {
-  dst : int;
-  mutable next_seq : int;
-  frames : (int, pending) Hashtbl.t;
-  mutable probe : int;
-}
-
-let no_probe = -1
-let resuming = -2
-
-(* A frame that times out this many times puts its destination into
-   probe mode (DESIGN.md "Protocol state"). *)
-let probe_after = 6
-
 (* Jacobson/Karels round-trip estimation, one estimator per peer. Under
    load the per-hop delay includes NIC queueing, and a fixed timeout
    below the actual RTT triggers a retransmission storm that feeds the
@@ -180,6 +143,58 @@ type rtt = {
          self-sustaining retransmission storm. *)
 }
 
+(* Everything a sender keeps for destination [dst]. Frames are
+   numbered per destination so each receiver sees a contiguous sequence
+   from each sender, and its [seen] window stays as small as the frames
+   still out of order. [frames] holds those in flight, by sequence
+   number. [probe] is the sequence number of the one frame still
+   retransmitted on a timer while the destination is in probe mode,
+   [no_probe] outside it, and [resuming] while an ack resumes the
+   parked frames. [timeout_ms] is the delay last armed for one of
+   them. *)
+type dest = {
+  dst : int;
+  mutable next_seq : int;
+  frames : (int, pending) Hashtbl.t;
+  mutable probe : int;
+  rtt : rtt;
+  mutable timeout_ms : float;
+}
+
+(* The stack's Rp2p cell: counters that survive a reinstall, and the
+   current install's destinations. *)
+type state = {
+  mutable accepted : int;
+  mutable delivered : int;
+  mutable retransmissions : int;
+  mutable gave_up : int;
+  mutable dests : (int, dest) Hashtbl.t;
+}
+
+let k_state : state Stack.key = Stack.key ()
+
+let state stack =
+  Stack.state stack k_state (fun () ->
+      { accepted = 0; delivered = 0; retransmissions = 0; gave_up = 0;
+        dests = Hashtbl.create 8 })
+
+let stats stack : stats =
+  let st = state stack in
+  { accepted = st.accepted; delivered = st.delivered;
+    retransmissions = st.retransmissions; gave_up = st.gave_up }
+
+let timeout_ms stack ~dst =
+  match Hashtbl.find_opt (state stack).dests dst with
+  | Some d -> d.timeout_ms
+  | None -> 0.0
+
+let no_probe = -1
+let resuming = -2
+
+(* A frame that times out this many times puts its destination into
+   probe mode (DESIGN.md "Protocol state"). *)
+let probe_after = 6
+
 let ack_size = 32
 
 let install ?(config = default_config) stack =
@@ -187,43 +202,31 @@ let install ?(config = default_config) stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.rp2p ]
     ~requires:[ Service.net ]
     (fun stack _self ->
+      let st = state stack in
       let dests : (int, dest) Hashtbl.t = Hashtbl.create 8 in
+      st.dests <- dests;
       let dest_of dst =
         match Hashtbl.find_opt dests dst with
         | Some d -> d
         | None ->
-          let d = { dst; next_seq = 0; frames = Hashtbl.create 64; probe = no_probe } in
+          let rtt =
+            { srtt = config.rto_ms /. 2.0; rttvar = config.rto_ms /. 4.0; valid = false;
+              storm_backoff = 1.0 }
+          in
+          let d =
+            { dst; next_seq = 0; frames = Hashtbl.create 64; probe = no_probe; rtt;
+              timeout_ms = 0.0 }
+          in
           Hashtbl.replace dests dst d;
           d
       in
       (* src -> already-delivered sequence numbers *)
       let seen = Seq_set.create () in
-      let rtts : (int, rtt) Hashtbl.t = Hashtbl.create 8 in
-      let rto_keys : (int, string) Hashtbl.t = Hashtbl.create 8 in
-      let rto_key dst =
-        match Hashtbl.find_opt rto_keys dst with
-        | Some k -> k
-        | None ->
-          let k = Printf.sprintf "rp2p.rto_us.%d" dst in
-          Hashtbl.replace rto_keys dst k;
-          k
-      in
       let now () = Stack.now stack in
-      let rtt_of dst =
-        match Hashtbl.find_opt rtts dst with
-        | Some r -> r
-        | None ->
-          let r =
-            { srtt = config.rto_ms /. 2.0; rttvar = config.rto_ms /. 4.0; valid = false;
-              storm_backoff = 1.0 }
-          in
-          Hashtbl.replace rtts dst r;
-          r
-      in
-      let rto dst =
+      let rto d =
         if not config.adaptive then config.rto_ms
         else begin
-          let r = rtt_of dst in
+          let r = d.rtt in
           let base =
             if r.valid then Float.max config.rto_ms (r.srtt +. (4.0 *. r.rttvar))
             else config.rto_ms
@@ -231,8 +234,8 @@ let install ?(config = default_config) stack =
           Float.min (base *. r.storm_backoff) config.max_rto_ms
         end
       in
-      let record_rtt dst sample =
-        let r = rtt_of dst in
+      let record_rtt d sample =
+        let r = d.rtt in
         r.storm_backoff <- 1.0;
         if r.valid then begin
           let err = sample -. r.srtt in
@@ -251,9 +254,9 @@ let install ?(config = default_config) stack =
       let arm d (p : pending) retransmit =
         let delay =
           Float.min config.max_rto_ms
-            (rto d.dst *. (config.backoff ** float_of_int p.tries))
+            (rto d *. (config.backoff ** float_of_int p.tries))
         in
-        Stack.set_env stack (rto_key d.dst) (int_of_float (delay *. 1000.0));
+        d.timeout_ms <- delay;
         p.timer <- Armed (Stack.after stack ~delay retransmit)
       in
       (* Send attempt [p.tries] of frame [seq] and arm its timer. *)
@@ -273,7 +276,7 @@ let install ?(config = default_config) stack =
           (fun _ p ->
             match p.timer with
             | Parked _ when expired p ->
-              bump stack k_gave_up;
+              st.gave_up <- st.gave_up + 1;
               None
             | Idle | Armed _ | Parked _ -> Some p)
           d.frames
@@ -308,7 +311,7 @@ let install ?(config = default_config) stack =
         if not (Hashtbl.mem d.frames seq) then false
         else if p.tries >= config.max_retries || expired p then begin
           Hashtbl.remove d.frames seq;
-          bump stack k_gave_up;
+          st.gave_up <- st.gave_up + 1;
           if d.probe = seq then next_probe d;
           false
         end
@@ -323,15 +326,14 @@ let install ?(config = default_config) stack =
           stamp ~cap:(config.max_retries + 1) p (now ());
           (* A resume answers an ack, not a timeout. *)
           if d.probe <> resuming then begin
-            let r = rtt_of d.dst in
-            r.storm_backoff <- Float.min 128.0 (r.storm_backoff *. 2.0)
+            d.rtt.storm_backoff <- Float.min 128.0 (d.rtt.storm_backoff *. 2.0)
           end;
-          bump stack k_retrans;
+          st.retransmissions <- st.retransmissions + 1;
           true
         end
       in
       let send ~dst ~size payload =
-        bump stack k_accepted;
+        st.accepted <- st.accepted + 1;
         let d = dest_of dst in
         let seq = d.next_seq in
         d.next_seq <- seq + 1;
@@ -351,7 +353,7 @@ let install ?(config = default_config) stack =
           udp_send ~dst:src ~size:ack_size (Wire_ack { src = me; seq; attempt });
           if not (Seq_set.mem seen ~src:origin seq) then begin
             Seq_set.add seen ~src:origin seq;
-            bump stack k_delivered;
+            st.delivered <- st.delivered + 1;
             Stack.indicate stack Service.rp2p (Recv { src = origin; payload })
           end
         | Wire_ack { src = acker; seq; attempt } -> (
@@ -367,7 +369,7 @@ let install ?(config = default_config) stack =
               (* An echo of no attempt of ours (hostile or corrupt)
                  still releases the frame, but yields no sample. *)
               if attempt >= 0 && attempt <= p.tries then
-                record_rtt acker (now () -. Float.Array.get p.sent_at attempt);
+                record_rtt d (now () -. Float.Array.get p.sent_at attempt);
               Hashtbl.remove d.frames seq);
             if d.probe >= 0 then resume d)
         | _ -> ()

@@ -69,3 +69,7 @@ type stats = { accepted : int; delivered : int; retransmissions : int; gave_up :
 
 val stats : Stack.t -> stats
 (** Statistics of the rp2p module in [stack]; zeros if absent. *)
+
+val timeout_ms : Stack.t -> dst:int -> float
+(** The retransmission delay last armed for a frame to [dst] by the
+    rp2p module in [stack]; [0.] before any. *)

@@ -327,8 +327,7 @@ let run params =
    if not (Report.all_ok reports) then raise (Preflight_failure reports));
   let config =
     {
-      MW.default_config with
-      seed = params.seed;
+      MW.seed = params.seed;
       loss = params.loss;
       hop_cost = params.hop_cost;
       profile = profile_of params;

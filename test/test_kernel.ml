@@ -364,20 +364,29 @@ let test_stack_timers_crash () =
   Sim.run ~until:5.0 sim;
   check Alcotest.int "suppressed by crash" 0 !fired
 
-let test_stack_env () =
+let test_stack_state () =
   let _sim, _trace, stack = make_stack () in
-  check Alcotest.int "default" 42 (Stack.get_env stack "k" ~default:42);
-  Stack.set_env stack "k" 7;
-  check Alcotest.int "set" 7 (Stack.get_env stack "k" ~default:0);
-  Stack.set_env stack "k" 8;
-  check Alcotest.int "overwrite" 8 (Stack.get_env stack "k" ~default:0)
+  let k : int ref Stack.key = Stack.key () in
+  let get stack k = !(Stack.state stack k (fun () -> ref 0)) in
+  check Alcotest.int "initial" 42 !(Stack.state stack k (fun () -> ref 42));
+  Stack.state stack k (fun () -> ref 0) := 7;
+  check Alcotest.int "set" 7 (get stack k);
+  Stack.state stack k (fun () -> ref 0) := 8;
+  check Alcotest.int "overwrite" 8 (get stack k);
+  let k' : int ref Stack.key = Stack.key () in
+  check Alcotest.int "two keys of one type are distinct" 0 (get stack k');
+  Stack.state stack k' (fun () -> ref 0) := 5;
+  check Alcotest.int "the first key keeps its cell" 8 (get stack k);
+  let _sim, _trace, other = make_stack () in
+  check Alcotest.int "two stacks do not share a cell" 0 (get other k);
+  check Alcotest.int "nor does the first see the second's" 8 (get stack k)
 
 let test_stack_trace_records () =
   let sim, trace, stack = make_stack () in
   let m, _, _, _, _ = probe stack ~name:"p" ~provides:[ svc_a ] ~requires:[] in
   Stack.bind stack svc_a m;
   Stack.call stack svc_a (Ping 1);
-  Stack.app_event stack ~tag:"hello" ~data:"world";
+  Stack.app_event stack ~tag:"hello" Fun.id "world";
   Sim.run sim;
   let kinds = List.map (fun e -> e.Trace.kind) (Trace.entries trace) in
   let has p = List.exists p kinds in
@@ -666,7 +675,7 @@ let () =
           tc "crash in flight" test_stack_crash_in_flight_dispatch;
           tc "timers" test_stack_timers;
           tc "timers vs crash" test_stack_timers_crash;
-          tc "env" test_stack_env;
+          tc "state" test_stack_state;
           tc "trace records" test_stack_trace_records;
           tc "modules order" test_stack_modules_order;
           tc "dispatch counts" test_stack_dispatch_counts;

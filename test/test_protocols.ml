@@ -234,7 +234,7 @@ let inject system ~node ~at ~src payload =
   Clock.defer (System.clock system) ~delay:at (fun () ->
       Stack.indicate (System.stack system node) Service.net (P.Udp.Recv { src; payload }))
 
-let rto_us stack ~dst = Stack.get_env stack (Printf.sprintf "rp2p.rto_us.%d" dst) ~default:0
+let rto_us stack ~dst = int_of_float (P.Rp2p.timeout_ms stack ~dst *. 1000.0)
 
 let test_rp2p_rtt_from_echoed_earlier_attempt () =
   (* Node 1 is down, so attempt 0 (sent at [hop]) is retried at
@@ -977,6 +977,15 @@ let test_gm_initial_view () =
     check (Alcotest.list Alcotest.int) "all members" [ 0; 1; 2 ] v.P.Gm.members
   | None -> fail "no view"
 
+let test_gm_view_beyond_62_members () =
+  (* A view is a member list: nothing caps the ids it can hold. *)
+  let system = make_gm_system ~n:64 () in
+  System.run_for system 1.0;
+  match P.Gm.current_view (System.stack system 0) with
+  | Some v ->
+    check (Alcotest.list Alcotest.int) "all 64 members" (List.init 64 Fun.id) v.P.Gm.members
+  | None -> fail "no view"
+
 let test_gm_leave_join () =
   let system = make_gm_system () in
   let logs = view_logs system in
@@ -1096,6 +1105,7 @@ let () =
       ( "gm",
         [
           tc "initial view" test_gm_initial_view;
+          tc "view of 64 members" test_gm_view_beyond_62_members;
           tc "leave/join" test_gm_leave_join;
           tc "idempotent proposals" test_gm_duplicate_proposal_idempotent;
           tc "excludes crashed" test_gm_excludes_crashed_member;

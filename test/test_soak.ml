@@ -74,17 +74,13 @@ let run_plan plan =
          else None);
     }
   in
-  let config =
-    {
-      MW.default_config with
-      seed = plan.seed;
-      loss = plan.loss;
-      dup = plan.dup;
-      profile;
-      msg_size = 1024;
-    }
+  let config = { MW.default_config with profile; msg_size = 1024 } in
+  (* Middleware.config has no duplication field: the network built
+     here carries the plan's loss and duplication. *)
+  let mw =
+    MW.of_system ~config
+      (System.create ~seed:plan.seed ~loss:plan.loss ~dup:plan.dup ~n:plan.n ())
   in
-  let mw = MW.create ~config ~n:plan.n () in
   let clock = System.clock (MW.system mw) in
   let net = System.net (MW.system mw) in
   Dpu_workload.Load_gen.start mw ~rate_per_s:plan.rate ~until:plan.duration_ms ();
