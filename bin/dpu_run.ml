@@ -182,7 +182,7 @@ type flags = {
   nemesis_faults : int option;
   check : bool;
   metrics_out : string option;
-  spans_out : string option;
+  trace_out : string option;
   (* simulator only *)
   switch_consensus_at : float option;
   loss : float option;
@@ -192,7 +192,6 @@ type flags = {
   json_out : string option;
   log_out : string option;
   (* live only *)
-  trace_out : string option;
   logs_out : string option;
 }
 
@@ -211,7 +210,7 @@ let sim_only f =
     ("--log-out", f.log_out <> None);
   ]
 
-let live_only f = [ ("--trace-out", f.trace_out <> None); ("--logs-out", f.logs_out <> None) ]
+let live_only f = [ ("--logs-out", f.logs_out <> None) ]
 
 (* A corpus scenario is a check: it runs the battery. *)
 let checked f = f.check || f.scenario <> None
@@ -246,8 +245,8 @@ let sim_params f (base : E.params) =
     shards = f.shards |? p.shards;
     stagger_ms = f.stagger |? p.stagger_ms;
     faults = p.faults @ schedule f ~n:p.n ~horizon_ms:duration_ms;
-    trace_enabled = checked f || f.spans_out <> None;
-    metrics_enabled = f.metrics_out <> None || f.spans_out <> None || f.csv_out <> None;
+    trace_enabled = checked f || f.trace_out <> None;
+    metrics_enabled = f.metrics_out <> None || f.trace_out <> None || f.csv_out <> None;
     log_out = (match f.log_out with None -> p.log_out | given -> given);
   }
 
@@ -333,11 +332,15 @@ let run_sim f (p : E.params) =
   written "metrics snapshot" f.metrics_out;
   Option.iter
     (fun path ->
-      let events = Dpu_core.Spans.of_run ~trace:s.E.trace ~n:p.n s.E.collector in
+      let events =
+        Dpu_core.Spans.of_run ~trace:s.E.trace
+          ~faults:(p.faults, p.duration_ms +. p.drain_ms)
+          ~n:p.n s.E.collector
+      in
       Dpu_obs.Json.to_file path (Dpu_core.Spans.to_json events);
       Printf.printf "%d trace events written to %s (load in Perfetto / chrome://tracing)\n"
         (List.length events) path)
-    f.spans_out;
+    f.trace_out;
   Option.iter
     (fun path ->
       let rows =
@@ -365,8 +368,7 @@ let run_live f (p : Serve.params) =
     p.load p.duration_ms;
   print_schedule p.nemesis;
   match
-    Serve.run ?metrics_out:f.metrics_out ?spans_out:f.spans_out ?trace_out:f.trace_out
-      ?logs_dir:f.logs_out p
+    Serve.run ?metrics_out:f.metrics_out ?trace_out:f.trace_out ?logs_dir:f.logs_out p
   with
   | Error msg -> fail "run" "%s" msg
   | Ok o ->
@@ -410,8 +412,6 @@ let run_live f (p : Serve.params) =
           | None -> Printf.printf "replacement to %s: never completed\n" proto)
         planned);
     written "per-node metrics" f.metrics_out;
-    Option.iter (Printf.printf "merged trace events written to %s (load in Perfetto)\n")
-      f.spans_out;
     Option.iter
       (Printf.printf "merged cross-process trace written to %s (load in Perfetto)\n")
       f.trace_out;
@@ -433,8 +433,8 @@ let prepare f (sc : Corpus.t option) =
   end
   else begin
     let p = sim_params f (Option.fold sc ~none:E.default ~some:E.of_corpus) in
-    if p.shards > 1 && (f.spans_out <> None || f.csv_out <> None) then
-      fail "run" "--spans-out and --csv-out need --shards 1";
+    if p.shards > 1 && (f.trace_out <> None || f.csv_out <> None) then
+      fail "run" "--trace-out and --csv-out need --shards 1";
     valid (E.validate p);
     fun () -> run_sim f p
   end
@@ -459,7 +459,7 @@ let run f =
           (String.concat ", " (Corpus.names ()))
     in
     let outputs =
-      [ f.metrics_out; f.spans_out; f.csv_out; f.json_out; f.log_out; f.trace_out; f.logs_out ]
+      [ f.metrics_out; f.trace_out; f.csv_out; f.json_out; f.log_out; f.logs_out ]
     in
     if List.length scenarios > 1 && List.exists Option.is_some outputs then
       fail "--scenario all takes no --*-out: each scenario would overwrite the file";
@@ -533,10 +533,14 @@ let run_cmd =
       optional Arg.string [ "metrics-out" ] ~docv:"FILE"
         "Write a JSON metrics snapshot to FILE (per node, with transport counters, \
          under $(b,--live)); enables metrics collection."
-    and+ spans_out =
-      optional Arg.string [ "spans-out" ] ~docv:"FILE"
-        "Write per-message spans and the replacement timeline to FILE as Chrome \
-         trace-event JSON (load in Perfetto); implies tracing."
+    and+ trace_out =
+      optional Arg.string [ "trace-out" ] ~docv:"FILE"
+        "Record the kernel trace and write it to FILE as Chrome trace-event JSON \
+         (load in Perfetto): per-message spans, the replacement windows, blocked \
+         calls, switch triggers and the fault schedule as windows. Under \
+         $(b,--live) every node records its trace on the shared epoch's time \
+         axis (with start/stop marks) and the merged trace also feeds \
+         $(b,--check)'s battery."
     and+ switch_consensus_at =
       optional Arg.float [ "switch-consensus-at" ] ~docv:"MS"
         ~absent:(ms consensus_swap_at_ms)
@@ -561,12 +565,6 @@ let run_cmd =
       optional Arg.string [ "log-out" ] ~docv:"FILE"
         "Write structured JSONL milestone logs to FILE, stamped on the virtual \
          clock (simulator only)."
-    and+ trace_out =
-      optional Arg.string [ "trace-out" ] ~docv:"FILE"
-        "Record per-node traces and write ONE merged Chrome trace to FILE: \
-         per-message spans, each process's switch triggers, fault injections \
-         and start/stop marks, and the fault schedule as windows, on the \
-         shared epoch's time axis ($(b,--live) only)."
     and+ logs_out =
       optional Arg.string [ "logs-out" ] ~docv:"DIR"
         "Give each node process a JSONL log file DIR/node-<i>.jsonl \
@@ -574,8 +572,8 @@ let run_cmd =
     in
     {
       plan; live; scenario; load; seed; duration; drain; switch_at; size; faults;
-      nemesis_seed; nemesis_faults; check; metrics_out; spans_out; switch_consensus_at;
-      loss; shards; stagger; csv_out; json_out; log_out; trace_out; logs_out;
+      nemesis_seed; nemesis_faults; check; metrics_out; trace_out; switch_consensus_at;
+      loss; shards; stagger; csv_out; json_out; log_out; logs_out;
     }
   in
   let live = Serve.default in
@@ -803,7 +801,7 @@ let report_cmd =
   let trace =
     optional Arg.string [ "trace" ] ~docv:"FILE"
       "Chrome trace to render the replacement timeline from (a $(b,run \
-       --live --trace-out) merged trace or a --spans-out export)."
+       --trace-out) export, simulated or live)."
   in
   let shard =
     optional Arg.string [ "shard" ] ~docv:"FILE"

@@ -1,4 +1,5 @@
 open Dpu_kernel
+module Schedule = Dpu_faults.Schedule
 module TE = Dpu_obs.Trace_event
 module Json = Dpu_obs.Json
 
@@ -71,7 +72,7 @@ let blocked_events trace =
   List.iter
     (fun e ->
       match e.kind with
-      | Call_blocked (svc, _) ->
+      | Call_blocked svc ->
         let q =
           match Hashtbl.find_opt pending (e.node, svc) with
           | Some q -> q
@@ -94,18 +95,91 @@ let blocked_events trace =
     (entries trace);
   List.rev !out
 
-let trigger_events trace =
+(* Application marks: switch triggers, and a live node's start and
+   stop. *)
+let app_events trace =
   let open Trace in
   List.filter_map
     (fun e ->
-      match e.kind with
-      | App (("change-abcast" | "change-consensus") as tag, data) ->
-        Some
-          (TE.instant
-             ~name:(Printf.sprintf "trigger %s -> %s" tag data)
-             ~cat:"dpu" ~pid:e.node ~tid:tid_kernel ~ts_ms:e.time ())
-      | _ -> None)
+      let mark =
+        match e.kind with
+        | App (("change-abcast" | "change-consensus") as tag, data) ->
+          Some (Printf.sprintf "trigger %s -> %s" tag data, "dpu")
+        | App ("node", what) -> Some ("node " ^ what, "node")
+        | _ -> None
+      in
+      Option.map
+        (fun (name, cat) -> TE.instant ~name ~cat ~pid:e.node ~tid:tid_kernel ~ts_ms:e.time ())
+        mark)
     (entries trace)
+
+let group_string groups =
+  String.concat "|" (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups)
+
+let nemesis_events ~n ~horizon_ms schedule =
+  match schedule with
+  | [] -> []
+  | _ ->
+    (* The synthetic process after the timeline's (pid = n), so fault
+       windows sit in their own swimlane. *)
+    let pid = n + 1 in
+    let out = ref [] in
+    let mark ~name ~ts_ms = out := TE.instant ~name ~cat:"nemesis" ~pid ~tid:0 ~ts_ms () :: !out in
+    let span ~name ~t0 ~t1 =
+      out :=
+        TE.complete ~name ~cat:"nemesis" ~pid ~tid:0 ~ts_ms:t0
+          ~dur_ms:(Float.min t1 horizon_ms -. t0)
+          ()
+        :: !out
+    in
+    (* Crash and partition windows are implicit (crash .. recover,
+       partition .. heal/next partition); ones never closed by the
+       schedule are clamped at the horizon — the fault outlives the
+       run. *)
+    let crash_open : (int, float) Hashtbl.t = Hashtbl.create 4 in
+    let partition_open = ref None in
+    let close_partition ~at =
+      match !partition_open with
+      | None -> ()
+      | Some (t0, desc) ->
+        partition_open := None;
+        span ~name:("partition " ^ desc) ~t0 ~t1:at
+    in
+    List.iter
+      (fun (e : Schedule.event) ->
+        match e.action with
+        | Schedule.Crash node ->
+          mark ~name:(Printf.sprintf "crash node %d" node) ~ts_ms:e.at;
+          Hashtbl.replace crash_open node e.at
+        | Schedule.Recover node -> (
+          mark ~name:(Printf.sprintf "recover node %d" node) ~ts_ms:e.at;
+          match Hashtbl.find_opt crash_open node with
+          | Some t0 ->
+            Hashtbl.remove crash_open node;
+            span ~name:(Printf.sprintf "crash node %d" node) ~t0 ~t1:e.at
+          | None -> ())
+        | Schedule.Partition groups ->
+          close_partition ~at:e.at;
+          let desc = group_string groups in
+          mark ~name:("partition " ^ desc) ~ts_ms:e.at;
+          partition_open := Some (e.at, desc)
+        | Schedule.Heal ->
+          mark ~name:"heal" ~ts_ms:e.at;
+          close_partition ~at:e.at
+        | Schedule.Loss_window { p; from_; until } ->
+          span ~name:(Printf.sprintf "loss p=%g" p) ~t0:from_ ~t1:until
+        | Schedule.Dup_burst { p; from_; until } ->
+          span ~name:(Printf.sprintf "dup p=%g" p) ~t0:from_ ~t1:until
+        | Schedule.Degrade_link { src; dst; window; _ } ->
+          span ~name:(Printf.sprintf "slow %d>%d" src dst) ~t0:window.from_ ~t1:window.until)
+      (Schedule.sorted schedule);
+    (* dpu-lint: allow hashtbl-iter — folded nodes are sorted before use *)
+    Hashtbl.fold (fun node t0 acc -> (node, t0) :: acc) crash_open []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (node, t0) ->
+           span ~name:(Printf.sprintf "crash node %d" node) ~t0 ~t1:horizon_ms);
+    close_partition ~at:horizon_ms;
+    TE.process_name ~pid "nemesis" :: TE.thread_name ~pid ~tid:0 "fault windows" :: List.rev !out
 
 let metadata ~n =
   let per_node node =
@@ -139,12 +213,17 @@ let replacement_timeline collector =
 
 let windows_of_trace_events = Dpu_obs.Report_html.windows_of_events
 
-let of_run ?trace ~n collector =
+let of_run ?trace ?faults ~n collector =
   let from_trace =
     match trace with
-    | Some tr when Trace.enabled tr -> blocked_events tr @ trigger_events tr
+    | Some tr when Trace.enabled tr -> blocked_events tr @ app_events tr
     | Some _ | None -> []
   in
-  metadata ~n @ message_events collector @ switch_events collector ~n @ from_trace
+  let nemesis =
+    match faults with
+    | Some (schedule, horizon_ms) -> nemesis_events ~n ~horizon_ms schedule
+    | None -> []
+  in
+  metadata ~n @ message_events collector @ switch_events collector ~n @ from_trace @ nemesis
 
 let to_json events = TE.to_json events

@@ -1,15 +1,17 @@
 (** Per-message spans and the replacement timeline, reconstructed from
-    the {!Collector} and the kernel {!Dpu_kernel.Trace}, as Chrome
-    trace events (load the exported JSON in Perfetto or
-    chrome://tracing).
+    the {!Collector} and the kernel {!Dpu_kernel.Trace} (a simulated
+    run's, or a live run's merged from every node), as Chrome trace
+    events (load the exported JSON in Perfetto or chrome://tracing).
 
-    Layout: each simulated node is one process (pid = node) with two
+    Layout: each node is one process (pid = node) with two
     lanes — tid 0 carries one span per (message, delivering node) from
     ABcast to delivery there, tid 1 carries kernel/DPU events (blocked
-    service calls as spans, generation installs and switch triggers as
-    instants). One synthetic process (pid = n) holds the replacement
-    windows: a span per generation from the first install to the last,
-    the paper's replacement window. *)
+    service calls as spans, generation installs, switch triggers and
+    node start/stop as instants). One synthetic process (pid = n)
+    holds the replacement windows: a span per generation from the
+    first install to the last, the paper's replacement window. A
+    faulty run adds a second one (pid = n + 1) with the nemesis
+    schedule's fault windows. *)
 
 open Dpu_kernel
 
@@ -37,10 +39,26 @@ val windows_of_trace_events :
     milliseconds. On a trace produced by {!of_run} this agrees with
     {!replacement_timeline} on the same collector. *)
 
-val of_run : ?trace:Trace.t -> n:int -> Collector.t -> Dpu_obs.Trace_event.t list
-(** Everything above plus process/thread naming metadata. [trace]
-    contributes blocked-call spans and switch-trigger instants when
-    given and enabled. *)
+val nemesis_events :
+  n:int -> horizon_ms:float -> Dpu_faults.Schedule.t -> Dpu_obs.Trace_event.t list
+(** The fault schedule as a lane on the synthetic process [n + 1]
+    (one past the replacement timeline's): instants at every
+    boundary (crash/recover, partition/heal) and a span per window —
+    crash .. recover, partition .. heal or the next partition, and the
+    loss/dup/degrade windows. Windows the schedule never closes are
+    clamped at [horizon_ms]. An empty schedule adds no events. *)
+
+val of_run :
+  ?trace:Trace.t ->
+  ?faults:Dpu_faults.Schedule.t * float ->
+  n:int ->
+  Collector.t ->
+  Dpu_obs.Trace_event.t list
+(** Everything above plus process/thread naming metadata: the one
+    Chrome renderer of a run, simulated or live. [trace], when given
+    and enabled, contributes blocked-call spans, switch-trigger
+    instants and a live node's ["node start"]/["node stop"] marks.
+    [faults] = [(schedule, horizon_ms)] adds {!nemesis_events}. *)
 
 val to_json : Dpu_obs.Trace_event.t list -> Dpu_obs.Json.t
 (** The loadable trace-event envelope. *)

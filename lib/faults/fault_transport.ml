@@ -132,7 +132,6 @@ type 'a t = {
   clock : Clock.t;
   state : State.t;
   rng : Rng.t;
-  on_event : (kind:string -> detail:string -> unit) option;
   mutable blocked_crash : int;
   mutable blocked_partition : int;
   mutable injected_loss : int;
@@ -142,13 +141,12 @@ type 'a t = {
   mutable absorbed_bytes : int;
 }
 
-let create ?(seed = 0x5eed) ?on_event ~schedule ~clock inner =
+let create ?(seed = 0x5eed) ~schedule ~clock inner =
   {
     inner;
     clock;
     state = State.compile schedule;
     rng = Rng.create ~seed;
-    on_event;
     blocked_crash = 0;
     blocked_partition = 0;
     injected_loss = 0;
@@ -170,29 +168,21 @@ let stats t =
 
 let absorbed t = t.blocked_crash + t.blocked_partition + t.injected_loss
 
-let fire t kind ~src ~dst =
-  match t.on_event with
-  | None -> ()
-  | Some f -> f ~kind ~detail:(Printf.sprintf "src=%d dst=%d" src dst)
-
 let send t ~src ~dst ~size_bytes payload =
   let now = Clock.now t.clock in
   if State.crashed t.state ~now src || State.crashed t.state ~now dst then begin
     t.blocked_crash <- t.blocked_crash + 1;
-    t.absorbed_bytes <- t.absorbed_bytes + size_bytes;
-    fire t "blocked_crash" ~src ~dst
+    t.absorbed_bytes <- t.absorbed_bytes + size_bytes
   end
   else if State.separated t.state ~now ~src ~dst then begin
     t.blocked_partition <- t.blocked_partition + 1;
-    t.absorbed_bytes <- t.absorbed_bytes + size_bytes;
-    fire t "blocked_partition" ~src ~dst
+    t.absorbed_bytes <- t.absorbed_bytes + size_bytes
   end
   else begin
     let p_loss = State.loss t.state ~now in
     if p_loss > 0.0 && Rng.bool t.rng ~p:p_loss then begin
       t.injected_loss <- t.injected_loss + 1;
-      t.absorbed_bytes <- t.absorbed_bytes + size_bytes;
-      fire t "injected_loss" ~src ~dst
+      t.absorbed_bytes <- t.absorbed_bytes + size_bytes
     end
     else begin
       let duplicate =
@@ -207,7 +197,6 @@ let send t ~src ~dst ~size_bytes payload =
              has: a degraded link is extra queueing, not a replacement
              of the base path. *)
           t.delayed <- t.delayed + 1;
-          fire t "delayed" ~src ~dst;
           let delay = Latency.delay link t.rng ~size_bytes in
           Clock.defer t.clock ~delay (fun () ->
               Transport.send t.inner ~src ~dst ~size_bytes payload)
@@ -215,7 +204,6 @@ let send t ~src ~dst ~size_bytes payload =
       forward ();
       if duplicate then begin
         t.injected_dup <- t.injected_dup + 1;
-        fire t "injected_dup" ~src ~dst;
         forward ()
       end
     end
@@ -227,10 +215,7 @@ let wrap_handler t ~node f ~src payload =
     State.crashed t.state ~now src
     || State.crashed t.state ~now node
     || State.separated t.state ~now ~src ~dst:node
-  then begin
-    t.rx_blocked <- t.rx_blocked + 1;
-    fire t "rx_blocked" ~src ~dst:node
-  end
+  then t.rx_blocked <- t.rx_blocked + 1
   else f ~src payload
 
 let counters t =

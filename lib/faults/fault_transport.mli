@@ -79,21 +79,16 @@ type 'a t
 
 val create :
   ?seed:int ->
-  ?on_event:(kind:string -> detail:string -> unit) ->
   schedule:Schedule.t ->
   clock:Clock.t ->
   'a Transport.t ->
   'a t
 (** [seed] feeds the shim's private RNG for loss/dup draws and degrade
     latency sampling; give each process of a live deployment a distinct
-    seed so their drop patterns are independent.
-
-    [on_event] fires synchronously at each injection, with [kind] one
-    of ["blocked_crash"], ["blocked_partition"], ["injected_loss"],
-    ["injected_dup"], ["delayed"], ["rx_blocked"] and [detail] naming
-    the endpoints — observability hooks record these as trace instants.
-    This module stays observability-agnostic: plain strings, no
-    [Dpu_obs] dependency. *)
+    seed so their drop patterns are independent. Injections are counted
+    in {!stats}, not traced: a run's trace shows the schedule's fault
+    windows ({!Dpu_core.Spans.nemesis_events}), and every injection
+    falls inside one. *)
 
 val transport : 'a t -> 'a Transport.t
 (** The faulty view. Its counters fold the shim's absorptions into the

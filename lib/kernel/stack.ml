@@ -112,12 +112,6 @@ let is_crashed t = t.crashed
 
 let record t kind = Trace.record t.trace ~time:(now t) ~node:t.node kind
 
-(* Building payload descriptions is pure overhead when the trace is
-   off (the benchmark configurations); gate the formatting, not just
-   the recording. *)
-let record_lazy t kind_of_desc payload =
-  if Trace.enabled t.trace then record t (kind_of_desc (Payload.to_string payload))
-
 let crash t =
   if not t.crashed then begin
     t.crashed <- true;
@@ -193,11 +187,11 @@ let rec execute_call t svc payload =
     match bound t svc with
     | Some m ->
       t.calls_executed <- t.calls_executed + 1;
-      record_lazy t (fun d -> Trace.Call (Service.name svc, d)) payload;
+      if Trace.enabled t.trace then record t (Trace.Call (Service.name svc));
       m.m_handlers.handle_call svc payload
     | None ->
       t.calls_blocked <- t.calls_blocked + 1;
-      record_lazy t (fun d -> Trace.Call_blocked (Service.name svc, d)) payload;
+      if Trace.enabled t.trace then record t (Trace.Call_blocked (Service.name svc));
       Queue.add (now t, payload) (blocked_queue t svc)
 
 and release_blocked t svc =
@@ -239,7 +233,7 @@ let call t svc payload =
 let execute_indication t svc payload =
   if not t.crashed then begin
     t.indications_executed <- t.indications_executed + 1;
-    record_lazy t (fun d -> Trace.Indication (Service.name svc, d)) payload;
+    if Trace.enabled t.trace then record t (Trace.Indication (Service.name svc));
     (* Snapshot in addition order, taken in one pass over the
        (reversed) module list before any handler runs: handlers may
        add/remove modules while we iterate. *)

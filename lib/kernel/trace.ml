@@ -3,10 +3,10 @@ type kind =
   | Remove_module of string
   | Bind of string * string
   | Unbind of string * string
-  | Call of string * string
-  | Call_blocked of string * string
+  | Call of string
+  | Call_blocked of string
   | Call_unblocked of string
-  | Indication of string * string
+  | Indication of string
   | Crash
   | App of string * string
 
@@ -70,18 +70,3 @@ let truncated t = t.dropped > 0
 let dropped t = t.dropped
 
 let filter t p = List.filter p (entries t)
-
-let kind_to_string = function
-  | Add_module m -> Printf.sprintf "add-module %s" m
-  | Remove_module m -> Printf.sprintf "remove-module %s" m
-  | Bind (s, m) -> Printf.sprintf "bind %s -> %s" s m
-  | Unbind (s, m) -> Printf.sprintf "unbind %s -/- %s" s m
-  | Call (s, p) -> Printf.sprintf "call %s [%s]" s p
-  | Call_blocked (s, p) -> Printf.sprintf "call-blocked %s [%s]" s p
-  | Call_unblocked s -> Printf.sprintf "call-unblocked %s" s
-  | Indication (s, p) -> Printf.sprintf "indication %s [%s]" s p
-  | Crash -> "crash"
-  | App (tag, data) -> Printf.sprintf "app %s [%s]" tag data
-
-let pp_entry ppf e =
-  Format.fprintf ppf "%10.3f n%d %s" e.time e.node (kind_to_string e.kind)

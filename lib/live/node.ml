@@ -3,7 +3,6 @@ module Clock = Dpu_runtime.Clock
 module Middleware = Dpu_core.Middleware
 module Collector = Dpu_core.Collector
 module J = Dpu_obs.Json
-module TE = Dpu_obs.Trace_event
 module Metrics = Dpu_obs.Metrics
 module Log = Dpu_obs.Log
 
@@ -36,17 +35,8 @@ type report = {
   rx_errors : int;
   faults : Dpu_faults.Fault_transport.stats option;
   metrics : J.t;
-  trace : TE.t list;
+  trace : Trace.entry list;
 }
-
-(* Safety valve for the per-node trace buffer: a nemesis injecting per
-   frame can emit thousands of instants; past this point the buffer
-   stops growing rather than bloating the report. *)
-let max_trace_events = 20_000
-
-(* The kernel/dpu lane of this node's process in the trace viewer,
-   matching [Dpu_core.Spans.tid_kernel]. *)
-let tid_kernel = 1
 
 let run ~config ~fd ~peers () =
   let wheel = Timer_wheel.create () in
@@ -68,21 +58,6 @@ let run ~config ~fd ~peers () =
     Udp_transport.create ~service:config.service ~generation:config.generation
       ?batching:config.batching ?on_batch ~me:config.me ~fd ~peers ()
   in
-  (* Per-node trace buffer: events against the shared epoch, shipped in
-     the report for the parent to merge onto one time axis. *)
-  let trace = ref [] in
-  let trace_len = ref 0 in
-  let record ev =
-    if config.trace_enabled && !trace_len < max_trace_events then begin
-      trace := ev :: !trace;
-      incr trace_len
-    end
-  in
-  let instant ~name ~cat =
-    record
-      (TE.instant ~name ~cat ~pid:config.me ~tid:tid_kernel
-         ~ts_ms:(Live_clock.now lclock) ())
-  in
   let log, close_log =
     match config.log_path with
     | None -> (Log.noop, fun () -> ())
@@ -95,7 +70,6 @@ let run ~config ~fd ~peers () =
      clock: the same schedule value every other process (and the
      simulated driver) interprets. Distinct per-node RNG seeds keep the
      probabilistic faults independent across processes. *)
-  let on_fault ~kind ~detail = instant ~name:(kind ^ " " ^ detail) ~cat:"fault" in
   let shim =
     match config.nemesis with
     | [] -> None
@@ -103,7 +77,6 @@ let run ~config ~fd ~peers () =
       Some
         (Dpu_faults.Fault_transport.create
            ~seed:(config.seed + (31 * (config.me + 1)))
-           ?on_event:(if config.trace_enabled then Some on_fault else None)
            ~schedule ~clock:(Live_clock.clock lclock)
            (Udp_transport.transport tr))
   in
@@ -116,7 +89,7 @@ let run ~config ~fd ~peers () =
     Dpu_runtime.Runtime.create ~clock:(Live_clock.clock lclock) ~transport ~rng
   in
   let system =
-    System.of_runtime ~hop_cost:0.0 ~trace_enabled:false ~metrics
+    System.of_runtime ~hop_cost:0.0 ~trace_enabled:config.trace_enabled ~metrics
       ~local:[ config.me ] ~runtime ~n:config.n ()
   in
   let mw_config =
@@ -156,7 +129,6 @@ let run ~config ~fd ~peers () =
     (fun (at, node, protocol) ->
       if node = config.me then
         Clock.defer clock ~delay:at (fun () ->
-            instant ~name:("trigger change-abcast -> " ^ protocol) ~cat:"dpu";
             Log.info log
               ~fields:[ ("node", J.Int node); ("target", J.Str protocol) ]
               "switch trigger";
@@ -181,7 +153,10 @@ let run ~config ~fd ~peers () =
       float_of_int (Timer_wheel.pending wheel));
   Metrics.register_float metrics ~labels:mlabels "live_busy_ms" (fun () -> !busy_ms);
   Metrics.register_float metrics ~labels:mlabels "live_idle_ms" (fun () -> !idle_ms);
-  instant ~name:"node start" ~cat:"node";
+  (* Start and stop marks in the kernel trace, on the shared epoch's
+     time axis like every other entry. *)
+  let mark what = Stack.app_event (System.stack system config.me) ~tag:"node" Fun.id what in
+  mark "start";
   Log.info log
     ~fields:
       [ ("n", J.Int config.n); ("initial", J.Str config.initial);
@@ -227,7 +202,7 @@ let run ~config ~fd ~peers () =
   loop ~busy_from:(Unix.gettimeofday ());
   (* Nothing may be stranded in an egress queue at shutdown. *)
   Udp_transport.flush tr;
-  instant ~name:"node stop" ~cat:"node";
+  mark "stop";
   let counters =
     match shim with
     | None -> Udp_transport.counters tr
@@ -258,5 +233,5 @@ let run ~config ~fd ~peers () =
     rx_errors = Udp_transport.rx_errors tr;
     faults = Option.map Dpu_faults.Fault_transport.stats shim;
     metrics = Dpu_obs.Metrics.to_json metrics;
-    trace = List.rev !trace;
+    trace = Trace.entries (System.trace system);
   }

@@ -35,9 +35,9 @@ type config = {
   drain_ms : float;  (** extra time to let in-flight traffic settle *)
   seed : int;
   trace_enabled : bool;
-      (** record trace events (switch triggers, fault injections,
-          start/stop marks) against the shared epoch, shipped in the
-          report; [false] keeps the hot path allocation-free *)
+      (** record the kernel trace (plus start/stop marks as
+          [App ("node", _)] entries) against the shared epoch, shipped
+          in the report; [false] keeps the hot path allocation-free *)
   log_path : string option;
       (** write structured JSONL logs here; [None] (the default
           everywhere) is the frozen noop logger *)
@@ -59,9 +59,9 @@ type report = {
   faults : Dpu_faults.Fault_transport.stats option;
       (** [Some] iff the run had a nemesis *)
   metrics : Dpu_obs.Json.t;
-  trace : Dpu_obs.Trace_event.t list;
-      (** this process's trace events, pid = node, timestamps in ms
-          since the shared epoch; [[]] when tracing was off *)
+  trace : Trace.entry list;
+      (** this process's kernel trace, timestamps in ms since the
+          shared epoch; [[]] when tracing was off *)
 }
 
 val run :

@@ -1,4 +1,5 @@
 module Collector = Dpu_core.Collector
+module Trace = Dpu_kernel.Trace
 module Sweep = Dpu_runtime.Sweep
 module J = Dpu_obs.Json
 
@@ -77,6 +78,18 @@ let merge_reports reports =
     reports;
   collector
 
+(* The nodes' kernel traces as one, in (time, node) order; the stable
+   sort keeps each node's own order among equal times. *)
+let merge_traces reports =
+  let entries =
+    List.concat_map (fun (r : Node.report) -> r.Node.trace) reports
+    |> List.stable_sort (fun (a : Trace.entry) (b : Trace.entry) ->
+           match Float.compare a.time b.time with 0 -> Int.compare a.node b.node | c -> c)
+  in
+  let trace = Trace.create ~capacity:(max 1 (List.length entries)) () in
+  List.iter (fun (e : Trace.entry) -> Trace.record trace ~time:e.time ~node:e.node e.kind) entries; (* mutation anchor: node trace *)
+  trace
+
 let counters_json (c : Dpu_runtime.Transport.counters) =
   J.Obj
     [
@@ -112,7 +125,7 @@ let validate p =
   | None, Ok (), Some (_, node, _) -> Error (Printf.sprintf "switch node %d out of range" node)
   | None, Ok (), None -> Ok ()
 
-let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
+let run ?metrics_out ?trace_out ?logs_dir params =
   let switches = planned params in
   match validate params with
   | Error _ as e -> e
@@ -188,7 +201,21 @@ let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
           (fun node -> not (List.mem node silenced))
           (List.init params.n Fun.id)
       in
-      let checks = Dpu_props.Abcast_props.check_all collector ~correct in
+      (* With the trace recorded, the §3 battery runs over the merged
+         trace as on the simulator. *)
+      let trace = Option.map (fun _ -> merge_traces node_reports) trace_out in
+      let checks =
+        Dpu_props.Abcast_props.check_all collector ~correct
+        @
+        match trace with
+        | Some trace ->
+          let protocols =
+            Dpu_props.Stack_props.protocols ~initial:params.initial
+              (List.map (fun (_, _, target) -> target) switches)
+          in
+          Dpu_props.Stack_props.check_generic trace ~protocols ~nodes:correct
+        | None -> []
+      in
       (match metrics_out with
       | Some path ->
         J.to_file path
@@ -207,19 +234,13 @@ let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
                       node_reports) );
              ])
       | None -> ());
-      (match spans_out with
-      | Some path ->
-        let events = Dpu_core.Spans.of_run ~n:params.n collector in
-        J.to_file path (Dpu_core.Spans.to_json events)
-      | None -> ());
-      (match trace_out with
-      | Some path ->
-        let events =
-          Live_trace.merged ~n:params.n
-            ~horizon_ms:(params.duration_ms +. params.drain_ms)
-            ~nemesis:params.nemesis ~collector
-            ~node_traces:(List.map (fun (r : Node.report) -> r.Node.trace) node_reports)
-        in
-        J.to_file path (Dpu_obs.Trace_event.to_json events)
-      | None -> ());
+      Option.iter
+        (fun path ->
+          let events =
+            Dpu_core.Spans.of_run ?trace
+              ~faults:(params.nemesis, params.duration_ms +. params.drain_ms)
+              ~n:params.n collector
+          in
+          J.to_file path (Dpu_core.Spans.to_json events))
+        trace_out;
       Ok { node_reports; collector; checks })

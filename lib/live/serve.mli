@@ -21,18 +21,24 @@
     beyond the [switch_to]/[switch_at_ms] pair (each triple is
     [(at_ms, node, target)]).
 
-    [metrics_out]/[spans_out] mirror the sim path's exports: a JSON
-    metrics snapshot (here per-node, plus transport counters) and
-    Chrome trace-event spans of the merged run.
+    [metrics_out] writes a JSON metrics snapshot (per node, plus
+    transport counters).
 
-    [trace_out] goes further: it turns per-node trace recording on
-    (each child records switch triggers, fault injections and
-    start/stop marks against the shared epoch, shipped in its report)
-    and writes ONE merged Chrome trace — collector spans, every node's
-    events and the nemesis schedule as fault windows — loadable in
-    Perfetto. [logs_dir] gives each child a structured JSONL log file
+    [trace_out] turns each node's kernel trace on (every entry stamped
+    against the shared epoch, plus [App ("node", "start"|"stop")]
+    marks), merges the shipped entry lists in (time, node) order into
+    one {!Dpu_kernel.Trace.t}, and writes it through
+    {!Dpu_core.Spans.of_run} with the nemesis schedule: ONE Chrome
+    trace (per-message spans, replacement windows, blocked calls,
+    switch triggers, node marks and fault windows), loadable in
+    Perfetto and rendered exactly as a simulated run's. The merged
+    trace also feeds the paper's §3 battery
+    ({!Dpu_props.Stack_props.check_generic} over the correct nodes,
+    protocols from {!Dpu_props.Stack_props.protocols}), appended to
+    [checks] as {!Dpu_workload.Experiment.check} does on the
+    simulator. [logs_dir] gives each child a structured JSONL log file
     ([node-<i>.jsonl], created on demand); with neither given, children
-    run with tracing off and the noop logger, exactly as before. *)
+    run with tracing off and the noop logger. *)
 
 type params = {
   n : int;
@@ -81,7 +87,6 @@ type outcome = {
 
 val run :
   ?metrics_out:string ->
-  ?spans_out:string ->
   ?trace_out:string ->
   ?logs_dir:string ->
   params ->

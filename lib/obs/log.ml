@@ -1,34 +1,23 @@
-type level = Debug | Info | Warn | Error
+type level = Info | Warn
 
-let level_name = function
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-  | Error -> "error"
+let level_name = function Info -> "info" | Warn -> "warn"
 
 let level_of_string s =
   match String.lowercase_ascii s with
-  | "debug" -> Some Debug
   | "info" -> Some Info
   | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
   | _ -> None
 
-let rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
 type t = {
-  threshold : int;
   clock : unit -> float;
   emit : (string -> unit) option; (* [None]: the frozen noop logger *)
 }
 
-let noop = { threshold = max_int; clock = (fun () -> 0.0); emit = None }
+let noop = { clock = (fun () -> 0.0); emit = None }
 
-let create ?(level = Info) ~clock ~emit () =
-  { threshold = rank level; clock; emit = Some emit }
+let create ~clock ~emit () = { clock; emit = Some emit }
 
-let enabled t lvl =
-  match t.emit with None -> false | Some _ -> rank lvl >= t.threshold
+let enabled t = Option.is_some t.emit
 
 (* One JSON object per line, fields in a fixed order (t, level, msg,
    then caller fields in the order given): on the simulator clock the
@@ -43,29 +32,23 @@ let line t lvl ~fields msg =
        :: fields))
 
 let log t lvl ?(fields = []) msg =
-  match t.emit with
-  | Some emit when rank lvl >= t.threshold -> emit (line t lvl ~fields msg)
-  | Some _ | None -> ()
-
-let debug t ?fields msg = log t Debug ?fields msg
+  match t.emit with Some emit -> emit (line t lvl ~fields msg) | None -> ()
 
 let info t ?fields msg = log t Info ?fields msg
 
 let warn t ?fields msg = log t Warn ?fields msg
 
-let error t ?fields msg = log t Error ?fields msg
-
-let to_buffer ?level ~clock buf =
-  create ?level ~clock
+let to_buffer ~clock buf =
+  create ~clock
     ~emit:(fun l ->
       Buffer.add_string buf l;
       Buffer.add_char buf '\n')
     ()
 
-let to_file ?level ~clock path =
+let to_file ~clock path =
   let oc = open_out path in
   let t =
-    create ?level ~clock
+    create ~clock
       ~emit:(fun l ->
         output_string oc l;
         output_char oc '\n')

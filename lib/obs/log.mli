@@ -1,4 +1,4 @@
-(** Structured, leveled, clock-stamped logging to JSONL sinks.
+(** Structured, clock-stamped logging to JSONL sinks.
 
     Each record is one JSON object on one line: [t] (milliseconds on
     whatever clock the logger was created with), [level], [msg], then
@@ -11,7 +11,7 @@
     The default everywhere is {!noop}: a frozen disabled logger whose
     calls cost one option test and allocate nothing. *)
 
-type level = Debug | Info | Warn | Error
+type level = Info | Warn  (** stamped on each record; nothing filters on it *)
 
 val level_name : level -> string
 
@@ -23,29 +23,26 @@ type t
 val noop : t
 (** Drops everything; safe to use as a default. *)
 
-val create : ?level:level -> clock:(unit -> float) -> emit:(string -> unit) -> unit -> t
+val create : clock:(unit -> float) -> emit:(string -> unit) -> unit -> t
 (** [emit] receives one complete JSONL line (no trailing newline) per
-    record at or above [level] (default [Info]). *)
+    record. *)
 
-val to_buffer : ?level:level -> clock:(unit -> float) -> Buffer.t -> t
+val to_buffer : clock:(unit -> float) -> Buffer.t -> t
 (** Append newline-terminated records to a buffer (tests, in-memory
     capture). *)
 
-val to_file : ?level:level -> clock:(unit -> float) -> string -> t * (unit -> unit)
+val to_file : clock:(unit -> float) -> string -> t * (unit -> unit)
 (** Open [path] for writing and return the logger plus a close
     function; the caller must invoke it to flush. *)
 
-val enabled : t -> level -> bool
+val enabled : t -> bool
+(** [false] only for {!noop}: callers skip building records. *)
 
 val log : t -> level -> ?fields:(string * Json.t) list -> string -> unit
-
-val debug : t -> ?fields:(string * Json.t) list -> string -> unit
 
 val info : t -> ?fields:(string * Json.t) list -> string -> unit
 
 val warn : t -> ?fields:(string * Json.t) list -> string -> unit
-
-val error : t -> ?fields:(string * Json.t) list -> string -> unit
 
 (** {1 Parsing} — CI and tests validate emitted JSONL artifacts. *)
 

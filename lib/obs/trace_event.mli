@@ -3,8 +3,8 @@
 
     Timestamps are microseconds; the constructors below take virtual
     milliseconds and convert. [pid] and [tid] map to the two grouping
-    levels of the trace viewer — here pid = simulated node (plus one
-    synthetic "timeline" process) and tid = a per-node lane. *)
+    levels of the trace viewer — here pid = node (plus the synthetic
+    "timeline" and "nemesis" processes) and tid = a per-node lane. *)
 
 type args = (string * Json.t) list
 
@@ -56,5 +56,4 @@ val of_json : Json.t -> (t, string) result
 
 val events_of_json : Json.t -> (t list, string) result
 (** Parse either the {!to_json} envelope or a bare event list. Used to
-    merge trace buffers shipped in live node reports and to re-read
-    exported artifacts. *)
+    re-read exported artifacts ([dpu_run report --trace], tests). *)

@@ -8,7 +8,7 @@ let weak_stack_well_formedness trace =
   List.iter
     (fun (e : Trace.entry) ->
       match e.kind with
-      | Trace.Call_blocked (svc, _) ->
+      | Trace.Call_blocked svc ->
         incr checked;
         let k = (e.node, svc) in
         Hashtbl.replace pending k (1 + Option.value ~default:0 (Hashtbl.find_opt pending k))
@@ -42,10 +42,10 @@ let strong_stack_well_formedness trace =
     List.filter_map
       (fun (e : Trace.entry) ->
         match e.kind with
-        | Trace.Call (_, _) ->
+        | Trace.Call _ ->
           incr checked;
           None
-        | Trace.Call_blocked (svc, _) ->
+        | Trace.Call_blocked svc ->
           incr checked;
           Some (Printf.sprintf "call to %s blocked at node %d (t=%.3f)" svc e.node e.time)
         | Trace.Add_module _ | Trace.Remove_module _ | Trace.Bind _ | Trace.Unbind _
@@ -136,6 +136,9 @@ let strong_protocol_operationability trace ~protocol ~nodes =
   Report.make
     ~property:(Printf.sprintf "strong protocol-operationability(%s)" protocol)
     ~checked:!checked violations
+
+let protocols ~initial targets =
+  initial :: List.sort_uniq String.compare (List.filter (fun p -> p <> initial) targets)
 
 let check_generic trace ~protocols ~nodes =
   weak_stack_well_formedness trace

@@ -29,5 +29,11 @@ val strong_protocol_operationability :
 (** Every bind of [P] at time [t] requires every non-crashed stack to
     already contain a [P] module at [t]. *)
 
+val protocols : initial:string -> string list -> string list
+(** The protocols a run's operationability checks cover: [initial],
+    then every distinct switch target but [initial], sorted. The
+    simulator and the live backend both derive their battery's list
+    here. *)
+
 val check_generic : Trace.t -> protocols:string list -> nodes:int list -> Report.t list
 (** Weak well-formedness plus weak operationability for each protocol. *)

@@ -363,7 +363,7 @@ let run params =
     "experiment start";
   (* The fault shim acts on its own; the log gets one record per
      schedule event, at its time. Faults need one shard ({!validate}). *)
-  if Dpu_obs.Log.enabled log Dpu_obs.Log.Warn then begin
+  if Dpu_obs.Log.enabled log then begin
     let clock = Dpu_kernel.System.clock (MW.system (Fabric.group fabric 0)) in
     List.iter
       (fun (e : Dpu_faults.Schedule.event) ->
@@ -448,11 +448,8 @@ let run params =
 let check_shard params s =
   let abcast = Dpu_props.Abcast_props.check_all s.collector ~correct:s.correct in
   let protocols =
-    params.initial
-    :: List.sort_uniq String.compare
-         (List.filter (fun p -> p <> params.initial)
-            (Option.to_list params.switch_to
-            @ List.map (fun (_, _, target) -> target) params.switches))
+    Dpu_props.Stack_props.protocols ~initial:params.initial
+      (Option.to_list params.switch_to @ List.map (fun (_, _, target) -> target) params.switches)
   in
   (* A silenced node never switches: the §3 properties, like the
      ABcast ones, speak of the correct nodes. *)

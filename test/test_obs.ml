@@ -256,9 +256,7 @@ let emit_log_bytes () =
   let buf = Buffer.create 256 in
   let log = Log.to_buffer ~clock buf in
   Log.info log ~fields:[ ("n", Json.Int 3); ("load", Json.Float 40.0) ] "start";
-  Log.debug log "below the default threshold";
   Log.warn log ~fields:[ ("node", Json.Int 1) ] "crash";
-  Log.error log "boom";
   Buffer.contents buf
 
 let test_log_deterministic_bytes () =
@@ -268,31 +266,26 @@ let test_log_deterministic_bytes () =
   match Log.entries_of_string a with
   | Error e -> fail ("emitted JSONL does not parse: " ^ e)
   | Ok entries ->
-    (* Info default threshold: the debug record was dropped. *)
-    check Alcotest.int "three records" 3 (List.length entries);
+    check Alcotest.int "two records" 2 (List.length entries);
     let levels = List.map (fun e -> Log.level_name e.Log.e_level) entries in
-    check (Alcotest.list Alcotest.string) "levels" [ "info"; "warn"; "error" ] levels;
+    check (Alcotest.list Alcotest.string) "levels" [ "info"; "warn" ] levels;
     let first = List.hd entries in
     check Alcotest.string "msg" "start" first.Log.e_msg;
     check (Alcotest.float 1e-9) "stamped on the synthetic clock" 1.25 first.Log.e_time;
     check (Alcotest.option Alcotest.int) "caller fields preserved" (Some 3)
       (Option.bind (Json.member first.Log.e_fields "n") Json.to_int_opt)
 
-let test_log_noop_and_threshold () =
-  (* The noop logger is disabled at every level and never emits. *)
-  List.iter
-    (fun lvl -> check Alcotest.bool "noop disabled" false (Log.enabled Log.noop lvl))
-    [ Log.Debug; Log.Info; Log.Warn; Log.Error ];
-  Log.error Log.noop ~fields:[ ("x", Json.Int 1) ] "dropped";
-  (* A Warn-threshold logger drops info but passes warn and error. *)
+let test_log_noop () =
+  (* The noop logger is disabled and never emits; a created logger is
+     enabled and emits every record. *)
+  check Alcotest.bool "noop disabled" false (Log.enabled Log.noop);
+  Log.warn Log.noop ~fields:[ ("x", Json.Int 1) ] "dropped";
   let hits = ref 0 in
-  let log = Log.create ~level:Log.Warn ~clock:(fun () -> 0.0) ~emit:(fun _ -> incr hits) () in
-  Log.info log "dropped";
+  let log = Log.create ~clock:(fun () -> 0.0) ~emit:(fun _ -> incr hits) () in
+  Log.info log "kept";
   Log.warn log "kept";
-  Log.error log "kept";
-  check Alcotest.int "threshold filters" 2 !hits;
-  check Alcotest.bool "enabled warn" true (Log.enabled log Log.Warn);
-  check Alcotest.bool "disabled info" false (Log.enabled log Log.Info)
+  check Alcotest.int "every record emitted" 2 !hits;
+  check Alcotest.bool "created logger enabled" true (Log.enabled log)
 
 let test_log_entry_parsing () =
   (match Log.entry_of_line {|{"t":12.5,"level":"warn","msg":"m","node":2}|} with
@@ -431,6 +424,74 @@ let test_spans_from_collector () =
   (* The window lives on the synthetic timeline process (pid = n). *)
   check (Alcotest.option Alcotest.int) "timeline pid" (Some 2)
     (Option.bind (Json.member window "pid") Json.to_int_opt)
+
+(* The fault schedule's lane: boundary instants and one span per
+   window on pid n + 1; windows the schedule never closes end at the
+   horizon; no schedule, no lane. *)
+let test_spans_nemesis_lane () =
+  let module S = Dpu_faults.Schedule in
+  let schedule =
+    [
+      S.crash ~at:100.0 1;
+      S.partition ~at:200.0 [ [ 0 ]; [ 1; 2 ] ];
+      S.recover ~at:300.0 1;
+      S.heal ~at:400.0;
+      S.crash ~at:500.0 2;
+      S.partition ~at:600.0 [ [ 0; 1 ]; [ 2 ] ];
+      S.loss_window ~p:0.1 ~from_:700.0 ~until:2_000.0;
+    ]
+  in
+  let events = Spans.nemesis_events ~n:3 ~horizon_ms:1_000.0 schedule in
+  (* The lane is one process past the timeline's (pid = n). *)
+  let pid = 4 in
+  let instants =
+    List.filter_map
+      (function TE.Instant { name; pid = p; ts_us; _ } when p = pid -> Some (name, ts_us) | _ -> None)
+      events
+  in
+  check
+    Alcotest.(list (pair string (float 1e-6)))
+    "boundary instants"
+    [
+      ("crash node 1", 100_000.0);
+      ("partition 0|1,2", 200_000.0);
+      ("recover node 1", 300_000.0);
+      ("heal", 400_000.0);
+      ("crash node 2", 500_000.0);
+      ("partition 0,1|2", 600_000.0);
+    ]
+    instants;
+  let windows =
+    List.filter_map
+      (function
+        | TE.Complete { name; pid = p; ts_us; dur_us; _ } when p = pid -> Some (name, (ts_us, dur_us))
+        | _ -> None)
+      events
+    |> List.sort compare
+  in
+  check
+    Alcotest.(list (pair string (pair (float 1e-6) (float 1e-6))))
+    "windows, open ones clamped at the horizon"
+    [
+      ("crash node 1", (100_000.0, 200_000.0));
+      ("crash node 2", (500_000.0, 500_000.0));
+      ("loss p=0.1", (700_000.0, 300_000.0));
+      ("partition 0,1|2", (600_000.0, 400_000.0));
+      ("partition 0|1,2", (200_000.0, 200_000.0));
+    ]
+    windows;
+  check Alcotest.bool "the lane is named" true
+    (List.mem (TE.process_name ~pid "nemesis") events);
+  check Alcotest.int "instants + windows + two names" (6 + 5 + 2) (List.length events);
+  check Alcotest.int "an empty schedule adds no events" 0
+    (List.length (Spans.nemesis_events ~n:3 ~horizon_ms:1_000.0 []));
+  let c = Collector.create () in
+  Collector.record_switch c ~node:0 ~generation:1 ~time:30.0;
+  check Alcotest.bool "nor does it to of_run" true
+    (Spans.of_run ~faults:([], 1_000.0) ~n:2 c = Spans.of_run ~n:2 c);
+  check Alcotest.int "of_run appends the lane" (List.length events)
+    (List.length (Spans.of_run ~faults:(schedule, 1_000.0) ~n:3 c)
+    - List.length (Spans.of_run ~n:3 c))
 
 (* ------------------------------------------------------------------ *)
 (* Replacement windows: collector vs trace round-trip                 *)
@@ -734,7 +795,7 @@ let () =
       ( "log",
         [
           tc "deterministic bytes" test_log_deterministic_bytes;
-          tc "noop and threshold" test_log_noop_and_threshold;
+          tc "noop" test_log_noop;
           tc "entry parsing" test_log_entry_parsing;
         ] );
       ( "export",
@@ -748,6 +809,7 @@ let () =
       ( "spans",
         [
           tc "from collector" test_spans_from_collector;
+          tc "nemesis lane" test_spans_nemesis_lane;
           tc "windows roundtrip through trace" test_windows_roundtrip_through_trace;
         ] );
       ( "report",

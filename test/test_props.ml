@@ -116,31 +116,31 @@ let test_weak_wf_pass () =
   let t =
     trace_of
       [
-        (0.0, 0, Trace.Call_blocked ("abcast", "m"));
+        (0.0, 0, Trace.Call_blocked "abcast");
         (1.0, 0, Trace.Bind ("abcast", "impl"));
         (1.0, 0, Trace.Call_unblocked "abcast");
-        (1.1, 0, Trace.Call ("abcast", "m"));
+        (1.1, 0, Trace.Call "abcast");
       ]
   in
   assert_ok (Props.Stack_props.weak_stack_well_formedness t)
 
 let test_weak_wf_violation () =
-  let t = trace_of [ (0.0, 0, Trace.Call_blocked ("abcast", "m")) ] in
+  let t = trace_of [ (0.0, 0, Trace.Call_blocked "abcast") ] in
   assert_fail (Props.Stack_props.weak_stack_well_formedness t)
 
 let test_weak_wf_crashed_node_exempt () =
   let t =
-    trace_of [ (0.0, 0, Trace.Call_blocked ("abcast", "m")); (1.0, 0, Trace.Crash) ]
+    trace_of [ (0.0, 0, Trace.Call_blocked "abcast"); (1.0, 0, Trace.Crash) ]
   in
   assert_ok (Props.Stack_props.weak_stack_well_formedness t)
 
 let test_strong_wf () =
-  let clean = trace_of [ (0.0, 0, Trace.Call ("abcast", "m")) ] in
+  let clean = trace_of [ (0.0, 0, Trace.Call "abcast") ] in
   assert_ok (Props.Stack_props.strong_stack_well_formedness clean);
   let blocked =
     trace_of
       [
-        (0.0, 0, Trace.Call_blocked ("abcast", "m"));
+        (0.0, 0, Trace.Call_blocked "abcast");
         (1.0, 0, Trace.Bind ("abcast", "impl"));
         (1.0, 0, Trace.Call_unblocked "abcast");
       ]
@@ -241,8 +241,8 @@ let test_wf_one_blocked_forever () =
   let t =
     trace_of
       [
-        (0.0, 0, Trace.Call_blocked ("abcast", "m0"));
-        (0.0, 1, Trace.Call_blocked ("abcast", "m1"));
+        (0.0, 0, Trace.Call_blocked "abcast");
+        (0.0, 1, Trace.Call_blocked "abcast");
         (1.0, 0, Trace.Bind ("abcast", "impl"));
         (1.0, 0, Trace.Call_unblocked "abcast");
       ]
@@ -267,8 +267,8 @@ let test_wf_weak_strong_gap () =
   let t =
     trace_of
       [
-        (0.0, 0, Trace.Call_blocked ("abcast", "m0"));
-        (0.5, 1, Trace.Call_blocked ("abcast", "m1"));
+        (0.0, 0, Trace.Call_blocked "abcast");
+        (0.5, 1, Trace.Call_blocked "abcast");
         (1.0, 0, Trace.Bind ("abcast", "impl"));
         (1.0, 0, Trace.Call_unblocked "abcast");
         (1.5, 1, Trace.Bind ("abcast", "impl"));
@@ -284,7 +284,7 @@ let test_wf_bind_after_crash () =
   let exempt =
     trace_of
       [
-        (0.0, 1, Trace.Call_blocked ("abcast", "m"));
+        (0.0, 1, Trace.Call_blocked "abcast");
         (0.5, 1, Trace.Crash);
         (1.0, 0, Trace.Bind ("abcast", "impl"));
       ]
@@ -293,7 +293,7 @@ let test_wf_bind_after_crash () =
   let live =
     trace_of
       [
-        (0.0, 1, Trace.Call_blocked ("abcast", "m"));
+        (0.0, 1, Trace.Call_blocked "abcast");
         (0.5, 0, Trace.Crash);
         (1.0, 0, Trace.Bind ("abcast", "impl"));
       ]
