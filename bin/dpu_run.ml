@@ -183,6 +183,7 @@ type flags = {
   check : bool;
   metrics_out : string option;
   trace_out : string option;
+  log_out : string option;
   (* simulator only *)
   switch_consensus_at : float option;
   loss : float option;
@@ -190,12 +191,9 @@ type flags = {
   stagger : float option;
   csv_out : string option;
   json_out : string option;
-  log_out : string option;
-  (* live only *)
-  logs_out : string option;
 }
 
-(* The flags only one backend honours, and whether each was given. *)
+(* The flags only the simulator honours, and whether each was given. *)
 let sim_only f =
   [
     ("--approach", f.plan.approach <> None);
@@ -207,10 +205,7 @@ let sim_only f =
     ("--stagger", f.stagger <> None);
     ("--csv-out", f.csv_out <> None);
     ("--json-out", f.json_out <> None);
-    ("--log-out", f.log_out <> None);
   ]
-
-let live_only f = [ ("--logs-out", f.logs_out <> None) ]
 
 (* A corpus scenario is a check: it runs the battery. *)
 let checked f = f.check || f.scenario <> None
@@ -245,9 +240,8 @@ let sim_params f (base : E.params) =
     shards = f.shards |? p.shards;
     stagger_ms = f.stagger |? p.stagger_ms;
     faults = p.faults @ schedule f ~n:p.n ~horizon_ms:duration_ms;
-    trace_enabled = checked f || f.trace_out <> None;
+    trace_enabled = checked f || f.trace_out <> None || f.log_out <> None;
     metrics_enabled = f.metrics_out <> None || f.trace_out <> None || f.csv_out <> None;
-    log_out = (match f.log_out with None -> p.log_out | given -> given);
   }
 
 let live_params f (base : Serve.params) =
@@ -354,7 +348,13 @@ let run_sim f (p : E.params) =
     f.csv_out;
   Option.iter (fun path -> Dpu_obs.Json.to_file path (E.to_json r)) f.json_out;
   written "result JSON" f.json_out;
-  written "structured log" p.log_out;
+  Option.iter
+    (fun path ->
+      let traces = Array.to_list (Array.map (fun (s : E.shard) -> s.E.trace) r.E.per_shard) in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (Printf.fprintf oc "%s\n") (Dpu_core.Spans.log_lines ~faults:p.faults traces)))
+    f.log_out;
+  written "structured log" f.log_out;
   if p.metrics_enabled then begin
     print_endline "--- observability summary ---";
     Format.printf "%a@?" Dpu_obs.Metrics.pp_summary r.E.metrics
@@ -368,7 +368,7 @@ let run_live f (p : Serve.params) =
     p.load p.duration_ms;
   print_schedule p.nemesis;
   match
-    Serve.run ?metrics_out:f.metrics_out ?trace_out:f.trace_out ?logs_dir:f.logs_out p
+    Serve.run ?metrics_out:f.metrics_out ?trace_out:f.trace_out ?log_out:f.log_out p
   with
   | Error msg -> fail "run" "%s" msg
   | Ok o ->
@@ -415,7 +415,7 @@ let run_live f (p : Serve.params) =
     Option.iter
       (Printf.printf "merged cross-process trace written to %s (load in Perfetto)\n")
       f.trace_out;
-    Option.iter (Printf.printf "per-node JSONL logs written to %s/\n") f.logs_out;
+    written "structured log" f.log_out;
     (not (checked f)) || print_checks o.Serve.checks
 
 (* The run [sc] names (the flags' own when [None]), built and
@@ -441,10 +441,10 @@ let prepare f (sc : Corpus.t option) =
 
 let run f =
   let fail fmt = fail "run" fmt in
-  (match List.find_opt snd (if f.live then sim_only f else live_only f) with
-  | Some (flag, _) when f.live -> fail "%s needs the simulator (drop --live)" flag
-  | Some (flag, _) -> fail "%s needs --live" flag
-  | None -> ());
+  if f.live then
+    Option.iter
+      (fun (flag, _) -> fail "%s needs the simulator (drop --live)" flag)
+      (List.find_opt snd (sim_only f));
   if Option.fold f.nemesis_faults ~none:false ~some:(fun k -> k < 0) then
     fail "--nemesis-faults must be >= 0";
   match f.scenario with
@@ -459,7 +459,7 @@ let run f =
           (String.concat ", " (Corpus.names ()))
     in
     let outputs =
-      [ f.metrics_out; f.trace_out; f.csv_out; f.json_out; f.log_out; f.logs_out ]
+      [ f.metrics_out; f.trace_out; f.log_out; f.csv_out; f.json_out ]
     in
     if List.length scenarios > 1 && List.exists Option.is_some outputs then
       fail "--scenario all takes no --*-out: each scenario would overwrite the file";
@@ -541,6 +541,11 @@ let run_cmd =
          $(b,--live) every node records its trace on the shared epoch's time \
          axis (with start/stop marks) and the merged trace also feeds \
          $(b,--check)'s battery."
+    and+ log_out =
+      optional Arg.string [ "log-out" ] ~docv:"FILE"
+        "Record the kernel trace and write its milestones (switch triggers, \
+         installs, crashes, under $(b,--live) node start/stop) and the fault \
+         schedule to FILE as JSONL, one object per line in time order."
     and+ switch_consensus_at =
       optional Arg.float [ "switch-consensus-at" ] ~docv:"MS"
         ~absent:(ms consensus_swap_at_ms)
@@ -561,19 +566,11 @@ let run_cmd =
       optional Arg.string [ "json-out" ] ~docv:"FILE"
         "Write the per-shard result to FILE as JSON, for $(b,report --shard) \
          (simulator only)."
-    and+ log_out =
-      optional Arg.string [ "log-out" ] ~docv:"FILE"
-        "Write structured JSONL milestone logs to FILE, stamped on the virtual \
-         clock (simulator only)."
-    and+ logs_out =
-      optional Arg.string [ "logs-out" ] ~docv:"DIR"
-        "Give each node process a JSONL log file DIR/node-<i>.jsonl \
-         ($(b,--live) only)."
     in
     {
       plan; live; scenario; load; seed; duration; drain; switch_at; size; faults;
-      nemesis_seed; nemesis_faults; check; metrics_out; trace_out; switch_consensus_at;
-      loss; shards; stagger; csv_out; json_out; log_out; logs_out;
+      nemesis_seed; nemesis_faults; check; metrics_out; trace_out; log_out;
+      switch_consensus_at; loss; shards; stagger; csv_out; json_out;
     }
   in
   let live = Serve.default in

@@ -30,7 +30,9 @@ let () =
   | Ok () -> ()
   | Error msg -> failwith msg);
   Format.printf "schedule: %a@." Schedule.pp schedule;
-  let config = { MW.default_config with loss = 0.02; seed = 42; faults = schedule } in
+  let config =
+    { MW.default_config with loss = 0.02; seed = 42; faults = schedule; trace_enabled = true }
+  in
   let mw = MW.create ~config ~n:5 () in
   let clock = Dpu_kernel.System.clock (MW.system mw) in
   let net = Dpu_kernel.System.net (MW.system mw) in

@@ -19,7 +19,7 @@ let default_config =
     loss = 0.0;
     hop_cost = 0.05;
     profile = Stack_builder.default_profile;
-    trace_enabled = true;
+    trace_enabled = false;
     metrics_enabled = false;
     msg_size = 4096;
     faults = [];
@@ -122,7 +122,6 @@ let broadcast t ~node ?size body =
   else begin
   Dpu_obs.Metrics.incr t.m_sends;
   Collector.record_send t.collector ~node ~id:m.id ~time:(now t);
-  Stack.app_event stack ~tag:"abcast" Msg.id_to_string m.id;
   (if has_layer t then
      Stack.call stack Service.r_abcast
        (Repl_iface.R_broadcast { size; payload = App_msg.App m })

@@ -22,7 +22,9 @@ type config = {
   loss : float;  (** network loss probability *)
   hop_cost : float;  (** per-module dispatch cost, ms *)
   profile : Stack_builder.profile;
-  trace_enabled : bool;  (** record the kernel trace (needed by checkers) *)
+  trace_enabled : bool;
+      (** record the kernel trace (needed by the §3 checkers and the
+          trace sinks); off by default *)
   metrics_enabled : bool;
       (** allocate a live metrics registry; off by default, in which
           case all instrumentation across the stack is no-op *)
@@ -37,7 +39,7 @@ type config = {
 
 val default_config : config
 (** Seed 1, lossless LAN, 0.05 ms hops, CT ABcast with replacement
-    layer, 4 KB messages, tracing on, metrics off. *)
+    layer, 4 KB messages, tracing and metrics off. *)
 
 type t
 

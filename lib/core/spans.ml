@@ -227,3 +227,42 @@ let of_run ?trace ?faults ~n collector =
   metadata ~n @ message_events collector @ switch_events collector ~n @ from_trace @ nemesis
 
 let to_json events = TE.to_json events
+
+(* The JSONL log: the trace's milestones (every [App] and [Crash]
+   entry) and the schedule's faults, one object per line in time order.
+   At equal times faults come first, then the shards in order, each in
+   its own recording order. *)
+let log_lines ?(faults = []) traces =
+  let line t event fields =
+    Json.to_string (Json.Obj (("t", Json.Float t) :: ("event", Json.Str event) :: fields))
+  in
+  let shard g = if List.length traces > 1 then [ ("shard", Json.Int g) ] else [] in
+  let per_shard g tr =
+    let entries = Trace.entries tr in
+    let lead =
+      match entries with
+      | first :: _ when Trace.dropped tr > 0 ->
+        let dropped = ("dropped", Json.Int (Trace.dropped tr)) in
+        [ line first.time "trace truncated" (shard g @ [ dropped ]) ]
+      | _ -> []
+    in
+    let milestone (e : Trace.entry) =
+      let node = ("node", Json.Int e.node) in
+      match e.kind with
+      | Trace.App (tag, data) ->
+        Some (e.time, line e.time tag (shard g @ [ node; ("data", Json.Str data) ]))
+      | Trace.Crash -> Some (e.time, line e.time "crash" (shard g @ [ node ]))
+      | _ -> None
+    in
+    (lead, List.filter_map milestone entries)
+  in
+  let shards = List.mapi per_shard traces in
+  let fault (e : Schedule.event) =
+    let data = Format.asprintf "%a" Schedule.pp_action e.action in
+    (e.at, line e.at "fault" [ ("data", Json.Str data) ])
+  in
+  List.concat_map fst shards
+  @ List.map snd
+      (List.stable_sort
+         (fun (a, _) (b, _) -> Float.compare a b)
+         (List.map fault (Schedule.sorted faults) @ List.concat_map snd shards))

@@ -11,7 +11,10 @@
     holds the replacement windows: a span per generation from the
     first install to the last, the paper's replacement window. A
     faulty run adds a second one (pid = n + 1) with the nemesis
-    schedule's fault windows. *)
+    schedule's fault windows.
+
+    {!log_lines} is the same trace's other sink: the JSONL milestone
+    log. *)
 
 open Dpu_kernel
 
@@ -62,3 +65,17 @@ val of_run :
 
 val to_json : Dpu_obs.Trace_event.t list -> Dpu_obs.Json.t
 (** The loadable trace-event envelope. *)
+
+val log_lines : ?faults:Dpu_faults.Schedule.t -> Trace.t list -> string list
+(** The run's JSONL log, the trace's other sink: one JSON object per
+    line, in time order — one per [App] and [Crash] entry of each
+    shard's trace (one trace per shard), and one ["fault"] per
+    schedule event, described by {!Dpu_faults.Schedule.pp_action}.
+    Every object starts with [t] (ms on the trace's clock) and
+    [event] (the [App] tag, ["crash"] or ["fault"]), then [shard]
+    (only with more than one trace), [node] and [data] where they
+    apply. A trace that evicted entries leads the log with a
+    ["trace truncated"] line stamped at its oldest retained entry and
+    carrying the [dropped] count, so a lost prefix never goes
+    unnoticed. A pure function of its arguments: two identical
+    simulated runs give identical lines. *)

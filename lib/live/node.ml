@@ -4,7 +4,6 @@ module Middleware = Dpu_core.Middleware
 module Collector = Dpu_core.Collector
 module J = Dpu_obs.Json
 module Metrics = Dpu_obs.Metrics
-module Log = Dpu_obs.Log
 
 type config = {
   me : int;
@@ -22,7 +21,6 @@ type config = {
   drain_ms : float;
   seed : int;
   trace_enabled : bool;
-  log_path : string option;
 }
 
 type report = {
@@ -57,11 +55,6 @@ let run ~config ~fd ~peers () =
   let tr =
     Udp_transport.create ~service:config.service ~generation:config.generation
       ?batching:config.batching ?on_batch ~me:config.me ~fd ~peers ()
-  in
-  let log, close_log =
-    match config.log_path with
-    | None -> (Log.noop, fun () -> ())
-    | Some path -> Log.to_file ~clock:(fun () -> Live_clock.now lclock) path
   in
   (* Per-node seeds: protocol-internal randomisation must not be in
      lockstep across processes. *)
@@ -128,11 +121,7 @@ let run ~config ~fd ~peers () =
   List.iter
     (fun (at, node, protocol) ->
       if node = config.me then
-        Clock.defer clock ~delay:at (fun () ->
-            Log.info log
-              ~fields:[ ("node", J.Int node); ("target", J.Str protocol) ]
-              "switch trigger";
-            Middleware.change_protocol mw ~node protocol))
+        Clock.defer clock ~delay:at (fun () -> Middleware.change_protocol mw ~node protocol))
     config.switches;
   (* Event-loop profile. The histograms/gauges live in the node's
      registry under a per-node label, so the parent's merged snapshot
@@ -157,11 +146,6 @@ let run ~config ~fd ~peers () =
      time axis like every other entry. *)
   let mark what = Stack.app_event (System.stack system config.me) ~tag:"node" Fun.id what in
   mark "start";
-  Log.info log
-    ~fields:
-      [ ("n", J.Int config.n); ("initial", J.Str config.initial);
-        ("load", J.Float config.load) ]
-    "node start";
   let stop_at = config.duration_ms +. config.drain_ms in
   let fd = Udp_transport.fd tr in
   let rec loop ~busy_from =
@@ -208,13 +192,6 @@ let run ~config ~fd ~peers () =
     | None -> Udp_transport.counters tr
     | Some s -> Dpu_faults.Fault_transport.counters s
   in
-  Log.info log
-    ~fields:
-      [ ("sent", J.Int counters.Dpu_runtime.Transport.sent);
-        ("delivered", J.Int counters.Dpu_runtime.Transport.delivered);
-        ("dropped", J.Int counters.Dpu_runtime.Transport.dropped) ]
-    "node stop";
-  close_log ();
   let collector = Middleware.collector mw in
   {
     node = config.me;

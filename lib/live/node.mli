@@ -38,9 +38,6 @@ type config = {
       (** record the kernel trace (plus start/stop marks as
           [App ("node", _)] entries) against the shared epoch, shipped
           in the report; [false] keeps the hot path allocation-free *)
-  log_path : string option;
-      (** write structured JSONL logs here; [None] (the default
-          everywhere) is the frozen noop logger *)
 }
 
 (** What one node observed. Plain data with no closures, so it crosses

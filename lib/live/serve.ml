@@ -125,7 +125,8 @@ let validate p =
   | None, Ok (), Some (_, node, _) -> Error (Printf.sprintf "switch node %d out of range" node)
   | None, Ok (), None -> Ok ()
 
-let run ?metrics_out ?trace_out ?logs_dir params =
+let run ?metrics_out ?trace_out ?log_out params =
+  let traced = trace_out <> None || log_out <> None in
   let switches = planned params in
   match validate params with
   | Error _ as e -> e
@@ -141,10 +142,6 @@ let run ?metrics_out ?trace_out ?logs_dir params =
     (* Stamped into every envelope: frames from an earlier deployment
        that bound the same ports are shed at the transport. *)
     let generation = Unix.getpid () land 0xffff in
-    (match logs_dir with
-    | None -> ()
-    | Some dir -> (
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
     (* One sweep cell per node, one worker per cell: every node runs in
        its own process at once and hands its report back over the
        sweep's pipe. *)
@@ -166,11 +163,7 @@ let run ?metrics_out ?trace_out ?logs_dir params =
           duration_ms = params.duration_ms;
           drain_ms = params.drain_ms;
           seed = params.seed;
-          trace_enabled = trace_out <> None;
-          log_path =
-            Option.map
-              (fun dir -> Filename.concat dir (Printf.sprintf "node-%d.jsonl" me))
-              logs_dir;
+          trace_enabled = traced;
         }
       in
       Node.run ~config ~fd:fds.(me) ~peers ()
@@ -203,7 +196,7 @@ let run ?metrics_out ?trace_out ?logs_dir params =
       in
       (* With the trace recorded, the §3 battery runs over the merged
          trace as on the simulator. *)
-      let trace = Option.map (fun _ -> merge_traces node_reports) trace_out in
+      let trace = if traced then Some (merge_traces node_reports) else None in
       let checks =
         Dpu_props.Abcast_props.check_all collector ~correct
         @
@@ -243,4 +236,10 @@ let run ?metrics_out ?trace_out ?logs_dir params =
           in
           J.to_file path (Dpu_core.Spans.to_json events))
         trace_out;
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              List.iter (Printf.fprintf oc "%s\n")
+                (Dpu_core.Spans.log_lines ~faults:params.nemesis (Option.to_list trace))))
+        log_out;
       Ok { node_reports; collector; checks })

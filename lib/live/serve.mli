@@ -24,21 +24,22 @@
     [metrics_out] writes a JSON metrics snapshot (per node, plus
     transport counters).
 
-    [trace_out] turns each node's kernel trace on (every entry stamped
-    against the shared epoch, plus [App ("node", "start"|"stop")]
-    marks), merges the shipped entry lists in (time, node) order into
-    one {!Dpu_kernel.Trace.t}, and writes it through
+    [trace_out] and [log_out] turn each node's kernel trace on (every
+    entry stamped against the shared epoch, plus
+    [App ("node", "start"|"stop")] marks); the parent merges the
+    shipped entry lists in (time, node) order into one
+    {!Dpu_kernel.Trace.t}. [trace_out] writes it through
     {!Dpu_core.Spans.of_run} with the nemesis schedule: ONE Chrome
     trace (per-message spans, replacement windows, blocked calls,
     switch triggers, node marks and fault windows), loadable in
-    Perfetto and rendered exactly as a simulated run's. The merged
+    Perfetto and rendered exactly as a simulated run's. [log_out]
+    writes its JSONL milestones through {!Dpu_core.Spans.log_lines},
+    as [dpu_run run --log-out] does on the simulator. The merged
     trace also feeds the paper's §3 battery
     ({!Dpu_props.Stack_props.check_generic} over the correct nodes,
     protocols from {!Dpu_props.Stack_props.protocols}), appended to
     [checks] as {!Dpu_workload.Experiment.check} does on the
-    simulator. [logs_dir] gives each child a structured JSONL log file
-    ([node-<i>.jsonl], created on demand); with neither given, children
-    run with tracing off and the noop logger. *)
+    simulator. With neither given, the nodes run with tracing off. *)
 
 type params = {
   n : int;
@@ -88,7 +89,7 @@ type outcome = {
 val run :
   ?metrics_out:string ->
   ?trace_out:string ->
-  ?logs_dir:string ->
+  ?log_out:string ->
   params ->
   (outcome, string) result
 (** [Error] on parameters {!validate} rejects, before any socket is

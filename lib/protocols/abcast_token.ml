@@ -214,8 +214,6 @@ let install ?(config = default_config) ~n stack =
         end
         else begin
           holding := false;
-          Stack.app_event stack ~tag:"token.pass"
-            (fun () -> Printf.sprintf "e%d era=%d dst=%d next=%d" epoch !era dst !gseq) ();
           send ~dst ~size:token_size (Wire_token { epoch; era = !era; next_gseq = !gseq })
         end
       in

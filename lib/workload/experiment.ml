@@ -42,7 +42,6 @@ type params = {
   consensus_layer : string option;
   switch_consensus : (float * string) option;
   faults : Dpu_faults.Schedule.t;
-  log_out : string option;
   epoch_buffer : bool;
   shards : int;
   stagger_ms : float;
@@ -72,7 +71,6 @@ let default =
     consensus_layer = None;
     switch_consensus = None;
     faults = [];
-    log_out = None;
     epoch_buffer = true;
     shards = 1;
     stagger_ms = 0.25;
@@ -345,35 +343,6 @@ let run params =
         ~labels:[ ("group", string_of_int g) ]
         (Dpu_kernel.System.net (MW.system mw))
         (Fabric.metrics fabric));
-  (* The structured log is stamped on the VIRTUAL clock: with the same
-     params the emitted JSONL bytes are a pure function of the run —
-     the determinism tests diff two runs' files verbatim. *)
-  let log, close_log =
-    match params.log_out with
-    | None -> (Dpu_obs.Log.noop, fun () -> ())
-    | Some path -> Dpu_obs.Log.to_file ~clock:(fun () -> Fabric.now fabric) path
-  in
-  Dpu_obs.Log.info log
-    ~fields:
-      [ ("n", Json.Int params.n);
-        ("seed", Json.Int params.seed);
-        ("load", Json.Float params.load);
-        ("approach", Json.Str (approach_name params.approach));
-        ("initial", Json.Str params.initial) ]
-    "experiment start";
-  (* The fault shim acts on its own; the log gets one record per
-     schedule event, at its time. Faults need one shard ({!validate}). *)
-  if Dpu_obs.Log.enabled log then begin
-    let clock = Dpu_kernel.System.clock (MW.system (Fabric.group fabric 0)) in
-    List.iter
-      (fun (e : Dpu_faults.Schedule.event) ->
-        Clock.defer clock ~delay:e.at (fun () ->
-            Dpu_obs.Log.warn log
-              ~fields:
-                [ ("event", Json.Str (Format.asprintf "%a" Dpu_faults.Schedule.pp_action e.action)) ]
-              "fault"))
-      (Dpu_faults.Schedule.sorted params.faults)
-  end;
   Fabric.iter_groups fabric (fun g mw ->
       let size = MW.n mw in
       let clock = Dpu_kernel.System.clock (MW.system mw) in
@@ -401,42 +370,17 @@ let run params =
       in
       List.iter
         (fun (at, node, protocol) ->
-          Clock.defer clock ~delay:at (fun () ->
-              Dpu_obs.Log.info log
-                ~fields:
-                  [ ("shard", Json.Int g); ("node", Json.Int node);
-                    ("target", Json.Str protocol) ]
-                "switch trigger";
-              MW.change_protocol mw ~node protocol))
+          Clock.defer clock ~delay:at (fun () -> MW.change_protocol mw ~node protocol))
         (Option.to_list (Option.map from_switch_to (switch_target params))
         @ planned_switches params);
       Option.iter
         (fun (time, protocol) ->
-          Clock.defer clock ~delay:time (fun () ->
-              Dpu_obs.Log.info log
-                ~fields:[ ("shard", Json.Int g); ("target", Json.Str protocol) ]
-                "consensus switch trigger";
-              MW.change_consensus mw ~node:0 protocol))
+          Clock.defer clock ~delay:time (fun () -> MW.change_consensus mw ~node:0 protocol))
         params.switch_consensus);
   Fabric.run_until_quiescent ~limit:(params.duration_ms +. params.drain_ms) fabric;
   let per_shard =
     Array.init params.shards (fun g -> shard_of params g (Fabric.group fabric g))
   in
-  Array.iteri
-    (fun g s ->
-      Dpu_obs.Log.info log
-        ~fields:
-          ([ ("shard", Json.Int g);
-             ("sent", Json.Int s.sent);
-             ("delivered_everywhere", Json.Int s.delivered_everywhere) ]
-          @
-          match s.switch_window with
-          | Some (lo, hi) ->
-            [ ("switch_from_ms", Json.Float lo); ("switch_to_ms", Json.Float hi) ]
-          | None -> [])
-        "experiment done")
-    per_shard;
-  close_log ();
   {
     params;
     per_shard;

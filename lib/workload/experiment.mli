@@ -64,12 +64,6 @@ type params = {
           transport ([Middleware.config.faults]), as on the live
           backend: a [Crash] is fail-silence until a matching
           [Recover]. Default: no faults. *)
-  log_out : string option;
-      (** write structured JSONL milestone logs (start, switch
-          triggers, one [fault] record per schedule event, completion)
-          to this path, stamped on the
-          {e virtual} clock — identical params produce byte-identical
-          files; [None] (the default) is the noop logger *)
   epoch_buffer : bool;
       (** install the future-epoch wire buffer alongside the layer
           (default [true]). Disabling it reopens the receive-side hole

@@ -12,9 +12,9 @@ module Clock = Dpu_runtime.Clock
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-let mw_with ?(n = 4) ?(seed = 1) ?(initial = Core.Variants.ct) ~layer () =
+let mw_with ?(n = 4) ?(seed = 1) ?(initial = Core.Variants.ct) ?(trace = false) ~layer () =
   let profile = { SB.default_profile with initial_abcast = initial; layer = Some layer } in
-  let config = { MW.default_config with seed; profile } in
+  let config = { MW.default_config with seed; profile; trace_enabled = trace } in
   MW.create ~config
     ~register_extra:(fun system ->
       B.Maestro.register system;
@@ -227,7 +227,7 @@ let test_comparison_switch_footprint () =
   (* Repl replaces one module; Maestro rebuilds the whole stack. Count
      module churn via the kernel trace. *)
   let removals_of layer =
-    let mw = mw_with ~layer () in
+    let mw = mw_with ~trace:true ~layer () in
     ignore (drive_switch ~to_p:Core.Variants.sequencer mw);
     let trace = System.trace (MW.system mw) in
     List.length

@@ -15,6 +15,9 @@ let fail = Alcotest.fail
 
 let default_mw ?(config = MW.default_config) ?(n = 3) () = MW.create ~config ~n ()
 
+(* For the cases that read the kernel trace, which is off by default. *)
+let traced = { MW.default_config with trace_enabled = true }
+
 let mw_with ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?(initial = Core.Variants.ct)
     ?(layer = Some Core.Repl.protocol_name) ?(with_gm = false) () =
   let profile = { SB.default_profile with initial_abcast = initial; layer; with_gm } in
@@ -556,7 +559,7 @@ let test_repl_overlapping_change_dropped () =
   (* Regression for the model checker's finding at the simulation
      level: a second change issued while the first is still in flight
      (both tagged generation 0) must be discarded, not applied. *)
-  let mw = default_mw () in
+  let mw = default_mw ~config:traced () in
   let logs = delivery_logs mw in
   let clock = System.clock (MW.system mw) in
   for i = 0 to 11 do
@@ -692,7 +695,7 @@ let test_repl_undelivered_reissued () =
   assert_consistent ~expect_count:2 logs
 
 let test_repl_weak_wf_and_operationability () =
-  let mw = default_mw () in
+  let mw = default_mw ~config:traced () in
   ignore (delivery_logs mw);
   let clock = System.clock (MW.system mw) in
   for i = 0 to 9 do

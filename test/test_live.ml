@@ -593,9 +593,7 @@ module Spans = Dpu_core.Spans
    relies on when it renders a timeline from the artifact alone. *)
 let test_serve_merged_trace_matches_collector () =
   let trace_path = Filename.temp_file "dpu-live-trace" ".json" in
-  let logs_dir = Filename.temp_file "dpu-live-logs" "" in
-  Sys.remove logs_dir;
-  (* temp_file created it as a file; Serve recreates it as a dir *)
+  let log_file = Filename.temp_file "dpu-live-log" ".jsonl" in
   let params =
     {
       Serve.default with
@@ -607,15 +605,9 @@ let test_serve_merged_trace_matches_collector () =
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Sys.remove trace_path with Sys_error _ -> ());
-      if Sys.file_exists logs_dir && Sys.is_directory logs_dir then begin
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat logs_dir f) with Sys_error _ -> ())
-          (Sys.readdir logs_dir);
-        try Unix.rmdir logs_dir with Unix.Unix_error _ -> ()
-      end)
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ trace_path; log_file ])
     (fun () ->
-      match Serve.run ~trace_out:trace_path ~logs_dir params with
+      match Serve.run ~trace_out:trace_path ~log_out:log_file params with
       | Error e -> Alcotest.fail ("live deployment failed: " ^ e)
       | Ok outcome ->
         let timeline = Spans.replacement_timeline outcome.Serve.collector in
@@ -668,21 +660,38 @@ let test_serve_merged_trace_matches_collector () =
           (fun (r : Dpu_props.Report.t) ->
             check Alcotest.(list string) (r.property ^ " holds") [] r.violations)
           outcome.Serve.checks;
-        (* Each child wrote a parseable structured log. *)
+        (* The one JSONL log, rendered from the same merged trace:
+           every node's start and stop, and every planned trigger. *)
+        let lines =
+          In_channel.with_open_text log_file In_channel.input_lines
+          |> List.map (fun l ->
+                 match Json.of_string l with
+                 | Ok j -> j
+                 | Error e -> Alcotest.fail ("log line does not parse: " ^ e))
+        in
+        let str key j = Option.bind (Json.member j key) Json.to_string_opt in
+        let count event ?data node =
+          List.length
+            (List.filter
+               (fun j ->
+                 str "event" j = Some event
+                 && Option.bind (Json.member j "node") Json.to_int_opt = Some node
+                 && (data = None || str "data" j = data))
+               lines)
+        in
         List.init params.Serve.n Fun.id
         |> List.iter (fun me ->
-               let path = Filename.concat logs_dir (Printf.sprintf "node-%d.jsonl" me) in
-               check Alcotest.bool (Printf.sprintf "node %d log exists" me) true
-                 (Sys.file_exists path);
-               let s = In_channel.with_open_text path In_channel.input_all in
-               match Dpu_obs.Log.entries_of_string s with
-               | Error e -> Alcotest.fail (Printf.sprintf "node %d log: %s" me e)
-               | Ok entries ->
-                 check Alcotest.bool
-                   (Printf.sprintf "node %d logged milestones" me)
-                   true
-                   (List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node start") entries
-                   && List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node stop") entries)))
+               check Alcotest.int (Printf.sprintf "node %d: one start line" me) 1
+                 (count "node" ~data:"start" me);
+               check Alcotest.int (Printf.sprintf "node %d: one stop line" me) 1
+                 (count "node" ~data:"stop" me));
+        List.iter
+          (fun (_, node, target) ->
+            check Alcotest.bool
+              (Printf.sprintf "node %d: change-abcast -> %s logged" node target)
+              true
+              (count "change-abcast" ~data:target node >= 1))
+          (Serve.planned params))
 
 (* The load generators run on the live clock: at 600 msg/s for 1 s the
    three nodes must actually send (nearly) the 600 messages scheduled,

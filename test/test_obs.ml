@@ -7,7 +7,6 @@ module Json = Dpu_obs.Json
 module M = Dpu_obs.Metrics
 module TE = Dpu_obs.Trace_event
 module Csv = Dpu_obs.Csv
-module Log = Dpu_obs.Log
 module RH = Dpu_obs.Report_html
 module Spans = Dpu_core.Spans
 module Collector = Dpu_core.Collector
@@ -241,69 +240,62 @@ let test_quantile_of_instrument () =
     (contains s "p50=" && contains s "p99=" && contains s "p999=")
 
 (* ------------------------------------------------------------------ *)
-(* Structured logging                                                 *)
+(* JSONL log: the trace's milestone sink                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A synthetic deterministic clock: what the simulator clock gives the
-   experiment logger. Identical call sequences must produce identical
-   bytes — that is the property the sim-determinism gate relies on. *)
-let emit_log_bytes () =
-  let t = ref 0.0 in
-  let clock () =
-    t := !t +. 1.25;
-    !t
-  in
-  let buf = Buffer.create 256 in
-  let log = Log.to_buffer ~clock buf in
-  Log.info log ~fields:[ ("n", Json.Int 3); ("load", Json.Float 40.0) ] "start";
-  Log.warn log ~fields:[ ("node", Json.Int 1) ] "crash";
-  Buffer.contents buf
+module Trace = Dpu_kernel.Trace
+module Schedule = Dpu_faults.Schedule
 
-let test_log_deterministic_bytes () =
-  let a = emit_log_bytes () in
-  let b = emit_log_bytes () in
-  check Alcotest.string "same clock, same calls, same bytes" a b;
-  match Log.entries_of_string a with
-  | Error e -> fail ("emitted JSONL does not parse: " ^ e)
-  | Ok entries ->
-    check Alcotest.int "two records" 2 (List.length entries);
-    let levels = List.map (fun e -> Log.level_name e.Log.e_level) entries in
-    check (Alcotest.list Alcotest.string) "levels" [ "info"; "warn" ] levels;
-    let first = List.hd entries in
-    check Alcotest.string "msg" "start" first.Log.e_msg;
-    check (Alcotest.float 1e-9) "stamped on the synthetic clock" 1.25 first.Log.e_time;
-    check (Alcotest.option Alcotest.int) "caller fields preserved" (Some 3)
-      (Option.bind (Json.member first.Log.e_fields "n") Json.to_int_opt)
-
-let test_log_noop () =
-  (* The noop logger is disabled and never emits; a created logger is
-     enabled and emits every record. *)
-  check Alcotest.bool "noop disabled" false (Log.enabled Log.noop);
-  Log.warn Log.noop ~fields:[ ("x", Json.Int 1) ] "dropped";
-  let hits = ref 0 in
-  let log = Log.create ~clock:(fun () -> 0.0) ~emit:(fun _ -> incr hits) () in
-  Log.info log "kept";
-  Log.warn log "kept";
-  check Alcotest.int "every record emitted" 2 !hits;
-  check Alcotest.bool "created logger enabled" true (Log.enabled log)
-
-let test_log_entry_parsing () =
-  (match Log.entry_of_line {|{"t":12.5,"level":"warn","msg":"m","node":2}|} with
-  | Error e -> fail e
-  | Ok entry ->
-    check (Alcotest.float 0.0) "t" 12.5 entry.Log.e_time;
-    check Alcotest.string "level" "warn" (Log.level_name entry.Log.e_level);
-    check Alcotest.string "msg" "m" entry.Log.e_msg;
-    check (Alcotest.option Alcotest.int) "extra field" (Some 2)
-      (Option.bind (Json.member entry.Log.e_fields "node") Json.to_int_opt));
-  (match Log.entry_of_line "not json" with
-  | Ok _ -> fail "accepted a malformed line"
-  | Error _ -> ());
-  (* Blank lines are skipped by the document parser. *)
-  match Log.entries_of_string "\n{\"t\":1,\"level\":\"info\",\"msg\":\"a\"}\n\n" with
-  | Ok [ e ] -> check Alcotest.string "single entry" "a" e.Log.e_msg
-  | Ok _ -> fail "expected exactly one entry"
-  | Error e -> fail e
+(* A hand-built trace and a crash/recover schedule: every App and
+   Crash entry is a line, kernel hops are not, faults are merged in by
+   time (ahead of an entry at the same time), a second shard adds the
+   [shard] field, and a trace that evicted its oldest entries says so
+   on the first line, stamped where the retained entries begin. *)
+let test_spans_log_lines () =
+  let tr = Trace.create () in
+  Trace.record tr ~time:0.0 ~node:0 (Trace.App ("node", "start"));
+  Trace.record tr ~time:10.0 ~node:1 (Trace.Call "abcast");
+  Trace.record tr ~time:100.0 ~node:2 (Trace.App ("change-abcast", "abcast.seq"));
+  Trace.record tr ~time:300.5 ~node:1 Trace.Crash;
+  let faults = [ Schedule.recover ~at:400.0 2; Schedule.crash ~at:100.0 2 ] in
+  check
+    Alcotest.(list string)
+    "one line per milestone and per fault, in time order"
+    [
+      {|{"t":0,"event":"node","node":0,"data":"start"}|};
+      {|{"t":100,"event":"fault","data":"crash node 2"}|};
+      {|{"t":100,"event":"change-abcast","node":2,"data":"abcast.seq"}|};
+      {|{"t":300.5,"event":"crash","node":1}|};
+      {|{"t":400,"event":"fault","data":"recover node 2"}|};
+    ]
+    (Spans.log_lines ~faults [ tr ]);
+  let other = Trace.create () in
+  Trace.record other ~time:50.0 ~node:0 (Trace.App ("change-abcast", "abcast.ct"));
+  check
+    Alcotest.(list string)
+    "shards interleave by time and say which they are"
+    [
+      {|{"t":0,"event":"node","shard":0,"node":0,"data":"start"}|};
+      {|{"t":50,"event":"change-abcast","shard":1,"node":0,"data":"abcast.ct"}|};
+      {|{"t":100,"event":"change-abcast","shard":0,"node":2,"data":"abcast.seq"}|};
+      {|{"t":300.5,"event":"crash","shard":0,"node":1}|};
+    ]
+    (Spans.log_lines [ tr; other ]);
+  check Alcotest.(list string) "an untraced run logs nothing" []
+    (Spans.log_lines [ Trace.create ~enabled:false () ]);
+  let tr = Trace.create ~capacity:2 () in
+  List.iteri
+    (fun i tag -> Trace.record tr ~time:(float_of_int (i + 1)) ~node:0 (Trace.App (tag, "")))
+    [ "a"; "b"; "c" ];
+  check
+    Alcotest.(list string)
+    "a truncation leads, with the count"
+    [
+      {|{"t":2,"event":"trace truncated","dropped":1}|};
+      {|{"t":2,"event":"b","node":0,"data":""}|};
+      {|{"t":3,"event":"c","node":0,"data":""}|};
+    ]
+    (Spans.log_lines [ tr ])
 
 (* ------------------------------------------------------------------ *)
 (* Trace events and CSV                                               *)
@@ -685,60 +677,52 @@ let test_per_group_series () =
   check (Alcotest.float 0.0) "switch sum" (float_of_int !switches) (M.sum m "repl_switches_total");
   check (Alcotest.float 0.0) "deliver sum" (float_of_int !delivers) (M.sum m "app_delivers_total")
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+(* The JSONL log of a simulated run, rendered from its trace. *)
+let experiment_log params =
+  let r = E.run params in
+  Spans.log_lines ~faults:params.E.faults
+    (Array.to_list (Array.map (fun (s : E.shard) -> s.E.trace) r.E.per_shard))
 
-(* The experiment logger is stamped on the virtual clock: identical
-   params must produce byte-identical JSONL files across runs. *)
+let parse_log lines =
+  List.map
+    (fun l ->
+      match Json.of_string l with
+      | Ok j -> j
+      | Error e -> fail ("log line does not parse: " ^ e))
+    lines
+
+let field key f j = Option.bind (Json.member j key) f
+
+(* The log is stamped on the virtual clock: identical params must
+   produce byte-identical logs across runs. *)
 let test_experiment_log_deterministic () =
-  let emit tag =
-    let path = Filename.temp_file ("dpu_obs_" ^ tag) ".jsonl" in
-    let r = E.run { obs_params with log_out = Some path } in
-    ignore (r : E.result);
-    let s = read_file path in
-    Sys.remove path;
-    s
-  in
-  let a = emit "a" in
-  let b = emit "b" in
+  let a = String.concat "\n" (experiment_log obs_params) in
+  let b = String.concat "\n" (experiment_log obs_params) in
   check Alcotest.string "byte-identical across runs" a b;
-  match Log.entries_of_string a with
-  | Error e -> fail ("experiment log does not parse: " ^ e)
-  | Ok entries ->
-    let msgs = List.map (fun e -> e.Log.e_msg) entries in
-    List.iter
-      (fun m -> check Alcotest.bool (m ^ " logged") true (List.mem m msgs))
-      [ "experiment start"; "switch trigger"; "experiment done" ];
-    (* Milestones carry virtual-clock stamps in run order. *)
-    let times = List.map (fun e -> e.Log.e_time) entries in
-    check Alcotest.bool "timestamps non-decreasing" true
-      (List.sort compare times = times)
+  let entries = parse_log (String.split_on_char '\n' a) in
+  check Alcotest.bool "switch trigger logged" true
+    (List.exists (fun e -> field "event" Json.to_string_opt e = Some "change-abcast") entries);
+  (* Milestones carry virtual-clock stamps in run order. *)
+  let times = List.filter_map (field "t" Json.to_float_opt) entries in
+  check Alcotest.int "every line stamped" (List.length entries) (List.length times);
+  check Alcotest.bool "timestamps non-decreasing" true (List.sort compare times = times)
 
-(* Under a fault schedule the log carries one [fault] record per
+(* Under a fault schedule the log carries one [fault] line per
    schedule event, stamped at the event's virtual time. *)
 let test_experiment_log_records_faults () =
-  let path = Filename.temp_file "dpu_obs_faults" ".jsonl" in
   let faults =
     [ Dpu_faults.Schedule.crash ~at:500.0 2; Dpu_faults.Schedule.recover ~at:800.0 2 ]
   in
-  ignore (E.run { obs_params with log_out = Some path; faults } : E.result);
-  let content = read_file path in
-  Sys.remove path;
-  match Log.entries_of_string content with
-  | Error e -> fail ("experiment log does not parse: " ^ e)
-  | Ok entries ->
-    let faults = List.filter (fun e -> e.Log.e_msg = "fault") entries in
-    check (Alcotest.list (Alcotest.float 1e-9)) "one record per event, at its time"
-      [ 500.0; 800.0 ]
-      (List.map (fun e -> e.Log.e_time) faults);
-    check (Alcotest.list (Alcotest.option Alcotest.string)) "the event described"
-      [ Some "crash node 2"; Some "recover node 2" ]
-      (List.map
-         (fun e -> Option.bind (Json.member e.Log.e_fields "event") Json.to_string_opt)
-         faults)
+  let entries = parse_log (experiment_log { obs_params with faults }) in
+  let faults =
+    List.filter (fun e -> field "event" Json.to_string_opt e = Some "fault") entries
+  in
+  check (Alcotest.list (Alcotest.float 1e-9)) "one line per event, at its time"
+    [ 500.0; 800.0 ]
+    (List.filter_map (field "t" Json.to_float_opt) faults);
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "the event described"
+    [ Some "crash node 2"; Some "recover node 2" ]
+    (List.map (field "data" Json.to_string_opt) faults)
 
 let test_metrics_off_is_noop_registry () =
   let r = E.run { obs_params with metrics_enabled = false; trace_enabled = false } in
@@ -792,12 +776,6 @@ let () =
           tc "invalid arguments" test_quantile_invalid_arguments;
           tc "instrument + pp_summary" test_quantile_of_instrument;
         ] );
-      ( "log",
-        [
-          tc "deterministic bytes" test_log_deterministic_bytes;
-          tc "noop" test_log_noop;
-          tc "entry parsing" test_log_entry_parsing;
-        ] );
       ( "export",
         [
           tc "trace-event json" test_trace_event_json;
@@ -810,6 +788,7 @@ let () =
         [
           tc "from collector" test_spans_from_collector;
           tc "nemesis lane" test_spans_nemesis_lane;
+          tc "log lines" test_spans_log_lines;
           tc "windows roundtrip through trace" test_windows_roundtrip_through_trace;
         ] );
       ( "report",

@@ -74,7 +74,7 @@ let run_plan plan =
          else None);
     }
   in
-  let config = { MW.default_config with profile; msg_size = 1024 } in
+  let config = { MW.default_config with profile; msg_size = 1024; trace_enabled = true } in
   (* Middleware.config has no duplication field: the network built
      here carries the plan's loss and duplication. *)
   let mw =
