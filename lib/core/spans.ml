@@ -63,8 +63,7 @@ let switch_events collector ~n =
 
 (* Blocked-call spans: pair each [Call_blocked] with the matching
    [Call_unblocked] per (node, service). The kernel releases blocked
-   calls of one service in FIFO order, so a queue per key suffices.
-   Entries orphaned by ring-buffer eviction are dropped. *)
+   calls of one service in FIFO order, so a queue per key suffices. *)
 let blocked_events trace =
   let open Trace in
   let pending : (int * string, float Queue.t) Hashtbl.t = Hashtbl.create 16 in
@@ -238,14 +237,6 @@ let log_lines ?(faults = []) traces =
   in
   let shard g = if List.length traces > 1 then [ ("shard", Json.Int g) ] else [] in
   let per_shard g tr =
-    let entries = Trace.entries tr in
-    let lead =
-      match entries with
-      | first :: _ when Trace.dropped tr > 0 ->
-        let dropped = ("dropped", Json.Int (Trace.dropped tr)) in
-        [ line first.time "trace truncated" (shard g @ [ dropped ]) ]
-      | _ -> []
-    in
     let milestone (e : Trace.entry) =
       let node = ("node", Json.Int e.node) in
       match e.kind with
@@ -254,15 +245,13 @@ let log_lines ?(faults = []) traces =
       | Trace.Crash -> Some (e.time, line e.time "crash" (shard g @ [ node ]))
       | _ -> None
     in
-    (lead, List.filter_map milestone entries)
+    List.filter_map milestone (Trace.entries tr)
   in
-  let shards = List.mapi per_shard traces in
   let fault (e : Schedule.event) =
     let data = Format.asprintf "%a" Schedule.pp_action e.action in
     (e.at, line e.at "fault" [ ("data", Json.Str data) ])
   in
-  List.concat_map fst shards
-  @ List.map snd
-      (List.stable_sort
-         (fun (a, _) (b, _) -> Float.compare a b)
-         (List.map fault (Schedule.sorted faults) @ List.concat_map snd shards))
+  List.map snd
+    (List.stable_sort
+       (fun (a, _) (b, _) -> Float.compare a b)
+       (List.map fault (Schedule.sorted faults) @ List.concat (List.mapi per_shard traces)))

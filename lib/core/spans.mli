@@ -74,8 +74,5 @@ val log_lines : ?faults:Dpu_faults.Schedule.t -> Trace.t list -> string list
     Every object starts with [t] (ms on the trace's clock) and
     [event] (the [App] tag, ["crash"] or ["fault"]), then [shard]
     (only with more than one trace), [node] and [data] where they
-    apply. A trace that evicted entries leads the log with a
-    ["trace truncated"] line stamped at its oldest retained entry and
-    carrying the [dropped] count, so a lost prefix never goes
-    unnoticed. A pure function of its arguments: two identical
+    apply. A pure function of its arguments: two identical
     simulated runs give identical lines. *)

@@ -187,11 +187,10 @@ let rec execute_call t svc payload =
     match bound t svc with
     | Some m ->
       t.calls_executed <- t.calls_executed + 1;
-      if Trace.enabled t.trace then record t (Trace.Call (Service.name svc));
       m.m_handlers.handle_call svc payload
     | None ->
       t.calls_blocked <- t.calls_blocked + 1;
-      if Trace.enabled t.trace then record t (Trace.Call_blocked (Service.name svc));
+      record t (Trace.Call_blocked (Service.name svc));
       Queue.add (now t, payload) (blocked_queue t svc)
 
 and release_blocked t svc =
@@ -233,7 +232,6 @@ let call t svc payload =
 let execute_indication t svc payload =
   if not t.crashed then begin
     t.indications_executed <- t.indications_executed + 1;
-    if Trace.enabled t.trace then record t (Trace.Indication (Service.name svc));
     (* Snapshot in addition order, taken in one pass over the
        (reversed) module list before any handler runs: handlers may
        add/remove modules while we iterate. *)

@@ -86,7 +86,7 @@ let merge_traces reports =
     |> List.stable_sort (fun (a : Trace.entry) (b : Trace.entry) ->
            match Float.compare a.time b.time with 0 -> Int.compare a.node b.node | c -> c)
   in
-  let trace = Trace.create ~capacity:(max 1 (List.length entries)) () in
+  let trace = Trace.create () in
   List.iter (fun (e : Trace.entry) -> Trace.record trace ~time:e.time ~node:e.node e.kind) entries; (* mutation anchor: node trace *)
   trace
 

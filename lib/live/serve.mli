@@ -24,11 +24,11 @@
     [metrics_out] writes a JSON metrics snapshot (per node, plus
     transport counters).
 
-    [trace_out] and [log_out] turn each node's kernel trace on (every
-    entry stamped against the shared epoch, plus
-    [App ("node", "start"|"stop")] marks); the parent merges the
-    shipped entry lists in (time, node) order into one
-    {!Dpu_kernel.Trace.t}. [trace_out] writes it through
+    [trace_out] and [log_out] turn each node's kernel trace on (its
+    structural entries, no per-message hop, stamped against the
+    shared epoch, plus [App ("node", "start"|"stop")] marks); the
+    parent merges the shipped entry lists in (time, node) order into
+    one {!Dpu_kernel.Trace.t}. [trace_out] writes it through
     {!Dpu_core.Spans.of_run} with the nemesis schedule: ONE Chrome
     trace (per-message spans, replacement windows, blocked calls,
     switch triggers, node marks and fault windows), loadable in

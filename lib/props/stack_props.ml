@@ -16,7 +16,7 @@ let weak_stack_well_formedness trace =
         let k = (e.node, svc) in
         Hashtbl.replace pending k (Option.value ~default:0 (Hashtbl.find_opt pending k) - 1)
       | Trace.Add_module _ | Trace.Remove_module _ | Trace.Bind _ | Trace.Unbind _
-      | Trace.Call _ | Trace.Indication _ | Trace.Crash | Trace.App _ ->
+      | Trace.Crash | Trace.App _ ->
         ())
     (Trace.entries trace);
   let crashed =
@@ -37,23 +37,20 @@ let weak_stack_well_formedness trace =
   Report.make ~property:"weak stack-well-formedness" ~checked:!checked violations
 
 let strong_stack_well_formedness trace =
-  let checked = ref 0 in
+  let entries = Trace.entries trace in
   let violations =
     List.filter_map
       (fun (e : Trace.entry) ->
         match e.kind with
-        | Trace.Call _ ->
-          incr checked;
-          None
         | Trace.Call_blocked svc ->
-          incr checked;
           Some (Printf.sprintf "call to %s blocked at node %d (t=%.3f)" svc e.node e.time)
         | Trace.Add_module _ | Trace.Remove_module _ | Trace.Bind _ | Trace.Unbind _
-        | Trace.Call_unblocked _ | Trace.Indication _ | Trace.Crash | Trace.App _ ->
+        | Trace.Call_unblocked _ | Trace.Crash | Trace.App _ ->
           None)
-      (Trace.entries trace)
+      entries
   in
-  Report.make ~property:"strong stack-well-formedness" ~checked:!checked violations
+  let nodes = List.sort_uniq Int.compare (List.map (fun (e : Trace.entry) -> e.node) entries) in
+  Report.make ~property:"strong stack-well-formedness" ~checked:(List.length nodes) violations
 
 let crashes trace =
   List.filter_map
@@ -75,8 +72,7 @@ let binds_and_adds trace ~protocol =
         | Some l -> l := e.time :: !l
         | None -> Hashtbl.replace adds e.node (ref [ e.time ]))
       | Trace.Add_module _ | Trace.Remove_module _ | Trace.Bind _ | Trace.Unbind _
-      | Trace.Call _ | Trace.Call_blocked _ | Trace.Call_unblocked _
-      | Trace.Indication _ | Trace.Crash | Trace.App _ ->
+      | Trace.Call_blocked _ | Trace.Call_unblocked _ | Trace.Crash | Trace.App _ ->
         ())
     (Trace.entries trace);
   (List.rev !binds, adds)

@@ -18,6 +18,8 @@ open Dpu_kernel
 val weak_stack_well_formedness : Trace.t -> Report.t
 
 val strong_stack_well_formedness : Trace.t -> Report.t
+(** Fails on every [Call_blocked] entry; [checked] is the number of
+    stacks (nodes) with an entry in the trace. *)
 
 val weak_protocol_operationability :
   Trace.t -> protocol:string -> nodes:int list -> Report.t

@@ -231,8 +231,9 @@ let test_comparison_switch_footprint () =
     ignore (drive_switch ~to_p:Core.Variants.sequencer mw);
     let trace = System.trace (MW.system mw) in
     List.length
-      (Trace.filter trace (fun e ->
-           match e.Trace.kind with Trace.Remove_module _ -> true | _ -> false))
+      (List.filter
+         (fun e -> match e.Trace.kind with Trace.Remove_module _ -> true | _ -> false)
+         (Trace.entries trace))
   in
   let repl = removals_of Core.Repl.protocol_name in
   let maestro = removals_of B.Maestro.protocol_name in

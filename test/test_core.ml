@@ -585,10 +585,12 @@ let test_repl_overlapping_change_dropped () =
       ignore stack)
     [ 0; 1; 2 ];
   let stale =
-    Trace.filter (System.trace (MW.system mw)) (fun e ->
+    List.filter
+      (fun e ->
         match e.Trace.kind with
         | Trace.App ("repl.stale-change", _) -> true
         | _ -> false)
+      (Trace.entries (System.trace (MW.system mw)))
   in
   check Alcotest.int "stale change discarded at every stack" 3 (List.length stale)
 

@@ -248,13 +248,12 @@ module Schedule = Dpu_faults.Schedule
 
 (* A hand-built trace and a crash/recover schedule: every App and
    Crash entry is a line, kernel hops are not, faults are merged in by
-   time (ahead of an entry at the same time), a second shard adds the
-   [shard] field, and a trace that evicted its oldest entries says so
-   on the first line, stamped where the retained entries begin. *)
+   time (ahead of an entry at the same time) and a second shard adds
+   the [shard] field. *)
 let test_spans_log_lines () =
   let tr = Trace.create () in
   Trace.record tr ~time:0.0 ~node:0 (Trace.App ("node", "start"));
-  Trace.record tr ~time:10.0 ~node:1 (Trace.Call "abcast");
+  Trace.record tr ~time:10.0 ~node:1 (Trace.Bind ("abcast", "abcast.ct"));
   Trace.record tr ~time:100.0 ~node:2 (Trace.App ("change-abcast", "abcast.seq"));
   Trace.record tr ~time:300.5 ~node:1 Trace.Crash;
   let faults = [ Schedule.recover ~at:400.0 2; Schedule.crash ~at:100.0 2 ] in
@@ -282,20 +281,7 @@ let test_spans_log_lines () =
     ]
     (Spans.log_lines [ tr; other ]);
   check Alcotest.(list string) "an untraced run logs nothing" []
-    (Spans.log_lines [ Trace.create ~enabled:false () ]);
-  let tr = Trace.create ~capacity:2 () in
-  List.iteri
-    (fun i tag -> Trace.record tr ~time:(float_of_int (i + 1)) ~node:0 (Trace.App (tag, "")))
-    [ "a"; "b"; "c" ];
-  check
-    Alcotest.(list string)
-    "a truncation leads, with the count"
-    [
-      {|{"t":2,"event":"trace truncated","dropped":1}|};
-      {|{"t":2,"event":"b","node":0,"data":""}|};
-      {|{"t":3,"event":"c","node":0,"data":""}|};
-    ]
-    (Spans.log_lines [ tr ])
+    (Spans.log_lines [ Trace.create ~enabled:false () ])
 
 (* ------------------------------------------------------------------ *)
 (* Trace events and CSV                                               *)

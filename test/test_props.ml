@@ -119,7 +119,7 @@ let test_weak_wf_pass () =
         (0.0, 0, Trace.Call_blocked "abcast");
         (1.0, 0, Trace.Bind ("abcast", "impl"));
         (1.0, 0, Trace.Call_unblocked "abcast");
-        (1.1, 0, Trace.Call "abcast");
+        (1.1, 0, Trace.Unbind ("abcast", "impl"));
       ]
   in
   assert_ok (Props.Stack_props.weak_stack_well_formedness t)
@@ -135,8 +135,10 @@ let test_weak_wf_crashed_node_exempt () =
   assert_ok (Props.Stack_props.weak_stack_well_formedness t)
 
 let test_strong_wf () =
-  let clean = trace_of [ (0.0, 0, Trace.Call "abcast") ] in
-  assert_ok (Props.Stack_props.strong_stack_well_formedness clean);
+  let clean = trace_of [ (0.0, 0, Trace.Bind ("abcast", "impl")) ] in
+  let r = Props.Stack_props.strong_stack_well_formedness clean in
+  assert_ok r;
+  check Alcotest.int "one stack checked" 1 r.Props.Report.checked;
   let blocked =
     trace_of
       [

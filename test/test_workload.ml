@@ -230,6 +230,19 @@ let test_experiment_seed_changes_run () =
 
 (* Each bad parameter is an [Error] from [validate] and an
    [Invalid_argument] from [run], before any simulation step. *)
+(* The kernel trace records structure, not per-message hops: doubling a
+   run's duration under the same single switch records the same
+   entries. *)
+let test_trace_independent_of_duration () =
+  let module Trace = Dpu_kernel.Trace in
+  let kinds duration_ms =
+    let r = run_single { small with duration_ms; trace_enabled = true } in
+    List.map (fun e -> e.Trace.kind) (Trace.entries r.W.Experiment.trace)
+  in
+  let short = kinds 3_000.0 and long = kinds 6_000.0 in
+  check Alcotest.int "same number of entries" (List.length short) (List.length long);
+  check Alcotest.bool "same sequence of kinds" true (short = long)
+
 let test_experiment_validate () =
   let module E = W.Experiment in
   check Alcotest.bool "default is valid" true (E.validate E.default = Ok ());
@@ -403,10 +416,12 @@ let test_switch_window_agrees_with_trace () =
   let module Trace = Dpu_kernel.Trace in
   let r = run_single { small with trace_enabled = true } in
   let kernel_switches =
-    Trace.filter r.W.Experiment.trace (fun e ->
+    List.filter
+      (fun e ->
         match e.Trace.kind with
         | Trace.App ("repl.switch", _) -> true
         | _ -> false)
+      (Trace.entries r.W.Experiment.trace)
   in
   check Alcotest.int "one kernel switch per node" small.W.Experiment.n
     (List.length kernel_switches);
@@ -657,6 +672,7 @@ let () =
           tc "seed sensitivity" test_experiment_seed_changes_run;
           tc "layer overhead positive" test_layer_overhead_positive;
           tc "switch window agrees with trace" test_switch_window_agrees_with_trace;
+          tc "trace independent of duration" test_trace_independent_of_duration;
           tc "validate rejects bad parameters" test_experiment_validate;
         ] );
       ( "throughput",
