@@ -12,6 +12,9 @@ type Payload.t +=
       (* a proposer announces the instance so every process joins it:
          CT needs all (correct) processes to run the consensus task,
          even those with nothing to propose *)
+  | W_released of { iid : iid }
+      (* answers an estimate for an instance whose value the answerer
+         has dropped; it carries no value, so nothing can decide on it *)
 
 let () =
   Payload.register_printer (function
@@ -23,6 +26,7 @@ let () =
       Some (Printf.sprintf "ct.nack %s r%d p%d" (pp_iid iid) round from)
     | W_decide { iid; _ } -> Some (Printf.sprintf "ct.decision %s" (pp_iid iid))
     | W_wakeup { iid } -> Some (Printf.sprintf "ct.wakeup %s" (pp_iid iid))
+    | W_released { iid } -> Some (Printf.sprintf "ct.released %s" (pp_iid iid))
     | _ -> None)
 
 let () =
@@ -71,6 +75,11 @@ let () =
           (fun w ->
             Wire.W.u8 w 5;
             write_iid w iid)
+      | W_released { iid } ->
+        Some
+          (fun w ->
+            Wire.W.u8 w 6;
+            write_iid w iid)
       | _ -> None)
     ~decode:(fun r ->
       match Wire.R.u8 r with
@@ -103,17 +112,31 @@ let () =
         let value = Payload.decode (Wire.R.str r) in
         W_decide { iid; value }
       | 5 -> W_wakeup { iid = read_iid r }
+      | 6 -> W_released { iid = read_iid r }
       | c -> raise (Wire.Error (Printf.sprintf "consensus.ct: bad case %d" c)))
 
 let protocol_name = "consensus.ct"
 
 let round_pacing_ms = 10.0
 
-let k_decided : int ref Stack.key = Stack.key ()
+type counts = {
+  mutable decided : int;
+  mutable retained : int;
+  mutable installs : int;  (* modules of this protocol ever added to the stack *)
+}
 
-let decided_total stack = Stack.state stack k_decided (fun () -> ref 0)
+let k_counts : counts Stack.key = Stack.key ()
 
-let decided_count stack = !(decided_total stack)
+let counts stack =
+  Stack.state stack k_counts (fun () ->
+      let c = { decided = 0; retained = 0; installs = 0 } in
+      Dpu_obs.Metrics.register_int (Stack.metrics stack) ~labels:(Stack.labels stack)
+        "consensus_decided_retained" (fun () -> c.retained);
+      c)
+
+let decided_count stack = (counts stack).decided
+
+let retained stack = (counts stack).retained
 
 (* Control messages are small; estimates/proposals carry the value, so
    their size is the value's weight-declared size plus a header. The
@@ -142,6 +165,21 @@ type inst = {
   coord : (int, coord_round) Hashtbl.t;  (* round -> coordinator state *)
 }
 
+(* A decided instance whose value is still held. *)
+type held = {
+  value : Payload.t;
+  d_weight : int;
+  heard : Bytes.t;  (* '\001' at each member whose W_decide arrived *)
+  mutable missing : int;  (* other members still to relay their decision *)
+}
+
+(* Per epoch, created on first use: how far the caller has moved on,
+   and the weight of every released instance. *)
+type epoch_log = {
+  mutable top : int;  (* highest k the caller has proposed, -1 before any *)
+  mutable released : int array;  (* by k: the weight, or -1 if not released *)
+}
+
 let wakeup_resend_ms = 200.0
 
 let install ?(service = Service.consensus) ~n stack =
@@ -150,12 +188,71 @@ let install ?(service = Service.consensus) ~n stack =
   Stack.add_module stack ~name:protocol_name ~provides:[ service ]
     ~requires:[ Service.rp2p; Service.fd ]
     (fun stack _self ->
-      let decided_total = decided_total stack in
+      let counts = counts stack in
+      counts.installs <- counts.installs + 1;
       (* Running instances only. A decided instance moves to [decided],
          which keeps just what late participants need: the value and
-         its weight (the declared size of every W_decide it answers). *)
+         its weight (the declared size of every W_decide it answers).
+         Once no member and no caller can ask for the value, it goes,
+         and only the weight stays, in its epoch's [released]. *)
       let insts : (iid, inst) Hashtbl.t = Hashtbl.create 64 in
-      let decided : (iid, Payload.t * int) Hashtbl.t = Hashtbl.create 64 in
+      let decided : (iid, held) Hashtbl.t = Hashtbl.create 16 in
+      let epochs : (int, epoch_log) Hashtbl.t = Hashtbl.create 4 in
+      let released_weight iid =
+        match Hashtbl.find_opt epochs iid.epoch with
+        | Some log when iid.k >= 0 && iid.k < Array.length log.released -> log.released.(iid.k)
+        | Some _ | None -> -1
+      in
+      let is_decided iid = Hashtbl.mem decided iid || released_weight iid >= 0 in
+      (* Drop a held value once (a) every other member has relayed its
+         decision, so none can still be a late participant needing the
+         short-circuit, and (b) the caller has proposed a later instance
+         of the epoch, so it never re-proposes this one. A relay names a
+         node, not a module, so (a) holds only for a stack with one
+         install of this protocol: a stack that ever had two (a
+         consensus replacement, a rebuilt stack) releases nothing.
+         Replacements give a new install new epochs, so a stack whose
+         caller proposes one of those has two installs as well. *)
+      let try_release iid d =
+        match Hashtbl.find_opt epochs iid.epoch with
+        | None -> ()
+        | Some log ->
+          if 0 <= iid.k && iid.k < log.top && counts.installs = 1
+             && d.missing = 0 (* mutation anchor: all relayed *)
+          then begin
+            Hashtbl.remove decided iid;
+            counts.retained <- counts.retained - 1;
+            let len = Array.length log.released in
+            if iid.k >= len then begin
+              let grown = Array.make (max (iid.k + 1) (2 * len)) (-1) in
+              Array.blit log.released 0 grown 0 len;
+              log.released <- grown
+            end;
+            log.released.(iid.k) <- max d.d_weight 0
+          end
+      in
+      (* The caller proposed [iid]: every held instance of the epoch
+         below it that was waiting for (b) alone can go. *)
+      let caller_reached iid =
+        let log =
+          match Hashtbl.find_opt epochs iid.epoch with
+          | Some log -> log
+          | None ->
+            let log = { top = -1; released = [||] } in
+            Hashtbl.replace epochs iid.epoch log;
+            log
+        in
+        if iid.k > log.top then begin
+          let from = max log.top 0 in
+          log.top <- iid.k;
+          for k = from to iid.k - 1 do
+            let below = { iid with k } in
+            match Hashtbl.find_opt decided below with
+            | Some d -> try_release below d
+            | None -> ()
+          done
+        end
+      in
       (* Rotating coordinator, staggered by instance number so that
          concurrent instances do not all funnel their round 0 through
          process 0 (whose interface would otherwise bottleneck the whole
@@ -204,8 +301,11 @@ let install ?(service = Service.consensus) ~n stack =
           inst.decided <- true;
           inst.estimate <- value;
           Hashtbl.remove insts inst.iid;
-          Hashtbl.replace decided inst.iid (value, inst.weight);
-          incr decided_total;
+          let heard = Bytes.make n '\000' in
+          Bytes.set heard me '\001';
+          Hashtbl.replace decided inst.iid { value; d_weight = inst.weight; heard; missing = n - 1 };
+          counts.decided <- counts.decided + 1;
+          counts.retained <- counts.retained + 1;
           (* Reliable dissemination: relay on first receipt. *)
           send_all ~size:(header_size + max inst.weight 0)
             (W_decide { iid = inst.iid; value });
@@ -261,9 +361,15 @@ let install ?(service = Service.consensus) ~n stack =
       in
       let on_estimate iid round from value ts weight =
         match Hashtbl.find_opt decided iid with
-        | Some (v, w) ->
+        | Some d ->
           (* Late participant: short-circuit it straight to the decision. *)
-          send ~dst:from ~size:(header_size + max w 0) (W_decide { iid; value = v })
+          send ~dst:from ~size:(header_size + max d.d_weight 0) (W_decide { iid; value = d.value })
+        | None when released_weight iid >= 0 ->
+          (* Released, so by (a) the sending node has decided; the
+             answer keeps the size the value would have had. A module
+             there that has not decided cannot adopt it: the worst case
+             is a stalled instance, never a second decision. *)
+          send ~dst:from ~size:(header_size + released_weight iid) (W_released { iid })
         | None when coordinator iid round = me ->
           let inst = get_inst iid in
           let cr = coord_round inst round in
@@ -303,7 +409,7 @@ let install ?(service = Service.consensus) ~n stack =
         | None -> ()
       in
       let on_proposal iid round value weight =
-        if not (Hashtbl.mem decided iid) then begin
+        if not (is_decided iid) then begin
           let inst = get_inst iid in
           if round = inst.round && inst.awaiting_propose then
             accept_proposal inst round value weight
@@ -313,7 +419,7 @@ let install ?(service = Service.consensus) ~n stack =
         end
       in
       let on_ack iid round from =
-        if (not (Hashtbl.mem decided iid)) && coordinator iid round = me then begin
+        if (not (is_decided iid)) && coordinator iid round = me then begin
           let inst = get_inst iid in
           let cr = coord_round inst round in
           if (not cr.decided_sent) && not (List.mem from cr.acks) then begin
@@ -327,8 +433,14 @@ let install ?(service = Service.consensus) ~n stack =
           end
         end
       in
-      let on_decide iid value =
-        if not (Hashtbl.mem decided iid) then decide (get_inst iid) value
+      let on_decide ~src iid value =
+        if not (is_decided iid) then decide (get_inst iid) value;
+        match Hashtbl.find_opt decided iid with
+        | Some d when src >= 0 && src < n && Bytes.get d.heard src = '\000' ->
+          Bytes.set d.heard src '\001';
+          d.missing <- d.missing - 1;
+          try_release iid d
+        | Some _ | None -> ()
       in
       let on_suspect p =
         suspected.(p) <- true;
@@ -340,18 +452,23 @@ let install ?(service = Service.consensus) ~n stack =
                  nack_and_advance inst)
       in
       let on_wakeup iid =
-        if not (Hashtbl.mem decided iid) then begin
+        if not (is_decided iid) then begin
           let inst = get_inst iid in
           if not inst.entered then enter_round inst 0
         end
       in
       let on_propose_call iid value weight =
         match Hashtbl.find_opt decided iid with
-        | Some (v, _) ->
+        | Some d ->
+          caller_reached iid;
           (* The caller may have missed the indication (e.g. it was just
              created); repeat it. *)
-          Stack.indicate stack service (Decide { iid; value = v })
+          Stack.indicate stack service (Decide { iid; value = d.value })
+        | None when released_weight iid >= 0 ->
+          invalid_arg
+            (Printf.sprintf "Consensus_ct: %s re-proposed after a later instance" (pp_iid iid))
         | None ->
+          caller_reached iid;
           let inst = get_inst iid in
           let refined = inst.weight < 0 && inst.ts = 0 in
           if refined then begin
@@ -400,7 +517,7 @@ let install ?(service = Service.consensus) ~n stack =
           (fun svc p ->
             if Service.equal svc Service.rp2p then
               match p with
-              | Rp2p.Recv { src = _; payload } -> (
+              | Rp2p.Recv { src; payload } -> (
                 match payload with
                 | W_estimate { iid; round; from; value; ts; weight } ->
                   on_estimate iid round from value ts weight
@@ -410,8 +527,9 @@ let install ?(service = Service.consensus) ~n stack =
                   (* Nacks carry no information the coordinator acts on:
                      it simply never reaches a majority of acks. *)
                   ()
-                | W_decide { iid; value } -> on_decide iid value
+                | W_decide { iid; value } -> on_decide ~src iid value
                 | W_wakeup { iid } -> on_wakeup iid
+                | W_released _ -> ()
                 | _ -> ())
               | _ -> ()
             else if Service.equal svc Service.fd then

@@ -23,7 +23,13 @@
     starved by fast empty ones. A decided instance keeps only its value
     and weight, in a log every entry point consults first: late
     participants get the decision, and stray traffic for a decided
-    instance never restarts it.
+    instance never restarts it. The value goes once every other member
+    has relayed its decision and the caller has proposed a later
+    instance of the epoch, on a stack that has installed this protocol
+    only once (a relay names a node, not one of its modules). The
+    weight stays, so a stale estimate is still answered with a frame of
+    the same size: a [W_released], which carries no value and which
+    no module decides on.
 
     Safety holds with any failure-detector output; termination needs a
     majority of correct processes and ◇S-quality detection, which
@@ -52,6 +58,7 @@ type Payload.t +=
   | W_nack of { iid : Consensus_iface.iid; round : int; from : int }
   | W_decide of { iid : Consensus_iface.iid; value : Payload.t }
   | W_wakeup of { iid : Consensus_iface.iid }
+  | W_released of { iid : Consensus_iface.iid }
 
 val protocol_name : string
 (** ["consensus.ct"] *)
@@ -65,3 +72,8 @@ val register : ?service:Service.t -> ?name:string -> System.t -> unit
 
 val decided_count : Stack.t -> int
 (** Number of instances this stack has decided (diagnostics). *)
+
+val retained : Stack.t -> int
+(** Number of decided values this stack still holds, over every
+    install of the module; also the [consensus_decided_retained]
+    gauge. *)

@@ -37,7 +37,13 @@ type Payload.t +=
       (** call: propose [value] for [iid]. [weight] breaks initial
           (timestamp-0) ties — bigger wins — letting callers prefer,
           e.g., non-empty batches; it never affects safety. It also
-          doubles as the value's byte size for the network model. *)
+          doubles as the value's byte size for the network model.
+
+          Proposing an instance that is already decided repeats its
+          [Decide] indication. Proposing [{e; k'}] releases the
+          caller's interest in every [{e; k}] with [k < k']: a provider
+          may then drop those values, and proposing one of them again
+          raises [Invalid_argument]. *)
   | Decide of { iid : iid; value : Payload.t }  (** indication *)
   | No_value
       (** estimate of a process that participates before having

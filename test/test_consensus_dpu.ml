@@ -317,6 +317,27 @@ let test_layer_switch_with_loss () =
       check Alcotest.int "switched" 1 (RC.generation (System.stack (MW.system mw) 0)))
     [ (7, 0.1); (12, 0.2); (10, 0.3) ]
 
+(* A switch to a second Chandra-Toueg install while node 4 is cut off,
+   on lossy links, so node 4 switches late: every stack then holds two
+   Consensus_ct modules, both of which answer every instance, and a
+   late module proposes instances the others decided long before. *)
+let test_layer_late_switch_to_second_ct () =
+  List.iter
+    (fun (seed, loss) ->
+      let mw = mw_with_consensus_layer ~seed ~loss () in
+      let net = System.net (MW.system mw) in
+      let clock = System.clock (MW.system mw) in
+      ignore
+        (Clock.defer clock ~delay:50.0 (fun () ->
+             Dpu_net.Datagram.partition net [ [ 0; 1; 2; 3 ]; [ 4 ] ]));
+      ignore (Clock.defer clock ~delay:600.0 (fun () -> Dpu_net.Datagram.heal net));
+      let logs =
+        drive ~msgs:30 ~gap:10.0 ~switch_at:100.0 ~target:P.Consensus_ct.protocol_name mw
+      in
+      assert_consistent ~expect_count:30 logs;
+      check Alcotest.int "node 4 switched" 1 (RC.generation (System.stack (MW.system mw) 4)))
+    [ (1, 0.1); (2, 0.2); (3, 0.1) ]
+
 let test_layer_switch_with_minority_crash () =
   let mw = mw_with_consensus_layer ~seed:9 () in
   let logs = delivery_logs mw in
@@ -451,6 +472,7 @@ let () =
           tc "switch paxos->ct" test_layer_switch_paxos_to_ct;
           tc "double switch" test_layer_double_switch;
           tc "switch with loss" test_layer_switch_with_loss;
+          tc "late switch to a second ct" test_layer_late_switch_to_second_ct;
           tc "switch with minority crash" test_layer_switch_with_minority_crash;
           tc "abcast properties across switch" test_layer_abcast_properties_across_switch;
           tc "request from silent node" test_layer_request_from_silent_node;

@@ -733,7 +733,8 @@ let consensus_frames system =
         | P.Udp.Recv { src; payload = P.Rp2p.Wire_data { payload; _ } } -> (
           match payload with
           | P.Consensus_ct.W_estimate _ | P.Consensus_ct.W_propose _ | P.Consensus_ct.W_ack _
-          | P.Consensus_ct.W_nack _ | P.Consensus_ct.W_decide _ | P.Consensus_ct.W_wakeup _ ->
+          | P.Consensus_ct.W_nack _ | P.Consensus_ct.W_decide _ | P.Consensus_ct.W_wakeup _
+          | P.Consensus_ct.W_released _ ->
             log := (src, node, payload) :: !log
           | _ -> ())
         | _ -> ())
@@ -802,6 +803,127 @@ let test_consensus_decided_log () =
   let node1 = List.filter (fun (i, _) -> i = iid0) !(List.nth logs 1) in
   check Alcotest.(list string) "re-proposal re-indicates the decision" [ "v"; "v" ]
     (List.map snd node1)
+
+(* A decided value goes only once every other member has relayed its
+   decision and the caller has proposed a later instance. Node 2 is cut
+   off while nodes 0 and 1 decide five instances, long enough for rp2p
+   to give up on the relays of the first two, so neither node may drop
+   a value node 2 still needs: back in, node 2 gets those two only from
+   the W_decide short-circuit, the other three from the resumed relays.
+   Then nodes 0 and 1 drop all but the last value. Node 2 keeps the two
+   whose relay from one member gave up: that member never relays again. *)
+let test_consensus_released_values_reach_healed_member () =
+  let system = make_system ~n:3 ~seed:3 () in
+  ensure_all system Service.consensus;
+  let logs = decisions_log system in
+  let stack = System.stack system in
+  let iid k = { P.Consensus_iface.epoch = 0; k } in
+  let decision node k = List.assoc_opt (iid k) !(List.nth logs node) in
+  let retained node = P.Consensus_ct.retained (stack node) in
+  (* Propose [ks] in order at [nodes], each once the one before is
+     decided, as Abcast_ct does. *)
+  let propose_in_order nodes ks =
+    List.iter
+      (fun k ->
+        List.iter
+          (fun node -> propose system ~node ~iid:(iid k) (Printf.sprintf "v%d.%d" k node))
+          nodes;
+        System.run_for system 1_000.0)
+      ks
+  in
+  Dpu_net.Datagram.partition (System.net system) [ [ 0; 1 ]; [ 2 ] ];
+  propose_in_order [ 0; 1 ] [ 0; 1 ];
+  System.run_for system 90_000.0;
+  propose_in_order [ 0; 1 ] [ 2; 3; 4 ];
+  List.iter
+    (fun node ->
+      check Alcotest.int "all five values held" 5 (retained node);
+      check Alcotest.bool "rp2p gave up on node 2" true
+        ((P.Rp2p.stats (stack node)).P.Rp2p.gave_up > 0))
+    [ 0; 1 ];
+  check Alcotest.(option string) "node 2 cut off" None (decision 2 0);
+  Dpu_net.Datagram.heal (System.net system);
+  propose_in_order [ 2 ] [ 0; 1; 2; 3; 4 ];
+  System.run_for system 5_000.0;
+  for k = 0 to 4 do
+    check Alcotest.bool "decided at node 0" true (decision 0 k <> None);
+    check Alcotest.(option string) "node 1 agrees" (decision 0 k) (decision 1 k);
+    check Alcotest.(option string) "node 2 decides the same value" (decision 0 k) (decision 2 k)
+  done;
+  check Alcotest.int "node 0 holds the last value" 1 (retained 0);
+  check Alcotest.int "node 1 holds the last value" 1 (retained 1);
+  check Alcotest.int "node 2 holds the given-up two and the last" 3 (retained 2);
+  (* A stray estimate for an instance below every released one (the
+     wire carries any k) never reads the released weights: it decides
+     nothing and drops nothing. *)
+  let decided_before = P.Consensus_ct.decided_count (stack 0) in
+  Stack.indicate (stack 0) Service.rp2p
+    (P.Rp2p.Recv
+       {
+         src = 1;
+         payload =
+           P.Consensus_ct.W_estimate
+             { iid = iid (-1); round = 1; from = 1; value = Blob "stray"; ts = 0; weight = 5 };
+       });
+  System.run_for system 1_000.0;
+  check Alcotest.int "stray estimate decides nothing" decided_before
+    (P.Consensus_ct.decided_count (stack 0));
+  check Alcotest.int "stray estimate drops nothing" 1 (retained 0);
+  check Alcotest.(option string) "no decision for k = -1" None (decision 0 (-1));
+  (* Proposing k = 4 released k = 0 at node 0: proposing it again
+     breaks the caller contract. *)
+  propose system ~node:0 ~iid:(iid 0) "again";
+  match System.run_for system 1_000.0 with
+  | () -> fail "re-proposing a released instance was accepted"
+  | exception Invalid_argument msg ->
+    check Alcotest.bool "the contract is named" true
+      (String.starts_with ~prefix:"Consensus_ct:" msg)
+
+(* A W_decide names a node, not a module. Here node 2 installs a second
+   Consensus_ct after its first one relayed the decisions of k = 0 and
+   1, and proposes k = 0 to it, as a caller routing one epoch to two
+   installs would. Nodes 0 and 1 have one install each and have dropped
+   k = 0, so node 2's estimate is answered with a W_released, on which
+   the second module must not decide: it stalls instead of deciding a
+   value nobody proposed. Node 2 itself, with two installs, drops
+   nothing from then on. *)
+let test_consensus_released_answer_decides_nothing () =
+  let system = make_system ~n:3 ~seed:3 () in
+  ensure_all system Service.consensus;
+  let frames = consensus_frames system in
+  let stack = System.stack system in
+  let retained node = P.Consensus_ct.retained (stack node) in
+  let iid k = { P.Consensus_iface.epoch = 0; k } in
+  let propose_at_all k =
+    for node = 0 to 2 do
+      propose system ~node ~iid:(iid k) (Printf.sprintf "v%d.%d" k node)
+    done;
+    System.run_for system 1_000.0
+  in
+  propose_at_all 0;
+  propose_at_all 1;
+  List.iter (fun node -> check Alcotest.int "k = 0 dropped" 1 (retained node)) [ 0; 1; 2 ];
+  let second = Service.make "consensus.second" in
+  Stack.bind (stack 2) second (P.Consensus_ct.install ~service:second ~n:3 (stack 2));
+  let decided = ref [] in
+  listen system ~node:2 ~svc:second (function
+    | P.Consensus_iface.Decide { iid; value } -> decided := (iid, value) :: !decided
+    | _ -> ());
+  frames := [];
+  Stack.call (stack 2) second
+    (P.Consensus_iface.Propose { iid = iid 0; value = Blob "late"; weight = 4 });
+  System.run_for system 5_000.0;
+  check Alcotest.bool "node 2 was answered with a W_released" true
+    (List.exists
+       (function _, 2, P.Consensus_ct.W_released _ -> true | _ -> false)
+       !frames);
+  check Alcotest.int "the second module decides nothing" 0 (List.length !decided);
+  propose_at_all 2;
+  check Alcotest.int "node 0 drops k = 1" 1 (retained 0);
+  check Alcotest.int "node 1 drops k = 1" 1 (retained 1);
+  (* k = 1 and 2 in the first install, k = 2 in the second, which
+     joined it through the wake-ups. *)
+  check Alcotest.int "node 2 drops nothing" 3 (retained 2)
 
 (* ------------------------------------------------------------------ *)
 (* ABcast variants                                                    *)
@@ -1091,6 +1213,9 @@ let () =
           tc "crash seeds agree" test_consensus_crash_seeds_agree;
           tc "re-indication" test_consensus_propose_after_decided_reindicates;
           tc "decided log answers late traffic" test_consensus_decided_log;
+          tc "released values reach a healed member"
+            test_consensus_released_values_reach_healed_member;
+          tc "released answer decides nothing" test_consensus_released_answer_decides_nothing;
           tc "partition + heal" test_consensus_partition_heal;
           tc "minority cannot decide" test_consensus_minority_side_cannot_decide;
         ] );

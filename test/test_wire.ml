@@ -54,6 +54,7 @@ let samples : (string * Payload.t) list =
     ("ct.nack", P.Consensus_ct.W_nack { iid; round = 3; from = 1 });
     ("ct.decide", P.Consensus_ct.W_decide { iid; value = app });
     ("ct.wakeup", P.Consensus_ct.W_wakeup { iid });
+    ("ct.released", P.Consensus_ct.W_released { iid });
     ("paxos.wakeup", P.Consensus_paxos.P_wakeup { iid });
     ("paxos.offer", P.Consensus_paxos.P_offer { iid; value = app; weight = 1; from = 0 });
     ("paxos.prepare", P.Consensus_paxos.P_prepare { iid; ballot = 12; from = 0 });
