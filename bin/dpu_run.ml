@@ -380,7 +380,9 @@ let run_live f (p : Serve.params) =
         let c = r.N.counters in
         Printf.printf
           "node %d: sent %d, delivered %d; wire: %d out / %d in / %d dropped, %d bytes\n"
-          r.N.node (List.length r.N.sends) (List.length r.N.delivers) c.T.sent
+          r.N.node (C.send_count r.N.collector)
+          (List.length (C.delivers_of r.N.collector ~node:r.N.node))
+          c.T.sent
           c.T.delivered c.T.dropped c.T.bytes;
         Option.iter
           (fun (b : T.batch_counters) ->

@@ -8,9 +8,12 @@
     returns one point per message, keyed by its send time — exactly the
     scatter plotted in Fig. 5.
 
-    Recording is a few array stores and keeps the caller's [Msg.id]
-    record rather than a copy. Readers build their indexes on first use
-    and keep them until the next record, so read once the run is over. *)
+    Recording is two array stores: a row is one int key packing origin,
+    seq and node, and the time as an unboxed float. No row keeps the
+    caller's [Msg.id] record, so a finished message's id is garbage.
+    Readers build their indexes on first use, and the ids they return
+    as one shared record per distinct message; both are kept until the
+    next record, so read once the run is over. *)
 
 open Dpu_kernel
 
@@ -19,11 +22,20 @@ type t
 val create : unit -> t
 
 val record_send : t -> node:int -> id:Msg.id -> time:float -> unit
+(** Raises [Invalid_argument] unless [node] and the id are in the range
+    {!Msg.read_id} accepts: origin and node in [\[0, 2^15)], seq in
+    [\[0, 2^32)]. *)
 
 val record_deliver : t -> node:int -> id:Msg.id -> time:float -> unit
+(** Raises [Invalid_argument] as {!record_send}. *)
 
 val record_switch : t -> node:int -> generation:int -> time:float -> unit
 (** A stack completed a protocol switch (installed generation [g]). *)
+
+val merge : t list -> t
+(** One record of several, e.g. one per live node in node order: sends
+    stably sorted by time (equal times keep list order), deliveries and
+    switches appended in list order. *)
 
 val sends : t -> (Msg.id * int * float) list
 (** (id, sender, send time), in send order. *)

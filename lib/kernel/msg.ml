@@ -22,9 +22,15 @@ let write_id w { origin; seq } =
   Wire.W.int w origin;
   Wire.W.int w seq
 
+let origin_limit = 1 lsl 15
+
+let seq_limit = 1 lsl 32
+
 let read_id r =
   let origin = Wire.R.int r in
   let seq = Wire.R.int r in
+  if origin < 0 || origin >= origin_limit || seq < 0 || seq >= seq_limit then
+    raise (Wire.Error (Printf.sprintf "message id %d.%d out of range" origin seq));
   { origin; seq }
 
 let write w { id; size; body } =

@@ -30,9 +30,18 @@ val make : origin:int -> seq:int -> ?size:int -> string -> t
 (** [make ~origin ~seq body] with a default size of 4096 bytes (the
     paper's 4 KB experiment payloads). *)
 
+val origin_limit : int
+(** [2^15]. An origin, like any node number, is in [\[0, origin_limit)]. *)
+
+val seq_limit : int
+(** [2^32]. A sequence number is in [\[0, seq_limit)]. *)
+
 val write_id : Wire.W.t -> id -> unit
 
 val read_id : Wire.R.t -> id
+(** Raises {!Wire.Error} on an id outside the range above, so an id
+    that crossed the wire always fits the run record's packed rows
+    ([Dpu_core.Collector]). *)
 
 val write : Wire.W.t -> t -> unit
 (** Wire helpers for codecs carrying message ids or whole messages. *)

@@ -25,9 +25,7 @@ type config = {
 
 type report = {
   node : int;
-  sends : (Msg.id * float) list;
-  delivers : (Msg.id * float) list;
-  switches : (int * float) list;
+  collector : Collector.t;
   counters : Dpu_runtime.Transport.counters;
   batches : Dpu_runtime.Transport.batch_counters option;
   rx_errors : int;
@@ -192,18 +190,9 @@ let run ~config ~fd ~peers () =
     | None -> Udp_transport.counters tr
     | Some s -> Dpu_faults.Fault_transport.counters s
   in
-  let collector = Middleware.collector mw in
   {
     node = config.me;
-    sends =
-      List.filter_map
-        (fun (id, node, time) -> if node = config.me then Some (id, time) else None)
-        (Collector.sends collector);
-    delivers = Collector.delivers_of collector ~node:config.me;
-    switches =
-      List.filter_map
-        (fun (node, g, time) -> if node = config.me then Some (g, time) else None)
-        (Collector.switches collector);
+    collector = Middleware.collector mw;
     counters;
     batches =
       Option.map (fun (_ : int) -> Udp_transport.batches tr) config.batching;

@@ -5,8 +5,8 @@
     share of the open-loop load, participates in every protocol
     (consensus, ABcast, the replacement layer), triggers whichever
     mid-stream protocol swaps are assigned to it, and on completion
-    returns a {!report} of everything its local {!Dpu_core.Collector}
-    observed — the parent merges these into the run-wide record.
+    returns a {!report} that carries its local {!Dpu_core.Collector}
+    as is — the parent merges these into the run-wide record.
 
     When [nemesis] is non-empty the UDP transport is wrapped in
     {!Dpu_faults.Fault_transport} on this node's live clock: every
@@ -45,9 +45,10 @@ type config = {
     parent as is. *)
 type report = {
   node : int;
-  sends : (Msg.id * float) list;
-  delivers : (Msg.id * float) list;
-  switches : (int * float) list;  (** (generation, time) *)
+  collector : Dpu_core.Collector.t;
+      (** this node's sends, deliveries and switches, two words per send
+          or delivery; the parent merges them with
+          {!Dpu_core.Collector.merge} *)
   counters : Dpu_runtime.Transport.counters;
       (** the shim's view when a nemesis is active, else the raw wire *)
   batches : Dpu_runtime.Transport.batch_counters option;

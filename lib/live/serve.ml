@@ -53,31 +53,6 @@ type outcome = {
   checks : Dpu_props.Report.t list;
 }
 
-let merge_reports reports =
-  let collector = Collector.create () in
-  let sends =
-    List.concat_map
-      (fun (r : Node.report) ->
-        List.map (fun (id, time) -> (id, r.Node.node, time)) r.Node.sends)
-      reports
-    |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare a b)
-  in
-  List.iter
-    (fun (id, node, time) -> Collector.record_send collector ~node ~id ~time)
-    sends;
-  List.iter
-    (fun (r : Node.report) ->
-      List.iter
-        (fun (id, time) ->
-          Collector.record_deliver collector ~node:r.Node.node ~id ~time)
-        r.Node.delivers;
-      List.iter
-        (fun (generation, time) ->
-          Collector.record_switch collector ~node:r.Node.node ~generation ~time)
-        r.Node.switches)
-    reports;
-  collector
-
 (* The nodes' kernel traces as one, in (time, node) order; the stable
    sort keeps each node's own order among equal times. *)
 let merge_traces reports =
@@ -183,7 +158,9 @@ let run ?metrics_out ?trace_out ?log_out params =
     match reports with
     | Error _ as e -> e
     | Ok node_reports ->
-      let collector = merge_reports node_reports in
+      let collector =
+        Collector.merge (List.map (fun (r : Node.report) -> r.Node.collector) node_reports)
+      in
       (* Nodes the nemesis silences for good make no promises — the
          properties quantify over the nodes that stay correct. *)
       let silenced =

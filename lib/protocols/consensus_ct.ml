@@ -519,6 +519,18 @@ let install ?(service = Service.consensus) ~n stack =
               match p with
               | Rp2p.Recv { src; payload } -> (
                 match payload with
+                | W_estimate { iid; _ }
+                | W_propose { iid; _ }
+                | W_ack { iid; _ }
+                | W_nack { iid; _ }
+                | W_decide { iid; _ }
+                | W_wakeup { iid }
+                | W_released { iid }
+                  when iid.k < 0 ->
+                  (* The codec rejects a negative k; a frame injected
+                     past it is dropped, since its coordinator
+                     (k + r) mod n may be negative. *)
+                  ()
                 | W_estimate { iid; round; from; value; ts; weight } ->
                   on_estimate iid round from value ts weight
                 | W_propose { iid; round; value; weight } -> on_proposal iid round value weight

@@ -15,6 +15,7 @@ let write_iid w { epoch; k } =
 let read_iid r =
   let epoch = Wire.R.int r in
   let k = Wire.R.int r in
+  if k < 0 then raise (Wire.Error (Printf.sprintf "instance %d:%d out of range" epoch k));
   { epoch; k }
 
 type Payload.t +=

@@ -30,7 +30,8 @@ val pp_iid : iid -> string
 val write_iid : Wire.W.t -> iid -> unit
 
 val read_iid : Wire.R.t -> iid
-(** Wire helpers shared by the consensus providers' codecs. *)
+(** Wire helpers shared by the consensus providers' codecs. [read_iid]
+    raises {!Wire.Error} on a negative instance number [k]. *)
 
 type Payload.t +=
   | Propose of { iid : iid; value : Payload.t; weight : int }

@@ -207,20 +207,38 @@ type collector_op =
   | Read
 
 (* A fresh record for every use, so the Collector must match ids by
-   value. Ids 8 and 9 are delivered but never sent. *)
-let op_id k = { Msg.origin = k mod 3; seq = k / 3 }
+   value. Ids 8 and 9 are delivered but never sent; ids 10 to 12 sit at
+   the packing bounds; ids 13 and 14 lie outside them and are only
+   looked up. *)
+let op_id k =
+  let top = Msg.origin_limit - 1 and last = Msg.seq_limit - 1 in
+  match k with
+  | 10 -> { Msg.origin = top; seq = last }
+  | 11 -> { Msg.origin = 0; seq = last }
+  | 12 -> { Msg.origin = top; seq = 0 }
+  | 13 -> { Msg.origin = Msg.origin_limit; seq = 0 }
+  | 14 -> { Msg.origin = 0; seq = -1 }
+  | k -> { Msg.origin = k mod 3; seq = k / 3 }
 
-let apply_op (c, m) = function
-  | Send (node, k, time) ->
-    Core.Collector.record_send c ~node ~id:(op_id k) ~time;
-    Collector_model.record_send m ~node ~id:(op_id k) ~time
-  | Deliver (node, k, time) ->
-    Core.Collector.record_deliver c ~node ~id:(op_id k) ~time;
-    Collector_model.record_deliver m ~node ~id:(op_id k) ~time
-  | Switch (node, generation, time) ->
-    Core.Collector.record_switch c ~node ~generation ~time;
-    Collector_model.record_switch m ~node ~generation ~time
+let top_node = Msg.origin_limit - 1
+
+let op_node = function Send (n, _, _) | Deliver (n, _, _) | Switch (n, _, _) -> Some n | Read -> None
+
+let apply_collector c = function
+  | Send (node, k, time) -> Core.Collector.record_send c ~node ~id:(op_id k) ~time
+  | Deliver (node, k, time) -> Core.Collector.record_deliver c ~node ~id:(op_id k) ~time
+  | Switch (node, generation, time) -> Core.Collector.record_switch c ~node ~generation ~time
   | Read -> ()
+
+let apply_model m = function
+  | Send (node, k, time) -> Collector_model.record_send m ~node ~id:(op_id k) ~time
+  | Deliver (node, k, time) -> Collector_model.record_deliver m ~node ~id:(op_id k) ~time
+  | Switch (node, generation, time) -> Collector_model.record_switch m ~node ~generation ~time
+  | Read -> ()
+
+let apply_op (c, m) op =
+  apply_collector c op;
+  apply_model m op
 
 (* Every reader of [c] equals the model's; latencies bit for bit. *)
 let collector_agrees (c, m) =
@@ -232,10 +250,11 @@ let collector_agrees (c, m) =
   same "send_count" (C.send_count c) (M.send_count m);
   same "delivered_nodes" (C.delivered_nodes c) (M.delivered_nodes m);
   same "switches" (C.switches c) (M.switches m);
-  for node = -1 to 5 do
-    same (Printf.sprintf "delivers_of %d" node) (C.delivers_of c ~node) (M.delivers_of m ~node)
-  done;
-  for k = 0 to 10 do
+  List.iter
+    (fun node ->
+      same (Printf.sprintf "delivers_of %d" node) (C.delivers_of c ~node) (M.delivers_of m ~node))
+    [ -1; 0; 1; 2; 3; 4; 5; top_node; top_node + 1 ];
+  for k = 0 to 14 do
     let id = op_id k in
     same "send_time" (C.send_time c id) (M.send_time m id);
     same "deliver_times" (C.deliver_times c id) (M.deliver_times m id);
@@ -255,8 +274,45 @@ let collector_agrees (c, m) =
   done;
   true
 
+let nodes_of ops = List.sort_uniq Int.compare (List.filter_map op_node ops)
+
+let of_node node ops = List.filter (fun op -> op_node op = Some node) ops
+
+(* One Collector per node in [ops], in node order, each with the node's
+   own rows, as a live node ships it. *)
+let per_node ops =
+  List.map
+    (fun node ->
+      let c = Core.Collector.create () in
+      List.iter (apply_collector c) (of_node node ops);
+      c)
+    (nodes_of ops)
+
+(* The live parent's merge before nodes shipped their Collector: each
+   node's sends, deliveries and switches as lists, sends sorted stably
+   by time across nodes, the rest appended in node order. *)
+let merge_reference ops =
+  let m = Collector_model.create () in
+  List.concat_map
+    (fun node ->
+      List.filter_map
+        (function Send (_, k, time) -> Some (op_id k, node, time) | _ -> None)
+        (of_node node ops))
+    (nodes_of ops)
+  |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare a b)
+  |> List.iter (fun (id, node, time) -> Collector_model.record_send m ~node ~id ~time);
+  List.iter
+    (fun node ->
+      let ops = of_node node ops in
+      List.iter (function Deliver _ as op -> apply_model m op | _ -> ()) ops;
+      List.iter (function Switch _ as op -> apply_model m op | _ -> ()) ops)
+    (nodes_of ops);
+  m
+
 (* Runs [ops] on a fresh Collector and model, comparing them at every
-   [Read] and at the end. *)
+   [Read] and at the end; then a Marshal round-trip of the Collector,
+   as a live node's report crosses the sweep pipe, and the merge of
+   per-node Collectors against the reference merge. *)
 let run_collector_ops ops =
   let pair = (Core.Collector.create (), Collector_model.create ()) in
   List.for_all
@@ -265,6 +321,9 @@ let run_collector_ops ops =
       op <> Read || collector_agrees pair)
     ops
   && collector_agrees pair
+  && collector_agrees
+       ((Marshal.from_string (Marshal.to_string (fst pair) []) 0 : Core.Collector.t), snd pair)
+  && collector_agrees (Core.Collector.merge (per_node ops), merge_reference ops)
 
 let print_collector_op = function
   | Send (n, k, t) -> Printf.sprintf "send %d %d %h" n k t
@@ -274,13 +333,22 @@ let print_collector_op = function
 
 let prop_collector_matches_model =
   let open QCheck.Gen in
-  let time = map (fun k -> float_of_int k /. 7.0) (int_range 0 7000) in
+  (* Coarse times make ties, which the merge must keep in node order. *)
+  let time =
+    frequency
+      [
+        (3, map (fun k -> float_of_int k /. 7.0) (int_range 0 7000));
+        (1, map float_of_int (int_range 0 5));
+      ]
+  in
+  let node hi = frequency [ (8, int_range 0 hi); (1, return top_node) ] in
+  let id hi = frequency [ (6, int_range 0 hi); (1, int_range 10 12) ] in
   let op =
     frequency
       [
-        (4, map3 (fun n k t -> Send (n, k, t)) (int_range 0 3) (int_range 0 7) time);
-        (6, map3 (fun n k t -> Deliver (n, k, t)) (int_range 0 4) (int_range 0 9) time);
-        (1, map3 (fun n g t -> Switch (n, g, t)) (int_range 0 3) (int_range 1 3) time);
+        (4, map3 (fun n k t -> Send (n, k, t)) (node 3) (id 7) time);
+        (6, map3 (fun n k t -> Deliver (n, k, t)) (node 4) (id 9) time);
+        (1, map3 (fun n g t -> Switch (n, g, t)) (node 3) (int_range 1 3) time);
         (2, return Read);
       ]
   in
@@ -305,10 +373,10 @@ let test_collector_model_edge_cases () =
   in
   List.iter (fun (name, ops) -> check Alcotest.bool name true (run_collector_ops ops)) cases
 
-(* Rows are three words (an id pointer, an int and an unboxed float);
-   each distinct id record is three words, shared with its message; a
-   column wastes at most one chunk (1024 rows). A Collector that copies
-   ids, boxes times or keeps an index during the run fails this. *)
+(* Rows are two words (a packed int key and an unboxed float), and no
+   id record is kept; a column wastes at most one chunk (1024 rows). A
+   Collector that keeps ids, boxes times or keeps an index during the
+   run fails this. *)
 let test_collector_size_gate () =
   let n = 10_000 in
   let c = Core.Collector.create () in
@@ -321,8 +389,8 @@ let test_collector_size_gate () =
       (fun i id -> Core.Collector.record_deliver c ~node ~id ~time:(float_of_int i +. 0.5))
       ids
   done;
-  let rows = 4 * n and columns = 6 in
-  let bound = (3 * rows) + (3 * n) + (columns * 1024) + 256 in
+  let rows = 4 * n and columns = 4 in
+  let bound = (2 * rows) + (columns * 1024) + 256 in
   let words = Obj.reachable_words (Obj.repr c) in
   check Alcotest.bool (Printf.sprintf "%d words <= %d" words bound) true (words <= bound)
 

@@ -853,23 +853,24 @@ let test_consensus_released_values_reach_healed_member () =
   check Alcotest.int "node 0 holds the last value" 1 (retained 0);
   check Alcotest.int "node 1 holds the last value" 1 (retained 1);
   check Alcotest.int "node 2 holds the given-up two and the last" 3 (retained 2);
-  (* A stray estimate for an instance below every released one (the
-     wire carries any k) never reads the released weights: it decides
-     nothing and drops nothing. *)
+  (* A stray estimate or wake-up for an instance below every released
+     one, injected past the codec (which rejects a negative k), never
+     reads the released weights nor enters a round, whose coordinator
+     (k + r) mod n would be negative: each decides nothing and drops
+     nothing. *)
   let decided_before = P.Consensus_ct.decided_count (stack 0) in
-  Stack.indicate (stack 0) Service.rp2p
-    (P.Rp2p.Recv
-       {
-         src = 1;
-         payload =
-           P.Consensus_ct.W_estimate
-             { iid = iid (-1); round = 1; from = 1; value = Blob "stray"; ts = 0; weight = 5 };
-       });
-  System.run_for system 1_000.0;
-  check Alcotest.int "stray estimate decides nothing" decided_before
-    (P.Consensus_ct.decided_count (stack 0));
-  check Alcotest.int "stray estimate drops nothing" 1 (retained 0);
-  check Alcotest.(option string) "no decision for k = -1" None (decision 0 (-1));
+  let stray payload =
+    Stack.indicate (stack 0) Service.rp2p (P.Rp2p.Recv { src = 1; payload });
+    System.run_for system 1_000.0;
+    check Alcotest.int "stray frame decides nothing" decided_before
+      (P.Consensus_ct.decided_count (stack 0));
+    check Alcotest.int "stray frame drops nothing" 1 (retained 0);
+    check Alcotest.(option string) "no decision for k = -1" None (decision 0 (-1))
+  in
+  stray
+    (P.Consensus_ct.W_estimate
+       { iid = iid (-1); round = 1; from = 1; value = Blob "stray"; ts = 0; weight = 5 });
+  stray (P.Consensus_ct.W_wakeup { iid = iid (-1) });
   (* Proposing k = 4 released k = 0 at node 0: proposing it again
      breaks the caller contract. *)
   propose system ~node:0 ~iid:(iid 0) "again";

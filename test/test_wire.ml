@@ -194,6 +194,43 @@ let test_garbage_frames_rejected () =
   expect_reject "taglen beyond end" "\xff\xff\xff";
   expect_reject "all zeros" (String.make 16 '\x00')
 
+(* Ids outside the range the run record packs, and negative instance
+   numbers, are rejected at the wire: a hostile frame never makes
+   [Collector.record_*] raise or a consensus round have a negative
+   coordinator. The encoders write any value; the decoders refuse. *)
+let test_out_of_range_ids_rejected () =
+  let id_reader origin seq =
+    let w = Wire.W.create () in
+    Wire.W.int w origin;
+    Wire.W.int w seq;
+    Wire.R.of_string (Wire.W.contents w)
+  in
+  let top = Msg.origin_limit - 1 and last = Msg.seq_limit - 1 in
+  List.iter
+    (fun (origin, seq) ->
+      check Alcotest.bool
+        (Printf.sprintf "id %d.%d read back" origin seq)
+        true
+        (Msg.id_equal { Msg.origin; seq } (Msg.read_id (id_reader origin seq))))
+    [ (0, 0); (top, last) ];
+  List.iter
+    (fun (origin, seq) ->
+      match Msg.read_id (id_reader origin seq) with
+      | exception Wire.Error _ -> ()
+      | _ -> Alcotest.failf "id %d.%d accepted" origin seq)
+    [ (-1, 0); (Msg.origin_limit, 0); (0, -1); (0, Msg.seq_limit); (min_int, max_int) ];
+  let disseminate id = P.Abcast_ct.Disseminate { epoch = 0; item = { item with id } } in
+  let edge = Payload.encode_exn (disseminate { Msg.origin = top; seq = last }) in
+  check Alcotest.string "ct-abcast id at the bounds round-trips" edge
+    (Payload.encode_exn (Payload.decode edge));
+  expect_reject "ct-abcast disseminate, origin 2^15"
+    (Payload.encode_exn (disseminate { Msg.origin = Msg.origin_limit; seq = 0 }));
+  expect_reject "ct-abcast batch, seq -1"
+    (Payload.encode_exn
+       (P.Abcast_ct.Batch [ item; { item with id = { Msg.origin = 0; seq = -1 } } ]));
+  expect_reject "ct.wakeup, k = -1"
+    (Payload.encode_exn (P.Consensus_ct.W_wakeup { iid = { Ci.epoch = 0; k = -1 } }))
+
 (* ------------------------------------------------------------------ *)
 (* Envelope                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -365,6 +402,7 @@ let () =
         [
           tc "truncated frames" test_truncated_frames_rejected;
           tc "garbage frames" test_garbage_frames_rejected;
+          tc "out-of-range ids" test_out_of_range_ids_rejected;
         ] );
       ( "envelope",
         [
