@@ -66,6 +66,48 @@ let record_sweep key (st : Sweep.stats) =
 (* Figure 5                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Figure 5's setting with a CT->CT swap every 500 ms from the nodes in
+   turn, as bench/perf's paper-n7 runs it: the most modules any stack
+   holds at the end. A superseded generation leaves the stack once it
+   is quiet, so this does not grow with the number of swaps. *)
+let run_history () =
+  let n = 7 and horizon_ms = 20_000.0 in
+  let switches =
+    List.init 38 (fun i -> (500.0 *. float_of_int (i + 2), (i + 2) mod n, Dpu_core.Variants.ct))
+  in
+  let r =
+    E.run
+      {
+        E.default with
+        n;
+        load = 40.0;
+        seed = 1;
+        duration_ms = horizon_ms;
+        drain_ms = 2_000.0;
+        switch_to = None;
+        switches;
+        metrics_enabled = true;
+      }
+  in
+  let modules node =
+    Option.value ~default:0.0
+      (Dpu_obs.Metrics.value r.E.metrics
+         ~labels:[ ("node", string_of_int node); ("group", "0") ]
+         "kernel_modules")
+  in
+  let max_modules = List.fold_left (fun acc i -> Float.max acc (modules i)) 0.0 (List.init n Fun.id) in
+  Printf.printf "history: %d swaps in %.0f ms, at most %.0f modules per stack\n"
+    (List.length switches) horizon_ms max_modules;
+  record "history"
+    (Json.Obj
+       [
+         ("n", Json.Int n);
+         ("swap_every_ms", Json.Float 500.0);
+         ("horizon_ms", Json.Float horizon_ms);
+         ("switches", Json.Int (List.length switches));
+         ("max_modules_per_stack", Json.Int (int_of_float max_modules));
+       ])
+
 let run_fig5 () =
   section "Figure 5: latency around a replacement (n=7, 40 msg/s, CT->CT)";
   let r = F.figure5 () in
@@ -90,7 +132,9 @@ let run_fig5 () =
   Format.printf "properties: %s@."
     (if Dpu_props.Report.all_ok reports then "all ok" else "VIOLATED");
   if not (Dpu_props.Report.all_ok reports) then
-    Format.printf "%a" Dpu_props.Report.pp_all reports
+    Format.printf "%a" Dpu_props.Report.pp_all reports;
+  run_history ()
+
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6                                                           *)

@@ -16,7 +16,10 @@
    4. The repair (the symmetric generation check on line 10, which this
       repository's Repl implements) verifies at the same bounds.
    5. The consensus replacement layer verifies at larger bounds; only
-      its prefix-defer rule is load-bearing. *)
+      its prefix-defer rule is load-bearing.
+   6. Retiring a superseded generation once every live stack has left
+      it verifies; retiring it before the stack itself has left it is
+      refuted. *)
 
 module M = Dpu_model.Algo1
 module C = Dpu_model.Consswap
@@ -58,8 +61,15 @@ let () =
   crun C.No_stale_discard C.default_bounds;
   crun C.No_reissue C.default_bounds;
 
+  headline "6. retiring a superseded generation";
+  run M.Retiring M.default_bounds;
+  run M.Retiring { M.default_bounds with nodes = 3; sends = 1 };
+  run M.Retiring { M.default_bounds with sends = 1; changes = 2 };
+  run M.Early_retire M.default_bounds;
+
   print_newline ();
   print_endline
     "summary: the paper's properties hold exhaustively at these bounds for the\n\
-     repaired algorithm; each deleted line, and the consensus-swap design's\n\
-     prefix-defer rule, is refuted by a concrete counterexample trace."
+     repaired algorithm and for retirement; each deleted line, the consensus-swap\n\
+     design's prefix-defer rule and an early retirement are refuted by a concrete\n\
+     counterexample trace."

@@ -53,7 +53,10 @@ let header_size = 48
 (* The generation handed to the ABcast module in force. *)
 let generation = Abcast_iface.current_epoch
 
-let install ~registry stack =
+(* A superseded generation's module, kept until it can be retired. *)
+type old = { gen : int; module_ : Stack.module_; quiet : unit -> bool }
+
+let install ~registry ~n stack =
   let me = Stack.node stack in
   Stack.add_module stack ~name:protocol_name ~provides:[ Service.r_abcast ]
     ~requires:[ Service.abcast ]
@@ -80,9 +83,35 @@ let install ~registry stack =
         in
         Stack.call stack Service.abcast (Abcast_iface.Broadcast { size; payload })
       in
+      (* Retirement. Per origin, the highest [sn] adelivered from it: an
+         origin seen past g has left generation g, since it tags an
+         entry with the generation it is in. A superseded generation's
+         module is removed once this stack and every other member have
+         left it and the module is quiet; until then it drains. A
+         provider that reports no quiet predicate stays. *)
+      let seen = Array.make n 0 in
+      let superseded = ref [] in
+      let others_past g =
+        let rec from q = q >= n || ((q = me || seen.(q) > g) && from (q + 1)) in
+        from 0
+      in
+      let retire () =
+        superseded :=
+          List.filter
+            (fun old ->
+              let ready =
+                old.gen < !st.sn && others_past old.gen
+                && old.quiet () (* mutation anchor: quiet *)
+              in
+              if ready then Stack.remove_module stack old.module_;
+              not ready)
+            !superseded
+      in
       (* Lines 10-21: Adeliver(entry) is the step; its effects run here,
          in the order of Algorithm 1. *)
-      let deliver entry =
+      let deliver ~origin entry =
+        let sn = match entry with Step.Data { sn; _ } | Step.New { sn; _ } -> sn in
+        if origin >= 0 && origin < n && sn > seen.(origin) then seen.(origin) <- sn;
         let after, actions = Step.deliver ~equal:Msg.id_equal !st entry in
         st := after;
         List.iter
@@ -99,6 +128,10 @@ let install ~registry stack =
               Stack.app_event stack ~tag:"repl.stale-change"
                 (fun () -> Printf.sprintf "sn=%d current=%d prot=%s" sn after.sn protocol) ()
             | Step.Switch { generation; protocol } ->
+              let gen = generation - 1 in
+              (match (Stack.bound stack Service.abcast, Abcast_iface.take_quiet stack ~epoch:gen) with
+              | Some module_, Some quiet -> superseded := !superseded @ [ { gen; module_; quiet } ]
+              | _ -> ());
               Stack.unbind stack Service.abcast;
               (* Pass the new generation to the factory (epochs keep the
                  old and new protocol's wire traffic disjoint), then
@@ -114,7 +147,8 @@ let install ~registry stack =
               (* Lines 15-16, in id order. *)
               M.incr m_reissued;
               abcast entry)
-          actions
+          actions;
+        retire ()
       in
       {
         Stack.default_handlers with
@@ -138,10 +172,10 @@ let install ~registry stack =
           (fun svc p ->
             if Service.equal svc Service.abcast then
               match p with
-              | Abcast_iface.Deliver { origin = _; payload = A_data { sn; id; size; payload } } ->
-                deliver (Data { sn; id; v = (size, payload) })
-              | Abcast_iface.Deliver { origin = _; payload = A_new { sn; protocol } } ->
-                deliver (New { sn; protocol })
+              | Abcast_iface.Deliver { origin; payload = A_data { sn; id; size; payload } } ->
+                deliver ~origin (Data { sn; id; v = (size, payload) })
+              | Abcast_iface.Deliver { origin; payload = A_new { sn; protocol } } ->
+                deliver ~origin (New { sn; protocol })
               | _ -> ());
       })
 
@@ -162,4 +196,4 @@ let register system =
   let registry = System.registry system in
   Registry.register registry ~name:protocol_name ~provides:[ Service.r_abcast ]
     ~requires:[ Service.abcast ] ~spec
-    (fun stack -> install ~registry stack)
+    (fun stack -> install ~registry ~n:(System.n system) stack)

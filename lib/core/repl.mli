@@ -54,7 +54,8 @@ type Payload.t +=
 val protocol_name : string
 (** ["repl.abcast"] *)
 
-val install : registry:Registry.t -> Stack.t -> Stack.module_
+val install : registry:Registry.t -> n:int -> Stack.t -> Stack.module_
+(** [n] is the group's size: nodes [0 .. n-1] are its members. *)
 
 val register : System.t -> unit
 (** Register under {!protocol_name}, providing [Service.r_abcast]. *)

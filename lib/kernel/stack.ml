@@ -233,14 +233,17 @@ let execute_indication t svc payload =
   if not t.crashed then begin
     t.indications_executed <- t.indications_executed + 1;
     (* Snapshot in addition order, taken in one pass over the
-       (reversed) module list before any handler runs: handlers may
-       add/remove modules while we iterate. *)
+       (reversed) module list before any handler runs: a module added
+       by a handler misses the indication in flight, and one removed by
+       a handler is skipped, since it has run [on_stop]. *)
     let receivers =
       List.fold_left
         (fun acc m -> if List.exists (Service.equal svc) m.m_requires then m :: acc else acc)
         [] t.modules
     in
-    List.iter (fun m -> m.m_handlers.handle_indication svc payload) receivers
+    List.iter
+      (fun m -> if not m.m_removed then m.m_handlers.handle_indication svc payload)
+      receivers
   end
 
 let indicate t svc payload =

@@ -93,7 +93,8 @@ val add_module :
 
 val remove_module : t -> module_ -> unit
 (** Run [on_stop], drop the module, and unbind any service still bound
-    to it. *)
+    to it. The module handles no further indication, not even one whose
+    dispatch is under way. *)
 
 val modules : t -> module_ list
 (** Modules currently in the stack, in addition order. *)
@@ -134,7 +135,10 @@ val call : t -> Service.t -> Payload.t -> unit
 
 val indicate : t -> Service.t -> Payload.t -> unit
 (** Response/indication: delivered after one hop to every module
-    requiring the service (membership evaluated at delivery time). *)
+    requiring the service (membership evaluated at delivery time). The
+    receivers are fixed before the first handler runs: a module that a
+    handler adds misses the indication, and one that a handler removes
+    does not see it. *)
 
 val app_event : t -> tag:string -> ('a -> string) -> 'a -> unit
 (** [app_event t ~tag to_string x] records an application-level trace

@@ -4,6 +4,8 @@ type mutation =
   | No_sn_check
   | No_reissue
   | No_undelivered_removal
+  | Retiring
+  | Early_retire
 
 let mutation_name = function
   | Faithful -> "faithful (as printed in the paper)"
@@ -11,6 +13,17 @@ let mutation_name = function
   | No_sn_check -> "line 18 deleted (no generation check)"
   | No_reissue -> "lines 15-16 deleted (no re-issue)"
   | No_undelivered_removal -> "lines 19-20 deleted (no undelivered removal)"
+  | Retiring -> "retire once every live stack has left a generation"
+  | Early_retire -> "retire before the stack itself has left it"
+
+(* The variants that run the shipped step, line-10 check included. *)
+let shipped = function
+  | Fixed_line10 | Retiring | Early_retire -> true
+  | Faithful | No_sn_check | No_reissue | No_undelivered_removal -> false
+
+let retiring = function
+  | Retiring | Early_retire -> true
+  | Faithful | Fixed_line10 | No_sn_check | No_reissue | No_undelivered_removal -> false
 
 type bounds = {
   nodes : int;
@@ -30,6 +43,7 @@ type entry = (int, unit, unit) Repl_step.entry
 type node_state = {
   step : (int, unit) Repl_step.t;
   cursors : int list;  (* per generation: how much of its sequence we consumed *)
+  retired : int list;  (* generations whose stream it stopped consuming, ascending *)
   out : int list;  (* rAdelivered ids, in delivery order *)
   crashed : bool;
 }
@@ -50,6 +64,7 @@ type action =
   | Change of { node : int }
   | Order of { generation : int; what : string }
   | Deliver of { node : int; generation : int; what : string }
+  | Retire of { node : int; generation : int }
   | Crash of { node : int }
 
 let entry_to_string : entry -> string = function
@@ -63,6 +78,7 @@ let pp_action ppf = function
     Format.fprintf ppf "generation-%d protocol orders %s" generation what
   | Deliver { node; generation; what } ->
     Format.fprintf ppf "node %d Adelivers %s from generation %d" node what generation
+  | Retire { node; generation } -> Format.fprintf ppf "node %d retires generation %d" node generation
   | Crash { node } -> Format.fprintf ppf "node %d crashes" node
 
 type result = action Explore.result
@@ -84,7 +100,7 @@ let deliver_entry mutation node (entry : entry) =
   let entry : entry =
     match entry with
     (* Line 10 as printed applies every change, whatever its tag. *)
-    | New { sn = _; protocol } when mutation <> Fixed_line10 -> New { sn; protocol }
+    | New { sn = _; protocol } when not (shipped mutation) -> New { sn; protocol }
     | Data { sn = _; id; v } when mutation = No_sn_check -> Data { sn; id; v }
     | Data _ | New _ -> entry
   in
@@ -162,14 +178,15 @@ let successors mutation st =
      order. A node can only deliver from generation [g] once its
      replacement module has created that generation's module, i.e. when
      [sn >= g] (line 13); older generations keep delivering (unbinding
-     does not remove the module, §2). *)
+     does not remove the module, §2) until the stack retires them. *)
   List.iteri
     (fun i node ->
       if not node.crashed then
         List.iteri
           (fun g cursor ->
             let stream = nth st.streams g in
-            if g <= node.step.sn && cursor < List.length stream then begin
+            if g <= node.step.sn && cursor < List.length stream && not (List.mem g node.retired)
+            then begin
               let entry = nth stream cursor in
               let node', reissue = deliver_entry mutation node entry in
               let node' = { node' with cursors = set_nth node.cursors g (cursor + 1) } in
@@ -179,6 +196,34 @@ let successors mutation st =
             end)
           node.cursors)
     st.nodes;
+  (* Retirement: a stack stops consuming generation [g]'s stream once
+     it and every other live stack have left [g] ([seqNumber] > g);
+     [Early_retire] drops the stack's own condition. *)
+  if retiring mutation then
+    List.iteri
+      (fun i node ->
+        if not node.crashed then
+          List.iteri
+            (fun g _ ->
+              let others_left =
+                List.for_all
+                  (fun (j, other) -> j = i || other.crashed || other.step.sn > g)
+                  (List.mapi (fun j other -> (j, other)) st.nodes)
+              in
+              if (not (List.mem g node.retired))
+                 && (mutation = Early_retire || node.step.sn > g)
+                 && others_left
+              then
+                add
+                  (Retire { node = i; generation = g })
+                  {
+                    st with
+                    nodes =
+                      set_nth st.nodes i
+                        { node with retired = List.sort Int.compare (g :: node.retired) };
+                  })
+            node.cursors)
+      st.nodes;
   (* Crashes. *)
   if st.crashes_left > 0 then begin
     let live = List.length (List.filter (fun node -> not node.crashed) st.nodes) in
@@ -232,8 +277,9 @@ let quiescent st =
        (fun node ->
          node.crashed
          || List.for_all2
-              (fun cursor stream -> cursor = List.length stream)
-              node.cursors st.streams)
+              (fun (g, cursor) stream -> cursor = List.length stream || List.mem g node.retired)
+              (List.mapi (fun g cursor -> (g, cursor)) node.cursors)
+              st.streams)
        st.nodes
 
 (* Checked in quiescent states only ("eventually" has run out of
@@ -277,6 +323,7 @@ let check ?(mutation = Faithful) ?(bounds = default_bounds) () =
             {
               step = Repl_step.initial;
               cursors = List.init n_gens (fun _ -> 0);
+              retired = [];
               out = [];
               crashed = false;
             });

@@ -14,7 +14,12 @@
       [Dpu_core.Repl] runs: [seqNumber], the [undelivered] set, the
       generation check of line 18, the re-issue of lines 15–16;
     - clients broadcast, any stack may request a change, stacks may
-      fail-stop.
+      fail-stop;
+    - under {!Retiring}, a stack may stop consuming generation [g]'s
+      sequence (the [Retire] action) once its own [seqNumber] and every
+      other live stack's are past [g]. A quiescent state then counts
+      that sequence as consumed, so a retired stack that was still owed
+      a delivery from [g] fails validity or agreement.
 
     The checker enumerates all interleavings of these actions up to the
     given budgets, checking uniform integrity and total order in every
@@ -58,6 +63,14 @@ type mutation =
   | No_sn_check
   | No_reissue
   | No_undelivered_removal
+  | Retiring
+      (** the shipped step plus the [Retire] action: a stack stops
+          consuming generation [g]'s stream once its own [seqNumber]
+          and every other live stack's are past [g], as [Dpu_core.Repl]
+          removes a superseded module *)
+  | Early_retire
+      (** [Retiring] without the stack's own condition: it may retire
+          the generation it is still in, and never switches *)
 
 val mutation_name : mutation -> string
 
@@ -77,6 +90,7 @@ type action =
   | Change of { node : int }
   | Order of { generation : int; what : string }
   | Deliver of { node : int; generation : int; what : string }
+  | Retire of { node : int; generation : int }
   | Crash of { node : int }
 
 val pp_action : Format.formatter -> action -> unit

@@ -144,8 +144,13 @@ let install ?batching stack =
           maybe_propose ()
         end
       in
+      Abcast_iface.report_quiet stack ~epoch (fun () ->
+          Hashtbl.length unordered = 0 && (not !proposed) && Hashtbl.length decisions = 0);
       {
         Stack.default_handlers with
+        (* Removed once quiet: this module proposes nothing more in its
+           epoch, so consensus may drop the epoch's last values. *)
+        on_stop = (fun () -> Consensus_iface.close stack ~epoch);
         handle_call =
           (fun _svc p ->
             match p with

@@ -171,6 +171,9 @@ let install ?(sequencer = 0) ?batching ~n stack =
         if gseq >= !next_expected && not (Hashtbl.mem buffered gseq) then
           Hashtbl.replace buffered gseq (origin, size, payload)
       in
+      Abcast_iface.report_quiet stack ~epoch (fun () ->
+          Hashtbl.length buffered = 0
+          && match batcher with Some b -> Batcher.pending b = 0 | None -> true);
       {
         Stack.default_handlers with
         handle_call =

@@ -177,6 +177,7 @@ type held = {
    and the weight of every released instance. *)
 type epoch_log = {
   mutable top : int;  (* highest k the caller has proposed, -1 before any *)
+  mutable closed : bool;  (* the caller will never propose in the epoch again *)
   mutable released : int array;  (* by k: the weight, or -1 if not released *)
 }
 
@@ -207,9 +208,9 @@ let install ?(service = Service.consensus) ~n stack =
       (* Drop a held value once (a) every other member has relayed its
          decision, so none can still be a late participant needing the
          short-circuit, and (b) the caller has proposed a later instance
-         of the epoch, so it never re-proposes this one. A relay names a
-         node, not a module, so (a) holds only for a stack with one
-         install of this protocol: a stack that ever had two (a
+         of the epoch or closed it, so it never re-proposes this one. A
+         relay names a node, not a module, so (a) holds only for a stack
+         with one install of this protocol: a stack that ever had two (a
          consensus replacement, a rebuilt stack) releases nothing.
          Replacements give a new install new epochs, so a stack whose
          caller proposes one of those has two installs as well. *)
@@ -217,7 +218,7 @@ let install ?(service = Service.consensus) ~n stack =
         match Hashtbl.find_opt epochs iid.epoch with
         | None -> ()
         | Some log ->
-          if 0 <= iid.k && iid.k < log.top && counts.installs = 1
+          if 0 <= iid.k && (iid.k < log.top || log.closed) && counts.installs = 1
              && d.missing = 0 (* mutation anchor: all relayed *)
           then begin
             Hashtbl.remove decided iid;
@@ -231,17 +232,18 @@ let install ?(service = Service.consensus) ~n stack =
             log.released.(iid.k) <- max d.d_weight 0
           end
       in
+      let epoch_log epoch =
+        match Hashtbl.find_opt epochs epoch with
+        | Some log -> log
+        | None ->
+          let log = { top = -1; closed = false; released = [||] } in
+          Hashtbl.replace epochs epoch log;
+          log
+      in
       (* The caller proposed [iid]: every held instance of the epoch
          below it that was waiting for (b) alone can go. *)
       let caller_reached iid =
-        let log =
-          match Hashtbl.find_opt epochs iid.epoch with
-          | Some log -> log
-          | None ->
-            let log = { top = -1; released = [||] } in
-            Hashtbl.replace epochs iid.epoch log;
-            log
-        in
+        let log = epoch_log iid.epoch in
         if iid.k > log.top then begin
           let from = max log.top 0 in
           log.top <- iid.k;
@@ -253,6 +255,20 @@ let install ?(service = Service.consensus) ~n stack =
           done
         end
       in
+      (* The caller closed [epoch]: every held instance of it that was
+         waiting for (b) alone can go, and the rest once relayed. *)
+      let close epoch =
+        let log = epoch_log epoch in
+        if not log.closed then begin
+          log.closed <- true;
+          (* dpu-lint: allow hashtbl-iter — folded instances are sorted by iid below *)
+          Hashtbl.fold (fun iid d acc -> if iid.epoch = epoch then (iid, d) :: acc else acc)
+            decided []
+          |> List.sort (fun (a, _) (b, _) -> iid_compare a b)
+          |> List.iter (fun (iid, d) -> try_release iid d)
+        end
+      in
+      let stop_closing = Consensus_iface.on_close stack close in
       (* Rotating coordinator, staggered by instance number so that
          concurrent instances do not all funnel their round 0 through
          process 0 (whose interface would otherwise bottleneck the whole
@@ -508,6 +524,7 @@ let install ?(service = Service.consensus) ~n stack =
       in
       {
         Stack.default_handlers with
+        on_stop = stop_closing;
         handle_call =
           (fun _svc p ->
             match p with

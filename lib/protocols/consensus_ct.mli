@@ -25,8 +25,9 @@
     participants get the decision, and stray traffic for a decided
     instance never restarts it. The value goes once every other member
     has relayed its decision and the caller has proposed a later
-    instance of the epoch, on a stack that has installed this protocol
-    only once (a relay names a node, not one of its modules). The
+    instance of the epoch or closed it ({!Consensus_iface.close}), on a
+    stack that has installed this protocol only once (a relay names a
+    node, not one of its modules). The
     weight stays, so a stale estimate is still answered with a frame of
     the same size: a [W_released], which carries no value and which
     no module decides on.

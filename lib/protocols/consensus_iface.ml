@@ -61,3 +61,15 @@ let () =
         Decide { iid; value }
       | 2 -> No_value
       | c -> raise (Wire.Error (Printf.sprintf "consensus: bad case %d" c)))
+
+(* Per stack: the close hooks of the installed providers. *)
+let k_closers : (int -> unit) list ref Stack.key = Stack.key ()
+
+let closers stack = Stack.state stack k_closers (fun () -> ref [])
+
+let close stack ~epoch = List.iter (fun f -> f epoch) !(closers stack)
+
+let on_close stack f =
+  let cell = closers stack in
+  cell := !cell @ [ f ];
+  fun () -> cell := List.filter (fun g -> g != f) !cell

@@ -44,8 +44,23 @@ type Payload.t +=
           [Decide] indication. Proposing [{e; k'}] releases the
           caller's interest in every [{e; k}] with [k < k']: a provider
           may then drop those values, and proposing one of them again
-          raises [Invalid_argument]. *)
+          raises [Invalid_argument]. {!close} releases every instance
+          of an epoch. *)
   | Decide of { iid : iid; value : Payload.t }  (** indication *)
   | No_value
       (** estimate of a process that participates before having
           anything to propose; deciding it means "empty decision" *)
+
+(** {1 Closing an epoch} *)
+
+val close : Stack.t -> epoch:int -> unit
+(** [stack]'s caller will never propose in [epoch] again: its ABcast
+    generation has left the stack. Each provider may then drop a value
+    of the epoch once no other member can still ask for it; proposing a
+    dropped instance still raises [Invalid_argument]. A direct call to
+    the providers' hooks, with no dispatch hop. *)
+
+val on_close : Stack.t -> (int -> unit) -> unit -> unit
+(** [on_close stack f] runs [f epoch] at each [close stack ~epoch], in
+    registration order, until the returned function is called (a
+    provider calls it when it leaves the stack). *)

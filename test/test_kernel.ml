@@ -1,5 +1,6 @@
 (* Tests for the protocol kernel: services, payloads, messages, traces,
-   stacks, the registry and the system container. *)
+   stacks, the registry and the system container, and the retirement
+   of a superseded ABcast generation from the stacks. *)
 
 open Dpu_kernel
 module Sim = Dpu_engine.Sim
@@ -360,7 +361,7 @@ let test_stack_modules_order () =
 let test_stack_indication_snapshot () =
   (* Receivers are the requirers in addition order, snapshotted before
      the first handler runs: a module added by a handler misses the
-     indication in flight, a module removed by one still gets it. *)
+     indication in flight, and a module removed by one is skipped. *)
   let sim, _trace, stack = make_stack () in
   let log = ref [] in
   let on_first = ref (fun () -> ()) in
@@ -384,13 +385,31 @@ let test_stack_indication_snapshot () =
       Stack.remove_module stack r3);
   Stack.indicate stack svc_a (Pong 1);
   Sim.run sim;
-  check (Alcotest.list Alcotest.string) "snapshot in addition order" [ "r1"; "r2"; "r3" ]
+  check (Alcotest.list Alcotest.string) "snapshot in addition order" [ "r1"; "r2" ]
     (List.rev !log);
   log := [];
   Stack.indicate stack svc_a (Pong 2);
   Sim.run sim;
   check (Alcotest.list Alcotest.string) "next indication sees the change"
     [ "r1"; "r2"; "late" ] (List.rev !log)
+
+let test_stack_removed_receiver_skipped () =
+  (* Module A's handler removes module B, a later receiver of the same
+     indication: B has run [on_stop] and must not handle it. *)
+  let sim, _trace, stack = make_stack () in
+  let b = ref None in
+  ignore
+    (Stack.add_module stack ~name:"a" ~provides:[] ~requires:[ svc_a ] (fun stack _ ->
+         { Stack.default_handlers with
+           handle_indication = (fun _ _ -> Option.iter (Stack.remove_module stack) !b) })
+      : Stack.module_);
+  let m, _, indications, _, stopped = probe stack ~name:"b" ~provides:[] ~requires:[ svc_a ] in
+  b := Some m;
+  Stack.indicate stack svc_a (Pong 1);
+  Sim.run sim;
+  check Alcotest.int "b stopped" 1 !stopped;
+  check Alcotest.int "b saw nothing" 0 (List.length !indications);
+  check Alcotest.bool "b gone" false (Stack.has_module stack ~name:"b")
 
 (* Model-based property: for any interleaving of bind/unbind/call
    issued at time zero and then drained, dispatch conserves calls —
@@ -565,6 +584,72 @@ let test_system_run () =
   System.run_until_quiescent ~limit:30.0 system;
   check (Alcotest.float 1e-9) "limit honoured" 30.0 (System.now system)
 
+(* ------------------------------------------------------------------ *)
+(* Retirement of a superseded generation                              *)
+(* ------------------------------------------------------------------ *)
+
+module MW = Dpu_core.Middleware
+module P = Dpu_protocols
+
+(* Batched abcast.seq -> abcast.ct at n = 3 under 200 msg/s, switched
+   at 1 s. The initial generation is the sequencer registered under
+   another name, whose quiet predicate also holds it busy until
+   [hold_ms]: each stack must retire it, and not before then. The run must pass the §3
+   battery and the four ABcast properties, and deliver everything. *)
+let test_retire_waits_for_quiet () =
+  let held = "abcast.seq-held" and hold_ms = 2_500.0 in
+  let batching = Some P.Batcher.default in
+  let register_extra system =
+    Registry.register (System.registry system) ~name:held ~provides:[ Service.abcast ]
+      ~requires:[ Service.rp2p ] (fun stack ->
+        let m = P.Abcast_seq.install ?batching ~n:(System.n system) stack in
+        let epoch = P.Abcast_iface.current_epoch stack in
+        Option.iter
+          (fun quiet ->
+            P.Abcast_iface.report_quiet stack ~epoch (fun () ->
+                Stack.now stack >= hold_ms && quiet ()))
+          (P.Abcast_iface.take_quiet stack ~epoch);
+        m)
+  in
+  let profile =
+    { Dpu_core.Stack_builder.default_profile with initial_abcast = held; batching }
+  in
+  let config = { MW.default_config with trace_enabled = true; profile; msg_size = 512 } in
+  let mw = MW.create ~config ~register_extra ~n:3 () in
+  Dpu_workload.Load_gen.start mw ~rate_per_s:200.0 ~size:512 ~until:4_000.0 ();
+  Clock.defer (System.clock (MW.system mw)) ~delay:1_000.0 (fun () ->
+      MW.change_protocol mw ~node:0 Dpu_core.Variants.ct);
+  MW.run_for mw 8_000.0;
+  let trace = System.trace (MW.system mw) in
+  let removals =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        match e.kind with
+        | Trace.Remove_module m when String.equal m P.Abcast_seq.protocol_name ->
+          Some (e.node, e.time)
+        | _ -> None)
+      (Trace.entries trace)
+  in
+  for node = 0 to 2 do
+    match List.assoc_opt node removals with
+    | None -> fail (Printf.sprintf "node %d kept the superseded generation" node)
+    | Some t ->
+      check Alcotest.bool
+        (Printf.sprintf "node %d retired it while busy (%.1f ms)" node t)
+        true (t >= hold_ms)
+  done;
+  let collector = MW.collector mw in
+  check Alcotest.int "everything delivered everywhere" 0
+    (List.length (Dpu_core.Collector.undelivered_ids collector ~expected_copies:3));
+  List.iter
+    (fun (r : Dpu_props.Report.t) ->
+      check Alcotest.bool (Format.asprintf "%a" Dpu_props.Report.pp r) true r.ok)
+    (Dpu_props.Stack_props.check_generic trace
+       ~protocols:
+         [ P.Abcast_seq.protocol_name; Dpu_core.Variants.ct; Dpu_core.Repl.protocol_name ]
+       ~nodes:[ 0; 1; 2 ]
+    @ Dpu_props.Abcast_props.check_all collector ~correct:[ 0; 1; 2 ])
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "kernel"
@@ -599,6 +684,7 @@ let () =
           tc "indication routing" test_stack_indication_routing;
           tc "indication fan-out" test_stack_indication_multiple_requirers;
           tc "indication snapshot" test_stack_indication_snapshot;
+          tc "removed receiver skipped" test_stack_removed_receiver_skipped;
           tc "unbound module interaction" test_stack_unbound_module_can_indicate_and_receive;
           tc "remove module" test_stack_remove_module;
           tc "crash stops dispatch" test_stack_crash_stops_dispatch;
@@ -630,4 +716,5 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_dispatch_conservation ] );
+      ("retire", [ tc "waits for a quiet module" test_retire_waits_for_quiet ]);
     ]

@@ -80,6 +80,22 @@ let test_no_reissue_breaks_validity () =
 let test_no_removal_breaks_integrity () =
   expect_violation ~mutation:M.No_undelivered_removal ~property:"integrity" "lines 19-20"
 
+(* A stack that stops consuming a generation's stream once it and
+   every other live stack have left it is owed nothing more from it:
+   every property holds, with a crash and with overlapping changes too.
+   Retiring before the stack itself has left the generation strands it
+   there. *)
+let test_retiring_verifies () =
+  expect_verified ~mutation:M.Retiring "retiring";
+  expect_verified ~mutation:M.Retiring ~bounds:{ M.default_bounds with crashes = 1 }
+    "retiring with a crash";
+  expect_verified ~mutation:M.Retiring
+    ~bounds:{ M.default_bounds with sends = 1; changes = 2 }
+    "retiring with overlapping changes"
+
+let test_early_retire_refuted () =
+  expect_violation ~mutation:M.Early_retire ~property:"validity" "early retire"
+
 let test_mutations_harmless_without_change () =
   (* With a change budget of zero, Algorithm 1 is plain ABcast and all
      three mutations are dead code: everything verifies. *)
@@ -163,6 +179,11 @@ let () =
           tc "no lines 15-16 -> validity" test_no_reissue_breaks_validity;
           tc "no lines 19-20 -> integrity" test_no_removal_breaks_integrity;
           tc "harmless without a change" test_mutations_harmless_without_change;
+        ] );
+      ( "retirement",
+        [
+          tc "retiring a left generation verifies" test_retiring_verifies;
+          tc "retiring too early -> validity" test_early_retire_refuted;
         ] );
       ( "consensus replacement layer",
         [

@@ -880,6 +880,53 @@ let test_consensus_released_values_reach_healed_member () =
     check Alcotest.bool "the contract is named" true
       (String.starts_with ~prefix:"Consensus_ct:" msg)
 
+(* Closing an epoch stands for every later proposal its caller will
+   never make: each held value of the epoch goes once every other
+   member has relayed it, the last one included, while other epochs
+   keep theirs. Node 2 is cut off while nodes 0 and 1 decide one
+   instance in epochs 0 and 1, so node 0's value waits for node 2's
+   relay after the close. The wire is unchanged: a late estimate for
+   the dropped instance is answered with a W_released, and proposing
+   it again raises. *)
+let test_consensus_closed_epoch_drops_last_value () =
+  let system = make_system ~n:3 ~seed:3 () in
+  ensure_all system Service.consensus;
+  let frames = consensus_frames system in
+  let stack = System.stack system in
+  let retained node = P.Consensus_ct.retained (stack node) in
+  let iid epoch = { P.Consensus_iface.epoch; k = 0 } in
+  Dpu_net.Datagram.partition (System.net system) [ [ 0; 1 ]; [ 2 ] ];
+  List.iter
+    (fun epoch ->
+      List.iter (fun node -> propose system ~node ~iid:(iid epoch) "v") [ 0; 1 ];
+      System.run_for system 1_000.0)
+    [ 0; 1 ];
+  check Alcotest.int "both values held" 2 (retained 0);
+  P.Consensus_iface.close (stack 0) ~epoch:0;
+  check Alcotest.int "held until node 2 relays" 2 (retained 0);
+  Dpu_net.Datagram.heal (System.net system);
+  System.run_for system 5_000.0;
+  check Alcotest.int "epoch 0's last value dropped" 1 (retained 0);
+  check Alcotest.int "node 1 did not close" 2 (retained 1);
+  frames := [];
+  Stack.indicate (stack 0) Service.rp2p
+    (P.Rp2p.Recv
+       {
+         src = 2;
+         payload =
+           P.Consensus_ct.W_estimate
+             { iid = iid 0; round = 1; from = 2; value = Blob "late"; ts = 0; weight = 4 };
+       });
+  System.run_for system 1_000.0;
+  check Alcotest.bool "a late estimate gets a W_released" true
+    (List.exists (function 0, 2, P.Consensus_ct.W_released _ -> true | _ -> false) !frames);
+  propose system ~node:0 ~iid:(iid 0) "again";
+  match System.run_for system 1_000.0 with
+  | () -> fail "re-proposing in a closed epoch was accepted"
+  | exception Invalid_argument msg ->
+    check Alcotest.bool "the contract is named" true
+      (String.starts_with ~prefix:"Consensus_ct:" msg)
+
 (* A W_decide names a node, not a module. Here node 2 installs a second
    Consensus_ct after its first one relayed the decisions of k = 0 and
    1, and proposes k = 0 to it, as a caller routing one epoch to two
@@ -931,10 +978,10 @@ let test_consensus_released_answer_decides_nothing () =
 (* ------------------------------------------------------------------ *)
 
 (* Build a system with a given abcast variant bound on every stack. *)
-let make_abcast_system ?(n = 3) ?(seed = 1) ?(loss = 0.0) variant =
+let make_abcast_system ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?batching variant =
   let system = make_system ~n ~seed ~loss () in
-  P.Abcast_ct.register system;
-  P.Abcast_seq.register system;
+  P.Abcast_ct.register ?batching system;
+  P.Abcast_seq.register ?batching system;
   P.Abcast_token.register system;
   System.iter_stacks system (fun stack ->
       ignore (Registry.instantiate (System.registry system) stack ~name:variant));
@@ -952,6 +999,35 @@ let abcast_logs system =
 let abcast system ~node s =
   Stack.call (System.stack system node) Service.abcast
     (P.Abcast_iface.Broadcast { size = 256; payload = Blob s })
+
+(* Each provider reports when a superseded generation of it could
+   leave the stack: a batched sequencer is busy while its order batch
+   is unflushed, a ct module while a message is unordered or being
+   decided, and the token ring, whose token keeps circulating, never
+   reports. Each reporter is sampled every 0.5 ms around one
+   broadcast. *)
+let test_abcast_quiet_reports () =
+  let batching = { P.Batcher.max_batch = 64; max_delay_ms = 50.0 } in
+  let busy_then_quiet variant ~node =
+    let system = make_abcast_system ~batching variant in
+    match P.Abcast_iface.take_quiet (System.stack system node) ~epoch:0 with
+    | None -> fail (variant ^ " reports nothing")
+    | Some quiet ->
+      check Alcotest.bool (variant ^ " idle is quiet") true (quiet ());
+      abcast system ~node:1 "m";
+      let busy = ref false in
+      for _ = 1 to 400 do
+        System.run_for system 0.5;
+        if not (quiet ()) then busy := true
+      done;
+      check Alcotest.bool (variant ^ " busy meanwhile") true !busy;
+      check Alcotest.bool (variant ^ " quiet once delivered") true (quiet ())
+  in
+  busy_then_quiet P.Abcast_seq.protocol_name ~node:0;
+  busy_then_quiet P.Abcast_ct.protocol_name ~node:2;
+  let system = make_abcast_system P.Abcast_token.protocol_name in
+  check Alcotest.bool "token reports nothing" true
+    (Option.is_none (P.Abcast_iface.take_quiet (System.stack system 0) ~epoch:0))
 
 let run_abcast_scenario ?(n = 3) ?(seed = 1) ?(loss = 0.0) ~msgs variant =
   let system = make_abcast_system ~n ~seed ~loss variant in
@@ -1217,6 +1293,7 @@ let () =
           tc "released values reach a healed member"
             test_consensus_released_values_reach_healed_member;
           tc "released answer decides nothing" test_consensus_released_answer_decides_nothing;
+          tc "closed epoch drops its last value" test_consensus_closed_epoch_drops_last_value;
           tc "partition + heal" test_consensus_partition_heal;
           tc "minority cannot decide" test_consensus_minority_side_cannot_decide;
         ] );
@@ -1227,6 +1304,7 @@ let () =
         [
           tc "ct batching ablation" test_abcast_ct_batching;
           tc "token node crash" test_abcast_token_holder_crash;
+          tc "quiet reports" test_abcast_quiet_reports;
         ] );
       ( "gm",
         [
