@@ -68,8 +68,9 @@ let record_sweep key (st : Sweep.stats) =
 
 (* Figure 5's setting with a CT->CT swap every 500 ms from the nodes in
    turn, as bench/perf's paper-n7 runs it: the most modules any stack
-   holds at the end. A superseded generation leaves the stack once it
-   is quiet, so this does not grow with the number of swaps. *)
+   holds at the end. A superseded generation leaves the stack once
+   every member has left it, so this does not grow with the number of
+   swaps. *)
 let run_history () =
   let n = 7 and horizon_ms = 20_000.0 in
   let switches =

@@ -7,14 +7,6 @@ type Payload.t +=
   | M_switch of { gen : int; protocol : string }
 
 let () =
-  Payload.register_printer (function
-    | M_data { gen; id; _ } ->
-      Some (Printf.sprintf "maestro.data gen=%d %s" gen (Msg.id_to_string id))
-    | M_switch { gen; protocol } ->
-      Some (Printf.sprintf "maestro.switch gen=%d %s" gen protocol)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"maestro"
     ~encode:(function
       | M_data { gen; id; size; payload } ->

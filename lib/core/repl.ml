@@ -8,13 +8,6 @@ type Payload.t +=
   | A_new of { sn : int; protocol : string }
 
 let () =
-  Payload.register_printer (function
-    | A_data { sn; id; _ } ->
-      Some (Printf.sprintf "repl.data sn=%d %s" sn (Msg.id_to_string id))
-    | A_new { sn; protocol } -> Some (Printf.sprintf "repl.new sn=%d %s" sn protocol)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"repl"
     ~encode:(function
       | A_data { sn; id; size; payload } ->
@@ -54,7 +47,7 @@ let header_size = 48
 let generation = Abcast_iface.current_epoch
 
 (* A superseded generation's module, kept until it can be retired. *)
-type old = { gen : int; module_ : Stack.module_; quiet : unit -> bool }
+type old = { gen : int; module_ : Stack.module_ }
 
 let install ~registry ~n stack =
   let me = Stack.node stack in
@@ -83,25 +76,26 @@ let install ~registry ~n stack =
         in
         Stack.call stack Service.abcast (Abcast_iface.Broadcast { size; payload })
       in
-      (* Retirement. Per origin, the highest [sn] adelivered from it: an
-         origin seen past g has left generation g, since it tags an
-         entry with the generation it is in. A superseded generation's
-         module is removed once this stack and every other member have
-         left it and the module is quiet; until then it drains. A
-         provider that reports no quiet predicate stays. *)
+      (* Retirement, decided from the adeliveries alone. Per member, the
+         highest [sn] adelivered from it ([max_int] for this stack): a
+         member seen past g has left generation g, since it tags an
+         entry with the generation it is in. [left] is the lowest of
+         them, so every other member has left each generation below it.
+         A superseded generation's module drains until this stack and
+         every other member have left it; then no member is owed a
+         generation-g delivery, and the module is removed, whatever its
+         protocol. *)
       let seen = Array.make n 0 in
+      seen.(me) <- max_int;
+      let left = ref (Array.fold_left Int.min max_int seen) in
       let superseded = ref [] in
-      let others_past g =
-        let rec from q = q >= n || ((q = me || seen.(q) > g) && from (q + 1)) in
-        from 0
-      in
       let retire () =
         superseded :=
           List.filter
             (fun old ->
               let ready =
-                old.gen < !st.sn && others_past old.gen
-                && old.quiet () (* mutation anchor: quiet *)
+                old.gen < !st.sn
+                && old.gen < !left (* mutation anchor: others past *)
               in
               if ready then Stack.remove_module stack old.module_;
               not ready)
@@ -111,7 +105,10 @@ let install ~registry ~n stack =
          in the order of Algorithm 1. *)
       let deliver ~origin entry =
         let sn = match entry with Step.Data { sn; _ } | Step.New { sn; _ } -> sn in
-        if origin >= 0 && origin < n && sn > seen.(origin) then seen.(origin) <- sn;
+        if origin >= 0 && origin < n && sn > seen.(origin) then begin
+          seen.(origin) <- sn;
+          left := Array.fold_left Int.min max_int seen
+        end;
         let after, actions = Step.deliver ~equal:Msg.id_equal !st entry in
         st := after;
         List.iter
@@ -129,9 +126,9 @@ let install ~registry ~n stack =
                 (fun () -> Printf.sprintf "sn=%d current=%d prot=%s" sn after.sn protocol) ()
             | Step.Switch { generation; protocol } ->
               let gen = generation - 1 in
-              (match (Stack.bound stack Service.abcast, Abcast_iface.take_quiet stack ~epoch:gen) with
-              | Some module_, Some quiet -> superseded := !superseded @ [ { gen; module_; quiet } ]
-              | _ -> ());
+              Option.iter
+                (fun module_ -> superseded := !superseded @ [ { gen; module_ } ])
+                (Stack.bound stack Service.abcast);
               Stack.unbind stack Service.abcast;
               (* Pass the new generation to the factory (epochs keep the
                  old and new protocol's wire traffic disjoint), then

@@ -17,19 +17,6 @@ type Payload.t += Wrapped of { value : Payload.t; switch : string option }
 type Payload.t += Wire_request of { protocol : string }
 
 let () =
-  Payload.register_printer (function
-    | Change_consensus p -> Some (Printf.sprintf "change-consensus %s" p)
-    | Consensus_changed { generation; protocol } ->
-      Some (Printf.sprintf "consensus-changed gen=%d %s" generation protocol)
-    | Wrapped { value; switch } ->
-      Some
-        (Printf.sprintf "wrapped%s %s"
-           (match switch with Some p -> "+switch:" ^ p | None -> "")
-           (Payload.to_string value))
-    | Wire_request { protocol } -> Some (Printf.sprintf "repl-consensus.request %s" protocol)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"repl-consensus"
     ~encode:(function
       | Change_consensus protocol ->

@@ -35,13 +35,6 @@ val replacement_timeline : Collector.t -> (int * (float * float)) list
 (** Per generation, the [(first_install, last_install)] window — the
     data behind the timeline-process spans, sorted by generation. *)
 
-val windows_of_trace_events :
-  Dpu_obs.Trace_event.t list -> (int * (float * float)) list
-(** Recover the replacement windows from trace events (the
-    ["replacement gen=N"] spans, wherever they were merged from), in
-    milliseconds. On a trace produced by {!of_run} this agrees with
-    {!replacement_timeline} on the same collector. *)
-
 val nemesis_events :
   n:int -> horizon_ms:float -> Dpu_faults.Schedule.t -> Dpu_obs.Trace_event.t list
 (** The fault schedule as a lane on the synthetic process [n + 1]

@@ -3,26 +3,6 @@ type t = ..
 type t += Unit
 
 (* ------------------------------------------------------------------ *)
-(* Printers                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let printers : (t -> string option) list ref = ref []
-
-let register_printer f = printers := f :: !printers
-
-let to_string p =
-  match p with
-  | Unit -> "unit"
-  | _ ->
-    let rec try_all = function
-      | [] -> "<payload>"
-      | f :: rest -> ( match f p with Some s -> s | None -> try_all rest)
-    in
-    try_all !printers
-
-let pp ppf p = Format.pp_print_string ppf (to_string p)
-
-(* ------------------------------------------------------------------ *)
 (* Wire codecs                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -33,6 +13,10 @@ let () =
     | Decode_error msg ->
       Some (Printf.sprintf "Dpu_kernel.Payload.Decode_error(%S)" msg)
     | _ -> None)
+
+(* The constructor's path, e.g. ["Dpu_kernel.Payload.Unit"]: what an
+   error names when a payload has no codec. *)
+let constructor p = Obj.Extension_constructor.(name (of_val p))
 
 let decode_fail fmt = Printf.ksprintf (fun msg -> raise (Decode_error msg)) fmt
 
@@ -89,7 +73,7 @@ let encode_exn p =
   | Some s -> s
   | None ->
     invalid_arg
-      (Printf.sprintf "Payload.encode_exn: no codec for %s" (to_string p))
+      (Printf.sprintf "Payload.encode_exn: no codec for %s" (constructor p))
 
 let has_codec p = match encode p with Some _ -> true | None -> false
 
@@ -191,7 +175,7 @@ module Envelope = struct
           if not (encode_into scratch p) then
             invalid_arg
               (Printf.sprintf "Payload.Envelope.seal_batch: no codec for %s"
-                 (to_string p));
+                 (constructor p));
           Wire.W.str_writer elems scratch;
           count + 1)
         0 payloads

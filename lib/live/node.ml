@@ -102,20 +102,23 @@ let run ~config ~fd ~peers () =
   in
   let mw = Middleware.of_system ~config:mw_config system in
   let clock = System.clock system in
-  (* Open-loop load, staggered so the n processes do not send in
-     phase: this node sends every [n / load] seconds until
-     [duration_ms], then stops ticking so the drain sleeps undisturbed. *)
+  (* Open-loop load on the shared epoch, staggered so the n processes
+     do not send in phase: this node's k-th message is due at
+     [phase + k * n / load] seconds, for every due time below
+     [duration_ms]. A tick that fires late (the process was starved)
+     still sends its message, and the next one is due at its own
+     nominal time, so a late node catches up instead of dropping load;
+     after the last one the drain sleeps undisturbed. *)
   let interval = 1000.0 *. float_of_int config.n /. config.load in
-  let generator = ref None in
-  Clock.defer clock
-    ~delay:(interval *. float_of_int config.me /. float_of_int config.n)
-    (fun () ->
-      generator :=
-        Some
-          (Clock.every clock ~period:interval (fun () ->
-               if Live_clock.now lclock < config.duration_ms then
-                 ignore (Middleware.broadcast mw ~node:config.me "live" : Msg.t)
-               else Option.iter Clock.cancel !generator)));
+  let phase = interval *. float_of_int config.me /. float_of_int config.n in
+  let rec tick k =
+    let due = phase +. (float_of_int k *. interval) in
+    if due < config.duration_ms then
+      Clock.defer clock ~delay:(Float.max 0.0 (due -. Live_clock.now lclock)) (fun () ->
+          ignore (Middleware.broadcast mw ~node:config.me "live" : Msg.t);
+          tick (k + 1))
+  in
+  tick 0;
   List.iter
     (fun (at, node, protocol) ->
       if node = config.me then

@@ -18,8 +18,11 @@
     fetches — so it can be archived as a single CI artifact. *)
 
 val windows_of_events : Trace_event.t list -> (int * (float * float)) list
-(** The replacement windows recoverable from a trace: generation with
-    [(start_ms, end_ms)], sorted by generation. *)
+(** The replacement windows recoverable from a trace (the
+    ["replacement gen=N"] spans, wherever they were merged from):
+    generation with [(start_ms, end_ms)], sorted by generation. On a
+    trace produced by [Dpu_core.Spans.of_run] this agrees with
+    [Dpu_core.Spans.replacement_timeline] on the same collector. *)
 
 val render :
   ?metrics:Json.t ->

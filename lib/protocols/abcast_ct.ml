@@ -7,13 +7,6 @@ type Payload.t += Batch of item list
 type Payload.t += Disseminate of { epoch : int; item : item }
 
 let () =
-  Payload.register_printer (function
-    | Batch items -> Some (Printf.sprintf "ct-abcast.batch(%d)" (List.length items))
-    | Disseminate { epoch; item } ->
-      Some (Printf.sprintf "ct-abcast.disseminate e%d %s" epoch (Msg.id_to_string item.id))
-    | _ -> None)
-
-let () =
   let write_item w { id; size; payload } =
     Msg.write_id w id;
     Wire.W.int w size;
@@ -144,13 +137,15 @@ let install ?batching stack =
           maybe_propose ()
         end
       in
-      Abcast_iface.report_quiet stack ~epoch (fun () ->
-          Hashtbl.length unordered = 0 && (not !proposed) && Hashtbl.length decisions = 0);
       {
         Stack.default_handlers with
-        (* Removed once quiet: this module proposes nothing more in its
-           epoch, so consensus may drop the epoch's last values. *)
-        on_stop = (fun () -> Consensus_iface.close stack ~epoch);
+        (* Stopped, this module proposes nothing more in its epoch: its
+           batch timer is disarmed, and consensus may drop the epoch's
+           last values. *)
+        on_stop =
+          (fun () ->
+            Option.iter Batcher.Trigger.cancel trigger;
+            Consensus_iface.close stack ~epoch);
         handle_call =
           (fun _svc p ->
             match p with

@@ -5,14 +5,6 @@ type Payload.t +=
   | Deliver of { origin : int; payload : Payload.t }
 
 let () =
-  Payload.register_printer (function
-    | Broadcast { size; payload } ->
-      Some (Printf.sprintf "abcast size=%d %s" size (Payload.to_string payload))
-    | Deliver { origin; payload } ->
-      Some (Printf.sprintf "adeliver origin=%d %s" origin (Payload.to_string payload))
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"abcast"
     ~encode:(function
       | Broadcast { size; payload } ->
@@ -45,21 +37,6 @@ let k_epoch : int ref Stack.key = Stack.key ()
 let epoch stack = Stack.state stack k_epoch (fun () -> ref 0)
 
 let current_epoch stack = !(epoch stack)
-
-(* Per stack: the quiet predicate of the latest module to report. *)
-let k_quiet : (int * (unit -> bool)) option ref Stack.key = Stack.key ()
-
-let quiet_cell stack = Stack.state stack k_quiet (fun () -> ref None)
-
-let report_quiet stack ~epoch quiet = quiet_cell stack := Some (epoch, quiet)
-
-let take_quiet stack ~epoch =
-  let cell = quiet_cell stack in
-  match !cell with
-  | Some (e, quiet) when e = epoch ->
-    cell := None;
-    Some quiet
-  | Some _ | None -> None
 
 (* Wire-epoch extractors: each ABcast implementation registers a
    function that recognises its own wire payloads (wrapped in the

@@ -29,26 +29,6 @@ val epoch : Stack.t -> int ref
 val current_epoch : Stack.t -> int
 (** The generation in force in [stack] (0 before any replacement). *)
 
-(** {1 Retirement}
-
-    Once every stack has moved past a generation, its module has
-    nothing left to do but drain: the replacement module removes it
-    from the stack as soon as it is also quiet. A provider reports,
-    per generation, how to tell. *)
-
-val report_quiet : Stack.t -> epoch:int -> (unit -> bool) -> unit
-(** [report_quiet stack ~epoch q]: [stack]'s module of generation
-    [epoch] is quiet whenever [q ()] holds, meaning it holds nothing it
-    accepted and has yet to order, send or deliver. The cell keeps only
-    the latest report, so the replacement module takes it before it
-    creates the next generation's module. A provider that never
-    reports (the token ring, whose token keeps circulating) is never
-    removed. *)
-
-val take_quiet : Stack.t -> epoch:int -> (unit -> bool) option
-(** The predicate of the latest report, if it was for [epoch]; the
-    cell is then empty. *)
-
 (** {1 Wire-epoch recognition}
 
     A node that switches generations late (it was partitioned, or its

@@ -10,17 +10,6 @@ type Payload.t +=
     }
 
 let () =
-  Payload.register_printer (function
-    | Wire_req { epoch; id; _ } ->
-      Some (Printf.sprintf "seq-abcast.req e%d %s" epoch (Msg.id_to_string id))
-    | Wire_order { epoch; gseq; _ } -> Some (Printf.sprintf "seq-abcast.order e%d #%d" epoch gseq)
-    | Wire_order_batch { epoch; first_gseq; orders } ->
-      Some
-        (Printf.sprintf "seq-abcast.order-batch e%d #%d+%d" epoch first_gseq
-           (List.length orders))
-    | _ -> None)
-
-let () =
   let write_order w (origin, size, payload) =
     Wire.W.int w origin;
     Wire.W.int w size;
@@ -171,11 +160,11 @@ let install ?(sequencer = 0) ?batching ~n stack =
         if gseq >= !next_expected && not (Hashtbl.mem buffered gseq) then
           Hashtbl.replace buffered gseq (origin, size, payload)
       in
-      Abcast_iface.report_quiet stack ~epoch (fun () ->
-          Hashtbl.length buffered = 0
-          && match batcher with Some b -> Batcher.pending b = 0 | None -> true);
       {
         Stack.default_handlers with
+        (* Stopped, this module orders nothing more: an unflushed batch
+           is dropped. *)
+        on_stop = (fun () -> Option.iter Batcher.cancel batcher);
         handle_call =
           (fun _svc p ->
             match p with

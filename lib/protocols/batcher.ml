@@ -77,4 +77,4 @@ let add t x =
 
 let flush t = Trigger.force t.trigger
 
-let pending t = t.count
+let cancel t = Trigger.cancel t.trigger

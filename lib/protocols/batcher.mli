@@ -42,6 +42,10 @@ module Trigger : sig
 
   val force : t -> unit
   (** Cancel any armed timer and fire now — the epoch-boundary flush. *)
+
+  val cancel : t -> unit
+  (** Disarm the timer without firing: a stopped module's batch never
+      flushes. *)
 end
 
 (** Accumulating batcher: owns the pending list, preserves insertion
@@ -58,4 +62,5 @@ val add : 'a t -> 'a -> unit
 val flush : 'a t -> unit
 (** Flush whatever is pending now (no-op when empty). *)
 
-val pending : 'a t -> int
+val cancel : 'a t -> unit
+(** {!Trigger.cancel}: what is pending is never flushed. *)

@@ -17,19 +17,6 @@ type Payload.t +=
          has dropped; it carries no value, so nothing can decide on it *)
 
 let () =
-  Payload.register_printer (function
-    | W_estimate { iid; round; from; _ } ->
-      Some (Printf.sprintf "ct.estimate %s r%d p%d" (pp_iid iid) round from)
-    | W_propose { iid; round; _ } -> Some (Printf.sprintf "ct.proposal %s r%d" (pp_iid iid) round)
-    | W_ack { iid; round; from } -> Some (Printf.sprintf "ct.ack %s r%d p%d" (pp_iid iid) round from)
-    | W_nack { iid; round; from } ->
-      Some (Printf.sprintf "ct.nack %s r%d p%d" (pp_iid iid) round from)
-    | W_decide { iid; _ } -> Some (Printf.sprintf "ct.decision %s" (pp_iid iid))
-    | W_wakeup { iid } -> Some (Printf.sprintf "ct.wakeup %s" (pp_iid iid))
-    | W_released { iid } -> Some (Printf.sprintf "ct.released %s" (pp_iid iid))
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"consensus.ct"
     ~encode:(function
       | W_estimate { iid; round; from; value; ts; weight } ->

@@ -24,13 +24,6 @@ type Payload.t +=
   | No_value
 
 let () =
-  Payload.register_printer (function
-    | Propose { iid; _ } -> Some (Printf.sprintf "consensus.propose %s" (pp_iid iid))
-    | Decide { iid; _ } -> Some (Printf.sprintf "consensus.decide %s" (pp_iid iid))
-    | No_value -> Some "consensus.no-value"
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"consensus"
     ~encode:(function
       | Propose { iid; value; weight } ->

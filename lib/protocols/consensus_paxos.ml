@@ -17,21 +17,6 @@ type Payload.t +=
   | P_decide of { iid : iid; value : Payload.t; weight : int }
 
 let () =
-  Payload.register_printer (function
-    | P_wakeup { iid } -> Some (Printf.sprintf "paxos.wakeup %s" (pp_iid iid))
-    | P_offer { iid; from; _ } -> Some (Printf.sprintf "paxos.offer %s p%d" (pp_iid iid) from)
-    | P_prepare { iid; ballot; from } ->
-      Some (Printf.sprintf "paxos.prepare %s b%d p%d" (pp_iid iid) ballot from)
-    | P_promise { iid; ballot; from; _ } ->
-      Some (Printf.sprintf "paxos.promise %s b%d p%d" (pp_iid iid) ballot from)
-    | P_accept { iid; ballot; from; _ } ->
-      Some (Printf.sprintf "paxos.accept %s b%d p%d" (pp_iid iid) ballot from)
-    | P_accepted { iid; ballot; from } ->
-      Some (Printf.sprintf "paxos.accepted %s b%d p%d" (pp_iid iid) ballot from)
-    | P_decide { iid; _ } -> Some (Printf.sprintf "paxos.decision %s" (pp_iid iid))
-    | _ -> None)
-
-let () =
   let write_accepted w (ballot, value, weight) =
     Wire.W.int w ballot;
     Wire.W.str w (Payload.encode_exn value);

@@ -7,13 +7,6 @@ type Payload.t +=
 type Payload.t += Wire_heartbeat of { src : int }
 
 let () =
-  Payload.register_printer (function
-    | Suspect n -> Some (Printf.sprintf "fd.suspect %d" n)
-    | Restore n -> Some (Printf.sprintf "fd.restore %d" n)
-    | Wire_heartbeat { src } -> Some (Printf.sprintf "fd.heartbeat src=%d" src)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"fd"
     ~encode:(function
       | Suspect n ->

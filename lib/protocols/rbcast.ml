@@ -8,13 +8,6 @@ type Payload.t +=
   | Wire of { origin : int; seq : int; size : int; payload : Payload.t }
 
 let () =
-  Payload.register_printer (function
-    | Bcast { size; _ } -> Some (Printf.sprintf "rbcast.bcast size=%d" size)
-    | Deliver { origin; _ } -> Some (Printf.sprintf "rbcast.deliver origin=%d" origin)
-    | Wire { origin; seq; _ } -> Some (Printf.sprintf "rbcast.wire %d.%d" origin seq)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"rbcast"
     ~encode:(function
       | Bcast { size; payload } ->

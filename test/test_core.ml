@@ -735,7 +735,7 @@ let test_repl_self_replacement () =
   MW.run_until_quiescent ~limit:30_000.0 mw;
   assert_consistent ~expect_count:10 logs;
   (* Every node sent in the new generation, so each stack retired the
-     old ct instance once it was quiet: one instance is left, bound. *)
+     old ct instance: one instance is left, bound. *)
   let ct_instances =
     List.filter (fun name -> name = "abcast.ct") (module_names mw 1)
   in

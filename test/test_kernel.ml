@@ -66,16 +66,18 @@ let test_service_map () =
 (* Payload                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_payload_unit_printer () =
-  check Alcotest.string "unit" "unit" (Payload.to_string Payload.Unit)
-
-let test_payload_printer_registration () =
-  check Alcotest.string "unknown" "<payload>" (Payload.to_string (Ping 1));
-  Payload.register_printer (function
-    | Ping n -> Some (Printf.sprintf "ping %d" n)
-    | _ -> None);
-  check Alcotest.string "registered" "ping 7" (Payload.to_string (Ping 7));
-  check Alcotest.string "still unknown" "<payload>" (Payload.to_string (Pong 1))
+(* A payload without a codec cannot be framed, and the error names
+   its constructor. *)
+let test_payload_no_codec_names_constructor () =
+  List.iter
+    (fun (p, name) ->
+      match Payload.encode_exn p with
+      | _ -> Alcotest.failf "%s was encoded" name
+      | exception Invalid_argument msg ->
+        check Alcotest.bool msg true
+          (String.starts_with ~prefix:"Payload.encode_exn: no codec for " msg
+          && String.ends_with ~suffix:("Test_kernel." ^ name) msg))
+    [ (Ping 1, "Ping"); (Pong 2, "Pong") ]
 
 (* ------------------------------------------------------------------ *)
 (* Msg                                                                *)
@@ -592,51 +594,68 @@ module MW = Dpu_core.Middleware
 module P = Dpu_protocols
 
 (* Batched abcast.seq -> abcast.ct at n = 3 under 200 msg/s, switched
-   at 1 s. The initial generation is the sequencer registered under
-   another name, whose quiet predicate also holds it busy until
-   [hold_ms]: each stack must retire it, and not before then. The run must pass the §3
-   battery and the four ABcast properties, and deliver everything. *)
-let test_retire_waits_for_quiet () =
-  let held = "abcast.seq-held" and hold_ms = 2_500.0 in
+   at 1 s: the sequencer generation is busy when the stacks leave it.
+   Each stack must remove it, and only after every member has switched
+   away from it; from then on the stack sends no first transmission of
+   a generation-0 frame (calls it issued before the removal take at
+   most two hops to reach the wire). The run must pass the §3 battery
+   and the four ABcast properties, and deliver everything. *)
+let test_retire_busy_generation () =
   let batching = Some P.Batcher.default in
-  let register_extra system =
-    Registry.register (System.registry system) ~name:held ~provides:[ Service.abcast ]
-      ~requires:[ Service.rp2p ] (fun stack ->
-        let m = P.Abcast_seq.install ?batching ~n:(System.n system) stack in
-        let epoch = P.Abcast_iface.current_epoch stack in
-        Option.iter
-          (fun quiet ->
-            P.Abcast_iface.report_quiet stack ~epoch (fun () ->
-                Stack.now stack >= hold_ms && quiet ()))
-          (P.Abcast_iface.take_quiet stack ~epoch);
-        m)
-  in
   let profile =
-    { Dpu_core.Stack_builder.default_profile with initial_abcast = held; batching }
+    {
+      Dpu_core.Stack_builder.default_profile with
+      initial_abcast = P.Abcast_seq.protocol_name;
+      batching;
+    }
   in
   let config = { MW.default_config with trace_enabled = true; profile; msg_size = 512 } in
-  let mw = MW.create ~config ~register_extra ~n:3 () in
+  let mw = MW.create ~config ~n:3 () in
+  let system = MW.system mw in
+  let last_gen0 = Array.make 3 neg_infinity in
+  Dpu_net.Datagram.set_drop_filter (System.net system)
+    (Some
+       (fun ~src ~dst:_ p ->
+         (match p with
+         | P.Rp2p.Wire_data { attempt = 0; payload; _ } -> (
+           match P.Abcast_iface.wire_epoch (P.Rp2p.Recv { src; payload }) with
+           | Some 0 -> last_gen0.(src) <- System.now system
+           | _ -> ())
+         | _ -> ());
+         false));
   Dpu_workload.Load_gen.start mw ~rate_per_s:200.0 ~size:512 ~until:4_000.0 ();
-  Clock.defer (System.clock (MW.system mw)) ~delay:1_000.0 (fun () ->
+  Clock.defer (System.clock system) ~delay:1_000.0 (fun () ->
       MW.change_protocol mw ~node:0 Dpu_core.Variants.ct);
   MW.run_for mw 8_000.0;
-  let trace = System.trace (MW.system mw) in
-  let removals =
-    List.filter_map
-      (fun (e : Trace.entry) ->
-        match e.kind with
-        | Trace.Remove_module m when String.equal m P.Abcast_seq.protocol_name ->
-          Some (e.node, e.time)
-        | _ -> None)
+  let trace = System.trace system in
+  let times f =
+    List.filter_map (fun (e : Trace.entry) -> if f e.kind then Some (e.node, e.time) else None)
       (Trace.entries trace)
+  in
+  let removals =
+    times (function
+      | Trace.Remove_module m -> String.equal m P.Abcast_seq.protocol_name
+      | _ -> false)
+  in
+  let last_switch =
+    List.fold_left
+      (fun acc (_, t) -> Float.max acc t)
+      neg_infinity
+      (times (function Trace.App (tag, _) -> String.equal tag "repl.switch" | _ -> false))
   in
   for node = 0 to 2 do
     match List.assoc_opt node removals with
     | None -> fail (Printf.sprintf "node %d kept the superseded generation" node)
     | Some t ->
       check Alcotest.bool
-        (Printf.sprintf "node %d retired it while busy (%.1f ms)" node t)
-        true (t >= hold_ms)
+        (Printf.sprintf "node %d retired it (%.2f ms) after every switch (%.2f ms)" node t
+           last_switch)
+        true (t > last_switch);
+      check Alcotest.bool
+        (Printf.sprintf "node %d sent generation 0 last at %.2f ms, removed at %.2f ms" node
+           last_gen0.(node) t)
+        true
+        (last_gen0.(node) <= t +. (2.0 *. config.hop_cost))
   done;
   let collector = MW.collector mw in
   check Alcotest.int "everything delivered everywhere" 0
@@ -662,8 +681,7 @@ let () =
         ] );
       ( "payload",
         [
-          tc "unit printer" test_payload_unit_printer;
-          tc "printer registration" test_payload_printer_registration;
+          tc "no codec names the constructor" test_payload_no_codec_names_constructor;
         ] );
       ("msg", [ tc "ids" test_msg_ids; tc "sets" test_msg_sets ]);
       ( "trace",
@@ -716,5 +734,7 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_dispatch_conservation ] );
-      ("retire", [ tc "waits for a quiet module" test_retire_waits_for_quiet ]);
+      ( "retire",
+        [ tc "busy generation leaves once all left" test_retire_busy_generation ]
+      );
     ]

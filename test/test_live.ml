@@ -195,7 +195,7 @@ let test_udp_loopback () =
       Dpu_runtime.Transport.set_handler
         (Dpu_live.Udp_transport.transport t1)
         ~node:1
-        (fun ~src p -> got := (src, Payload.to_string p) :: !got);
+        (fun ~src p -> got := (src, Payload.encode_exn p) :: !got);
       Dpu_runtime.Transport.send
         (Dpu_live.Udp_transport.transport t0)
         ~src:0 ~dst:1 ~size_bytes:32 msg;
@@ -204,7 +204,7 @@ let test_udp_loopback () =
       check
         Alcotest.(list (pair int string))
         "delivered with sender identity"
-        [ (0, Payload.to_string msg) ]
+        [ (0, Payload.encode_exn msg) ]
         (List.rev !got);
       let c = Dpu_live.Udp_transport.counters t1 in
       check Alcotest.int "delivered counter" 1 c.Dpu_runtime.Transport.delivered;
@@ -622,7 +622,7 @@ let test_serve_merged_trace_matches_collector () =
             check
               Alcotest.(list (pair int (pair (float 1e-6) (float 1e-6))))
               "windows in the artifact = windows the parent measured" timeline
-              (Spans.windows_of_trace_events events);
+              (Dpu_obs.Report_html.windows_of_events events);
             (* The merge carries every node's own events too. *)
             let node_instants =
               List.filter

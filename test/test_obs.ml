@@ -492,11 +492,11 @@ let test_windows_roundtrip_through_trace () =
      the property the live merge relies on. *)
   let events = Spans.of_run ~n:2 c in
   check windows_testable "windows survive the trace" timeline
-    (Spans.windows_of_trace_events events);
+    (RH.windows_of_events events);
   (* And survive a serialisation round-trip through JSON. *)
   match Dpu_obs.Trace_event.events_of_json (Spans.to_json events) with
   | Ok back -> check windows_testable "windows survive JSON" timeline
-                 (Spans.windows_of_trace_events back)
+                 (RH.windows_of_events back)
   | Error e -> fail e
 
 (* ------------------------------------------------------------------ *)

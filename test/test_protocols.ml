@@ -1000,34 +1000,43 @@ let abcast system ~node s =
   Stack.call (System.stack system node) Service.abcast
     (P.Abcast_iface.Broadcast { size = 256; payload = Blob s })
 
-(* Each provider reports when a superseded generation of it could
-   leave the stack: a batched sequencer is busy while its order batch
-   is unflushed, a ct module while a message is unordered or being
-   decided, and the token ring, whose token keeps circulating, never
-   reports. Each reporter is sampled every 0.5 ms around one
-   broadcast. *)
-let test_abcast_quiet_reports () =
+(* A stopped provider arms nothing. Batched with a 50 ms deadline, the
+   sequencer (node 0) holds one request in its batch, and every ct
+   module one unordered message, when they are removed 5 ms after the
+   broadcast: no order or consensus frame may follow, where the batch
+   timer would have sent one at 50 ms. *)
+let test_abcast_stopped_provider_is_silent () =
   let batching = { P.Batcher.max_batch = 64; max_delay_ms = 50.0 } in
-  let busy_then_quiet variant ~node =
-    let system = make_abcast_system ~batching variant in
-    match P.Abcast_iface.take_quiet (System.stack system node) ~epoch:0 with
-    | None -> fail (variant ^ " reports nothing")
-    | Some quiet ->
-      check Alcotest.bool (variant ^ " idle is quiet") true (quiet ());
-      abcast system ~node:1 "m";
-      let busy = ref false in
-      for _ = 1 to 400 do
-        System.run_for system 0.5;
-        if not (quiet ()) then busy := true
-      done;
-      check Alcotest.bool (variant ^ " busy meanwhile") true !busy;
-      check Alcotest.bool (variant ^ " quiet once delivered") true (quiet ())
+  let stop_after_broadcast system ~nodes =
+    abcast system ~node:1 "m";
+    System.run_for system 5.0;
+    List.iter
+      (fun node ->
+        let stack = System.stack system node in
+        Option.iter (Stack.remove_module stack) (Stack.bound stack Service.abcast))
+      nodes;
+    System.run_for system 500.0
   in
-  busy_then_quiet P.Abcast_seq.protocol_name ~node:0;
-  busy_then_quiet P.Abcast_ct.protocol_name ~node:2;
-  let system = make_abcast_system P.Abcast_token.protocol_name in
-  check Alcotest.bool "token reports nothing" true
-    (Option.is_none (P.Abcast_iface.take_quiet (System.stack system 0) ~epoch:0))
+  let seq = make_abcast_system ~batching P.Abcast_seq.protocol_name in
+  let orders = ref 0 in
+  for node = 0 to 2 do
+    listen seq ~node ~svc:Service.net (function
+      | P.Udp.Recv
+          {
+            payload =
+              P.Rp2p.Wire_data
+                { payload = P.Abcast_seq.Wire_order _ | P.Abcast_seq.Wire_order_batch _; _ };
+            _;
+          } ->
+        incr orders
+      | _ -> ())
+  done;
+  stop_after_broadcast seq ~nodes:[ 0 ];
+  check Alcotest.int "a stopped sequencer orders nothing" 0 !orders;
+  let ct = make_abcast_system ~batching P.Abcast_ct.protocol_name in
+  let frames = consensus_frames ct in
+  stop_after_broadcast ct ~nodes:[ 0; 1; 2 ];
+  check Alcotest.int "stopped ct modules propose nothing" 0 (List.length !frames)
 
 let run_abcast_scenario ?(n = 3) ?(seed = 1) ?(loss = 0.0) ~msgs variant =
   let system = make_abcast_system ~n ~seed ~loss variant in
@@ -1304,7 +1313,7 @@ let () =
         [
           tc "ct batching ablation" test_abcast_ct_batching;
           tc "token node crash" test_abcast_token_holder_crash;
-          tc "quiet reports" test_abcast_quiet_reports;
+          tc "stopped provider is silent" test_abcast_stopped_provider_is_silent;
         ] );
       ( "gm",
         [

@@ -97,7 +97,7 @@ let test_load_spread_across_nodes () =
    protocol state, the messages sent, and the most ABcast modules any
    stack holds at the end. [swap_every] triggers a CT->CT replacement
    every so many ms, from the nodes in turn. *)
-let history_run ?swap_every ~batching until =
+let history_run ?swap_every ?(plan = fun _ -> Dpu_core.Variants.ct) ~batching until =
   let config =
     {
       MW.default_config with
@@ -114,8 +114,9 @@ let history_run ?swap_every ~batching until =
       let k = ref 1 in
       while every *. float_of_int !k < until do
         let node = !k mod 3 in
+        let protocol = plan !k in
         Dpu_runtime.Clock.defer clock ~delay:(every *. float_of_int !k) (fun () ->
-            MW.change_protocol mw ~node Dpu_core.Variants.ct);
+            MW.change_protocol mw ~node protocol);
         incr k
       done)
     swap_every;
@@ -137,9 +138,9 @@ let history_run ?swap_every ~batching until =
       0
       (Dpu_kernel.System.stacks (MW.system mw)) )
 
-let words_per_extra_msg ?swap_every ~batching () =
-  let w5, s5, _ = history_run ?swap_every ~batching 5_000.0 in
-  let w20, s20, modules = history_run ?swap_every ~batching 20_000.0 in
+let words_per_extra_msg ?swap_every ?plan ~batching () =
+  let w5, s5, _ = history_run ?swap_every ?plan ~batching 5_000.0 in
+  let w20, s20, modules = history_run ?swap_every ?plan ~batching 20_000.0 in
   (float_of_int (w20 - w5) /. float_of_int (s20 - s5), modules)
 
 let test_state_bounded_by_in_flight_work ~batching () =
@@ -147,17 +148,27 @@ let test_state_bounded_by_in_flight_work ~batching () =
   if per_msg >= 16.0 then
     fail (Printf.sprintf "%.0f words of protocol state per extra message" per_msg)
 
-(* The same gate with a CT->CT swap every 500 ms (9 swaps in the short
-   run, 39 in the long one). A superseded generation leaves each stack
-   once every member has moved on and it is quiet, so modules and
-   state do not pile up with the swaps. Keeping every generation, this
-   read 19.0 words per message and 48 modules per stack at 20 s; with
-   retirement, 4.4 words and 9 modules, one of them an ABcast. *)
+(* The same gate with a swap every 500 ms (9 swaps in the short run,
+   39 in the long one), CT->CT and then alternating token and
+   sequencer. A superseded generation leaves each stack once every
+   member has moved on, whatever its protocol, so modules and state do
+   not pile up with the swaps. CT->CT read 19.0 words per message and
+   48 modules per stack at 20 s keeping every generation, and 4.4
+   words with 9 modules, one of them an ABcast, with retirement. *)
 let test_state_bounded_with_swaps () =
-  let per_msg, modules = words_per_extra_msg ~swap_every:500.0 ~batching:None () in
-  if modules > 3 then fail (Printf.sprintf "%d ABcast modules in one stack" modules);
-  if per_msg >= 16.0 then
-    fail (Printf.sprintf "%.1f words of protocol state per extra message" per_msg)
+  List.iter
+    (fun (name, plan) ->
+      let per_msg, modules =
+        words_per_extra_msg ~swap_every:500.0 ~plan ~batching:None ()
+      in
+      if modules > 3 then fail (Printf.sprintf "%s: %d ABcast modules in one stack" name modules);
+      if per_msg >= 16.0 then
+        fail (Printf.sprintf "%s: %.1f words of protocol state per extra message" name per_msg))
+    [
+      ("ct", fun _ -> Dpu_core.Variants.ct);
+      ( "token/seq",
+        fun k -> if k mod 2 = 1 then Dpu_core.Variants.token else Dpu_core.Variants.sequencer );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ascii                                                              *)
