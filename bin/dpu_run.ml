@@ -10,10 +10,11 @@
      check      static composition verification, no simulation
      report     render metrics/trace/shard/bench-history artifacts as HTML
 
-   A run is described once: every [run] flag overrides one field of a
-   base record from the library ([Experiment.default], [Serve.default]
-   or a corpus scenario's), and that library's [validate] is the one
-   range check. *)
+   A run is described once, as an [Experiment.params] on either
+   backend: every [run] flag overrides one field of a base record
+   ([Experiment.default], [Serve.default] converted under --live, or a
+   corpus scenario's), and [Experiment.validate] is the one range
+   check. *)
 
 open Cmdliner
 module E = Dpu_workload.Experiment
@@ -133,7 +134,7 @@ let plan_term =
   and+ approach =
     optional approach_conv [ "approach" ] ~docv:"A"
       ~absent:(E.approach_name E.default.approach)
-      "repl | graceful | maestro | no-layer (simulator only)."
+      "repl | graceful | maestro | no-layer (the simulator; repl under $(b,--live))."
   and+ batch = batch_arg
   and+ consensus_layer =
     bool_flag [ "consensus-layer" ]
@@ -184,7 +185,6 @@ type flags = {
   metrics_out : string option;
   trace_out : string option;
   log_out : string option;
-  (* simulator only *)
   switch_consensus_at : float option;
   loss : float option;
   shards : int option;
@@ -192,20 +192,6 @@ type flags = {
   csv_out : string option;
   json_out : string option;
 }
-
-(* The flags only the simulator honours, and whether each was given. *)
-let sim_only f =
-  [
-    ("--approach", f.plan.approach <> None);
-    ("--loss", f.loss <> None);
-    ("--consensus-layer", f.plan.consensus_layer);
-    ("--switch-consensus-to", f.plan.switch_consensus_to <> None);
-    ("--switch-consensus-at", f.switch_consensus_at <> None);
-    ("--shards", f.shards <> None);
-    ("--stagger", f.stagger <> None);
-    ("--csv-out", f.csv_out <> None);
-    ("--json-out", f.json_out <> None);
-  ]
 
 (* A corpus scenario is a check: it runs the battery. *)
 let checked f = f.check || f.scenario <> None
@@ -223,7 +209,8 @@ let schedule f ~n ~horizon_ms =
       ~rng:(Dpu_engine.Rng.create ~seed)
       ~n ~horizon_ms ?faults:f.nemesis_faults ()
 
-let sim_params f (base : E.params) =
+(* The one parameter builder: the flags over a base run. *)
+let params f (base : E.params) =
   let p = plan_over f.plan base in
   let duration_ms = f.duration |? p.duration_ms in
   {
@@ -242,23 +229,6 @@ let sim_params f (base : E.params) =
     faults = p.faults @ schedule f ~n:p.n ~horizon_ms:duration_ms;
     trace_enabled = checked f || f.trace_out <> None || f.log_out <> None;
     metrics_enabled = f.metrics_out <> None || f.trace_out <> None || f.csv_out <> None;
-  }
-
-let live_params f (base : Serve.params) =
-  let n = f.plan.n |? base.n and duration_ms = f.duration |? base.duration_ms in
-  {
-    base with
-    n;
-    load = f.load |? base.load;
-    seed = f.seed |? base.seed;
-    duration_ms;
-    drain_ms = f.drain |? base.drain_ms;
-    switch_at_ms = f.switch_at |? base.switch_at_ms;
-    initial = f.plan.initial |? base.initial;
-    switch_to = (match f.plan.switch_to with None -> base.switch_to | given -> given);
-    msg_size = f.size |? base.msg_size;
-    batching = (match f.plan.batch with None -> base.batching | given -> given);
-    nemesis = base.nemesis @ schedule f ~n ~horizon_ms:duration_ms;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -363,12 +333,13 @@ let run_sim f (p : E.params) =
 
 (* One live deployment and its report; [false] iff a checked property
    failed. *)
-let run_live f (p : Serve.params) =
+let run_live f (p : E.params) =
   Printf.printf "serving %d nodes over UDP on 127.0.0.1 (%.0f msg/s for %.0f ms)\n%!" p.n
     p.load p.duration_ms;
-  print_schedule p.nemesis;
+  print_schedule p.faults;
   match
-    Serve.run ?metrics_out:f.metrics_out ?trace_out:f.trace_out ?log_out:f.log_out p
+    Serve.run_experiment ?metrics_out:f.metrics_out ?trace_out:f.trace_out
+      ?log_out:f.log_out p
   with
   | Error msg -> fail "run" "%s" msg
   | Ok o ->
@@ -398,7 +369,7 @@ let run_live f (p : Serve.params) =
           r.N.faults)
       o.Serve.node_reports;
     let collector = o.Serve.collector in
-    (match Serve.planned p with
+    (match Dpu_live.Node.planned p with
     | [] -> print_endline "no replacement requested"
     | planned ->
       List.iteri
@@ -428,25 +399,21 @@ let prepare f (sc : Corpus.t option) =
     | Error msg ->
       fail "run" "%s%s" (Option.fold sc ~none:"" ~some:(fun sc -> sc.Corpus.name ^ ": ")) msg
   in
-  if f.live then begin
-    let p = live_params f (Option.fold sc ~none:Serve.default ~some:Serve.of_corpus) in
-    valid (Serve.validate p);
-    fun () -> run_live f p
-  end
-  else begin
-    let p = sim_params f (Option.fold sc ~none:E.default ~some:E.of_corpus) in
-    if p.shards > 1 && (f.trace_out <> None || f.csv_out <> None) then
-      fail "run" "--trace-out and --csv-out need --shards 1";
-    valid (E.validate p);
-    fun () -> run_sim f p
-  end
+  let p =
+    params f
+      (if f.live then
+         Serve.to_experiment (Option.fold sc ~none:Serve.default ~some:Serve.of_corpus)
+       else Option.fold sc ~none:E.default ~some:E.of_corpus)
+  in
+  if p.shards > 1 && (f.trace_out <> None || f.csv_out <> None) then
+    fail "run" "--trace-out and --csv-out need --shards 1";
+  valid (E.validate p);
+  if f.live then (valid (Serve.supported p); fun () -> run_live f p) else fun () -> run_sim f p
 
 let run f =
   let fail fmt = fail "run" fmt in
-  if f.live then
-    Option.iter
-      (fun (flag, _) -> fail "%s needs the simulator (drop --live)" flag)
-      (List.find_opt snd (sim_only f));
+  if f.live && (f.csv_out <> None || f.json_out <> None) then
+    fail "--csv-out and --json-out need the simulator (drop --live)";
   if Option.fold f.nemesis_faults ~none:false ~some:(fun k -> k < 0) then
     fail "--nemesis-faults must be >= 0";
   match f.scenario with
@@ -583,7 +550,9 @@ let run_cmd =
        flag left out keeps the base run's value: the simulator's default (shown as \
        \"absent\"), the $(b,--scenario)'s, or under $(b,--live) %d nodes, %g msg/s \
        of %d-byte messages for %g ms and a %g ms drain, seed %d, %s replaced by %s \
-       at %g ms. A flag the other backend alone honours is a usage error (exit 2)."
+       at %g ms. Both backends run the same parameters; under $(b,--live) an \
+       approach other than repl, a loss, more than one shard, the consensus layer, \
+       $(b,--csv-out) and $(b,--json-out) are usage errors (exit 2)."
       live.n live.load live.msg_size live.duration_ms live.drain_ms live.seed live.initial
       (Option.value live.switch_to ~default:"none")
       live.switch_at_ms

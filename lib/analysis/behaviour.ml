@@ -293,13 +293,3 @@ let hazard_message ~old_name ~new_name h =
     old_name new_name h.h_shape (fate_text h.h_fate)
     (Spec.obligation_name h.h_obligation)
     (String.concat "; " h.h_trace)
-
-let hazard_json h =
-  let module J = Dpu_obs.Json in
-  J.Obj
-    [
-      ("shape", J.Str h.h_shape);
-      ("fate", J.Str (fate_text h.h_fate));
-      ("obligation", J.Str (Spec.obligation_name h.h_obligation));
-      ("counterexample", J.List (List.map (fun s -> J.Str s) h.h_trace));
-    ]

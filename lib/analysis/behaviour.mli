@@ -85,6 +85,3 @@ val check_pair :
 val hazard_message : old_name:string -> new_name:string -> hazard -> string
 (** One-line violation text for a report, ending in
     ["counterexample: <step>; <step>; ..."]. *)
-
-val hazard_json : hazard -> Dpu_obs.Json.t
-(** Structured rendering for the [dpu.analysis/2] behaviour section. *)

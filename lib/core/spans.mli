@@ -18,19 +18,6 @@
 
 open Dpu_kernel
 
-val message_events : Collector.t -> Dpu_obs.Trace_event.t list
-(** One complete span per (sent message, delivering node); messages
-    never delivered anywhere render as instants on the sender. *)
-
-val switch_events : Collector.t -> n:int -> Dpu_obs.Trace_event.t list
-(** Per-node generation-install instants plus one window span per
-    generation on the timeline process. *)
-
-val blocked_events : Trace.t -> Dpu_obs.Trace_event.t list
-(** One span per blocked service call (from [Call_blocked] to its FIFO
-    matching [Call_unblocked]); requires the trace to have been
-    enabled during the run. *)
-
 val replacement_timeline : Collector.t -> (int * (float * float)) list
 (** Per generation, the [(first_install, last_install)] window — the
     data behind the timeline-process spans, sorted by generation. *)

@@ -403,8 +403,6 @@ let run ?until ?(max_events = max_int) t =
 
 let run_for t d = run ~until:(t.clock +. d) t
 
-let events_scheduled t = t.scheduled
-
 let events_executed t = t.executed
 
 let groups t = t.nrings

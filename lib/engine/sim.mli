@@ -96,9 +96,6 @@ val stop : t -> unit
 
 (** {1 Observability} *)
 
-val events_scheduled : t -> int
-(** Total events (including timers) ever scheduled. *)
-
 val events_executed : t -> int
 (** Total non-cancelled events executed. *)
 

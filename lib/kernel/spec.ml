@@ -23,15 +23,6 @@ type capability =
   | Buffer_future_epoch
   | Slot_scoped_rounds
 
-let capability_name = function
-  | Reissue_undelivered -> "reissue-undelivered"
-  | Generation_filter -> "generation-filter"
-  | Quiesce_before_switch -> "quiesce-before-switch"
-  | Epoch_tagged_wire -> "epoch-tagged-wire"
-  | Epoch_flush_on_supersede -> "epoch-flush-on-supersede"
-  | Buffer_future_epoch -> "buffer-future-epoch"
-  | Slot_scoped_rounds -> "slot-scoped-rounds"
-
 type kind = { k_name : string; k_role : string; k_payload : bool }
 
 let kind ?(payload = false) ~role k_name =

@@ -61,8 +61,6 @@ type capability =
           generation slot, so two implementations can never decide the
           same instance *)
 
-val capability_name : capability -> string
-
 (** One message kind on the wire, attributed to the role that emits
     it. [k_payload] says the message carries (a batch of) application
     payloads, as opposed to pure control traffic. *)

@@ -107,8 +107,6 @@ val module_requires : module_ -> Service.t list
 
 val has_module : t -> name:string -> bool
 
-val find_module : t -> name:string -> module_ option
-
 (** {1 Bindings} *)
 
 exception Already_bound of Service.t

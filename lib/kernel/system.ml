@@ -82,8 +82,6 @@ let net t =
   | Simulated { net; _ } -> net
   | External -> invalid_arg "System.net: not a simulated deployment"
 
-let is_simulated t = match t.backend with Simulated _ -> true | External -> false
-
 let trace t = t.trace
 
 let metrics t = t.metrics

@@ -85,8 +85,6 @@ val net : t -> Payload.t Dpu_net.Datagram.t
     link-level twiddling in experiments. Raises [Invalid_argument] on
     an {!of_runtime} deployment. *)
 
-val is_simulated : t -> bool
-
 val trace : t -> Trace.t
 
 val metrics : t -> Dpu_obs.Metrics.t

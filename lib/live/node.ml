@@ -2,26 +2,9 @@ open Dpu_kernel
 module Clock = Dpu_runtime.Clock
 module Middleware = Dpu_core.Middleware
 module Collector = Dpu_core.Collector
+module E = Dpu_workload.Experiment
 module J = Dpu_obs.Json
 module Metrics = Dpu_obs.Metrics
-
-type config = {
-  me : int;
-  n : int;
-  epoch : float;
-  service : string;
-  generation : int;
-  initial : string;
-  switches : Dpu_faults.Corpus.switch list;
-  nemesis : Dpu_faults.Schedule.t;
-  load : float;
-  msg_size : int;
-  batching : int option;
-  duration_ms : float;
-  drain_ms : float;
-  seed : int;
-  trace_enabled : bool;
-}
 
 type report = {
   node : int;
@@ -34,11 +17,21 @@ type report = {
   trace : Trace.entry list;
 }
 
-let run ~config ~fd ~peers () =
+let planned (params : E.params) =
+  (match params.switch_to with
+  | Some p -> [ (params.switch_at_ms, 0, p) ]
+  | None -> [])
+  @ params.switches
+
+let run ~(params : E.params) ~me ~epoch ~generation ~trace ~fd ~peers () =
   let wheel = Timer_wheel.create () in
-  let lclock = Live_clock.create ~epoch:config.epoch wheel in
+  let lclock = Live_clock.create ~epoch wheel in
   let metrics = Dpu_obs.Metrics.create () in
-  let mlabels = [ ("node", string_of_int config.me) ] in
+  let mlabels = [ ("node", string_of_int me) ] in
+  (* One batch cap for egress frames and the protocols' batches. *)
+  let batch_cap =
+    Option.map (fun (b : Dpu_protocols.Batcher.config) -> b.max_batch) params.batching
+  in
   let on_batch =
     Option.map
       (fun (_ : int) ->
@@ -48,26 +41,23 @@ let run ~config ~fd ~peers () =
             "live_msgs_per_batch"
         in
         fun count -> Metrics.observe h (float_of_int count))
-      config.batching
+      batch_cap
   in
-  let tr =
-    Udp_transport.create ~service:config.service ~generation:config.generation
-      ?batching:config.batching ?on_batch ~me:config.me ~fd ~peers ()
-  in
+  let tr = Udp_transport.create ~generation ?batching:batch_cap ?on_batch ~me ~fd ~peers () in
   (* Per-node seeds: protocol-internal randomisation must not be in
      lockstep across processes. *)
-  let rng = Dpu_engine.Rng.create ~seed:(config.seed + (7919 * (config.me + 1))) in
+  let rng = Dpu_engine.Rng.create ~seed:(params.seed + (7919 * (me + 1))) in
   (* The nemesis interposes behind the Transport seam, on this node's
      clock: the same schedule value every other process (and the
      simulated driver) interprets. Distinct per-node RNG seeds keep the
      probabilistic faults independent across processes. *)
   let shim =
-    match config.nemesis with
+    match params.faults with
     | [] -> None
     | schedule ->
       Some
         (Dpu_faults.Fault_transport.create
-           ~seed:(config.seed + (31 * (config.me + 1)))
+           ~seed:(params.seed + (31 * (me + 1)))
            ~schedule ~clock:(Live_clock.clock lclock)
            (Udp_transport.transport tr))
   in
@@ -80,8 +70,8 @@ let run ~config ~fd ~peers () =
     Dpu_runtime.Runtime.create ~clock:(Live_clock.clock lclock) ~transport ~rng
   in
   let system =
-    System.of_runtime ~hop_cost:0.0 ~trace_enabled:config.trace_enabled ~metrics
-      ~local:[ config.me ] ~runtime ~n:config.n ()
+    System.of_runtime ~hop_cost:0.0 ~trace_enabled:trace ~metrics ~local:[ me ] ~runtime
+      ~n:params.n ()
   in
   let mw_config =
     {
@@ -89,41 +79,37 @@ let run ~config ~fd ~peers () =
       profile =
         {
           Dpu_core.Stack_builder.default_profile with
-          initial_abcast = config.initial;
-          (* Throughput mode couples protocol-level batching to egress
-             batching under one knob: the same cap, a short delay. *)
-          batching =
-            Option.map
-              (fun k -> { Dpu_protocols.Batcher.max_batch = k; max_delay_ms = 2.0 })
-              config.batching;
+          initial_abcast = params.initial;
+          batching = params.batching;
         };
-      msg_size = config.msg_size;
+      msg_size = params.msg_size;
     }
   in
   let mw = Middleware.of_system ~config:mw_config system in
   let clock = System.clock system in
-  (* Open-loop load on the shared epoch, staggered so the n processes
-     do not send in phase: this node's k-th message is due at
-     [phase + k * n / load] seconds, for every due time below
-     [duration_ms]. A tick that fires late (the process was starved)
+  (* The load's ticks and this node's switches are due at times on the
+     shared epoch, so a process that started late keeps the plan. *)
+  let at_time due f = Clock.defer clock ~delay:(Float.max 0.0 (due -. Live_clock.now lclock)) f in
+  (* Open-loop load, staggered so the n processes do not send in
+     phase: this node's k-th message is due at [phase + k * n / load]
+     seconds, for every due time below [duration_ms]. A tick that fires late (the process was starved)
      still sends its message, and the next one is due at its own
      nominal time, so a late node catches up instead of dropping load;
      after the last one the drain sleeps undisturbed. *)
-  let interval = 1000.0 *. float_of_int config.n /. config.load in
-  let phase = interval *. float_of_int config.me /. float_of_int config.n in
+  let interval = 1000.0 *. float_of_int params.n /. params.load in
+  let phase = interval *. float_of_int me /. float_of_int params.n in
   let rec tick k =
     let due = phase +. (float_of_int k *. interval) in
-    if due < config.duration_ms then
-      Clock.defer clock ~delay:(Float.max 0.0 (due -. Live_clock.now lclock)) (fun () ->
-          ignore (Middleware.broadcast mw ~node:config.me "live" : Msg.t);
+    if due < params.duration_ms then
+      at_time due (fun () ->
+          ignore (Middleware.broadcast mw ~node:me "live" : Msg.t);
           tick (k + 1))
   in
   tick 0;
   List.iter
     (fun (at, node, protocol) ->
-      if node = config.me then
-        Clock.defer clock ~delay:at (fun () -> Middleware.change_protocol mw ~node protocol))
-    config.switches;
+      if node = me then at_time at (fun () -> Middleware.change_protocol mw ~node protocol))
+    (planned params);
   (* Event-loop profile. The histograms/gauges live in the node's
      registry under a per-node label, so the parent's merged snapshot
      keeps the series apart; wheel totals are sampled only when the
@@ -145,9 +131,9 @@ let run ~config ~fd ~peers () =
   Metrics.register_float metrics ~labels:mlabels "live_idle_ms" (fun () -> !idle_ms);
   (* Start and stop marks in the kernel trace, on the shared epoch's
      time axis like every other entry. *)
-  let mark what = Stack.app_event (System.stack system config.me) ~tag:"node" Fun.id what in
+  let mark what = Stack.app_event (System.stack system me) ~tag:"node" Fun.id what in
   mark "start";
-  let stop_at = config.duration_ms +. config.drain_ms in
+  let stop_at = params.duration_ms +. params.drain_ms in
   let fd = Udp_transport.fd tr in
   let rec loop ~busy_from =
     Live_clock.advance lclock;
@@ -194,11 +180,10 @@ let run ~config ~fd ~peers () =
     | Some s -> Dpu_faults.Fault_transport.counters s
   in
   {
-    node = config.me;
+    node = me;
     collector = Middleware.collector mw;
     counters;
-    batches =
-      Option.map (fun (_ : int) -> Udp_transport.batches tr) config.batching;
+    batches = Option.map (fun (_ : int) -> Udp_transport.batches tr) batch_cap;
     rx_errors = Udp_transport.rx_errors tr;
     faults = Option.map Dpu_faults.Fault_transport.stats shim;
     metrics = Dpu_obs.Metrics.to_json metrics;

@@ -1,44 +1,24 @@
 (** One OS process of a live deployment: a full DPU stack on the live
     clock and UDP transport, driven by a [select] event loop.
 
-    The process hosts exactly one node of the group. It generates its
-    share of the open-loop load, participates in every protocol
-    (consensus, ABcast, the replacement layer), triggers whichever
-    mid-stream protocol swaps are assigned to it, and on completion
-    returns a {!report} that carries its local {!Dpu_core.Collector}
-    as is — the parent merges these into the run-wide record.
-
-    When [nemesis] is non-empty the UDP transport is wrapped in
-    {!Dpu_faults.Fault_transport} on this node's live clock: every
-    process interprets the same schedule value against its own traffic,
-    so the whole deployment experiences the scripted adversity. *)
+    The process hosts one node of the group and runs the same
+    {!Dpu_workload.Experiment.params} as every other node (the fields
+    [Serve.supported] accepts). It generates its share of the open
+    loop at a constant rate, takes part in every protocol, triggers
+    the {!planned} swaps assigned to it, and returns a {!report} that
+    carries its local {!Dpu_core.Collector} as is. The load's ticks
+    and the swaps are due at times on the shared epoch, so a node that
+    starts late keeps the plan. [batching] caps both the egress batch
+    per UDP frame and the protocols' batches. A non-empty [faults]
+    wraps the transport in {!Dpu_faults.Fault_transport} on this
+    node's live clock: every process interprets the same schedule. *)
 
 open Dpu_kernel
 
-type config = {
-  me : int;  (** which node this process hosts *)
-  n : int;
-  epoch : float;  (** shared wall-clock origin, from the parent *)
-  service : string;  (** envelope service name; foreign frames drop *)
-  generation : int;  (** envelope deployment generation *)
-  initial : string;  (** initial ABcast variant *)
-  switches : Dpu_faults.Corpus.switch list;
-      (** (at_ms, node, target): this process arms only its own *)
-  nemesis : Dpu_faults.Schedule.t;  (** [[]] = clean network *)
-  load : float;  (** aggregate messages per second across the group *)
-  msg_size : int;
-  batching : int option;
-      (** throughput mode: egress batch cap for the UDP transport and
-          protocol-level batch aggregation (same cap, 2 ms delay) for
-          the stack; [None] = the exact unbatched code paths *)
-  duration_ms : float;  (** load generation horizon *)
-  drain_ms : float;  (** extra time to let in-flight traffic settle *)
-  seed : int;
-  trace_enabled : bool;
-      (** record the kernel trace (plus start/stop marks as
-          [App ("node", _)] entries) against the shared epoch, shipped
-          in the report; [false] keeps the hot path allocation-free *)
-}
+val planned : Dpu_workload.Experiment.params -> Dpu_faults.Corpus.switch list
+(** Every replacement a live run triggers: [switch_to] at
+    [switch_at_ms] from node 0, then [switches]. Generation [i + 1] is
+    the [i]-th. *)
 
 (** What one node observed. Plain data with no closures, so it crosses
     the {!Dpu_runtime.Sweep} result pipe from a node's process to the
@@ -63,7 +43,20 @@ type report = {
 }
 
 val run :
-  config:config -> fd:Unix.file_descr -> peers:Unix.sockaddr array -> unit ->
+  params:Dpu_workload.Experiment.params ->
+  me:int ->
+  epoch:float ->
+  generation:int ->
+  trace:bool ->
+  fd:Unix.file_descr ->
+  peers:Unix.sockaddr array ->
+  unit ->
   report
-(** Run the node to completion ([duration_ms + drain_ms] of wall
-    time). [fd] must already be bound to [peers.(config.me)]. *)
+(** Run node [me] of [params] to completion, until [duration_ms +
+    drain_ms] after [epoch], the wall-clock origin every node shares.
+    [generation] is stamped into every envelope, so frames of an
+    earlier deployment that bound the same ports drop. [trace] records
+    the kernel trace (plus start/stop marks as [App ("node", _)]
+    entries) against the shared epoch, shipped in the report; [false]
+    keeps the hot path allocation-free. [fd] must already be bound to
+    [peers.(me)]. *)

@@ -1,3 +1,4 @@
+module E = Dpu_workload.Experiment
 module Collector = Dpu_core.Collector
 module Trace = Dpu_kernel.Trace
 module Sweep = Dpu_runtime.Sweep
@@ -47,6 +48,36 @@ let of_corpus ?(base = default) (sc : Dpu_faults.Corpus.t) =
     nemesis = sc.schedule;
   }
 
+let to_experiment p =
+  {
+    E.default with
+    n = p.n;
+    seed = p.seed;
+    load = p.load;
+    duration_ms = p.duration_ms;
+    drain_ms = p.drain_ms;
+    msg_size = p.msg_size;
+    initial = p.initial;
+    switch_to = p.switch_to;
+    switch_at_ms = p.switch_at_ms;
+    switches = p.switches;
+    batching =
+      Option.map (fun k -> { Dpu_protocols.Batcher.max_batch = k; max_delay_ms = 2.0 }) p.batching;
+    faults = p.nemesis;
+    hop_cost = 0.0;
+    pattern = Dpu_workload.Load_gen.Constant;
+  }
+
+let supported (p : E.params) =
+  let fail fmt = Printf.ksprintf (fun msg -> Error (msg ^ " needs the simulator")) fmt in
+  if p.approach <> E.Repl then fail "approach %s" (E.approach_name p.approach)
+  else if p.shards <> 1 then fail "shards = %d" p.shards
+  else if p.loss <> 0.0 then fail "loss %g" p.loss
+  else if p.consensus_layer <> None || p.switch_consensus <> None then
+    fail "the consensus layer"
+  else if p.closed_loop <> None then fail "a closed loop"
+  else Ok ()
+
 type outcome = {
   node_reports : Node.report list;  (** in node order *)
   collector : Collector.t;  (** all processes merged, one time axis *)
@@ -74,36 +105,9 @@ let counters_json (c : Dpu_runtime.Transport.counters) =
       ("bytes", J.Int c.Dpu_runtime.Transport.bytes);
     ]
 
-let planned params =
-  (match params.switch_to with
-  | Some p -> [ (params.switch_at_ms, 0, p) ]
-  | None -> [])
-  @ params.switches
-
-let validate p =
-  let bad_time =
-    List.find_opt
-      (fun (_, x) -> not (Float.is_finite x && x >= 0.0))
-      ([ ("duration", p.duration_ms); ("drain", p.drain_ms); ("switch time", p.switch_at_ms) ]
-      @ List.map (fun (at, _, _) -> ("switch time", at)) p.switches)
-  in
-  let bad_node = List.find_opt (fun (_, node, _) -> node < 0 || node >= p.n) p.switches in
-  match (bad_time, Dpu_faults.Schedule.validate ~n:p.n p.nemesis, bad_node) with
-  | _ when p.n < 1 -> Error "need at least one node"
-  | _ when not (Float.is_finite p.load && p.load > 0.0) ->
-    Error (Printf.sprintf "load must be finite and positive, got %g" p.load)
-  | _ when p.msg_size < 0 -> Error (Printf.sprintf "message size must be >= 0, got %d" p.msg_size)
-  | _ when Option.fold ~none:false ~some:(fun k -> k < 1) p.batching ->
-    Error "batch must be at least 1"
-  | Some (name, x), _, _ -> Error (Printf.sprintf "%s must be finite and >= 0, got %g" name x)
-  | None, Error msg, _ -> Error ("nemesis: " ^ msg)
-  | None, Ok (), Some (_, node, _) -> Error (Printf.sprintf "switch node %d out of range" node)
-  | None, Ok (), None -> Ok ()
-
-let run ?metrics_out ?trace_out ?log_out params =
+let run_experiment ?metrics_out ?trace_out ?log_out (params : E.params) =
   let traced = trace_out <> None || log_out <> None in
-  let switches = planned params in
-  match validate params with
+  match Result.bind (E.validate params) (fun () -> supported params) with
   | Error _ as e -> e
   | Ok () -> (
     let fds =
@@ -122,26 +126,7 @@ let run ?metrics_out ?trace_out ?log_out params =
        sweep's pipe. *)
     let node me =
       Array.iteri (fun i fd -> if i <> me then Unix.close fd) fds;
-      let config =
-        {
-          Node.me;
-          n = params.n;
-          epoch;
-          service = "dpu";
-          generation;
-          initial = params.initial;
-          switches;
-          nemesis = params.nemesis;
-          load = params.load;
-          msg_size = params.msg_size;
-          batching = params.batching;
-          duration_ms = params.duration_ms;
-          drain_ms = params.drain_ms;
-          seed = params.seed;
-          trace_enabled = traced;
-        }
-      in
-      Node.run ~config ~fd:fds.(me) ~peers ()
+      Node.run ~params ~me ~epoch ~generation ~trace:traced ~fd:fds.(me) ~peers ()
     in
     let reports =
       Fun.protect
@@ -161,31 +146,10 @@ let run ?metrics_out ?trace_out ?log_out params =
       let collector =
         Collector.merge (List.map (fun (r : Node.report) -> r.Node.collector) node_reports)
       in
-      (* Nodes the nemesis silences for good make no promises — the
-         properties quantify over the nodes that stay correct. *)
-      let silenced =
-        Dpu_faults.Schedule.crashed_before params.nemesis ~time:infinity
-      in
-      let correct =
-        List.filter
-          (fun node -> not (List.mem node silenced))
-          (List.init params.n Fun.id)
-      in
       (* With the trace recorded, the §3 battery runs over the merged
          trace as on the simulator. *)
       let trace = if traced then Some (merge_traces node_reports) else None in
-      let checks =
-        Dpu_props.Abcast_props.check_all collector ~correct
-        @
-        match trace with
-        | Some trace ->
-          let protocols =
-            Dpu_props.Stack_props.protocols ~initial:params.initial
-              (List.map (fun (_, _, target) -> target) switches)
-          in
-          Dpu_props.Stack_props.check_generic trace ~protocols ~nodes:correct
-        | None -> []
-      in
+      let checks = E.battery params ~nodes:(List.init params.n Fun.id) ?trace collector in
       (match metrics_out with
       | Some path ->
         J.to_file path
@@ -208,7 +172,7 @@ let run ?metrics_out ?trace_out ?log_out params =
         (fun path ->
           let events =
             Dpu_core.Spans.of_run ?trace
-              ~faults:(params.nemesis, params.duration_ms +. params.drain_ms)
+              ~faults:(params.faults, params.duration_ms +. params.drain_ms)
               ~n:params.n collector
           in
           J.to_file path (Dpu_core.Spans.to_json events))
@@ -217,6 +181,9 @@ let run ?metrics_out ?trace_out ?log_out params =
         (fun path ->
           Out_channel.with_open_bin path (fun oc ->
               List.iter (Printf.fprintf oc "%s\n")
-                (Dpu_core.Spans.log_lines ~faults:params.nemesis (Option.to_list trace))))
+                (Dpu_core.Spans.log_lines ~faults:params.faults (Option.to_list trace))))
         log_out;
       Ok { node_reports; collector; checks })
+
+let run ?metrics_out ?trace_out ?log_out params =
+  run_experiment ?metrics_out ?trace_out ?log_out (to_experiment params)

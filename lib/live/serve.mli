@@ -1,45 +1,37 @@
 (** Multi-process live deployment on localhost.
 
-    [run] binds [n] UDP sockets on 127.0.0.1 (ephemeral ports) and fans
-    the nodes out through {!Dpu_runtime.Sweep}, one cell and one OS
-    process per node (a single node runs in the calling process). Each
-    node inherits its socket and the full peer address table and runs
-    the complete DPU stack under open-loop load for [duration_ms], with
-    node 0 triggering an ABcast replacement (Algorithm 1 of the paper)
-    at [switch_at_ms]. Each node returns its {!Node.report} of what its
-    local collector saw over the sweep's pipe; the parent merges
-    everything onto the shared time axis and checks the four atomic
-    broadcast properties of §5.1 across the replacement — the live
-    counterpart of the simulator's {!Dpu_workload.Experiment.check}.
+    A live run executes the {!Dpu_workload.Experiment.params} the
+    simulator runs, range-checked by the same
+    {!Dpu_workload.Experiment.validate}. {!supported} rejects the fields
+    the live backend cannot honour: an [approach] other than [Repl],
+    [shards <> 1], a non-zero [loss], a [consensus_layer] or
+    [switch_consensus], and a [closed_loop]. The fields that model the
+    simulator ([warmup_ms], [hop_cost], [pattern], [stagger_ms]) are
+    ignored, and so are [trace_enabled] and [metrics_enabled]: a node
+    always keeps its metrics and traces when an output needs it.
 
-    A non-empty [nemesis] schedule is inherited by every child through
-    the fork and interpreted by a per-process
-    {!Dpu_faults.Fault_transport} shim, so the whole deployment lives
-    through the same scripted adversity; nodes the schedule
-    crash-silences for good are excluded from the [~correct] set the
-    property checkers get. [switches] arms additional replacements
-    beyond the [switch_to]/[switch_at_ms] pair (each triple is
-    [(at_ms, node, target)]).
+    [run_experiment] binds [n] UDP sockets on 127.0.0.1 (ephemeral
+    ports) and fans the nodes out through {!Dpu_runtime.Sweep}, one OS
+    process per node (a single node runs in the calling process); each
+    runs {!Node.run} and returns its {!Node.report} over the sweep's
+    pipe. The parent merges the reports onto the shared time axis and
+    runs {!Dpu_workload.Experiment.battery} on them, as the simulator's
+    {!Dpu_workload.Experiment.check} does. Nodes that [faults]
+    crash-silences for good are not among the correct nodes.
 
     [metrics_out] writes a JSON metrics snapshot (per node, plus
-    transport counters).
+    transport counters). [trace_out] and [log_out] turn each node's
+    kernel trace on (structural entries stamped against the shared
+    epoch, plus [App ("node", "start"|"stop")] marks); the parent
+    merges them in (time, node) order into one
+    {!Dpu_kernel.Trace.t}, which also feeds the §3 battery.
+    [trace_out] writes it through {!Dpu_core.Spans.of_run} with the
+    fault schedule, as one Chrome trace rendered exactly as a
+    simulated run's; [log_out] writes its JSONL milestones through
+    {!Dpu_core.Spans.log_lines}.
 
-    [trace_out] and [log_out] turn each node's kernel trace on (its
-    structural entries, no per-message hop, stamped against the
-    shared epoch, plus [App ("node", "start"|"stop")] marks); the
-    parent merges the shipped entry lists in (time, node) order into
-    one {!Dpu_kernel.Trace.t}. [trace_out] writes it through
-    {!Dpu_core.Spans.of_run} with the nemesis schedule: ONE Chrome
-    trace (per-message spans, replacement windows, blocked calls,
-    switch triggers, node marks and fault windows), loadable in
-    Perfetto and rendered exactly as a simulated run's. [log_out]
-    writes its JSONL milestones through {!Dpu_core.Spans.log_lines},
-    as [dpu_run run --log-out] does on the simulator. The merged
-    trace also feeds the paper's §3 battery
-    ({!Dpu_props.Stack_props.check_generic} over the correct nodes,
-    protocols from {!Dpu_props.Stack_props.protocols}), appended to
-    [checks] as {!Dpu_workload.Experiment.check} does on the
-    simulator. With neither given, the nodes run with tracing off. *)
+    {!params} is a compact input shape for a live run built by hand;
+    {!to_experiment} turns it into the run description. *)
 
 type params = {
   n : int;
@@ -70,15 +62,16 @@ val of_corpus : ?base:params -> Dpu_faults.Corpus.t -> params
     load, duration, drain, initial protocol, switch list and schedule
     as the nemesis, with no [switch_to]. *)
 
-val planned : params -> Dpu_faults.Corpus.switch list
-(** Every replacement the run triggers: [switch_to] at [switch_at_ms]
-    from node 0, then [switches]. Generation [i + 1] is the [i]-th. *)
+val to_experiment : params -> Dpu_workload.Experiment.params
+(** The run [params] describes: {!Dpu_workload.Experiment.default}
+    with its fields, [batching = Some k] as a batch cap of [k] with a
+    2 ms delay, [nemesis] as [faults], no hop cost and a constant-rate
+    load pattern. *)
 
-val validate : params -> (unit, string) result
-(** [Ok ()] iff [n >= 1], [load] is finite and positive, [msg_size >=
-    0], the batch cap is at least 1, every time (duration, drain,
-    switch times) is finite and [>= 0], and the nemesis schedule and
-    every switch name a node in range. *)
+val supported : Dpu_workload.Experiment.params -> (unit, string) result
+(** [Ok ()] iff the live backend honours every field of the run:
+    approach [Repl], one shard, no modelled loss, no consensus layer or
+    swap, and an open loop. *)
 
 type outcome = {
   node_reports : Node.report list;  (** in node order *)
@@ -86,13 +79,22 @@ type outcome = {
   checks : Dpu_props.Report.t list;
 }
 
+val run_experiment :
+  ?metrics_out:string ->
+  ?trace_out:string ->
+  ?log_out:string ->
+  Dpu_workload.Experiment.params ->
+  (outcome, string) result
+(** [Error] on parameters {!Dpu_workload.Experiment.validate} or
+    {!supported} rejects, before any socket is bound; and [Error "node
+    i: ..."] when node [i] raises or dies, in which case the nodes
+    still running are killed. Property violations are not an error —
+    inspect [checks]. *)
+
 val run :
   ?metrics_out:string ->
   ?trace_out:string ->
   ?log_out:string ->
   params ->
   (outcome, string) result
-(** [Error] on parameters {!validate} rejects, before any socket is
-    bound; and [Error "node i: ..."] when
-    node [i] raises or dies, in which case the nodes still running are
-    killed. Property violations are not an error — inspect [checks]. *)
+(** {!run_experiment} of {!to_experiment}. *)

@@ -84,6 +84,8 @@ let validate p =
       (fun (_, x) -> not (Float.is_finite x && x >= 0.0))
       ([ ("duration", p.duration_ms); ("warmup", p.warmup_ms); ("switch time", p.switch_at_ms);
          ("stagger", p.stagger_ms); ("drain", p.drain_ms) ]
+      @ Option.fold p.batching ~none:[] ~some:(fun (b : Dpu_protocols.Batcher.config) ->
+            [ ("batch delay", b.max_delay_ms) ])
       @ Option.fold p.switch_consensus ~none:[] ~some:(fun (at, _) ->
             [ ("consensus switch time", at) ])
       @ List.map (fun (at, _, _) -> ("switch time", at)) p.switches)
@@ -95,6 +97,10 @@ let validate p =
     fail "shards must be in 1..n = 1..%d, got %d" p.n p.shards
   | _ when not (Float.is_finite p.load && p.load >= 0.0) ->
     fail "load must be finite and >= 0, got %g" p.load
+  | _ when p.load = 0.0 && p.closed_loop = None -> fail "an open loop needs a load above 0"
+  | _ when Option.fold p.batching ~none:false ~some:(fun (b : Dpu_protocols.Batcher.config) ->
+               b.max_batch < 1) ->
+    fail "batch must be at least 1"
   | _ when not (p.loss >= 0.0 && p.loss <= 1.0) -> fail "loss must be in [0, 1], got %g" p.loss
   | _ when p.msg_size < 0 -> fail "message size must be >= 0, got %d" p.msg_size
   | _ when not (Float.is_finite p.hop_cost && p.hop_cost >= 0.0) ->
@@ -218,6 +224,12 @@ let during_margin_ms = 50.0
 
 let trigger_ms params g = params.switch_at_ms +. (params.stagger_ms *. float_of_int g)
 
+(* A scheduled crash silences a node at the shim, so a system still
+   counts it: the schedule says which of [nodes] end the run down. *)
+let correct_of (params : params) nodes =
+  let down = Dpu_faults.Schedule.crashed_before params.faults ~time:infinity in
+  List.filter (fun node -> not (List.mem node down)) nodes
+
 (* One shard's view of the finished run. *)
 let shard_of params g mw =
   let collector = MW.collector mw in
@@ -242,12 +254,7 @@ let shard_of params g mw =
         | Some _ | None -> Stats.add normal p.value)
     (Series.points latency);
   let system = MW.system mw in
-  (* A scheduled crash silences a node at the shim, so the system still
-     counts it: the schedule says who ends the run down, as live. *)
-  let down = Dpu_faults.Schedule.crashed_before params.faults ~time:infinity in
-  let correct =
-    List.filter (fun node -> not (List.mem node down)) (Dpu_kernel.System.correct_nodes system)
-  in
+  let correct = correct_of params (Dpu_kernel.System.correct_nodes system) in
   let sent = Collector.send_count collector in
   (* The messages the properties require at every correct node: those
      a correct node sent, and those delivered anywhere (uniform
@@ -389,20 +396,22 @@ let run params =
     work = work_of fabric;
   }
 
-let check_shard params s =
-  let abcast = Dpu_props.Abcast_props.check_all s.collector ~correct:s.correct in
+let battery (params : params) ~nodes ?trace collector =
+  let correct = correct_of params nodes in
   let protocols =
     Dpu_props.Stack_props.protocols ~initial:params.initial
       (Option.to_list params.switch_to @ List.map (fun (_, _, target) -> target) params.switches)
   in
   (* A silenced node never switches: the §3 properties, like the
      ABcast ones, speak of the correct nodes. *)
-  let generic =
-    if Dpu_kernel.Trace.enabled s.trace then
-      Dpu_props.Stack_props.check_generic s.trace ~protocols ~nodes:s.correct
-    else []
-  in
-  abcast @ generic
+  Dpu_props.Abcast_props.check_all collector ~correct
+  @
+  match trace with
+  | Some trace when Dpu_kernel.Trace.enabled trace ->
+    Dpu_props.Stack_props.check_generic trace ~protocols ~nodes:correct
+  | Some _ | None -> []
+
+let check_shard params s = battery params ~nodes:s.correct ~trace:s.trace s.collector
 
 let check r =
   let label g (rep : Report.t) =

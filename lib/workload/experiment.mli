@@ -1,4 +1,11 @@
-(** The one simulated runner, behind every figure and table.
+(** The one run description, and the one simulated runner behind
+    every figure and table.
+
+    {!params} describes a run on either backend: {!run} simulates it,
+    and [Dpu_live.Serve.run_experiment] deploys the same record as OS
+    processes over UDP. {!validate} is the one range check of run
+    parameters, and {!battery} the one property check of a run's
+    record.
 
     One [run] simulates the paper's benchmark (§6.2): [n] stacks on a
     LAN, a constant aggregate load of ABcast messages, optionally one
@@ -33,10 +40,9 @@ type params = {
   switch_to : string option;  (** [None]: no replacement *)
   switch_at_ms : float;
   switches : Dpu_faults.Corpus.switch list;
-      (** extra replacements [(at_ms, node, target)], as
-          [Dpu_live.Serve.params.switches] (default [[]]; a non-empty
-          list needs [shards = 1]). Like [switch_to], ignored without a
-          replacement layer. *)
+      (** extra replacements [(at_ms, node, target)] (default [[]]; a
+          non-empty list needs [shards = 1]). Like [switch_to], ignored
+          without a replacement layer. *)
   approach : approach;
   batching : Dpu_protocols.Batcher.config option;
       (** throughput-mode batch aggregation in the ordering hot path
@@ -91,12 +97,13 @@ val default : params
 
 val validate : params -> (unit, string) result
 (** [Ok ()] iff [n >= 1], [1 <= shards <= n], [load] is finite and
-    [>= 0], [loss] is in [[0, 1]], [msg_size >= 0], [hop_cost] is
-    finite and [>= 0], every time (duration, warmup, switch time,
-    stagger, drain, the consensus swap and [switches]) is finite and
-    [>= 0], every [switches] node is in range, [faults]
-    passes {!Dpu_faults.Schedule.validate}, and [faults] and
-    [switches] are empty when [shards > 1]. *)
+    [>= 0] and, in an open loop ([closed_loop = None]), above 0,
+    [loss] is in [[0, 1]], [msg_size >= 0], the batch cap is at least
+    1, [hop_cost] is finite and [>= 0], every time (duration, warmup,
+    switch time, stagger, drain, the batch delay, the consensus swap
+    and [switches]) is finite and [>= 0], every [switches] node is in
+    range, [faults] passes {!Dpu_faults.Schedule.validate}, and
+    [faults] and [switches] are empty when [shards > 1]. *)
 
 val of_corpus : ?seed:int -> Dpu_faults.Corpus.t -> params
 (** A corpus scenario as a run (default seed 1): its nodes, load,
@@ -173,6 +180,19 @@ val run : params -> result
 (** Raises [Invalid_argument] if {!validate} rejects [params], and
     {!Preflight_failure} if the static composition verifier rejects the
     configuration. *)
+
+val battery :
+  params ->
+  nodes:int list ->
+  ?trace:Dpu_kernel.Trace.t ->
+  Dpu_core.Collector.t ->
+  Dpu_props.Report.t list
+(** The properties of one group's run record, on either backend. The
+    correct nodes are those of [nodes] (the ones still up at the end)
+    that [faults] does not leave silenced. Every ABcast property of
+    §5.1 over them, then, when [trace] is given and enabled, the
+    generic §3 properties over the same nodes for [initial] and every
+    [switch_to]/[switches] target. *)
 
 val check : result -> Dpu_props.Report.t list
 (** All ABcast properties plus, when tracing, the generic §3

@@ -285,7 +285,8 @@ let test_corpus_well_formed () =
       (match E.validate (E.of_corpus sc) with
       | Ok () -> ()
       | Error msg -> fail (Printf.sprintf "%s (simulated): %s" sc.Corpus.name msg));
-      match Dpu_live.Serve.validate (Dpu_live.Serve.of_corpus sc) with
+      let live = Dpu_live.Serve.to_experiment (Dpu_live.Serve.of_corpus sc) in
+      match Result.bind (E.validate live) (fun () -> Dpu_live.Serve.supported live) with
       | Ok () -> ()
       | Error msg -> fail (Printf.sprintf "%s (live): %s" sc.Corpus.name msg))
     Corpus.all;

@@ -645,7 +645,7 @@ let test_serve_merged_trace_matches_collector () =
                        | Dpu_obs.Trace_event.Instant { name = n; pid; _ } -> n = name && pid = node
                        | _ -> false)
                      events))
-              (Serve.planned params)));
+              (Dpu_live.Node.planned (Serve.to_experiment params))));
         (* The merged trace feeds the §3 battery, which holds. *)
         let properties = List.map (fun (r : Dpu_props.Report.t) -> r.property) outcome.Serve.checks in
         List.iter
@@ -691,11 +691,11 @@ let test_serve_merged_trace_matches_collector () =
               (Printf.sprintf "node %d: change-abcast -> %s logged" node target)
               true
               (count "change-abcast" ~data:target node >= 1))
-          (Serve.planned params))
+          (Dpu_live.Node.planned (Serve.to_experiment params)))
 
-(* The load generators run on the live clock: at 600 msg/s for 1 s the
-   three nodes must actually send (nearly) the 600 messages scheduled,
-   not lose a period to every late wakeup. *)
+(* The load generators run on the live clock and send every tick due
+   before the horizon, late or not: at 600 msg/s for 1 s each of the
+   three nodes sends its 200 ticks, exactly the 600 scheduled. *)
 let test_serve_carries_offered_load () =
   let params =
     {
@@ -711,11 +711,35 @@ let test_serve_carries_offered_load () =
   | Error e -> Alcotest.fail ("live deployment failed: " ^ e)
   | Ok outcome ->
     let scheduled = params.Serve.load *. params.Serve.duration_ms /. 1000.0 in
-    let sent = Dpu_core.Collector.send_count outcome.Serve.collector in
-    check Alcotest.bool
-      (Printf.sprintf "sent %d of %.0f scheduled (>= 97%%)" sent scheduled)
-      true
-      (float_of_int sent >= 0.97 *. scheduled)
+    check Alcotest.int "sent every scheduled message" (int_of_float scheduled)
+      (Dpu_core.Collector.send_count outcome.Serve.collector)
+
+(* A node that starts late still switches at the planned time on the
+   shared epoch: here the epoch lies 200 ms before the node starts, so
+   a switch armed from the node's own start would come 200 ms late. *)
+let test_node_switches_on_shared_epoch () =
+  let at = 300.0 in
+  let params =
+    Serve.to_experiment
+      { Serve.default with n = 1; duration_ms = 600.0; drain_ms = 200.0; switch_at_ms = at }
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      let report =
+        Dpu_live.Node.run ~params ~me:0
+          ~epoch:(Unix.gettimeofday () -. 0.2)
+          ~generation:1 ~trace:false ~fd ~peers:[| Unix.getsockname fd |] ()
+      in
+      match Dpu_core.Collector.switch_window report.Dpu_live.Node.collector ~generation:1 with
+      | None -> Alcotest.fail "the switch never happened"
+      | Some (installed, _) ->
+        check Alcotest.bool
+          (Printf.sprintf "installed at %.1f ms, planned at %.0f ms" installed at)
+          true
+          (installed >= at && installed < at +. 100.0))
 
 (* Bad parameters come back as [Error] before any socket is bound or
    any node process started: with a minute-long [duration_ms], a run
@@ -843,6 +867,7 @@ let () =
         [
           tc "merged trace matches the collector" test_serve_merged_trace_matches_collector;
           tc "carries the offered load" test_serve_carries_offered_load;
+          tc "switches on the shared epoch" test_node_switches_on_shared_epoch;
           tc "bad parameters are errors" test_serve_rejects_bad_params;
           tc "a failing node is an error" test_serve_node_failure_is_error;
           tc "one node runs in process" test_serve_single_node;

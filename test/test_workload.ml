@@ -298,6 +298,8 @@ let test_trace_independent_of_duration () =
 let test_experiment_validate () =
   let module E = W.Experiment in
   check Alcotest.bool "default is valid" true (E.validate E.default = Ok ());
+  check Alcotest.bool "a closed loop needs no load" true
+    (E.validate { small with load = 0.0; closed_loop = Some 2 } = Ok ());
   List.iter
     (fun (what, params) ->
       (match E.validate params with
@@ -313,6 +315,12 @@ let test_experiment_validate () =
       ("negative load", { small with load = -5.0 });
       ("NaN load", { small with load = Float.nan });
       ("infinite load", { small with load = Float.infinity });
+      ("zero open-loop load", { small with load = 0.0 });
+      ( "batch below one",
+        { small with batching = Some { Dpu_protocols.Batcher.default with max_batch = 0 } } );
+      ( "negative batch delay",
+        { small with batching = Some { Dpu_protocols.Batcher.default with max_delay_ms = -1.0 } }
+      );
       ("negative duration", { small with duration_ms = -1.0 });
       ("negative warmup", { small with warmup_ms = -1.0 });
       ("negative switch time", { small with switch_at_ms = -1.0 });
