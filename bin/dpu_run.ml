@@ -296,14 +296,13 @@ let run_sim f (p : E.params) =
   written "metrics snapshot" f.metrics_out;
   Option.iter
     (fun path ->
-      let events =
-        Dpu_core.Spans.of_run ~trace:s.E.trace
+      let count =
+        Dpu_core.Spans.write_trace path ~trace:(Some s.E.trace)
           ~faults:(p.faults, p.duration_ms +. p.drain_ms)
           ~n:p.n s.E.collector
       in
-      Dpu_obs.Json.to_file path (Dpu_core.Spans.to_json events);
       Printf.printf "%d trace events written to %s (load in Perfetto / chrome://tracing)\n"
-        (List.length events) path)
+        count path)
     f.trace_out;
   Option.iter
     (fun path ->
@@ -320,9 +319,8 @@ let run_sim f (p : E.params) =
   written "result JSON" f.json_out;
   Option.iter
     (fun path ->
-      let traces = Array.to_list (Array.map (fun (s : E.shard) -> s.E.trace) r.E.per_shard) in
-      Out_channel.with_open_bin path (fun oc ->
-          List.iter (Printf.fprintf oc "%s\n") (Dpu_core.Spans.log_lines ~faults:p.faults traces)))
+      Dpu_core.Spans.write_log path ~faults:p.faults
+        (Array.to_list (Array.map (fun (s : E.shard) -> s.E.trace) r.E.per_shard)))
     f.log_out;
   written "structured log" f.log_out;
   if p.metrics_enabled then begin
@@ -369,7 +367,7 @@ let run_live f (p : E.params) =
           r.N.faults)
       o.Serve.node_reports;
     let collector = o.Serve.collector in
-    (match Dpu_live.Node.planned p with
+    (match E.switch_plan p ~shard:0 with
     | [] -> print_endline "no replacement requested"
     | planned ->
       List.iteri

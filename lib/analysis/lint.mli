@@ -75,15 +75,9 @@ type rule = {
 val rules : rule list
 (** The built-in rule set, in reporting order. *)
 
-val strip : string -> string
-(** Replace comment bodies and string-literal contents with spaces,
-    preserving line structure. Exposed for tests. *)
-
 val scan_source : file:string -> string -> finding list
 (** Scan one file's contents. [file] selects rule exemptions and is
     recorded in findings. *)
-
-val scan_file : string -> finding list
 
 val scan_paths : string list -> finding list
 (** Recursively scan every [.ml] file under the given files and

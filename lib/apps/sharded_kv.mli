@@ -51,12 +51,6 @@ val get_int : t -> string -> int
 
 (** {1 Convergence} *)
 
-val shard_digests : t -> shard:int -> string list
-(** Digest of every replica of the shard (all equal when the shard is
-    quiescent). *)
-
-val shard_converged : t -> shard:int -> bool
-
 val converged : t -> bool
 (** Every shard's replicas agree. *)
 

@@ -25,6 +25,11 @@
 
 type t
 
+val shard_sizes : shards:int -> n:int -> int array
+(** The size of each of [shards] groups of [n] nodes, as {!create}
+    partitions them: [n / shards], plus one for the first
+    [n mod shards]. *)
+
 val create :
   ?config:Middleware.config ->
   ?register_extra:(Dpu_kernel.System.t -> unit) ->

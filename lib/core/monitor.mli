@@ -15,8 +15,6 @@ type mode =
 val module_name : string
 (** ["monitor"]. *)
 
-val observed_service : mode -> Service.t
-
 val requires : mode -> Service.t list
 (** The monitor's declared requirements (introspection for the static
     analyser; it only listens, never calls). *)

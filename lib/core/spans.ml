@@ -253,3 +253,12 @@ let log_lines ?(faults = []) traces =
     (List.stable_sort
        (fun (a, _) (b, _) -> Float.compare a b)
        (List.map fault (Schedule.sorted faults) @ List.concat (List.mapi per_shard traces)))
+
+let write_trace path ~trace ~faults ~n collector =
+  let events = of_run ?trace ~faults ~n collector in
+  Json.to_file path (to_json events);
+  List.length events
+
+let write_log path ~faults traces =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (Printf.fprintf oc "%s\n") (log_lines ~faults traces))

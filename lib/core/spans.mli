@@ -56,3 +56,21 @@ val log_lines : ?faults:Dpu_faults.Schedule.t -> Trace.t list -> string list
     (only with more than one trace), [node] and [data] where they
     apply. A pure function of its arguments: two identical
     simulated runs give identical lines. *)
+
+(** {1 File sinks}
+
+    The one writer of each sink, for a simulated run and a live one
+    alike. *)
+
+val write_trace :
+  string ->
+  trace:Trace.t option ->
+  faults:Dpu_faults.Schedule.t * float ->
+  n:int ->
+  Collector.t ->
+  int
+(** [write_trace path] writes {!of_run} to [path] as {!to_json} and
+    returns the number of events written. *)
+
+val write_log : string -> faults:Dpu_faults.Schedule.t -> Trace.t list -> unit
+(** [write_log path] writes {!log_lines} to [path], one per line. *)

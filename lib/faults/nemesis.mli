@@ -16,8 +16,6 @@ type fault_class =
   | Dup
   | Slow_links
 
-val all_classes : fault_class list
-
 val generate :
   rng:Dpu_engine.Rng.t ->
   n:int ->
@@ -28,7 +26,7 @@ val generate :
   unit ->
   Schedule.t
 (** [generate ~rng ~n ~horizon_ms ()] draws [faults] (default 3)
-    faults of random classes (default {!all_classes}), sorted by time.
+    faults of random classes (default: every class), sorted by time.
     With [recoverable] (default [false]) crashed nodes may be
     recovered later — enable only for network-level runs; the
     full-stack harness treats crashes as fail-stop. *)

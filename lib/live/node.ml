@@ -1,5 +1,4 @@
 open Dpu_kernel
-module Clock = Dpu_runtime.Clock
 module Middleware = Dpu_core.Middleware
 module Collector = Dpu_core.Collector
 module E = Dpu_workload.Experiment
@@ -17,13 +16,7 @@ type report = {
   trace : Trace.entry list;
 }
 
-let planned (params : E.params) =
-  (match params.switch_to with
-  | Some p -> [ (params.switch_at_ms, 0, p) ]
-  | None -> [])
-  @ params.switches
-
-let run ~(params : E.params) ~me ~epoch ~generation ~trace ~fd ~peers () =
+let run ~(params : E.params) ~me ~epoch ~generation ~fd ~peers () =
   let wheel = Timer_wheel.create () in
   let lclock = Live_clock.create ~epoch wheel in
   let metrics = Dpu_obs.Metrics.create () in
@@ -70,46 +63,13 @@ let run ~(params : E.params) ~me ~epoch ~generation ~trace ~fd ~peers () =
     Dpu_runtime.Runtime.create ~clock:(Live_clock.clock lclock) ~transport ~rng
   in
   let system =
-    System.of_runtime ~hop_cost:0.0 ~trace_enabled:trace ~metrics ~local:[ me ] ~runtime
-      ~n:params.n ()
+    System.of_runtime ~hop_cost:0.0 ~trace_enabled:params.trace_enabled ~metrics ~local:[ me ]
+      ~runtime ~n:params.n ()
   in
-  let mw_config =
-    {
-      Middleware.default_config with
-      profile =
-        {
-          Dpu_core.Stack_builder.default_profile with
-          initial_abcast = params.initial;
-          batching = params.batching;
-        };
-      msg_size = params.msg_size;
-    }
-  in
-  let mw = Middleware.of_system ~config:mw_config system in
-  let clock = System.clock system in
-  (* The load's ticks and this node's switches are due at times on the
-     shared epoch, so a process that started late keeps the plan. *)
-  let at_time due f = Clock.defer clock ~delay:(Float.max 0.0 (due -. Live_clock.now lclock)) f in
-  (* Open-loop load, staggered so the n processes do not send in
-     phase: this node's k-th message is due at [phase + k * n / load]
-     seconds, for every due time below [duration_ms]. A tick that fires late (the process was starved)
-     still sends its message, and the next one is due at its own
-     nominal time, so a late node catches up instead of dropping load;
-     after the last one the drain sleeps undisturbed. *)
-  let interval = 1000.0 *. float_of_int params.n /. params.load in
-  let phase = interval *. float_of_int me /. float_of_int params.n in
-  let rec tick k =
-    let due = phase +. (float_of_int k *. interval) in
-    if due < params.duration_ms then
-      at_time due (fun () ->
-          ignore (Middleware.broadcast mw ~node:me "live" : Msg.t);
-          tick (k + 1))
-  in
-  tick 0;
-  List.iter
-    (fun (at, node, protocol) ->
-      if node = me then at_time at (fun () -> Middleware.change_protocol mw ~node protocol))
-    (planned params);
+  let mw = Middleware.of_system ~config:(E.middleware_config params) system in
+  (* This node's share of the run, armed as the simulator arms each
+     group, its times on the shared epoch. *)
+  E.drive params ~shard:0 mw;
   (* Event-loop profile. The histograms/gauges live in the node's
      registry under a per-node label, so the parent's merged snapshot
      keeps the series apart; wheel totals are sampled only when the

@@ -3,22 +3,18 @@
 
     The process hosts one node of the group and runs the same
     {!Dpu_workload.Experiment.params} as every other node (the fields
-    [Serve.supported] accepts). It generates its share of the open
-    loop at a constant rate, takes part in every protocol, triggers
-    the {!planned} swaps assigned to it, and returns a {!report} that
-    carries its local {!Dpu_core.Collector} as is. The load's ticks
-    and the swaps are due at times on the shared epoch, so a node that
-    starts late keeps the plan. [batching] caps both the egress batch
-    per UDP frame and the protocols' batches. A non-empty [faults]
-    wraps the transport in {!Dpu_faults.Fault_transport} on this
-    node's live clock: every process interprets the same schedule. *)
+    [Serve.supported] accepts). It has no load generator or switch
+    plan of its own: {!Dpu_workload.Experiment.drive}, which arms
+    every simulated group, arms its share of the load and of the
+    switch plan on the shared epoch, so a node that starts late keeps
+    the plan. It takes part in every protocol and returns a
+    {!report} that carries its local {!Dpu_core.Collector} as is.
+    [batching] caps both the egress batch per UDP frame and the
+    protocols' batches. A non-empty [faults] wraps the transport in
+    {!Dpu_faults.Fault_transport} on this node's live clock: every
+    process interprets the same schedule. *)
 
 open Dpu_kernel
-
-val planned : Dpu_workload.Experiment.params -> Dpu_faults.Corpus.switch list
-(** Every replacement a live run triggers: [switch_to] at
-    [switch_at_ms] from node 0, then [switches]. Generation [i + 1] is
-    the [i]-th. *)
 
 (** What one node observed. Plain data with no closures, so it crosses
     the {!Dpu_runtime.Sweep} result pipe from a node's process to the
@@ -47,7 +43,6 @@ val run :
   me:int ->
   epoch:float ->
   generation:int ->
-  trace:bool ->
   fd:Unix.file_descr ->
   peers:Unix.sockaddr array ->
   unit ->
@@ -55,8 +50,7 @@ val run :
 (** Run node [me] of [params] to completion, until [duration_ms +
     drain_ms] after [epoch], the wall-clock origin every node shares.
     [generation] is stamped into every envelope, so frames of an
-    earlier deployment that bound the same ports drop. [trace] records
-    the kernel trace (plus start/stop marks as [App ("node", _)]
-    entries) against the shared epoch, shipped in the report; [false]
-    keeps the hot path allocation-free. [fd] must already be bound to
-    [peers.(me)]. *)
+    earlier deployment that bound the same ports drop. With
+    [trace_enabled] the node records its kernel trace (plus start/stop
+    marks as [App ("node", _)] entries) on the shared epoch. [fd] must
+    already be bound to [peers.(me)]. *)

@@ -106,7 +106,11 @@ let counters_json (c : Dpu_runtime.Transport.counters) =
     ]
 
 let run_experiment ?metrics_out ?trace_out ?log_out (params : E.params) =
-  let traced = trace_out <> None || log_out <> None in
+  (* Every node records its kernel trace when asked to or when an
+     output needs it. *)
+  let params =
+    { params with trace_enabled = params.trace_enabled || trace_out <> None || log_out <> None }
+  in
   match Result.bind (E.validate params) (fun () -> supported params) with
   | Error _ as e -> e
   | Ok () -> (
@@ -126,7 +130,7 @@ let run_experiment ?metrics_out ?trace_out ?log_out (params : E.params) =
        sweep's pipe. *)
     let node me =
       Array.iteri (fun i fd -> if i <> me then Unix.close fd) fds;
-      Node.run ~params ~me ~epoch ~generation ~trace:traced ~fd:fds.(me) ~peers ()
+      Node.run ~params ~me ~epoch ~generation ~fd:fds.(me) ~peers ()
     in
     let reports =
       Fun.protect
@@ -148,7 +152,7 @@ let run_experiment ?metrics_out ?trace_out ?log_out (params : E.params) =
       in
       (* With the trace recorded, the §3 battery runs over the merged
          trace as on the simulator. *)
-      let trace = if traced then Some (merge_traces node_reports) else None in
+      let trace = if params.trace_enabled then Some (merge_traces node_reports) else None in
       let checks = E.battery params ~nodes:(List.init params.n Fun.id) ?trace collector in
       (match metrics_out with
       | Some path ->
@@ -170,18 +174,14 @@ let run_experiment ?metrics_out ?trace_out ?log_out (params : E.params) =
       | None -> ());
       Option.iter
         (fun path ->
-          let events =
-            Dpu_core.Spans.of_run ?trace
-              ~faults:(params.faults, params.duration_ms +. params.drain_ms)
-              ~n:params.n collector
-          in
-          J.to_file path (Dpu_core.Spans.to_json events))
+          ignore
+            (Dpu_core.Spans.write_trace path ~trace
+               ~faults:(params.faults, params.duration_ms +. params.drain_ms)
+               ~n:params.n collector
+              : int))
         trace_out;
       Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              List.iter (Printf.fprintf oc "%s\n")
-                (Dpu_core.Spans.log_lines ~faults:params.faults (Option.to_list trace))))
+        (fun path -> Dpu_core.Spans.write_log path ~faults:params.faults (Option.to_list trace))
         log_out;
       Ok { node_reports; collector; checks })
 

@@ -5,10 +5,10 @@
     {!Dpu_workload.Experiment.validate}. {!supported} rejects the fields
     the live backend cannot honour: an [approach] other than [Repl],
     [shards <> 1], a non-zero [loss], a [consensus_layer] or
-    [switch_consensus], and a [closed_loop]. The fields that model the
-    simulator ([warmup_ms], [hop_cost], [pattern], [stagger_ms]) are
-    ignored, and so are [trace_enabled] and [metrics_enabled]: a node
-    always keeps its metrics and traces when an output needs it.
+    [switch_consensus], and a [closed_loop]. Every node arms its share
+    with the simulator's {!Dpu_workload.Experiment.drive}, so [pattern]
+    and the switch plan are honoured. [warmup_ms], [hop_cost] and
+    [metrics_enabled] are ignored: a node always keeps its metrics.
 
     [run_experiment] binds [n] UDP sockets on 127.0.0.1 (ephemeral
     ports) and fans the nodes out through {!Dpu_runtime.Sweep}, one OS
@@ -20,15 +20,13 @@
     crash-silences for good are not among the correct nodes.
 
     [metrics_out] writes a JSON metrics snapshot (per node, plus
-    transport counters). [trace_out] and [log_out] turn each node's
-    kernel trace on (structural entries stamped against the shared
-    epoch, plus [App ("node", "start"|"stop")] marks); the parent
-    merges them in (time, node) order into one
-    {!Dpu_kernel.Trace.t}, which also feeds the §3 battery.
-    [trace_out] writes it through {!Dpu_core.Spans.of_run} with the
-    fault schedule, as one Chrome trace rendered exactly as a
-    simulated run's; [log_out] writes its JSONL milestones through
-    {!Dpu_core.Spans.log_lines}.
+    transport counters). [trace_enabled], [trace_out] and [log_out]
+    each turn every node's kernel trace on (structural entries on the
+    shared epoch, plus [App ("node", "start"|"stop")] marks); the
+    parent merges them in (time, node) order into one
+    {!Dpu_kernel.Trace.t}, which feeds the §3 battery. [trace_out] and
+    [log_out] write it with {!Dpu_core.Spans.write_trace} and
+    {!Dpu_core.Spans.write_log}, the simulated run's writers.
 
     {!params} is a compact input shape for a live run built by hand;
     {!to_experiment} turns it into the run description. *)

@@ -23,8 +23,6 @@ type t =
   | Process_name of { pid : int; name : string }  (** metadata: ph "M" *)
   | Thread_name of { pid : int; tid : int; name : string }
 
-val us_of_ms : float -> float
-
 val complete :
   name:string ->
   cat:string ->

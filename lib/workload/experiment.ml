@@ -190,6 +190,34 @@ let targets params =
   Option.to_list (switch_target params)
   @ List.map (fun (_, _, target) -> target) (planned_switches params)
 
+let trigger_ms params g = params.switch_at_ms +. (params.stagger_ms *. float_of_int g)
+
+let switch_plan params ~shard =
+  (* "any process triggers the replacement" (§6.2): [switch_to] from
+     the highest-numbered node of the shard still alive at its trigger
+     time, then the planned ones. *)
+  let from_switch_to protocol =
+    let at = trigger_ms params shard in
+    let crashed_by_then = Dpu_faults.Schedule.crashed_before params.faults ~time:at in
+    let rec pick node =
+      if node < 0 then 0 else if List.mem node crashed_by_then then pick (node - 1) else node
+    in
+    (at, pick ((Fabric.shard_sizes ~shards:params.shards ~n:params.n).(shard) - 1), protocol)
+  in
+  Option.to_list (Option.map from_switch_to (switch_target params)) @ planned_switches params
+
+let middleware_config params =
+  {
+    MW.seed = params.seed;
+    loss = params.loss;
+    hop_cost = params.hop_cost;
+    profile = profile_of params;
+    trace_enabled = params.trace_enabled;
+    metrics_enabled = params.metrics_enabled;
+    msg_size = params.msg_size;
+    faults = params.faults;
+  }
+
 let register_extra system =
   Dpu_baselines.Maestro.register system;
   Dpu_baselines.Graceful.register system
@@ -221,8 +249,6 @@ let preflight params =
    instances are its cold start (the paper's spike decays over a short
    period after the switch, Fig. 5). *)
 let during_margin_ms = 50.0
-
-let trigger_ms params g = params.switch_at_ms +. (params.stagger_ms *. float_of_int g)
 
 (* A scheduled crash silences a node at the shim, so a system still
    counts it: the schedule says which of [nodes] end the run down. *)
@@ -324,66 +350,47 @@ let per_message r =
     ("retransmissions_per_msg", per r.work.retransmissions);
   ]
 
+let drive params ~shard mw =
+  let system = MW.system mw in
+  let clock = Dpu_kernel.System.clock system in
+  let local = Dpu_kernel.System.local_nodes system in
+  let at due f = Clock.defer clock ~delay:(due -. Clock.now clock) f in
+  (match params.closed_loop with
+  | Some k ->
+    Load_gen.closed_loop mw ~clients_per_node:k ~size:params.msg_size ~until:params.duration_ms ()
+  | None ->
+    (* The aggregate rate splits by shard size, so every node carries
+       the same per-node rate however the partition rounded. *)
+    let rate_per_s = params.load *. (float_of_int (MW.n mw) /. float_of_int params.n) in
+    Load_gen.start mw ~rate_per_s ~pattern:params.pattern ~size:params.msg_size
+      ~until:params.duration_ms ());
+  List.iter
+    (fun (due, node, protocol) ->
+      if List.mem node local then at due (fun () -> MW.change_protocol mw ~node protocol))
+    (switch_plan params ~shard);
+  Option.iter
+    (fun (due, protocol) ->
+      if List.mem 0 local then at due (fun () -> MW.change_consensus mw ~node:0 protocol))
+    params.switch_consensus
+
 let run params =
   (match validate params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Experiment.run: " ^ msg));
   (let reports = preflight params in
    if not (Report.all_ok reports) then raise (Preflight_failure reports));
-  let config =
-    {
-      MW.seed = params.seed;
-      loss = params.loss;
-      hop_cost = params.hop_cost;
-      profile = profile_of params;
-      trace_enabled = params.trace_enabled;
-      metrics_enabled = params.metrics_enabled;
-      msg_size = params.msg_size;
-      faults = params.faults;
-    }
+  let fabric =
+    Fabric.create ~config:(middleware_config params) ~register_extra ~shards:params.shards
+      ~n:params.n ()
   in
-  let fabric = Fabric.create ~config ~register_extra ~shards:params.shards ~n:params.n () in
-  (* The fabric's shared registry leaves out the network counters:
-     publish each shard's, labelled like its other series. *)
   Fabric.iter_groups fabric (fun g mw ->
+      (* The fabric's shared registry leaves out the network counters:
+         publish each shard's, labelled like its other series. *)
       Dpu_net.Datagram.register_metrics
         ~labels:[ ("group", string_of_int g) ]
         (Dpu_kernel.System.net (MW.system mw))
-        (Fabric.metrics fabric));
-  Fabric.iter_groups fabric (fun g mw ->
-      let size = MW.n mw in
-      let clock = Dpu_kernel.System.clock (MW.system mw) in
-      (match params.closed_loop with
-      | Some k ->
-        Load_gen.closed_loop mw ~clients_per_node:k ~size:params.msg_size
-          ~until:params.duration_ms ()
-      | None ->
-        (* The aggregate rate splits by shard size, so every node
-           carries the same per-node rate however the partition
-           rounded. *)
-        let rate_per_s = params.load *. (float_of_int size /. float_of_int params.n) in
-        Load_gen.start mw ~rate_per_s ~pattern:params.pattern ~size:params.msg_size
-          ~until:params.duration_ms ());
-      (* "any process triggers the replacement" (§6.2) — [switch_to]
-         from the highest-numbered one still alive at the switch time,
-         then the planned ones. *)
-      let from_switch_to protocol =
-        let at = trigger_ms params g in
-        let crashed_by_then = Dpu_faults.Schedule.crashed_before params.faults ~time:at in
-        let rec pick node =
-          if node < 0 then 0 else if List.mem node crashed_by_then then pick (node - 1) else node
-        in
-        (at, pick (size - 1), protocol)
-      in
-      List.iter
-        (fun (at, node, protocol) ->
-          Clock.defer clock ~delay:at (fun () -> MW.change_protocol mw ~node protocol))
-        (Option.to_list (Option.map from_switch_to (switch_target params))
-        @ planned_switches params);
-      Option.iter
-        (fun (time, protocol) ->
-          Clock.defer clock ~delay:time (fun () -> MW.change_consensus mw ~node:0 protocol))
-        params.switch_consensus);
+        (Fabric.metrics fabric);
+      drive params ~shard:g mw);
   Fabric.run_until_quiescent ~limit:(params.duration_ms +. params.drain_ms) fabric;
   let per_shard =
     Array.init params.shards (fun g -> shard_of params g (Fabric.group fabric g))

@@ -4,8 +4,9 @@
     {!params} describes a run on either backend: {!run} simulates it,
     and [Dpu_live.Serve.run_experiment] deploys the same record as OS
     processes over UDP. {!validate} is the one range check of run
-    parameters, and {!battery} the one property check of a run's
-    record.
+    parameters, {!drive} the one place a run's workload is armed
+    (load, replacement plan and consensus swap) and {!battery} the one
+    property check of a run's record.
 
     One [run] simulates the paper's benchmark (§6.2): [n] stacks on a
     LAN, a constant aggregate load of ABcast messages, optionally one
@@ -163,6 +164,11 @@ val per_message : result -> (string * float) list
     0 when none was), as [events_per_msg], [hops_per_msg],
     [frames_per_msg], [bytes_per_msg] and [retransmissions_per_msg]. *)
 
+val middleware_config : params -> Dpu_core.Middleware.config
+(** The stacks' configuration on either backend: {!run} builds its
+    fabric from it, and a live node its middleware, whose own clock,
+    transport and fault shim replace the modelled ones. *)
+
 exception Preflight_failure of Dpu_props.Report.t list
 (** The static composition verifier rejected the configuration. Raised
     by [run] before any simulation step, so a mis-composed profile or
@@ -176,10 +182,24 @@ val preflight : params -> Dpu_props.Report.t list
     [switch_to] / [switches] / [switch_consensus] swaps. No simulation
     happens. *)
 
+val switch_plan : params -> shard:int -> Dpu_faults.Corpus.switch list
+(** Group [shard]'s replacements: [switch_to] at
+    [switch_at_ms + shard * stagger_ms] from the shard's
+    highest-numbered node that [faults] has not crashed by then (§6.2:
+    "any process triggers the replacement"), then [switches].
+    Generation [i + 1] is the [i]-th. Empty without a layer. *)
+
+val drive : params -> shard:int -> Dpu_core.Middleware.t -> unit
+(** Arm group [shard]'s run on the middleware's local nodes: the open
+    loop (its share of [load], in [pattern]) or the [closed_loop], the
+    {!switch_plan} and the [switch_consensus] from node 0. Every time
+    is on the clock's axis from 0: {!run} arms at 0, and a live node
+    armed after its shared epoch keeps the same plan. *)
+
 val run : params -> result
 (** Raises [Invalid_argument] if {!validate} rejects [params], and
     {!Preflight_failure} if the static composition verifier rejects the
-    configuration. *)
+    configuration. Builds the fabric and {!drive}s every group. *)
 
 val battery :
   params ->

@@ -4,7 +4,11 @@
     constant load by all machines. [Constant] reproduces that — each
     node broadcasts at [rate/n], with staggered phases so the aggregate
     is smooth. [Poisson] and [Burst] exist for the robustness tests and
-    ablations. *)
+    ablations.
+
+    Due times are on the clock's axis from 0, each deferred by
+    [due - now]: every caller arms at time 0, and a live node armed
+    after its shared epoch keeps the same schedule. *)
 
 type pattern =
   | Constant
@@ -17,13 +21,14 @@ val start :
   rate_per_s:float ->
   ?pattern:pattern ->
   ?size:int ->
-  ?body:string ->
   until:float ->
   unit ->
   unit
-(** Schedule broadcasts on every node from now until virtual time
-    [until] (ms). Total system rate is [rate_per_s]. Raises
-    [Invalid_argument] unless [rate_per_s] is finite and [>= 0]. *)
+(** Broadcast from every local node at each tick due before [until]
+    (ms), at [rate_per_s] in total. A late tick still sends and the
+    next stays on its nominal time, so a starved node catches up.
+    Raises [Invalid_argument] unless [rate_per_s] is finite and
+    [>= 0]. *)
 
 val closed_loop :
   Dpu_core.Middleware.t ->
@@ -33,8 +38,8 @@ val closed_loop :
   unit ->
   unit
 (** Closed-loop clients: [clients_per_node] outstanding messages on
-    every node, each re-broadcast 0.05 ms after the node delivers its
-    own previous one, until virtual time [until]. Starts are staggered
+    every local node, each re-broadcast 0.05 ms after the node delivers
+    its own previous one, until virtual time [until]. Starts are staggered
     by the same think time. There is no offered-rate parameter: the
     loop settles at the rate the stack sustains. *)
 

@@ -460,7 +460,33 @@ let test_crashed_before () =
   check (Alcotest.list Alcotest.int) "one recovered" [ 2 ]
     (Schedule.crashed_before sched ~time:35.0);
   check (Alcotest.list Alcotest.int) "none yet" []
-    (Schedule.crashed_before sched ~time:5.0)
+    (Schedule.crashed_before sched ~time:5.0);
+  (* The switch plan reads the same schedule: [switch_to] comes from the
+     highest-numbered node not down at its time, then [switches] in
+     their order. *)
+  let seq = Dpu_core.Variants.sequencer and ct = Dpu_core.Variants.ct in
+  let plan switch_at_ms =
+    E.switch_plan
+      {
+        E.default with
+        n = 3;
+        faults = sched;
+        switch_to = Some seq;
+        switch_at_ms;
+        switches = [ (50.0, 2, ct); (40.0, 0, seq) ];
+      }
+      ~shard:0
+  in
+  let switch = Alcotest.(triple (float 0.0) int string) in
+  check (Alcotest.list switch) "both down: node 0 triggers"
+    [ (25.0, 0, seq); (50.0, 2, ct); (40.0, 0, seq) ]
+    (plan 25.0);
+  check (Alcotest.list switch) "node 1 back: it triggers"
+    [ (35.0, 1, seq); (50.0, 2, ct); (40.0, 0, seq) ]
+    (plan 35.0);
+  check (Alcotest.list switch) "none down: the last node triggers"
+    [ (5.0, 2, seq); (50.0, 2, ct); (40.0, 0, seq) ]
+    (plan 5.0)
 
 let test_duration () =
   check (Alcotest.float 0.0) "empty" 0.0 (Schedule.duration []);

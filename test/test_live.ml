@@ -645,7 +645,7 @@ let test_serve_merged_trace_matches_collector () =
                        | Dpu_obs.Trace_event.Instant { name = n; pid; _ } -> n = name && pid = node
                        | _ -> false)
                      events))
-              (Dpu_live.Node.planned (Serve.to_experiment params))));
+              (Dpu_workload.Experiment.switch_plan (Serve.to_experiment params) ~shard:0)));
         (* The merged trace feeds the §3 battery, which holds. *)
         let properties = List.map (fun (r : Dpu_props.Report.t) -> r.property) outcome.Serve.checks in
         List.iter
@@ -691,11 +691,13 @@ let test_serve_merged_trace_matches_collector () =
               (Printf.sprintf "node %d: change-abcast -> %s logged" node target)
               true
               (count "change-abcast" ~data:target node >= 1))
-          (Dpu_live.Node.planned (Serve.to_experiment params)))
+          (Dpu_workload.Experiment.switch_plan (Serve.to_experiment params) ~shard:0))
 
 (* The load generators run on the live clock and send every tick due
    before the horizon, late or not: at 600 msg/s for 1 s each of the
-   three nodes sends its 200 ticks, exactly the 600 scheduled. *)
+   three nodes sends its 200 ticks, exactly the 600 scheduled. With
+   [trace_enabled] and no output, the nodes still record their kernel
+   traces, so the §3 properties are checked as on the simulator. *)
 let test_serve_carries_offered_load () =
   let params =
     {
@@ -707,16 +709,26 @@ let test_serve_carries_offered_load () =
       batching = Some 16;
     }
   in
-  match Serve.run params with
+  let experiment = { (Serve.to_experiment params) with trace_enabled = true } in
+  match Serve.run_experiment experiment with
   | Error e -> Alcotest.fail ("live deployment failed: " ^ e)
   | Ok outcome ->
     let scheduled = params.Serve.load *. params.Serve.duration_ms /. 1000.0 in
     check Alcotest.int "sent every scheduled message" (int_of_float scheduled)
-      (Dpu_core.Collector.send_count outcome.Serve.collector)
+      (Dpu_core.Collector.send_count outcome.Serve.collector);
+    let properties = List.map (fun (r : Dpu_props.Report.t) -> r.property) outcome.Serve.checks in
+    List.iter
+      (fun p -> check Alcotest.bool (p ^ " checked") true (List.mem p properties))
+      [
+        "weak stack-well-formedness";
+        "weak protocol-operationability(" ^ experiment.initial ^ ")";
+      ];
+    check Alcotest.bool "all properties hold" true (Dpu_props.Report.all_ok outcome.Serve.checks)
 
-(* A node that starts late still switches at the planned time on the
-   shared epoch: here the epoch lies 200 ms before the node starts, so
-   a switch armed from the node's own start would come 200 ms late. *)
+(* A node that starts late keeps the plan on the shared epoch: here the
+   epoch lies 200 ms before the node starts, so a switch armed from the
+   node's own start would come 200 ms late, and the ticks already due
+   when it starts must still be sent. *)
 let test_node_switches_on_shared_epoch () =
   let at = 300.0 in
   let params =
@@ -731,8 +743,15 @@ let test_node_switches_on_shared_epoch () =
       let report =
         Dpu_live.Node.run ~params ~me:0
           ~epoch:(Unix.gettimeofday () -. 0.2)
-          ~generation:1 ~trace:false ~fd ~peers:[| Unix.getsockname fd |] ()
+          ~generation:1 ~fd ~peers:[| Unix.getsockname fd |] ()
       in
+      (* Node 0 of 1 starts at phase 0: its ticks are due at k * gap. *)
+      let gap = 1000.0 /. params.load in
+      let rec due_before k =
+        if float_of_int k *. gap < params.duration_ms then due_before (k + 1) else k
+      in
+      check Alcotest.int "sent every tick due before the horizon" (due_before 0)
+        (Dpu_core.Collector.send_count report.Dpu_live.Node.collector);
       match Dpu_core.Collector.switch_window report.Dpu_live.Node.collector ~generation:1 with
       | None -> Alcotest.fail "the switch never happened"
       | Some (installed, _) ->
